@@ -33,7 +33,6 @@ from .lp import (
     LPResourceError,
     constraint,
     solve,
-    solve_batch,
     to_lp_text,
     verify_certificate,
 )
@@ -50,7 +49,7 @@ from .model import (
     utility,
     validate_dataset,
 )
-from .numeric import FLOAT, RATIONAL, Scalar, get_mode, scalar, set_mode
+from .numeric import Scalar, scalar
 from .piecewise import PiecewiseScalarFunction, lower_envelope, upper_envelope
 from .recovery import (
     ObservationAudit,

@@ -42,7 +42,7 @@ def check_nias(dataset: Dataset) -> NiasReport:
     for oi, obs in enumerate(dataset.observations):
         summary = revealed_summary(obs)
         for ai, act in enumerate(obs.menu.acts):
-            if not numeric.gt(summary.act_probabilities[ai], 0):
+            if summary.act_probabilities[ai] <= 0:
                 continue
             mean = summary.act_means[ai]
             base = utility(act, mean)
@@ -50,7 +50,7 @@ def check_nias(dataset: Dataset) -> NiasReport:
                 if alt.id == act.id:
                     continue
                 gain = utility(alt, mean) - base
-                if numeric.gt(gain, 0):
+                if gain > 0:
                     violations.append(
                         NiasViolation(
                             observation=oi, chosen=act.id, better=alt.id, gain=gain
@@ -82,7 +82,7 @@ class FarkasSystem:
     ) -> lp.LinearProgram:
         cons = tuple(
             lp.constraint(
-                {j: v for j, v in enumerate(row) if not numeric.is_zero(v)},
+                {j: v for j, v in enumerate(row) if v != 0},
                 lp.LE,
                 b,
             )
@@ -114,7 +114,7 @@ def build_farkas_system(dataset: Dataset) -> FarkasSystem:
     for oi, zs in enumerate(bindings):
         for z in zs:
             columns.append((oi, z))
-            free.append(numeric.eq(z, 0) or numeric.eq(z, 1))
+            free.append(z == 0 or z == 1)
 
     rows: list[RowKey] = []
     matrix: list[tuple[Scalar, ...]] = []
@@ -130,7 +130,7 @@ def build_farkas_system(dataset: Dataset) -> FarkasSystem:
             menu_b = dataset.observations[ob].menu
             for ai, act_a in enumerate(menu_a.acts):
                 prob = summ.act_probabilities[ai]
-                if not numeric.gt(prob, 0):
+                if prob <= 0:
                     continue
                 mean = summ.act_means[ai]
                 coeffs = []
@@ -142,9 +142,9 @@ def build_farkas_system(dataset: Dataset) -> FarkasSystem:
                     else:
                         coeffs.append(zero)
                         continue
-                    if numeric.eq(z, 0):
+                    if z == 0:
                         coeffs.append(sgn * prob)
-                    elif numeric.le(mean, z):
+                    elif mean <= z:
                         coeffs.append(sgn * (z - mean) * prob)
                     else:
                         coeffs.append(zero)
@@ -172,26 +172,6 @@ class NipmcVerdict:
     certificate: dict[RowKey, Scalar] | None = None
 
 
-def _verify_beta(system: FarkasSystem, beta: tuple[Scalar, ...]) -> bool:
-    """Direct-multiplication check of the reallocation certificate."""
-    if any(numeric.lt(b, 0) for b in beta):
-        return False
-    for j in range(len(system.columns)):
-        s = sum(
-            (beta[i] * system.matrix[i][j] for i in range(len(beta))),
-            start=numeric.scalar(0),
-        )
-        if system.free_columns[j]:
-            if not numeric.is_zero(s):
-                return False
-        elif numeric.lt(s, 0):
-            return False
-    total = sum(
-        (b * r for b, r in zip(beta, system.rhs)), start=numeric.scalar(0)
-    )
-    return numeric.lt(total, 0)
-
-
 def check_nipmc(dataset: Dataset, *, flattest: bool = False) -> NipmcVerdict:
     """Decide the posterior-mean-cycle axiom via the multiplier system.
 
@@ -204,7 +184,7 @@ def check_nipmc(dataset: Dataset, *, flattest: bool = False) -> NipmcVerdict:
     outcome = lp.solve(program)
     if outcome.status == lp.INFEASIBLE:
         assert outcome.certificate is not None
-        if not _verify_beta(system, outcome.certificate):
+        if not lp.verify_certificate(program, outcome.certificate):
             raise RuntimeError("infeasibility certificate failed direct verification")
         cert = {
             key: val for key, val in zip(system.rows, outcome.certificate)
@@ -238,7 +218,7 @@ def explain_violation(verdict: NipmcVerdict, dataset: Dataset) -> str:
     beta = tuple(
         verdict.certificate.get(key, numeric.scalar(0)) for key in system.rows
     )
-    if not _verify_beta(system, beta):
+    if not lp.verify_certificate(system.to_linear_program(), beta):
         raise ValueError("certificate fails the reallocation conditions")
 
     gain = sum(
@@ -248,7 +228,7 @@ def explain_violation(verdict: NipmcVerdict, dataset: Dataset) -> str:
         "improving posterior-mean reallocation found:",
     ]
     for key, weight in zip(system.rows, beta):
-        if numeric.is_zero(weight):
+        if weight == 0:
             continue
         oa, ob, ai, bi = key
         menu_a = dataset.observations[oa].menu

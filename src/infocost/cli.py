@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes are a stable contract: 0 for success or a passing check, 1 for
-a principled rejection (invalid dataset, axiom violation), 2 for input
-errors, 3 for resource exhaustion.
+a principled rejection (invalid dataset, axiom violation) or a failed
+re-check of a result (a recovery whose audit fails), 2 for input errors,
+3 for resource exhaustion.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from . import io, numeric
+from . import io
 from .axioms import check_nias, check_nipmc, explain_violation
 from .concavity import BUDGET_EXCEEDED, CERTIFIED, certify_concave
 from .forward import generate_dataset, oracle_value, solve_forward
@@ -123,7 +124,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 "weight": io.scalar_out(w),
             }
             for (oa, ob, ai, bi), w in verdict.certificate.items()
-            if not numeric.is_zero(w)
+            if w != 0
         ]
         entry["explanation"] = explain_violation(verdict, dataset)
     report["nipmc"] = entry
@@ -188,6 +189,9 @@ def cmd_recover(args: argparse.Namespace) -> int:
     }
     _emit(report, args.output)
     _write_figures(report, args.figures_csv)
+    if not audit.all_ok:
+        print("rationalization audit failed", file=sys.stderr)
+        return EXIT_REJECTED
     return EXIT_OK
 
 
@@ -220,7 +224,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         report["oracle"] = {
             "resolution": args.refine,
             "value": io.scalar_out(value),
-            "matches": numeric.eq(value, solution.value),
+            "matches": value == solution.value,
         }
     _emit(report, args.output)
     _write_figures(report, args.figures_csv)
@@ -310,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    numeric.configure_from_env()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

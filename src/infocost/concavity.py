@@ -34,13 +34,13 @@ BUDGET_EXCEEDED = "budget_exceeded"
 def is_concave(fn: PiecewiseScalarFunction) -> bool:
     """Nonincreasing derivative across segments; quadratic pieces by sign."""
     for a, _, _ in fn.coefficients:
-        if numeric.gt(a, 0):
+        if a > 0:
             return False
     for i in range(1, len(fn.coefficients)):
         x = fn.breakpoints[i]
         left = fn.derivative_at(i - 1, x)
         right = fn.derivative_at(i, x)
-        if numeric.gt(right, left):
+        if right > left:
             return False
     return True
 
@@ -80,14 +80,14 @@ def _assignment_program(
                     sgn = -1
                 else:
                     continue
-                if numeric.eq(cz, 0):
+                if cz == 0:
                     coeffs[j] = coeffs.get(j, numeric.scalar(0)) + sgn
-                elif numeric.gt(cz, z):
+                elif cz > z:
                     coeffs[j] = coeffs.get(j, numeric.scalar(0)) + sgn * (cz - z)
             rhs = gen_phi - indirect_utility(obs.menu, z)
             extra.append(
                 lp.constraint(
-                    {j: v for j, v in coeffs.items() if not numeric.is_zero(v)},
+                    {j: v for j, v in coeffs.items() if v != 0},
                     lp.LE,
                     rhs,
                 )

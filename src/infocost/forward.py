@@ -42,10 +42,9 @@ class ForwardProblem:
         need.update(
             z
             for z, w in zip(self.prior.state_space.states, self.prior.weights)
-            if numeric.gt(w, 0)
+            if w > 0
         )
-        grid = set(self.grid)
-        if not all(any(numeric.eq(g, z) for g in grid) for z in need):
+        if not need <= set(self.grid):
             raise ValueError("grid must contain 0, 1, and every prior support point")
 
     @classmethod
@@ -63,7 +62,7 @@ class ForwardProblem:
         pts.update(
             z
             for z, w in zip(prior.state_space.states, prior.weights)
-            if numeric.gt(w, 0)
+            if w > 0
         )
         pts.update(menu_value_function(menu).breakpoints)
         pts.update(cost.breakpoints)
@@ -77,7 +76,7 @@ class ForwardProblem:
 def _dedupe(points) -> list[Scalar]:
     out: list[Scalar] = []
     for p in sorted(points):
-        if not out or not numeric.eq(out[-1], p):
+        if not out or out[-1] != p:
             out.append(p)
     return out
 
@@ -97,7 +96,7 @@ def _hinge_mass(prior: Prior, z: Scalar) -> Scalar:
     return sum(
         w * (z - s)
         for s, w in zip(prior.state_space.states, prior.weights)
-        if numeric.gt(w, 0) and s < z
+        if w > 0 and s < z
     )
 
 
@@ -110,7 +109,7 @@ def _grid_lp(problem: ForwardProblem, grid, values):
         coeffs = {
             j: gp - g for j, g in enumerate(grid) if g < gp
         }
-        rel = lp.EQ if numeric.eq(gp, 1) else lp.LE
+        rel = lp.EQ if gp == 1 else lp.LE
         cons.append(lp.constraint(coeffs, rel, _hinge_mass(problem.prior, gp)))
     return lp.LinearProgram(
         num_vars=n,
@@ -186,7 +185,7 @@ def _solve_dual(problem: ForwardProblem, grid, values, best):
             sense=lp.MIN,
         )
     )
-    if first.status != lp.OPTIMAL or not numeric.eq(first.objective_value, best):
+    if first.status != lp.OPTIMAL or first.objective_value != best:
         raise RuntimeError("dual value does not match the primal optimum")
 
     pinned = tuple(cons) + (lp.constraint(objective, lp.EQ, best),)
@@ -217,7 +216,7 @@ def _price_from_multipliers(grid, multipliers) -> PiecewiseScalarFunction:
     for x in grid:
         val = intercept
         for z, v in multipliers.items():
-            if numeric.gt(z, 0) and numeric.ge(z, x):
+            if z > 0 and z >= x:
                 val += v * (z - x)
         points.append((x, val))
     return PiecewiseScalarFunction.from_points(points).simplify()
@@ -241,21 +240,21 @@ def solve_forward(problem: ForwardProblem) -> ForwardSolution:
     price = _price_from_multipliers(grid, multipliers)
 
     for j, g in enumerate(grid):
-        if numeric.lt(price(g) - values[j], 0):
+        if price(g) - values[j] < 0:
             raise RuntimeError("price fails to majorize the objective on the grid")
-        if numeric.gt(f[j], 0) and not numeric.is_zero(price(g) - values[j]):
+        if f[j] > 0 and price(g) - values[j] != 0:
             raise RuntimeError("price does not touch the objective on the support")
     lhs = sum(f[j] * price(g) for j, g in enumerate(grid))
     rhs = sum(
         w * price(z)
         for z, w in zip(problem.prior.state_space.states, problem.prior.weights)
-        if numeric.gt(w, 0)
+        if w > 0
     )
-    if not (numeric.eq(lhs, rhs) and numeric.eq(lhs, best)):
+    if not (lhs == rhs and lhs == best):
         raise RuntimeError("price integrals disagree with the optimal value")
 
     dist = DiscreteCDF.from_pairs(
-        (g, f[j]) for j, g in enumerate(grid) if numeric.gt(f[j], 0)
+        (g, f[j]) for j, g in enumerate(grid) if f[j] > 0
     )
     assignments = tuple(_best_act(problem.menu, z) for z in dist.support)
     return ForwardSolution(
@@ -273,7 +272,7 @@ def _best_act(menu: Menu, z: Scalar) -> str:
     best_val = utility(menu.acts[0], z)
     for act in menu.acts[1:]:
         v = utility(act, z)
-        if numeric.gt(v, best_val):
+        if v > best_val:
             best_id, best_val = act.id, v
     return best_id
 
@@ -314,7 +313,7 @@ def _decompose(prior: Prior, dist: DiscreteCDF):
         for zi, (z, w) in enumerate(
             zip(prior.state_space.states, prior.weights)
         )
-        if numeric.gt(w, 0)
+        if w > 0
     ]
     atoms = dist.atoms
     ns, na = len(states), len(atoms)
@@ -376,12 +375,12 @@ def generate_dataset(
         plan = _decompose(prior, sol.distribution)
         rows = [[zero] * nstates for _ in menu.acts]
         for (zi, ai), mass in plan.items():
-            if numeric.is_zero(mass):
+            if mass == 0:
                 continue
             act_row = menu.act_index(sol.assignments[ai])
             rows[act_row][zi] += mass / prior.weights[zi]
         for zi, (z, w) in enumerate(zip(prior.state_space.states, prior.weights)):
-            if numeric.gt(w, 0):
+            if w > 0:
                 continue
             rows[menu.act_index(_best_act(menu, z))][zi] = numeric.scalar(1)
         observations.append(

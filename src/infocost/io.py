@@ -51,7 +51,7 @@ def _parse_act(obj: Mapping[str, Any], states: Sequence[Scalar]) -> Act:
             raise InputError(f"act {act_id!r}: payoff table length mismatch")
         u0, u1 = table[0], table[-1]
         for z, v in zip(states, table):
-            if not numeric.eq(v, z * u1 + (1 - z) * u0):
+            if v != z * u1 + (1 - z) * u0:
                 raise InputError(
                     f"act {act_id!r}: payoff table is not affine in the state"
                 )

@@ -1,11 +1,11 @@
 """Exact linear programming: simplex with Bland's rule and Farkas certificates.
 
-The solver works over the active scalar type, so in rational mode every
-pivot, every feasibility verdict, and every certificate is exact. Free
-variables are split into differences of nonnegatives, inequalities get
-slack columns, and rows that still lack a unit column get artificials;
-phase one minimizes the artificial mass and, when that minimum is
-positive, its multipliers are the infeasibility certificate.
+Every pivot, every feasibility verdict, and every certificate is exact
+rational arithmetic. Free variables are split into differences of
+nonnegatives, inequalities get slack columns, and rows that still lack a
+unit column get artificials; phase one minimizes the artificial mass and,
+when that minimum is positive, its multipliers are the infeasibility
+certificate.
 
 Certificate orientation, for a program with rows ``a_i . x  rel_i  b_i``
 and per-variable sign constraints: the returned ``y`` satisfies
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from . import numeric
 from .numeric import Scalar
 
 LE = "<="
@@ -61,7 +60,7 @@ def constraint(
     coefficients: Mapping[int, Scalar], relation: str, rhs: Scalar
 ) -> Constraint:
     terms = tuple(
-        sorted((j, v) for j, v in coefficients.items() if not numeric.is_zero(v))
+        sorted((j, v) for j, v in coefficients.items() if v != 0)
     )
     return Constraint(terms=terms, relation=relation, rhs=rhs)
 
@@ -100,20 +99,20 @@ class LPOutcome:
 
 
 def _row_value(con: Constraint, x: Sequence[Scalar]) -> Scalar:
-    return sum((v * x[j] for j, v in con.terms), start=numeric.scalar(0))
+    return sum((v * x[j] for j, v in con.terms), start=Fraction(0))
 
 
 def satisfies(lp: LinearProgram, x: Sequence[Scalar]) -> bool:
-    """Exact (or tolerance, in float mode) feasibility of a point."""
+    """Exact feasibility of a point."""
     for j in range(lp.num_vars):
-        if lp.nonnegative[j] and numeric.lt(x[j], 0):
+        if lp.nonnegative[j] and x[j] < 0:
             return False
     for con in lp.constraints:
         lhs = _row_value(con, x)
         ok = {
-            LE: numeric.le(lhs, con.rhs),
-            EQ: numeric.eq(lhs, con.rhs),
-            GE: numeric.ge(lhs, con.rhs),
+            LE: lhs <= con.rhs,
+            EQ: lhs == con.rhs,
+            GE: lhs >= con.rhs,
         }[con.relation]
         if not ok:
             return False
@@ -125,23 +124,23 @@ def verify_certificate(lp: LinearProgram, y: Sequence[Scalar]) -> bool:
     if len(y) != len(lp.constraints):
         return False
     for yi, con in zip(y, lp.constraints):
-        if con.relation == LE and numeric.lt(yi, 0):
+        if con.relation == LE and yi < 0:
             return False
-        if con.relation == GE and numeric.gt(yi, 0):
+        if con.relation == GE and yi > 0:
             return False
     combo: dict[int, Scalar] = {}
     for yi, con in zip(y, lp.constraints):
         for j, v in con.terms:
-            combo[j] = combo.get(j, numeric.scalar(0)) + yi * v
+            combo[j] = combo.get(j, Fraction(0)) + yi * v
     for j in range(lp.num_vars):
-        s = combo.get(j, numeric.scalar(0))
+        s = combo.get(j, Fraction(0))
         if lp.nonnegative[j]:
-            if numeric.lt(s, 0):
+            if s < 0:
                 return False
-        elif not numeric.is_zero(s):
+        elif s != 0:
             return False
-    yb = sum((yi * con.rhs for yi, con in zip(y, lp.constraints)), start=numeric.scalar(0))
-    return numeric.lt(yb, 0)
+    yb = sum((yi * con.rhs for yi, con in zip(y, lp.constraints)), start=Fraction(0))
+    return yb < 0
 
 
 def _lcm(a: int, b: int) -> int:
@@ -150,34 +149,28 @@ def _lcm(a: int, b: int) -> int:
     return a // math.gcd(a, b) * b
 
 
-def _row_scale(values: Iterable[Scalar]) -> Scalar:
-    """Positive multiplier turning the row into integers (rational mode)."""
-    if numeric.get_mode() != numeric.RATIONAL:
-        return 1.0
+def _row_scale(values: Iterable[Scalar]) -> int:
+    """Positive multiplier turning the row into integers."""
     denom = 1
     for v in values:
-        denom = _lcm(denom, v.denominator)  # type: ignore[union-attr]
+        denom = _lcm(denom, v.denominator)
     return denom
 
 
 class _Tableau:
     """Dense simplex tableau with integer (fraction-free) pivoting.
 
-    In rational mode every row is scaled to integers up front and pivots
-    follow the integer-preserving two-term update: each new entry is
-    (old * pivot - cross product) divided exactly by the previous pivot.
-    The rational tableau is the integer one divided by ``det``, whose sign
-    is tracked by every comparison. Float mode keeps the classical update
-    with ``det`` pinned at one.
+    Every row is scaled to integers up front and pivots follow the
+    integer-preserving two-term update: each new entry is (old * pivot -
+    cross product) divided exactly by the previous pivot. The rational
+    tableau is the integer one divided by ``det``, whose sign is tracked
+    by every comparison.
     """
 
     def __init__(self, lp: LinearProgram, pivot_limit: int):
         self.lp = lp
         self.pivot_limit = pivot_limit
         self.pivots = 0
-        self.exact = numeric.get_mode() == numeric.RATIONAL
-        zero = 0 if self.exact else 0.0
-        one = 1 if self.exact else 1.0
 
         # Structural columns: nonnegative vars map to one column, free
         # vars to a (plus, minus) pair.
@@ -193,31 +186,29 @@ class _Tableau:
         self.n_structural = ncols
 
         m = len(lp.constraints)
-        rows = [[zero] * ncols for _ in range(m)]
-        rhs = [zero] * m
+        rows = [[0] * ncols for _ in range(m)]
+        rhs = [0] * m
         self.flip = [1] * m
-        self.row_scale: list[Scalar] = [one] * m
+        self.row_scale = [1] * m
         for i, con in enumerate(lp.constraints):
             scale = _row_scale([v for _, v in con.terms] + [con.rhs])
             self.row_scale[i] = scale
             for j, v in con.terms:
-                sv = v * scale
-                sv = int(sv) if self.exact else sv
+                sv = int(v * scale)
                 pos, neg = self.var_cols[j]
                 rows[i][pos] += sv
                 if neg is not None:
                     rows[i][neg] -= sv
-            sb = con.rhs * scale
-            rhs[i] = int(sb) if self.exact else sb
+            rhs[i] = int(con.rhs * scale)
 
         # Slack / surplus columns.
         slack_col = [-1] * m
         for i, con in enumerate(lp.constraints):
             if con.relation == EQ:
                 continue
-            coef = one if con.relation == LE else -one
+            coef = 1 if con.relation == LE else -1
             for r in range(m):
-                rows[r].append(coef if r == i else zero)
+                rows[r].append(coef if r == i else 0)
             slack_col[i] = ncols
             ncols += 1
 
@@ -235,12 +226,12 @@ class _Tableau:
         self.artificial: set[int] = set()
         for i in range(m):
             sc = slack_col[i]
-            if sc >= 0 and rows[i][sc] == one:
+            if sc >= 0 and rows[i][sc] == 1:
                 self.basis.append(sc)
                 self.row_unit_col.append(sc)
                 continue
             for r in range(m):
-                rows[r].append(one if r == i else zero)
+                rows[r].append(1 if r == i else 0)
             self.artificial.add(ncols)
             self.basis.append(ncols)
             self.row_unit_col.append(ncols)
@@ -249,29 +240,21 @@ class _Tableau:
         self.rows = rows
         self.rhs = rhs
         self.ncols = ncols
-        self.obj = [zero] * ncols
-        self.obj_rhs = zero
-        self.det = one  # previous pivot; rational tableau = integers / det
+        self.obj = [0] * ncols
+        self.obj_rhs = 0
+        self.det = 1  # previous pivot; rational tableau = integers / det
 
     # -- rational views ---------------------------------------------------
 
-    def _frac(self, v) -> Scalar:
-        if self.exact:
-            return Fraction(v, self.det)
-        return v / self.det
+    def _frac(self, v: int) -> Scalar:
+        return Fraction(v, self.det)
 
-    def _neg(self, v) -> bool:
+    def _neg(self, v: int) -> bool:
         """Sign of a raw entry as a rational quantity."""
-        if self.exact:
-            return v < 0 if self.det > 0 else v > 0
-        scaled = v / self.det
-        return scaled < -numeric.FLOAT_TOLERANCE
+        return v < 0 if self.det > 0 else v > 0
 
-    def _pos(self, v) -> bool:
-        if self.exact:
-            return v > 0 if self.det > 0 else v < 0
-        scaled = v / self.det
-        return scaled > numeric.FLOAT_TOLERANCE
+    def _pos(self, v: int) -> bool:
+        return v > 0 if self.det > 0 else v < 0
 
     @property
     def objective_value(self) -> Scalar:
@@ -280,9 +263,8 @@ class _Tableau:
     # -- objectives -------------------------------------------------------
 
     def set_phase1_objective(self) -> None:
-        zero = 0 if self.exact else 0.0
-        obj = [zero] * self.ncols
-        total = zero
+        obj = [0] * self.ncols
+        total = 0
         for i, b in enumerate(self.basis):
             if b in self.artificial:
                 row = self.rows[i]
@@ -295,12 +277,11 @@ class _Tableau:
         self.obj_rhs = -total
 
     def set_min_objective(self, costs: Sequence[int]) -> None:
-        """Reduced-cost row for integer (or float) structural costs."""
-        zero = 0 if self.exact else 0.0
-        obj = [c * self.det for c in costs] + [zero] * (self.ncols - len(costs))
-        value = zero
+        """Reduced-cost row for integer structural costs."""
+        obj = [c * self.det for c in costs] + [0] * (self.ncols - len(costs))
+        value = 0
         for i, b in enumerate(self.basis):
-            cb = costs[b] if b < len(costs) else zero
+            cb = costs[b] if b < len(costs) else 0
             if cb == 0:
                 continue
             row = self.rows[i]
@@ -321,45 +302,25 @@ class _Tableau:
         piv = prow[pc]
         prhs = self.rhs[pr]
         d = self.det
-        if self.exact:
-            for r in range(len(rows)):
-                if r == pr:
-                    continue
-                row = rows[r]
-                f = row[pc]
-                if f:
-                    row[:] = [
-                        (v * piv - f * p) // d for v, p in zip(row, prow)
-                    ]
-                    self.rhs[r] = (self.rhs[r] * piv - f * prhs) // d
-                elif piv != d:
-                    row[:] = [v * piv // d for v in row]
-                    self.rhs[r] = self.rhs[r] * piv // d
-            f = self.obj[pc]
+        for r in range(len(rows)):
+            if r == pr:
+                continue
+            row = rows[r]
+            f = row[pc]
             if f:
-                self.obj = [
-                    (v * piv - f * p) // d for v, p in zip(self.obj, prow)
-                ]
-                self.obj_rhs = (self.obj_rhs * piv - f * prhs) // d
+                row[:] = [(v * piv - f * p) // d for v, p in zip(row, prow)]
+                self.rhs[r] = (self.rhs[r] * piv - f * prhs) // d
             elif piv != d:
-                self.obj = [v * piv // d for v in self.obj]
-                self.obj_rhs = self.obj_rhs * piv // d
-            self.det = piv
-        else:
-            inv = 1.0 / piv
-            rows[pr] = prow = [v * inv for v in prow]
-            self.rhs[pr] = prhs = prhs * inv
-            for r in range(len(rows)):
-                if r == pr:
-                    continue
-                f = rows[r][pc]
-                if f:
-                    rows[r] = [v - f * p for v, p in zip(rows[r], prow)]
-                    self.rhs[r] = self.rhs[r] - f * prhs
-            f = self.obj[pc]
-            if f:
-                self.obj = [v - f * p for v, p in zip(self.obj, prow)]
-                self.obj_rhs = self.obj_rhs - f * prhs
+                row[:] = [v * piv // d for v in row]
+                self.rhs[r] = self.rhs[r] * piv // d
+        f = self.obj[pc]
+        if f:
+            self.obj = [(v * piv - f * p) // d for v, p in zip(self.obj, prow)]
+            self.obj_rhs = (self.obj_rhs * piv - f * prhs) // d
+        elif piv != d:
+            self.obj = [v * piv // d for v in self.obj]
+            self.obj_rhs = self.obj_rhs * piv // d
+        self.det = piv
         self.basis[pr] = pc
 
     def run_simplex(self, banned: set[int]) -> str:
@@ -421,7 +382,7 @@ class _Tableau:
         col_val: dict[int, Scalar] = {}
         for r, b in enumerate(self.basis):
             col_val[b] = self._frac(self.rhs[r])
-        zero = numeric.scalar(0)
+        zero = Fraction(0)
         out = []
         for pos, neg in self.var_cols:
             v = col_val.get(pos, zero)
@@ -453,7 +414,7 @@ def solve(lp: LinearProgram, *, pivot_limit: int = DEFAULT_PIVOT_LIMIT) -> LPOut
     status = tab.run_simplex(banned=set())
     if status == UNBOUNDED:  # phase-one objective is bounded below by zero
         raise AssertionError("phase one cannot be unbounded")
-    if numeric.gt(tab.objective_value, 0):
+    if tab.objective_value > 0:
         return LPOutcome(status=INFEASIBLE, certificate=tab.farkas_certificate())
     tab.drive_out_artificials()
 
@@ -461,11 +422,10 @@ def solve(lp: LinearProgram, *, pivot_limit: int = DEFAULT_PIVOT_LIMIT) -> LPOut
         return LPOutcome(status=FEASIBLE, x=tab.structural_solution())
 
     obj_scale = _row_scale([v for _, v in lp.objective])
-    costs = [0 if tab.exact else 0.0] * tab.n_structural
+    costs = [0] * tab.n_structural
     sign = 1 if lp.sense == MIN else -1
     for j, v in lp.objective:
-        sv = v * obj_scale
-        sv = int(sv) if tab.exact else sv
+        sv = int(v * obj_scale)
         pos, neg = tab.var_cols[j]
         costs[pos] += sign * sv
         if neg is not None:
@@ -478,24 +438,6 @@ def solve(lp: LinearProgram, *, pivot_limit: int = DEFAULT_PIVOT_LIMIT) -> LPOut
     if lp.sense == MAX:
         value = -value
     return LPOutcome(status=OPTIMAL, x=tab.structural_solution(), objective_value=value)
-
-
-def solve_batch(
-    lps: Iterable[LinearProgram], *, pivot_limit: int = DEFAULT_PIVOT_LIMIT
-) -> list[LPOutcome]:
-    """Solve independent programs in order.
-
-    Programs are immutable and solves are pure, so callers may shard this
-    across workers; results must stay in input order either way. Errors
-    carry the failing program's position.
-    """
-    out = []
-    for i, program in enumerate(lps):
-        try:
-            out.append(solve(program, pivot_limit=pivot_limit))
-        except LPResourceError as err:
-            raise LPResourceError(f"program {i}: {err}") from err
-    return out
 
 
 def to_lp_text(lp: LinearProgram, name: str = "program") -> str:

@@ -13,14 +13,11 @@ concurrent tasks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import numeric
 from .numeric import Scalar
-
-SINGLE_PRIOR = "single_prior"
-MULTI_PRIOR = "multi_prior"
 
 
 @dataclass(frozen=True)
@@ -38,7 +35,7 @@ class Act:
 
 def utility(act: Act, z: Scalar) -> Scalar:
     """Expected payoff of ``act`` at posterior mean ``z`` in [0, 1]."""
-    if numeric.lt(z, 0) or numeric.gt(z, 1):
+    if z < 0 or z > 1:
         raise ValueError(f"posterior mean {z!r} outside [0, 1]")
     return z * act.u1 + (1 - z) * act.u0
 
@@ -83,12 +80,12 @@ class StateSpace:
         if len(zs) < 2:
             out.append("state space needs at least two states")
             return out
-        if not numeric.eq(zs[0], 0):
+        if zs[0] != 0:
             out.append("lowest state must be 0")
-        if not numeric.eq(zs[-1], 1):
+        if zs[-1] != 1:
             out.append("highest state must be 1")
         for a, b in zip(zs, zs[1:]):
-            if not numeric.lt(a, b):
+            if a >= b:
                 out.append(f"states not strictly increasing at {a}, {b}")
         return out
 
@@ -107,14 +104,6 @@ class Prior:
     def mean(self) -> Scalar:
         return sum(z * w for z, w in zip(self.state_space.states, self.weights))
 
-    def weight_at(self, state_index: int) -> Scalar:
-        return self.weights[state_index]
-
-    def support_indices(self) -> tuple[int, ...]:
-        return tuple(
-            i for i, w in enumerate(self.weights) if numeric.gt(w, 0)
-        )
-
     def problems(self) -> list[str]:
         out: list[str] = []
         zs = self.state_space.states
@@ -124,14 +113,14 @@ class Prior:
             )
             return out
         for z, w in zip(zs, self.weights):
-            if numeric.lt(w, 0):
+            if w < 0:
                 out.append(f"prior weight at state {numeric.format_scalar(z)} is negative")
         total = sum(self.weights)
-        if not numeric.eq(total, 1):
+        if total != 1:
             out.append(f"prior weights sum to {numeric.format_scalar(total)}, not 1")
-        if not numeric.gt(self.weights[0], 0):
+        if self.weights[0] <= 0:
             out.append("prior must put mass on state 0")
-        if not numeric.gt(self.weights[-1], 0):
+        if self.weights[-1] <= 0:
             out.append("prior must put mass on state 1")
         return out
 
@@ -162,24 +151,16 @@ class Observation:
 class Dataset:
     state_space: StateSpace
     observations: tuple[Observation, ...]
-    mode: str = field(default="")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "observations", tuple(self.observations))
-        if not self.mode:
-            object.__setattr__(
-                self, "mode", SINGLE_PRIOR if self._priors_identical() else MULTI_PRIOR
-            )
 
-    def _priors_identical(self) -> bool:
+    @property
+    def single_prior(self) -> bool:
         if not self.observations:
             return True
         first = self.observations[0].prior.weights
         return all(o.prior.weights == first for o in self.observations)
-
-    @property
-    def single_prior(self) -> bool:
-        return self.mode == SINGLE_PRIOR
 
 
 @dataclass(frozen=True)
@@ -204,8 +185,6 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
     zs = dataset.state_space.states
     if not dataset.observations:
         problems.append("dataset has no observations")
-    if dataset.mode == SINGLE_PRIOR and not dataset._priors_identical():
-        problems.append("dataset marked single-prior but priors differ")
     for oi, obs in enumerate(dataset.observations):
         where = f"observation {oi} (menu {obs.menu.id!r})"
         if obs.prior.state_space.states != zs:
@@ -223,17 +202,17 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
             continue
         for ai, row in enumerate(obs.sdsc.rows):
             for zi, p in enumerate(row):
-                if numeric.lt(p, 0):
+                if p < 0:
                     problems.append(
                         f"{where}: sigma({obs.menu.acts[ai].id!r} | state "
                         f"{numeric.format_scalar(zs[zi])}) is negative"
                     )
         if len(obs.prior.weights) == len(zs):
             for zi, z in enumerate(zs):
-                if not numeric.gt(obs.prior.weights[zi], 0):
+                if obs.prior.weights[zi] <= 0:
                     continue
                 col = sum(obs.sdsc.rows[ai][zi] for ai in range(nacts))
-                if not numeric.eq(col, 1):
+                if col != 1:
                     problems.append(
                         f"{where}: sigma column at state {numeric.format_scalar(z)} "
                         f"sums to {numeric.format_scalar(col)}, not 1"

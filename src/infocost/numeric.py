@@ -1,91 +1,42 @@
-"""Numeric mode configuration and scalar helpers.
+"""Scalar coercion and rendering.
 
 Every quantity in this package is a ``Scalar``: an exact rational
-(:class:`fractions.Fraction`) in rational mode, or a ``float`` in float
-mode. Rational mode is the default; it makes every equality and sign test
-exact, which the feasibility machinery depends on. Float mode applies one
-global tolerance to every predicate and exists for large instances where
-exact pivoting is too slow.
-
-The mode is process-global. Mixing modes inside a single computation is
-not supported; switch modes only between whole pipeline runs.
+(:class:`fractions.Fraction`). Exactness makes every equality and sign
+test a plain comparison, which the feasibility machinery depends on.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
-from typing import Union
 
-Scalar = Union[Fraction, float]
-
-RATIONAL = "rational"
-FLOAT = "float"
-
-# Tolerance applied to every comparison in float mode.
-FLOAT_TOLERANCE = 1e-9
-
-ENV_VAR = "INFOCOST_NUMERIC_MODE"
-
-_mode = RATIONAL
-
-
-class NumericModeError(ValueError):
-    """Raised for an unrecognized numeric mode name."""
-
-
-def set_mode(mode: str) -> None:
-    global _mode
-    if mode not in (RATIONAL, FLOAT):
-        raise NumericModeError(f"unknown numeric mode: {mode!r}")
-    _mode = mode
-
-
-def get_mode() -> str:
-    return _mode
-
-
-def configure_from_env() -> str:
-    """Set the mode from ``INFOCOST_NUMERIC_MODE`` (default rational)."""
-    mode = os.environ.get(ENV_VAR, RATIONAL).strip().lower() or RATIONAL
-    set_mode(mode)
-    return mode
+Scalar = Fraction
 
 
 def scalar(value: object) -> Scalar:
-    """Coerce ``value`` to the active mode's scalar type.
+    """Coerce ``value`` to an exact rational.
 
     Accepts ints, ``"p/q"`` strings, decimal strings, floats, and
     Fractions. Floats are converted through their shortest repr, so a
-    JSON literal ``0.49`` becomes exactly 49/100 in rational mode.
+    JSON literal ``0.49`` becomes exactly 49/100.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a scalar")
-    if _mode == RATIONAL:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, float):
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite scalar: {value!r}")
-            return Fraction(str(value))
-        if isinstance(value, str):
-            return Fraction(value)
-        raise TypeError(f"cannot coerce {type(value).__name__} to a scalar")
-    if isinstance(value, str) and "/" in value:
-        num, den = value.split("/", 1)
-        out = float(num) / float(den)
-    else:
-        out = float(value)  # type: ignore[arg-type]
-    if not math.isfinite(out):
-        raise ValueError(f"non-finite scalar: {value!r}")
-    return out
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite scalar: {value!r}")
+        return Fraction(str(value))
+    if isinstance(value, str):
+        return Fraction(value)
+    raise TypeError(f"cannot coerce {type(value).__name__} to a scalar")
 
 
 def format_scalar(x: Scalar) -> str:
-    """Exact text rendering: ``p/q`` (or bare integer) in rational mode."""
+    """Exact text rendering: ``p/q``, or a bare integer."""
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return str(x.numerator)
@@ -95,37 +46,3 @@ def format_scalar(x: Scalar) -> str:
 
 def approx(x: Scalar) -> float:
     return float(x)
-
-
-def is_zero(x: Scalar) -> bool:
-    if _mode == RATIONAL:
-        return x == 0
-    return abs(x) <= FLOAT_TOLERANCE
-
-
-def eq(a: Scalar, b: Scalar) -> bool:
-    return is_zero(a - b)
-
-
-def le(a: Scalar, b: Scalar) -> bool:
-    if _mode == RATIONAL:
-        return a <= b
-    return a <= b + FLOAT_TOLERANCE
-
-
-def ge(a: Scalar, b: Scalar) -> bool:
-    return le(b, a)
-
-
-def lt(a: Scalar, b: Scalar) -> bool:
-    return not le(b, a)
-
-
-def gt(a: Scalar, b: Scalar) -> bool:
-    return not le(a, b)
-
-
-def sign(x: Scalar) -> int:
-    if is_zero(x):
-        return 0
-    return 1 if x > 0 else -1

@@ -36,17 +36,17 @@ class PiecewiseScalarFunction:
         xs = self.breakpoints
         if len(xs) < 2:
             raise ValueError("need at least two breakpoints")
-        if not numeric.eq(xs[0], 0) or not numeric.eq(xs[-1], 1):
+        if xs[0] != 0 or xs[-1] != 1:
             raise ValueError("domain must be exactly [0, 1]")
         for a, b in zip(xs, xs[1:]):
-            if not numeric.lt(a, b):
+            if a >= b:
                 raise ValueError("breakpoints must be strictly increasing")
         if len(self.coefficients) != len(xs) - 1:
             raise ValueError("need one coefficient triple per segment")
         for i in range(1, len(xs) - 1):
             left = _eval(self.coefficients[i - 1], xs[i])
             right = _eval(self.coefficients[i], xs[i])
-            if not numeric.eq(left, right):
+            if left != right:
                 raise ValueError(f"discontinuity at breakpoint {xs[i]!r}")
 
     # -- constructors ---------------------------------------------------
@@ -86,7 +86,7 @@ class PiecewiseScalarFunction:
         return min(max(i, 0), len(self.coefficients) - 1)
 
     def __call__(self, z: Scalar) -> Scalar:
-        if numeric.lt(z, 0) or numeric.gt(z, 1):
+        if z < 0 or z > 1:
             raise ValueError(f"argument {z!r} outside [0, 1]")
         return _eval(self.coefficients[self.segment_index(z)], z)
 
@@ -95,7 +95,7 @@ class PiecewiseScalarFunction:
 
     @property
     def is_affine(self) -> bool:
-        return all(numeric.is_zero(a) for a, _, _ in self.coefficients)
+        return all(a == 0 for a, _, _ in self.coefficients)
 
     def slopes(self) -> tuple[Scalar, ...]:
         if not self.is_affine:
@@ -144,7 +144,7 @@ class PiecewiseScalarFunction:
         coeffs: list[Coeffs] = []
         for i, seg in enumerate(self.coefficients):
             if coeffs and all(
-                numeric.eq(p, q) for p, q in zip(coeffs[-1], seg)
+                p == q for p, q in zip(coeffs[-1], seg)
             ):
                 xs[-1] = self.breakpoints[i + 1]
                 continue
@@ -165,7 +165,7 @@ def _merge_breakpoints(groups: Iterable[Sequence[Scalar]]) -> tuple[Scalar, ...]
     pts.sort()
     out = [pts[0]]
     for p in pts[1:]:
-        if not numeric.eq(out[-1], p):
+        if out[-1] != p:
             out.append(p)
     return tuple(out)
 
@@ -175,7 +175,7 @@ def _line_at(fn: PiecewiseScalarFunction, x1: Scalar, x2: Scalar) -> tuple[Scala
     mid = (x1 + x2) / 2
     seg = fn.coefficients[fn.segment_index(mid)]
     a, b, c = seg
-    if not numeric.is_zero(a):
+    if a != 0:
         raise ValueError("envelopes require affine segments")
     return b, _eval(seg, x1)
 
@@ -203,12 +203,12 @@ def lower_envelope(fns: Sequence[PiecewiseScalarFunction]) -> PiecewiseScalarFun
         while True:
             best_t = None
             for m, v in lines:
-                if numeric.ge(m, cur[0]):
+                if m >= cur[0]:
                     continue
                 tc = (v - cur[1]) / (cur[0] - m)
-                if numeric.le(tc, t) or numeric.gt(tc, width):
+                if tc <= t or tc > width:
                     continue
-                if best_t is None or numeric.lt(tc, best_t):
+                if best_t is None or tc < best_t:
                     best_t = tc
             if best_t is None:
                 points.append((x2, cur[1] + cur[0] * width))
@@ -221,7 +221,7 @@ def lower_envelope(fns: Sequence[PiecewiseScalarFunction]) -> PiecewiseScalarFun
             cur = min(lines, key=lambda mv: (mv[1] + mv[0] * t, mv[0]))
     dedup: list[tuple[Scalar, Scalar]] = []
     for x, y in points:
-        if dedup and numeric.eq(dedup[-1][0], x):
+        if dedup and dedup[-1][0] == x:
             continue
         dedup.append((x, y))
     return PiecewiseScalarFunction.from_points(dedup).simplify()

@@ -55,7 +55,7 @@ def lambda_to_envelope(
     intercept = numeric.scalar(0)
     hinges: list[tuple[Scalar, Scalar]] = []
     for z, v in entries.items():
-        if numeric.eq(z, 0):
+        if z == 0:
             intercept = v
         else:
             hinges.append((z, v))
@@ -64,7 +64,7 @@ def lambda_to_envelope(
     for x in xs:
         val = intercept
         for z, v in hinges:
-            if numeric.ge(z, x):
+            if z >= x:
                 val += v * (z - x)
         points.append((x, val))
     return PiecewiseScalarFunction.from_points(points)
@@ -95,9 +95,9 @@ def recover_cost(
 
 def variance_cost(kappa: Scalar, z0: Scalar) -> PiecewiseScalarFunction:
     """Cost derivative whose total cost is kappa times the variance of means."""
-    if not numeric.gt(kappa, 0):
+    if kappa <= 0:
         raise ValueError("kappa must be positive")
-    if not (numeric.gt(z0, 0) and numeric.lt(z0, 1)):
+    if not 0 < z0 < 1:
         raise ValueError("prior mean must lie strictly inside (0, 1)")
     return PiecewiseScalarFunction.quadratic(-kappa, 2 * kappa * z0, -kappa * z0 * z0)
 
@@ -152,22 +152,22 @@ def _audit_observation(
         (b - a for a, b in zip(slopes, slopes[1:])),
         default=zero,
     )
-    price_convex = numeric.ge(convexity_slack, 0)
+    price_convex = convexity_slack >= 0
 
     target = menu_value_function(obs.menu) + cost
     grid = sorted({*price.breakpoints, *target.breakpoints})
     majorization_slack = min(price(x) - target(x) for x in grid)
-    price_majorizes = numeric.ge(majorization_slack, 0)
+    price_majorizes = majorization_slack >= 0
 
     summary = revealed_summary(obs)
     contact_slack = zero
     for ai, act in enumerate(obs.menu.acts):
-        if not numeric.gt(summary.act_probabilities[ai], 0):
+        if summary.act_probabilities[ai] <= 0:
             continue
         mean = summary.act_means[ai]
         dev = price(mean) - utility(act, mean) - cost(mean)
         contact_slack = max(contact_slack, abs(dev))
-    contact_at_revealed = numeric.is_zero(contact_slack)
+    contact_at_revealed = contact_slack == 0
 
     affine_slack = zero
     f0 = prior_cdf(prior)
@@ -176,20 +176,20 @@ def _audit_observation(
         for i, (x1, x2) in enumerate(
             zip(price.breakpoints, price.breakpoints[1:])
         ):
-            if numeric.lt(max(x1, lo), min(x2, hi)):
+            if max(x1, lo) < min(x2, hi):
                 seen.append(price.slopes()[i])
         if seen:
             affine_slack = max(affine_slack, max(seen) - min(seen))
-    affine_off_binding = numeric.is_zero(affine_slack)
+    affine_off_binding = affine_slack == 0
 
     lhs = sum(p * price(z) for z, p in summary.cdf.atoms)
     rhs = sum(
         w * price(z)
         for z, w in zip(prior.state_space.states, prior.weights)
-        if numeric.gt(w, 0)
+        if w > 0
     )
     integral_slack = abs(lhs - rhs)
-    integral_match = numeric.is_zero(integral_slack)
+    integral_match = integral_slack == 0
 
     return ObservationAudit(
         price_convex=price_convex,

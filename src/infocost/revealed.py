@@ -30,15 +30,15 @@ class DiscreteCDF:
         if not self.atoms:
             raise ValueError("distribution needs at least one atom")
         for z, p in self.atoms:
-            if numeric.lt(z, 0) or numeric.gt(z, 1):
+            if z < 0 or z > 1:
                 raise ValueError(f"atom location {z!r} outside [0, 1]")
-            if not numeric.gt(p, 0):
+            if p <= 0:
                 raise ValueError(f"atom at {z!r} has non-positive mass {p!r}")
         for (a, _), (b, _) in zip(self.atoms, self.atoms[1:]):
-            if not numeric.lt(a, b):
+            if a >= b:
                 raise ValueError("atom locations must be strictly increasing")
         total = sum(p for _, p in self.atoms)
-        if not numeric.eq(total, 1):
+        if total != 1:
             raise ValueError(f"masses sum to {total!r}, not 1")
 
     @classmethod
@@ -46,9 +46,9 @@ class DiscreteCDF:
         """Build from unsorted pairs, merging equal locations, dropping zeros."""
         merged: list[list[Scalar]] = []
         for z, p in sorted(pairs, key=lambda t: t[0]):
-            if numeric.is_zero(p):
+            if p == 0:
                 continue
-            if merged and numeric.eq(merged[-1][0], z):
+            if merged and merged[-1][0] == z:
                 merged[-1][1] += p
             else:
                 merged.append([z, p])
@@ -69,20 +69,20 @@ class DiscreteCDF:
 
     def mass_at(self, z: Scalar) -> Scalar:
         for loc, p in self.atoms:
-            if numeric.eq(loc, z):
+            if loc == z:
                 return p
         return numeric.scalar(0)
 
     def value_at(self, z: Scalar) -> Scalar:
         """CDF value P(X <= z)."""
-        return sum(p for loc, p in self.atoms if numeric.le(loc, z))
+        return sum(p for loc, p in self.atoms if loc <= z)
 
 
 def prior_cdf(prior: Prior) -> DiscreteCDF:
     return DiscreteCDF.from_pairs(
         (z, w)
         for z, w in zip(prior.state_space.states, prior.weights)
-        if numeric.gt(w, 0)
+        if w > 0
     )
 
 
@@ -116,9 +116,9 @@ def is_mpc(prior_cdf: DiscreteCDF, f: DiscreteCDF) -> bool:
     kink plus a zero at 1 decides the whole continuum.
     """
     for k in _kinks(prior_cdf, f):
-        if numeric.lt(mpc_gap(prior_cdf, f, k), 0):
+        if mpc_gap(prior_cdf, f, k) < 0:
             return False
-    return numeric.is_zero(mpc_gap(prior_cdf, f, numeric.scalar(1)))
+    return mpc_gap(prior_cdf, f, numeric.scalar(1)) == 0
 
 
 def gap_zero_intervals(
@@ -128,14 +128,14 @@ def gap_zero_intervals(
 
     Point zeros come out as degenerate intervals. Interior zeros of a
     linear piece (possible only when the pair is not an MPC) are solved by
-    linear interpolation; in float mode a zero is a |gap| within tolerance.
+    linear interpolation.
     """
     ks = _kinks(prior_cdf, f)
     vals = [mpc_gap(prior_cdf, f, k) for k in ks]
     pieces: list[tuple[Scalar, Scalar]] = []
 
     def add(lo: Scalar, hi: Scalar) -> None:
-        if pieces and numeric.ge(pieces[-1][1], lo):
+        if pieces and pieces[-1][1] >= lo:
             pieces[-1] = (pieces[-1][0], max(pieces[-1][1], hi))
         else:
             pieces.append((lo, hi))
@@ -143,7 +143,7 @@ def gap_zero_intervals(
     for i in range(len(ks) - 1):
         a, b = ks[i], ks[i + 1]
         va, vb = vals[i], vals[i + 1]
-        za, zb = numeric.is_zero(va), numeric.is_zero(vb)
+        za, zb = va == 0, vb == 0
         if za and zb:
             add(a, b)
             continue
@@ -151,7 +151,7 @@ def gap_zero_intervals(
             add(a, a)
         if zb:
             add(b, b)
-        if not za and not zb and numeric.sign(va) != numeric.sign(vb):
+        if not za and not zb and (va > 0) != (vb > 0):
             t = va / (va - vb)
             x = a + t * (b - a)
             add(x, x)
@@ -170,10 +170,10 @@ def positive_gap_intervals(
     out: list[tuple[Scalar, Scalar]] = []
     edge = numeric.scalar(0)
     for lo, hi in zeros:
-        if numeric.lt(edge, lo):
+        if edge < lo:
             out.append((edge, lo))
         edge = max(edge, hi)
-    if numeric.lt(edge, numeric.scalar(1)):
+    if edge < 1:
         out.append((edge, numeric.scalar(1)))
     return tuple(out)
 
@@ -187,7 +187,7 @@ def binding_set(
     return tuple(
         z
         for z in state_space.states
-        if numeric.is_zero(mpc_gap(prior_cdf, f, z))
+        if mpc_gap(prior_cdf, f, z) == 0
     )
 
 
@@ -198,7 +198,7 @@ def is_monotone_partitional(prior_cdf: DiscreteCDF, f: DiscreteCDF) -> bool:
     zeros = gap_zero_intervals(prior_cdf, f)
     supp = f.support
     for z1, z2 in zip(supp, supp[1:]):
-        hit = any(numeric.le(lo, z2) and numeric.ge(hi, z1) for lo, hi in zeros)
+        hit = any(lo <= z2 and hi >= z1 for lo, hi in zeros)
         if not hit:
             return False
     return True
@@ -218,7 +218,7 @@ def revealed_posterior_mean(obs: Observation, act: Act) -> Scalar:
     """
     ai = obs.menu.act_index(act.id)
     total = unconditional_probability(obs, ai)
-    if numeric.is_zero(total):
+    if total == 0:
         return obs.prior.mean
     weighted = sum(
         z * obs.sdsc.prob(ai, zi) * w
@@ -242,7 +242,7 @@ class RevealedSummary:
 
     def decision_weight(self, act_index: int, z: Scalar) -> Scalar:
         for si, loc in enumerate(self.cdf.support):
-            if numeric.eq(loc, z):
+            if loc == z:
                 return self.decision[act_index][si]
         # Off the revealed support the decision function defaults to the
         # unconditional choice probabilities.
@@ -259,13 +259,13 @@ def revealed_summary(obs: Observation) -> RevealedSummary:
     pairs = [
         (means[ai], probs[ai])
         for ai in range(len(obs.menu.acts))
-        if numeric.gt(probs[ai], 0)
+        if probs[ai] > 0
     ]
     cdf = DiscreteCDF.from_pairs(pairs)
     decision = tuple(
         tuple(
             (probs[ai] / cdf.mass_at(loc))
-            if numeric.gt(probs[ai], 0) and numeric.eq(means[ai], loc)
+            if probs[ai] > 0 and means[ai] == loc
             else numeric.scalar(0)
             for loc in cdf.support
         )

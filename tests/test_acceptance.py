@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, one pass/fail line each.
 
-Everything here runs in exact rational mode; "exact" below means literal
+Everything here runs in exact rational arithmetic; "exact" below means literal
 equality of Fractions, no tolerances anywhere. Run with ``-s`` to see the
 per-criterion lines.
 """

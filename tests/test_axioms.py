@@ -1,9 +1,11 @@
 """Action-switch and posterior-mean-cycle checks with their certificates."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+from infocost import lp
 from infocost import (
     Act,
     Dataset,
@@ -178,6 +180,20 @@ class TestNipmc:
                 assert s >= 0
         # strict improvement
         assert sum(b * r for b, r in zip(vec, system.rhs)) < 0
+
+    def test_corrupted_certificate_is_rejected(self, swap_violation_dataset, monkeypatch):
+        real_solve = lp.solve
+
+        def corrupted(program, **kwargs):
+            outcome = real_solve(program, **kwargs)
+            cert = list(outcome.certificate)
+            i = next(i for i, y in enumerate(cert) if y != 0)
+            cert[i] = -cert[i]
+            return replace(outcome, certificate=tuple(cert))
+
+        monkeypatch.setattr(lp, "solve", corrupted)
+        with pytest.raises(RuntimeError, match="direct verification"):
+            check_nipmc(swap_violation_dataset)
 
     def test_flattest_multipliers_deterministic(self, three_act_dataset):
         a = check_nipmc(three_act_dataset, flattest=True)

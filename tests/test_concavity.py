@@ -116,7 +116,7 @@ class TestCertifyConcave:
             )
         ]
         assert len(programs) == n ** len(ds.state_space.states)
-        outcomes = lp.solve_batch(programs)
+        outcomes = [lp.solve(p) for p in programs]
         assert len(outcomes) == len(programs)
         any_feasible = any(o.status == lp.FEASIBLE for o in outcomes)
         verdict = certify_concave(ds)

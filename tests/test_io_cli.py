@@ -1,6 +1,7 @@
 """File formats and the command-line surface, including exit codes."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 from importlib import resources
 from pathlib import Path
@@ -11,7 +12,7 @@ from infocost import cli, io
 from infocost.io import InputError
 from infocost.model import validate_dataset
 from infocost.piecewise import PiecewiseScalarFunction
-from infocost.recovery import verify_rationalization
+from infocost.recovery import RationalizationReport, verify_rationalization
 
 
 def fixture_path(name: str) -> str:
@@ -208,6 +209,18 @@ class TestCliExitCodes:
     def test_recover_rejects_violation_fixture(self, capsys):
         assert run_cli("recover", fixture_path("nipmc_violation.json")) == 1
 
+    def test_recover_failed_audit_is_exit_1(self, monkeypatch, capsys):
+        def failing_audit(dataset, cost, prices):
+            report = verify_rationalization(dataset, cost, prices)
+            bad = replace(report.audits[0], price_majorizes=False)
+            return RationalizationReport(audits=(bad, *report.audits[1:]))
+
+        monkeypatch.setattr(cli, "verify_rationalization", failing_audit)
+        assert run_cli("recover", fixture_path("example3_dataset.json")) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["rationalization"]["all_ok"] is False
+        assert "rationalization audit failed" in captured.err
+
     def test_emitted_cost_and_price_reverify(self, capsys):
         run_cli("recover", fixture_path("example3_dataset.json"))
         out = json.loads(capsys.readouterr().out)
@@ -290,44 +303,3 @@ class TestCliExitCodes:
     def test_missing_file_is_input_error(self, capsys):
         assert run_cli("validate", "/nonexistent/nowhere.json") == 2
 
-
-class TestNumericModeEnv:
-    def test_float_mode_smoke(self, monkeypatch, capsys):
-        from infocost import numeric
-
-        monkeypatch.setenv(numeric.ENV_VAR, "float")
-        try:
-            assert run_cli("solve", fixture_path("example3_forward.json")) == 0
-            out = json.loads(capsys.readouterr().out)
-            locs = [d["location"]["approx"] for d in out["distribution"]]
-            assert locs == pytest.approx([1 / 6, 5 / 6])
-        finally:
-            numeric.set_mode(numeric.RATIONAL)
-
-    def test_float_mode_axioms_and_recovery_smoke(self, capsys):
-        from infocost import numeric
-        from infocost.axioms import check_nias, check_nipmc
-        from infocost.recovery import (
-            price_function,
-            recover_cost,
-            verify_rationalization,
-        )
-
-        numeric.set_mode(numeric.FLOAT)
-        try:
-            doc = json.loads(Path(fixture_path("example3_dataset.json")).read_text())
-            ds = io.parse_dataset(doc)
-            assert check_nias(ds).passed
-            verdict = check_nipmc(ds, flattest=True)
-            assert verdict.passed
-            cost = recover_cost(ds, verdict.multipliers)
-            audit = verify_rationalization(
-                ds, cost, [price_function(verdict.multipliers, 0)]
-            )
-            assert audit.all_ok
-            bad = io.parse_dataset(
-                json.loads(Path(fixture_path("nipmc_violation.json")).read_text())
-            )
-            assert not check_nipmc(bad).passed
-        finally:
-            numeric.set_mode(numeric.RATIONAL)

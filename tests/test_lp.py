@@ -25,7 +25,6 @@ from infocost.lp import (
     constraint,
     satisfies,
     solve,
-    solve_batch,
     to_lp_text,
     verify_certificate,
 )
@@ -282,19 +281,6 @@ class TestRandomizedAgainstOracle:
 
 
 class TestBatchAndLimits:
-    def test_empty_batch(self):
-        assert solve_batch([]) == []
-
-    def test_singleton_batch_matches_solve(self):
-        program = LinearProgram(
-            num_vars=1,
-            nonnegative=(True,),
-            constraints=(constraint({0: F(1)}, LE, F(3)),),
-            objective=((0, F(1)),),
-            sense=lp.MAX,
-        )
-        assert solve_batch([program]) == [solve(program)]
-
     def test_pivot_limit_raises(self):
         program = LinearProgram(
             num_vars=3,

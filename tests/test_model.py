@@ -178,17 +178,3 @@ class TestDatasetMode:
         )
         assert not ds.single_prior
 
-    def test_explicit_mode_mismatch_reported(self):
-        space = StateSpace(states=(F(0), F(1)))
-        p1 = Prior(state_space=space, weights=(F(1, 2), F(1, 2)))
-        p2 = Prior(state_space=space, weights=(F(1, 3), F(2, 3)))
-        menu = Menu(id="m", acts=(Act("a", F(0), F(0)),))
-        ds = Dataset(
-            state_space=space,
-            observations=(
-                Observation(prior=p1, menu=menu, sdsc=SDSC(rows=((F(1), F(1)),))),
-                Observation(prior=p2, menu=menu, sdsc=SDSC(rows=((F(1), F(1)),))),
-            ),
-            mode="single_prior",
-        )
-        assert any("single-prior" in p for p in validate_dataset(ds).problems)

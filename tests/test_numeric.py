@@ -1,4 +1,4 @@
-"""Scalar coercion and mode-aware comparisons."""
+"""Scalar coercion and exact rendering."""
 
 from fractions import Fraction as F
 
@@ -39,35 +39,7 @@ def test_format_scalar():
 
 
 def test_exact_comparisons_in_rational_mode():
-    tiny = F(1, 10**30)
-    assert not numeric.is_zero(tiny)
-    assert numeric.gt(tiny, 0)
-    assert numeric.lt(-tiny, 0)
-
-
-def test_float_mode_tolerance():
-    numeric.set_mode(numeric.FLOAT)
-    try:
-        assert isinstance(numeric.scalar("1/3"), float)
-        assert numeric.is_zero(1e-12)
-        assert numeric.eq(0.3, 0.1 + 0.2)
-        assert not numeric.eq(0.3, 0.301)
-        assert numeric.ge(1.0 - 1e-12, 1.0)
-    finally:
-        numeric.set_mode(numeric.RATIONAL)
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(numeric.NumericModeError):
-        numeric.set_mode("decimal")
-
-
-def test_configure_from_env(monkeypatch):
-    monkeypatch.setenv(numeric.ENV_VAR, "float")
-    try:
-        assert numeric.configure_from_env() == numeric.FLOAT
-        assert numeric.get_mode() == numeric.FLOAT
-    finally:
-        numeric.set_mode(numeric.RATIONAL)
-    monkeypatch.setenv(numeric.ENV_VAR, "")
-    assert numeric.configure_from_env() == numeric.RATIONAL
+    tiny = numeric.scalar("1e-30")
+    assert tiny == F(1, 10**30)
+    assert tiny > 0
+    assert -tiny < 0
