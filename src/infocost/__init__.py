@@ -8,6 +8,8 @@ solves forward information-acquisition problems over mean-preserving
 contractions, and searches for concave rationalizations.
 """
 
+from types import ModuleType as _ModuleType
+
 from .axioms import (
     FarkasSystem,
     NiasReport,
@@ -74,4 +76,8 @@ from .revealed import (
     revealed_summary,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -1,17 +1,19 @@
 """Rationalizability axioms: action switches and posterior-mean cycles.
 
 The cycle axiom is decided through a finite inequality system over
-multipliers indexed by (binding point, observation). Feasibility yields
-the multipliers that later build the cost derivative and price functions;
-infeasibility yields nonnegative weights on ordered act pairs that spell
-out a payoff-improving reallocation of posterior means, verified here by
-direct multiplication before being reported.
+multipliers indexed by (binding point, observation), with one row per
+ordered pair of observations and chosen act. The system is solved on its
+short side, as the Farkas alternative over nonnegative row weights: a
+negative optimum yields weights on ordered act pairs that spell out a
+payoff-improving reallocation of posterior means, and otherwise the
+optimal duals are the multipliers that later build the cost derivative
+and price functions. Both are verified here by direct multiplication
+before being reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from . import lp, numeric
 from .model import Dataset, utility
@@ -63,10 +65,13 @@ def check_nias(dataset: Dataset) -> NiasReport:
 class FarkasSystem:
     """The inequality system deciding posterior-mean-cycle rationalizability.
 
-    One row per ordered pair of distinct observations and per (chosen act,
-    deviation act); one column per binding point of each observation's
-    revealed distribution. Columns at 0 and 1 carry free multipliers, the
-    interior ones are sign-constrained.
+    One row per ordered pair of distinct observations and per chosen act;
+    one column per binding point of each observation's revealed
+    distribution. Columns at 0 and 1 carry free multipliers, the interior
+    ones are sign-constrained. Every deviation act of the second
+    observation's menu gives the same left-hand side, so only the tightest
+    one is kept: the act with the highest utility at the revealed mean
+    (lowest index on ties). Its index is the last entry of the row key.
     """
 
     rows: tuple[RowKey, ...]
@@ -77,9 +82,7 @@ class FarkasSystem:
     binding_sets: tuple[tuple[Scalar, ...], ...]
     summaries: tuple[RevealedSummary, ...]
 
-    def to_linear_program(
-        self, objective: Mapping[int, Scalar] | None = None, sense: str | None = None
-    ) -> lp.LinearProgram:
+    def to_linear_program(self) -> lp.LinearProgram:
         cons = tuple(
             lp.constraint(
                 {j: v for j, v in enumerate(row) if v != 0},
@@ -92,8 +95,6 @@ class FarkasSystem:
             num_vars=len(self.columns),
             nonnegative=tuple(not f for f in self.free_columns),
             constraints=cons,
-            objective=tuple(objective.items()) if objective else (),
-            sense=sense,
         )
 
 
@@ -148,11 +149,11 @@ def build_farkas_system(dataset: Dataset) -> FarkasSystem:
                         coeffs.append(sgn * (z - mean) * prob)
                     else:
                         coeffs.append(zero)
-                base = utility(act_a, mean)
-                for bi, act_b in enumerate(menu_b.acts):
-                    rows.append((oa, ob, ai, bi))
-                    matrix.append(tuple(coeffs))
-                    rhs.append((base - utility(act_b, mean)) * prob)
+                deviations = [utility(act_b, mean) for act_b in menu_b.acts]
+                best = max(deviations)
+                rows.append((oa, ob, ai, deviations.index(best)))
+                matrix.append(tuple(coeffs))
+                rhs.append((utility(act_a, mean) - best) * prob)
     return FarkasSystem(
         rows=tuple(rows),
         columns=tuple(columns),
@@ -172,40 +173,79 @@ class NipmcVerdict:
     certificate: dict[RowKey, Scalar] | None = None
 
 
+def _alternative_program(
+    system: FarkasSystem, interior_floor: Scalar, normalized: bool
+) -> lp.LinearProgram:
+    """min b . beta over beta >= 0 with A^T beta = 0 on free columns and
+    >= ``interior_floor`` on interior ones, plus sum(beta) <= 1 if
+    ``normalized``; its rows are the system's columns, in order."""
+    cons = [
+        lp.constraint(
+            {i: row[j] for i, row in enumerate(system.matrix)},
+            lp.EQ if free else lp.GE,
+            numeric.scalar(0) if free else interior_floor,
+        )
+        for j, free in enumerate(system.free_columns)
+    ]
+    m = len(system.rows)
+    if normalized:
+        one = numeric.scalar(1)
+        cons.append(lp.constraint({i: one for i in range(m)}, lp.LE, one))
+    return lp.LinearProgram(
+        num_vars=m,
+        nonnegative=(True,) * m,
+        constraints=tuple(cons),
+        objective=tuple((i, b) for i, b in enumerate(system.rhs) if b != 0),
+        sense=lp.MIN,
+    )
+
+
 def check_nipmc(dataset: Dataset, *, flattest: bool = False) -> NipmcVerdict:
     """Decide the posterior-mean-cycle axiom via the multiplier system.
 
-    Assumes the action-switch axiom already passed. With ``flattest`` the
-    multipliers additionally minimize total interior mass, which makes the
-    reported solution reproducible when the feasible set is a polytope.
+    Assumes the action-switch axiom already passed. The system A lam <= b
+    is feasible exactly when min b . beta over the normalized alternative
+    is zero; a negative optimum's beta is the violation certificate, and
+    otherwise the duals of the alternative's column rows are multipliers.
+    With ``flattest`` the multipliers additionally minimize total interior
+    mass, which makes the reported solution reproducible when the feasible
+    set is a polytope; they are the duals of the alternative with interior
+    rows relaxed to >= -1.
     """
     system = build_farkas_system(dataset)
     program = system.to_linear_program()
-    outcome = lp.solve(program)
-    if outcome.status == lp.INFEASIBLE:
-        assert outcome.certificate is not None
-        if not lp.verify_certificate(program, outcome.certificate):
-            raise RuntimeError("infeasibility certificate failed direct verification")
-        cert = {
-            key: val for key, val in zip(system.rows, outcome.certificate)
-        }
-        return NipmcVerdict(passed=False, system=system, certificate=cert)
-    lam = outcome.x
-    if flattest:
-        objective = {
-            j: numeric.scalar(1)
-            for j, f in enumerate(system.free_columns)
-            if not f
-        }
-        refined = lp.solve(system.to_linear_program(objective, lp.MIN))
-        if refined.status != lp.OPTIMAL:
-            raise RuntimeError("flattest-multiplier selection failed")
-        lam = refined.x
-    assert lam is not None
+    n = len(system.columns)
+    lam: tuple[Scalar, ...] = (numeric.scalar(0),) * n
+    if system.rows:
+        outcome = lp.solve(_alternative_program(system, numeric.scalar(0), True))
+        if outcome.status != lp.OPTIMAL:
+            raise RuntimeError("cycle alternative has no optimum")
+        assert outcome.x is not None and outcome.duals is not None
+        if outcome.objective_value < 0:
+            if not lp.verify_certificate(program, outcome.x):
+                raise RuntimeError(
+                    "infeasibility certificate failed direct verification"
+                )
+            cert = dict(zip(system.rows, outcome.x))
+            return NipmcVerdict(passed=False, system=system, certificate=cert)
+        lam = outcome.duals[:n]
+        if flattest:
+            relaxed = _alternative_program(system, numeric.scalar(-1), False)
+            refined = lp.solve(relaxed)
+            if refined.status != lp.OPTIMAL:
+                raise RuntimeError("flattest-multiplier selection failed")
+            assert refined.x is not None and refined.duals is not None
+            lam = refined.duals
+            # weak duality: a feasible beta of value -mass proves the minimum
+            mass = sum(v for v, f in zip(lam, system.free_columns) if not f)
+            if mass != -refined.objective_value or not lp.satisfies(relaxed, refined.x):
+                raise RuntimeError("flattest multipliers failed the duality check")
+    if not lp.satisfies(program, lam):
+        raise RuntimeError("multipliers failed direct verification")
     return NipmcVerdict(
         passed=True,
         system=system,
-        multipliers={key: val for key, val in zip(system.columns, lam)},
+        multipliers=dict(zip(system.columns, lam)),
     )
 
 

@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract: 0 for success or a passing check, 1 for
 a principled rejection (invalid dataset, axiom violation) or a failed
-re-check of a result (a recovery whose audit fails), 2 for input errors,
-3 for resource exhaustion.
+re-check of a result (a recovery whose audit fails, a certificate or
+multipliers that fail direct verification), 2 for input errors, 3 for
+resource exhaustion.
 """
 
 from __future__ import annotations
@@ -321,9 +322,12 @@ def main(argv: list[str] | None = None) -> int:
     except io.InputError as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except (LPResourceError,) as err:
+    except LPResourceError as err:
         print(f"resource error: {err}", file=sys.stderr)
         return EXIT_RESOURCE
+    except RuntimeError as err:
+        print(f"verification error: {err}", file=sys.stderr)
+        return EXIT_REJECTED
     except ValueError as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT

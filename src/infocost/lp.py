@@ -15,6 +15,16 @@ and per-variable sign constraints: the returned ``y`` satisfies
 * ``y . b < 0``.
 
 Any such ``y`` proves infeasibility by aggregating the rows.
+
+Optimal programs also carry exact duals ``y``, one per caller row, with
+``y . b`` equal to the optimal value; ``y_i`` is the rate at which the
+optimum moves with ``b_i``. For ``min c . x``:
+
+* ``y_i <= 0`` on ``<=`` rows, ``y_i >= 0`` on ``>=`` rows, free on ``=``;
+* ``c_j - sum_i y_i a_ij >= 0`` for nonnegative variables, ``== 0`` for
+  free ones.
+
+For ``max c . x`` every one of these signs flips.
 """
 
 from __future__ import annotations
@@ -96,6 +106,7 @@ class LPOutcome:
     x: tuple[Scalar, ...] | None = None
     objective_value: Scalar | None = None
     certificate: tuple[Scalar, ...] | None = None
+    duals: tuple[Scalar, ...] | None = None
 
 
 def _row_value(con: Constraint, x: Sequence[Scalar]) -> Scalar:
@@ -391,19 +402,23 @@ class _Tableau:
             out.append(v)
         return tuple(out)
 
-    def farkas_certificate(self) -> tuple[Scalar, ...]:
-        """Multipliers for the original rows from phase-one reduced costs.
+    def row_multipliers(self, phase_one: bool) -> tuple[Scalar, ...]:
+        """Duals of the caller's rows for the current objective.
 
-        Reduced costs of each row's initial unit column recover the
-        phase-one duals; unflipping and unscaling maps them to the
+        Each row's initial unit column has reduced cost ``cost - dual``
+        (cost 1 for an artificial in phase one, 0 otherwise); unflipping
+        and unscaling maps those duals of the standardized rows to the
         caller's rows.
         """
         y = []
         for i, col in enumerate(self.row_unit_col):
-            rc = self._frac(self.obj[col])
-            y_std = (1 - rc) if col in self.artificial else -rc
-            y.append(-self.flip[i] * y_std * self.row_scale[i])
+            cost = 1 if phase_one and col in self.artificial else 0
+            y.append((cost - self._frac(self.obj[col])) * self.flip[i] * self.row_scale[i])
         return tuple(y)
+
+    def farkas_certificate(self) -> tuple[Scalar, ...]:
+        """Multipliers for the original rows from phase-one reduced costs."""
+        return tuple(-v for v in self.row_multipliers(phase_one=True))
 
 
 def solve(lp: LinearProgram, *, pivot_limit: int = DEFAULT_PIVOT_LIMIT) -> LPOutcome:
@@ -434,10 +449,14 @@ def solve(lp: LinearProgram, *, pivot_limit: int = DEFAULT_PIVOT_LIMIT) -> LPOut
     status = tab.run_simplex(banned=tab.artificial)
     if status == UNBOUNDED:
         return LPOutcome(status=UNBOUNDED)
-    value = tab.objective_value / obj_scale
-    if lp.sense == MAX:
-        value = -value
-    return LPOutcome(status=OPTIMAL, x=tab.structural_solution(), objective_value=value)
+    value = sign * tab.objective_value / obj_scale
+    duals = tuple(sign * v / obj_scale for v in tab.row_multipliers(phase_one=False))
+    return LPOutcome(
+        status=OPTIMAL,
+        x=tab.structural_solution(),
+        objective_value=value,
+        duals=duals,
+    )
 
 
 def to_lp_text(lp: LinearProgram, name: str = "program") -> str:

@@ -1,16 +1,20 @@
 """Action-switch and posterior-mean-cycle checks with their certificates."""
 
+import json
+import random
 from dataclasses import replace
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 
-from infocost import lp
+from infocost import io, lp
 from infocost import (
     Act,
     Dataset,
     Menu,
     Observation,
+    PiecewiseScalarFunction,
     Prior,
     SDSC,
     StateSpace,
@@ -18,13 +22,27 @@ from infocost import (
     check_nias,
     check_nipmc,
     explain_violation,
+    generate_dataset,
+    utility,
 )
+from infocost.revealed import binding_set, prior_cdf, revealed_summary
+from test_acceptance import _swap_fixture
 
 def singleton_observation(prior, act=None, label="solo"):
     act = act or Act("only", F(0), F(0))
     menu = Menu(id=label, acts=(act,))
     rows = ((F(1),) * len(prior.state_space.states),)
     return Observation(prior=prior, menu=menu, sdsc=SDSC(rows=rows))
+
+
+def example3_twice():
+    """The bundled example-3 dataset observed twice, so its cycle system
+    has rows to solve."""
+    doc = json.loads(
+        resources.files("infocost.fixtures").joinpath("example3_dataset.json").read_text()
+    )
+    ds = io.parse_dataset(doc)
+    return replace(ds, observations=ds.observations * 2)
 
 
 class TestNias:
@@ -80,14 +98,14 @@ class TestFarkasSystem:
         assert all(f for f in system.free_columns)
 
     def test_mixed_dataset_row_count(self, three_act_dataset, four_state_uniform_prior):
-        # rows = sum over ordered pairs of |supp sigma_A| * |B|
+        # rows = sum over ordered pairs of |supp sigma_A|
         solo = singleton_observation(four_state_uniform_prior)
         ds = Dataset(
             state_space=four_state_uniform_prior.state_space,
             observations=three_act_dataset.observations + (solo,),
         )
         system = build_farkas_system(ds)
-        assert len(system.rows) == 2 * 1 + 1 * 3
+        assert len(system.rows) == 2 * 1 + 1 * 1
 
     def test_entries_carry_the_choice_probability(self, swap_violation_dataset):
         system = build_farkas_system(swap_violation_dataset)
@@ -186,14 +204,48 @@ class TestNipmc:
 
         def corrupted(program, **kwargs):
             outcome = real_solve(program, **kwargs)
-            cert = list(outcome.certificate)
-            i = next(i for i, y in enumerate(cert) if y != 0)
-            cert[i] = -cert[i]
-            return replace(outcome, certificate=tuple(cert))
+            beta = list(outcome.x)
+            i = next(i for i, y in enumerate(beta) if y != 0)
+            beta[i] = -beta[i]
+            return replace(outcome, x=tuple(beta))
 
         monkeypatch.setattr(lp, "solve", corrupted)
         with pytest.raises(RuntimeError, match="direct verification"):
             check_nipmc(swap_violation_dataset)
+
+    def test_corrupted_multipliers_are_rejected(self, monkeypatch):
+        ds = example3_twice()
+        assert check_nipmc(ds).passed
+        real_solve = lp.solve
+
+        def shifted(program, **kwargs):
+            outcome = real_solve(program, **kwargs)
+            return replace(
+                outcome,
+                x=tuple(v - 1000 for v in outcome.x),
+                duals=tuple(v - 1000 for v in outcome.duals),
+            )
+
+        monkeypatch.setattr(lp, "solve", shifted)
+        with pytest.raises(RuntimeError, match="multipliers"):
+            check_nipmc(ds)
+
+    def test_flattest_optimality_is_rechecked(self, monkeypatch):
+        ds = example3_twice()
+        assert check_nipmc(ds, flattest=True).passed
+        real_solve = lp.solve
+        calls = []
+
+        def second_value_off(program, **kwargs):
+            outcome = real_solve(program, **kwargs)
+            calls.append(program)
+            if len(calls) == 2:
+                return replace(outcome, objective_value=outcome.objective_value + 1)
+            return outcome
+
+        monkeypatch.setattr(lp, "solve", second_value_off)
+        with pytest.raises(RuntimeError, match="duality check"):
+            check_nipmc(ds, flattest=True)
 
     def test_flattest_multipliers_deterministic(self, three_act_dataset):
         a = check_nipmc(three_act_dataset, flattest=True)
@@ -297,3 +349,125 @@ class TestMultiPrior:
         assert not merged.single_prior
         assert check_nias(merged).passed
         assert check_nipmc(merged).passed
+
+
+def full_cycle_program(dataset):
+    """The cycle system with one row per deviation act, built from scratch.
+
+    Rows are keyed (obs_a, obs_b, act_a, act_b) for every act of obs_b's
+    menu; columns are those of ``build_farkas_system``.
+    """
+    summaries = [revealed_summary(obs) for obs in dataset.observations]
+    columns = [
+        (oi, z)
+        for oi, obs in enumerate(dataset.observations)
+        for z in binding_set(prior_cdf(obs.prior), summaries[oi].cdf, dataset.state_space)
+    ]
+    keys, cons = [], []
+    n = len(dataset.observations)
+    for oa in range(n):
+        for ob in range(n):
+            if ob == oa:
+                continue
+            for ai, act_a in enumerate(dataset.observations[oa].menu.acts):
+                prob = summaries[oa].act_probabilities[ai]
+                mean = summaries[oa].act_means[ai]
+                if prob == 0:
+                    continue
+                coeffs = {}
+                for j, (oi, z) in enumerate(columns):
+                    sgn = 1 if oi == oa else -1 if oi == ob else 0
+                    hinge = 1 if z == 0 else max(z - mean, F(0))
+                    coeffs[j] = sgn * hinge * prob
+                for bi, act_b in enumerate(dataset.observations[ob].menu.acts):
+                    keys.append((oa, ob, ai, bi))
+                    rhs = (utility(act_a, mean) - utility(act_b, mean)) * prob
+                    cons.append(lp.constraint(coeffs, lp.LE, rhs))
+    program = lp.LinearProgram(
+        num_vars=len(columns),
+        nonnegative=tuple(not (z == 0 or z == 1) for _, z in columns),
+        constraints=tuple(cons),
+    )
+    return keys, columns, program
+
+
+def random_generated_dataset(rng):
+    """Optimal choice data: 5 states, 3 menus of 3 acts, a concave cost."""
+    interior = set()
+    while len(interior) < 3:
+        interior.add(F(rng.randint(1, 23), 24))
+    space = StateSpace(states=(F(0), *sorted(interior), F(1)))
+    weights = [F(rng.randint(1, 6)) for _ in space.states]
+    prior = Prior(state_space=space, weights=tuple(w / sum(weights) for w in weights))
+    kink = F(rng.randint(2, 10), 12)
+    y0, left, right = F(-1, 2), F(rng.randint(0, 8), 4), F(-rng.randint(0, 8), 4)
+    cost = PiecewiseScalarFunction.from_points(
+        [(F(0), y0), (kink, y0 + left * kink), (F(1), y0 + left * kink + right * (1 - kink))]
+    )
+    menus = [
+        Menu(
+            id=f"m{mi}",
+            acts=tuple(
+                Act(f"m{mi}a{j}", F(rng.randint(-8, 8), 8), F(rng.randint(-8, 8), 8))
+                for j in range(3)
+            ),
+        )
+        for mi in range(3)
+    ]
+    return generate_dataset(prior, menus, cost)
+
+
+SWAP_PARAMS = [
+    (F(1, 2), F(3, 4), F(1), F(1, 10)),
+    (F(1, 2), F(2, 3), F(1), F(1, 4)),
+    (F(1, 3), F(3, 4), F(2), F(1, 5)),
+    (F(1, 2), F(9, 10), F(1), F(1, 2)),
+    (F(2, 5), F(4, 5), F(3), F(1, 3)),
+    (F(1, 2), F(3, 5), F(5), F(1)),
+]
+
+
+class TestReducedSystemEquivalence:
+    """One row per chosen act decides exactly what one row per deviation did."""
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        rng = random.Random(31)
+        generated = [random_generated_dataset(rng) for _ in range(20)]
+        return generated + [_swap_fixture(*p) for p in SWAP_PARAMS]
+
+    def test_keeps_one_row_per_chosen_act(self, batch):
+        for ds in batch:
+            keys, _, _ = full_cycle_program(ds)
+            system = build_farkas_system(ds)
+            assert {k[:3] for k in system.rows} == {k[:3] for k in keys}
+            assert len(system.rows) == len({k[:3] for k in keys})
+
+    def test_verdicts_and_results_hold_on_the_full_system(self, batch):
+        passed = failed = 0
+        for ds in batch:
+            keys, columns, full = full_cycle_program(ds)
+            verdict = check_nipmc(ds)
+            assert verdict.system.columns == tuple(columns)
+            assert verdict.passed == (lp.solve(full).status == lp.FEASIBLE)
+            if verdict.passed:
+                passed += 1
+                lam = [verdict.multipliers[key] for key in columns]
+                assert lp.satisfies(full, lam)
+            else:
+                failed += 1
+                beta = [verdict.certificate.get(key, F(0)) for key in keys]
+                assert lp.verify_certificate(full, beta)
+        assert (passed, failed) == (20, 6)
+
+    def test_flattest_mass_matches_the_full_minimum(self, batch):
+        for ds in batch:
+            verdict = check_nipmc(ds, flattest=True)
+            if not verdict.passed:
+                continue
+            keys, columns, full = full_cycle_program(ds)
+            interior = {j: F(1) for j, nonneg in enumerate(full.nonnegative) if nonneg}
+            best = lp.solve(replace(full, objective=tuple(interior.items()), sense=lp.MIN))
+            lam = [verdict.multipliers[key] for key in columns]
+            assert lp.satisfies(full, lam)
+            assert sum(lam[j] for j in interior) == best.objective_value

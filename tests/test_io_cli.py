@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from infocost import cli, io
+from infocost import cli, io, lp
 from infocost.io import InputError
 from infocost.model import validate_dataset
 from infocost.piecewise import PiecewiseScalarFunction
@@ -220,6 +220,23 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["rationalization"]["all_ok"] is False
         assert "rationalization audit failed" in captured.err
+
+    def test_failed_recheck_is_exit_1_without_traceback(self, monkeypatch, capsys):
+        real_solve = lp.solve
+
+        def corrupted(program, **kwargs):
+            outcome = real_solve(program, **kwargs)
+            beta = list(outcome.x)
+            i = next(i for i, w in enumerate(beta) if w != 0)
+            beta[i] = -beta[i]
+            return replace(outcome, x=tuple(beta))
+
+        monkeypatch.setattr(lp, "solve", corrupted)
+        assert run_cli("check", fixture_path("nipmc_violation.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verification error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_emitted_cost_and_price_reverify(self, capsys):
         run_cli("recover", fixture_path("example3_dataset.json"))

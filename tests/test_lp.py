@@ -280,6 +280,85 @@ class TestRandomizedAgainstOracle:
             assert solve(program).status == solve(scaled).status
 
 
+class TestDuals:
+    """Optimal duals checked by direct multiplication against the program."""
+
+    def random_program(self, rng: random.Random) -> LinearProgram:
+        n = rng.randint(1, 4)
+        nonnegative = tuple(rng.random() < 0.6 for _ in range(n))
+        cons = []
+        for _ in range(rng.randint(1, 4)):
+            coeffs = {
+                j: F(rng.randint(-4, 4), rng.randint(1, 3))
+                for j in range(n)
+                if rng.random() < 0.8
+            }
+            rel = rng.choice([LE, GE, EQ])
+            cons.append(constraint(coeffs, rel, F(rng.randint(-5, 6), rng.randint(1, 2))))
+        # a box keeps every program bounded
+        for j in range(n):
+            cons.append(constraint({j: F(1)}, LE, F(10)))
+            if not nonnegative[j]:
+                cons.append(constraint({j: F(1)}, GE, F(-10)))
+        return LinearProgram(
+            num_vars=n,
+            nonnegative=nonnegative,
+            constraints=tuple(cons),
+            objective=tuple(
+                (j, F(rng.randint(-3, 3), rng.randint(1, 4))) for j in range(n)
+            ),
+            sense=rng.choice([lp.MAX, lp.MIN]),
+        )
+
+    def test_duals_are_feasible_and_match_the_optimum(self):
+        rng = random.Random(211)
+        seen = set()
+        for _ in range(150):
+            program = self.random_program(rng)
+            out = solve(program)
+            if out.status != OPTIMAL:
+                assert out.duals is None
+                continue
+            y = out.duals
+            assert len(y) == len(program.constraints)
+            # MIN signs as documented; MAX flips them
+            flip = 1 if program.sense == lp.MIN else -1
+            for yi, con in zip(y, program.constraints):
+                if con.relation == LE:
+                    assert flip * yi <= 0
+                elif con.relation == GE:
+                    assert flip * yi >= 0
+            cost = dict(program.objective)
+            for j in range(program.num_vars):
+                reduced = cost.get(j, F(0)) - sum(
+                    yi * v
+                    for yi, con in zip(y, program.constraints)
+                    for k, v in con.terms
+                    if k == j
+                )
+                if program.nonnegative[j]:
+                    assert flip * reduced >= 0
+                else:
+                    assert reduced == 0
+            by = sum(yi * con.rhs for yi, con in zip(y, program.constraints))
+            cx = sum(v * out.x[j] for j, v in program.objective)
+            assert by == cx == out.objective_value
+            seen.add(program.sense)
+            seen.update(con.relation for con in program.constraints)
+            seen.update(program.nonnegative)
+        assert seen == {lp.MIN, lp.MAX, LE, GE, EQ, True, False}
+
+    def test_feasibility_and_infeasibility_carry_no_duals(self):
+        feasible = LinearProgram(
+            num_vars=1, nonnegative=(True,), constraints=(constraint({0: F(1)}, LE, F(1)),)
+        )
+        infeasible = LinearProgram(
+            num_vars=1, nonnegative=(True,), constraints=(constraint({0: F(1)}, LE, F(-1)),)
+        )
+        assert solve(feasible).duals is None
+        assert solve(infeasible).duals is None
+
+
 class TestBatchAndLimits:
     def test_pivot_limit_raises(self):
         program = LinearProgram(

@@ -178,3 +178,13 @@ class TestDatasetMode:
         )
         assert not ds.single_prior
 
+
+
+def test_package_exports_no_submodules():
+    import types
+
+    import infocost
+
+    assert infocost.__all__
+    for name in infocost.__all__:
+        assert not isinstance(getattr(infocost, name), types.ModuleType), name
