@@ -57,7 +57,6 @@ from .recovery import (
     ObservationAudit,
     RationalizationReport,
     information_cost,
-    lambda_to_envelope,
     price_function,
     recover_cost,
     variance_cost,

@@ -2,22 +2,24 @@
 
 The cycle axiom is decided through a finite inequality system over
 multipliers indexed by (binding point, observation), with one row per
-ordered pair of observations and chosen act. The system is solved on its
-short side, as the Farkas alternative over nonnegative row weights: a
-negative optimum yields weights on ordered act pairs that spell out a
-payoff-improving reallocation of posterior means, and otherwise the
-optimal duals are the multipliers that later build the cost derivative
-and price functions. Both are verified here by direct multiplication
-before being reported.
+ordered pair of observations and chosen act; each row is a difference of
+two price functions in the basis of ``recovery.price_terms``. The system
+is solved on its short side, as its LP dual (``lp.dual``) over
+nonnegative row weights: a negative optimum yields weights on ordered act
+pairs that spell out a payoff-improving reallocation of posterior means,
+and otherwise the optimal duals are the multipliers that later build the
+cost derivative and price functions. Both are verified here by direct
+multiplication before being reported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import lp, numeric
 from .model import Dataset, utility
 from .numeric import Scalar
+from .recovery import price_terms
 from .revealed import RevealedSummary, binding_set, prior_cdf, revealed_summary
 
 RowKey = tuple[int, int, int, int]  # (obs_a, obs_b, act_a, act_b) indices
@@ -68,33 +70,33 @@ class FarkasSystem:
     One row per ordered pair of distinct observations and per chosen act;
     one column per binding point of each observation's revealed
     distribution. Columns at 0 and 1 carry free multipliers, the interior
-    ones are sign-constrained. Every deviation act of the second
-    observation's menu gives the same left-hand side, so only the tightest
-    one is kept: the act with the highest utility at the revealed mean
-    (lowest index on ties). Its index is the last entry of the row key.
+    ones are sign-constrained. A row's left-hand side is the act's
+    probability times the difference of the two observations' prices at
+    the act's revealed mean, so its sparse ``terms`` are
+    ``recovery.price_terms`` of the first minus those of the second, as
+    (column, coefficient) pairs in column order. Every deviation act of
+    the second observation's menu gives the same left-hand side, so only
+    the tightest one is kept: the act with the highest utility at the
+    revealed mean (lowest index on ties). Its index is the last entry of
+    the row key.
     """
 
     rows: tuple[RowKey, ...]
     columns: tuple[ColKey, ...]
-    matrix: tuple[tuple[Scalar, ...], ...]
+    terms: tuple[tuple[tuple[int, Scalar], ...], ...]
     rhs: tuple[Scalar, ...]
     free_columns: tuple[bool, ...]
     binding_sets: tuple[tuple[Scalar, ...], ...]
     summaries: tuple[RevealedSummary, ...]
 
     def to_linear_program(self) -> lp.LinearProgram:
-        cons = tuple(
-            lp.constraint(
-                {j: v for j, v in enumerate(row) if v != 0},
-                lp.LE,
-                b,
-            )
-            for row, b in zip(self.matrix, self.rhs)
-        )
         return lp.LinearProgram(
             num_vars=len(self.columns),
             nonnegative=tuple(not f for f in self.free_columns),
-            constraints=cons,
+            constraints=tuple(
+                lp.Constraint(terms=row, relation=lp.LE, rhs=b)
+                for row, b in zip(self.terms, self.rhs)
+            ),
         )
 
 
@@ -110,17 +112,11 @@ def build_farkas_system(dataset: Dataset) -> FarkasSystem:
         binding_set(prior_cdf(obs.prior), summaries[oi].cdf, dataset.state_space)
         for oi, obs in enumerate(dataset.observations)
     )
-    columns: list[ColKey] = []
-    free: list[bool] = []
-    for oi, zs in enumerate(bindings):
-        for z in zs:
-            columns.append((oi, z))
-            free.append(z == 0 or z == 1)
+    columns = tuple((oi, z) for oi, zs in enumerate(bindings) for z in zs)
 
     rows: list[RowKey] = []
-    matrix: list[tuple[Scalar, ...]] = []
+    terms: list[tuple[tuple[int, Scalar], ...]] = []
     rhs: list[Scalar] = []
-    zero = numeric.scalar(0)
     n = len(dataset.observations)
     for oa in range(n):
         menu_a = dataset.observations[oa].menu
@@ -134,32 +130,21 @@ def build_farkas_system(dataset: Dataset) -> FarkasSystem:
                 if prob <= 0:
                     continue
                 mean = summ.act_means[ai]
-                coeffs = []
-                for oi, z in columns:
-                    if oi == oa:
-                        sgn = 1
-                    elif oi == ob:
-                        sgn = -1
-                    else:
-                        coeffs.append(zero)
-                        continue
-                    if z == 0:
-                        coeffs.append(sgn * prob)
-                    elif mean <= z:
-                        coeffs.append(sgn * (z - mean) * prob)
-                    else:
-                        coeffs.append(zero)
+                row = {j: prob * v for j, v in price_terms(columns, oa, mean).items()}
+                row.update(
+                    (j, -prob * v) for j, v in price_terms(columns, ob, mean).items()
+                )
                 deviations = [utility(act_b, mean) for act_b in menu_b.acts]
                 best = max(deviations)
                 rows.append((oa, ob, ai, deviations.index(best)))
-                matrix.append(tuple(coeffs))
+                terms.append(tuple(sorted(row.items())))
                 rhs.append((utility(act_a, mean) - best) * prob)
     return FarkasSystem(
         rows=tuple(rows),
-        columns=tuple(columns),
-        matrix=tuple(matrix),
+        columns=columns,
+        terms=tuple(terms),
         rhs=tuple(rhs),
-        free_columns=tuple(free),
+        free_columns=tuple(z == 0 or z == 1 for _, z in columns),
         binding_sets=bindings,
         summaries=summaries,
     )
@@ -174,30 +159,26 @@ class NipmcVerdict:
 
 
 def _alternative_program(
-    system: FarkasSystem, interior_floor: Scalar, normalized: bool
+    program: lp.LinearProgram, interior_floor: Scalar, normalized: bool
 ) -> lp.LinearProgram:
-    """min b . beta over beta >= 0 with A^T beta = 0 on free columns and
-    >= ``interior_floor`` on interior ones, plus sum(beta) <= 1 if
-    ``normalized``; its rows are the system's columns, in order."""
-    cons = [
-        lp.constraint(
-            {i: row[j] for i, row in enumerate(system.matrix)},
-            lp.EQ if free else lp.GE,
-            numeric.scalar(0) if free else interior_floor,
+    """The dual of max ``interior_floor`` * (interior mass) over the
+    system ``program``: min b . beta over beta >= 0 with A^T beta = 0 on
+    free columns and >= ``interior_floor`` on interior ones. With
+    ``normalized`` the row sum(beta) <= 1 is appended, which bounds it."""
+    alternative = lp.dual(
+        replace(
+            program,
+            objective=tuple(
+                (j, interior_floor) for j, nonneg in enumerate(program.nonnegative) if nonneg
+            ),
+            sense=lp.MAX,
         )
-        for j, free in enumerate(system.free_columns)
-    ]
-    m = len(system.rows)
-    if normalized:
-        one = numeric.scalar(1)
-        cons.append(lp.constraint({i: one for i in range(m)}, lp.LE, one))
-    return lp.LinearProgram(
-        num_vars=m,
-        nonnegative=(True,) * m,
-        constraints=tuple(cons),
-        objective=tuple((i, b) for i, b in enumerate(system.rhs) if b != 0),
-        sense=lp.MIN,
     )
+    if not normalized:
+        return alternative
+    one = numeric.scalar(1)
+    total = lp.constraint({i: one for i in range(alternative.num_vars)}, lp.LE, one)
+    return replace(alternative, constraints=alternative.constraints + (total,))
 
 
 def check_nipmc(dataset: Dataset, *, flattest: bool = False) -> NipmcVerdict:
@@ -207,17 +188,19 @@ def check_nipmc(dataset: Dataset, *, flattest: bool = False) -> NipmcVerdict:
     is feasible exactly when min b . beta over the normalized alternative
     is zero; a negative optimum's beta is the violation certificate, and
     otherwise the duals of the alternative's column rows are multipliers.
-    With ``flattest`` the multipliers additionally minimize total interior
-    mass, which makes the reported solution reproducible when the feasible
-    set is a polytope; they are the duals of the alternative with interior
-    rows relaxed to >= -1.
+    With ``flattest`` the multipliers additionally have minimal total
+    interior mass; they are the duals of the alternative with interior
+    rows relaxed to >= -1. That objective prices only interior columns, so
+    the free multipliers at 0 and 1, and interior ones wherever the
+    minimum is not unique, are whichever optimal vertex the simplex
+    reaches.
     """
     system = build_farkas_system(dataset)
     program = system.to_linear_program()
     n = len(system.columns)
     lam: tuple[Scalar, ...] = (numeric.scalar(0),) * n
     if system.rows:
-        outcome = lp.solve(_alternative_program(system, numeric.scalar(0), True))
+        outcome = lp.solve(_alternative_program(program, numeric.scalar(0), True))
         if outcome.status != lp.OPTIMAL:
             raise RuntimeError("cycle alternative has no optimum")
         assert outcome.x is not None and outcome.duals is not None
@@ -230,7 +213,7 @@ def check_nipmc(dataset: Dataset, *, flattest: bool = False) -> NipmcVerdict:
             return NipmcVerdict(passed=False, system=system, certificate=cert)
         lam = outcome.duals[:n]
         if flattest:
-            relaxed = _alternative_program(system, numeric.scalar(-1), False)
+            relaxed = _alternative_program(program, numeric.scalar(-1), False)
             refined = lp.solve(relaxed)
             if refined.status != lp.OPTIMAL:
                 raise RuntimeError("flattest-multiplier selection failed")

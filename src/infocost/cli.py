@@ -291,12 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("check", cmd_check, "run both rationalizability axioms")
     p.add_argument("--flattest", action="store_true",
-                   help="deterministic multiplier selection")
+                   help="multipliers with minimal interior mass")
     p.add_argument("--dump-lp", help="write the feasibility program in LP format")
 
     p = add("recover", cmd_recover, "construct the cost and price functions")
     p.add_argument("--flattest", action="store_true",
-                   help="deterministic multiplier selection")
+                   help="multipliers with minimal interior mass")
     p.add_argument("--figures-csv", help="directory for figure CSV files")
 
     p = add("solve", cmd_solve, "solve a forward information-acquisition problem")

@@ -22,6 +22,7 @@ from .numeric import Scalar
 from .piecewise import PiecewiseScalarFunction
 from .recovery import (
     price_function,
+    price_terms,
     recover_cost,
     verify_rationalization,
 )
@@ -57,7 +58,11 @@ class ConcavityVerdict:
 def _assignment_program(
     dataset: Dataset, system: FarkasSystem, assignment: tuple[int, ...]
 ) -> lp.LinearProgram:
-    """Base system plus the vanishing-kink and generator rows for one assignment."""
+    """Base system plus the vanishing-kink and generator rows for one assignment.
+
+    At state ``z`` the generator's price minus the other observation's
+    price is at most the difference of their indirect utilities there.
+    """
     col_index = {key: j for j, key in enumerate(system.columns)}
     base = system.to_linear_program()
     extra: list[lp.Constraint] = []
@@ -67,31 +72,15 @@ def _assignment_program(
         key = (gen, z)
         if key in col_index:
             extra.append(lp.constraint({col_index[key]: one}, lp.EQ, numeric.scalar(0)))
-        gen_menu = dataset.observations[gen].menu
-        gen_phi = indirect_utility(gen_menu, z)
+        gen_terms = price_terms(system.columns, gen, z)
+        gen_phi = indirect_utility(dataset.observations[gen].menu, z)
         for oi, obs in enumerate(dataset.observations):
             if oi == gen:
                 continue
-            coeffs: dict[int, Scalar] = {}
-            for j, (ci, cz) in enumerate(system.columns):
-                if ci == gen:
-                    sgn = 1
-                elif ci == oi:
-                    sgn = -1
-                else:
-                    continue
-                if cz == 0:
-                    coeffs[j] = coeffs.get(j, numeric.scalar(0)) + sgn
-                elif cz > z:
-                    coeffs[j] = coeffs.get(j, numeric.scalar(0)) + sgn * (cz - z)
+            coeffs = dict(gen_terms)
+            coeffs.update((j, -v) for j, v in price_terms(system.columns, oi, z).items())
             rhs = gen_phi - indirect_utility(obs.menu, z)
-            extra.append(
-                lp.constraint(
-                    {j: v for j, v in coeffs.items() if v != 0},
-                    lp.LE,
-                    rhs,
-                )
-            )
+            extra.append(lp.constraint(coeffs, lp.LE, rhs))
     return lp.LinearProgram(
         num_vars=base.num_vars,
         nonnegative=base.nonnegative,

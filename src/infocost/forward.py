@@ -4,9 +4,12 @@ The problem of maximizing the integral of (indirect utility + cost
 derivative) over Bayes-feasible distributions of posterior means reduces
 to a finite linear program once every function kink and every prior atom
 sits on the grid: the contraction gap is then piecewise linear with kinks
-only at grid points, so checking it on the grid decides it everywhere,
-and the dual over grid-kinked convex price functions is exact for the
-same reason.
+only at grid points, so checking it on the grid decides it everywhere.
+Row k of that program integrates the price basis function of grid point k
+(``recovery.hinge``), so its LP dual (``lp.dual``) is the program over
+grid-kinked convex price functions, exact for the same reason, and the
+optimal duals of any solve of it are the multipliers of a price function
+that certifies the optimum.
 
 Three tie-breaks keep output deterministic and reproducible:
 
@@ -18,14 +21,14 @@ Three tie-breaks keep output deterministic and reproducible:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import lp, numeric
 from .model import SDSC, Dataset, Menu, Observation, Prior, utility
 from .numeric import Scalar
 from .piecewise import PiecewiseScalarFunction
-from .recovery import menu_value_function
+from .recovery import hinge, menu_value_function, price_function
 from .revealed import DiscreteCDF
 
 
@@ -91,37 +94,45 @@ class ForwardSolution:
     objective: PiecewiseScalarFunction
 
 
-def _hinge_mass(prior: Prior, z: Scalar) -> Scalar:
-    """Running integral of the prior CDF up to ``z``."""
-    return sum(
-        w * (z - s)
-        for s, w in zip(prior.state_space.states, prior.weights)
-        if w > 0 and s < z
-    )
+def _grid_values(problem: ForwardProblem, grid) -> list[Scalar]:
+    """Indirect utility plus cost derivative at every grid point."""
+    return [
+        problem.cost(g) + max(utility(a, g) for a in problem.menu.acts)
+        for g in grid
+    ]
 
 
 def _grid_lp(problem: ForwardProblem, grid, values):
-    """Primal program: maximize sum V(g) f(g) over grid contractions."""
-    n = len(grid)
-    one = numeric.scalar(1)
-    cons = [lp.constraint({j: one for j in range(n)}, lp.EQ, one)]
-    for gp in grid[1:]:
-        coeffs = {
-            j: gp - g for j, g in enumerate(grid) if g < gp
-        }
-        rel = lp.EQ if gp == 1 else lp.LE
-        cons.append(lp.constraint(coeffs, rel, _hinge_mass(problem.prior, gp)))
+    """Primal program: maximize sum V(g) f(g) over grid contractions.
+
+    Row k integrates the price basis function of ``grid[k]`` against f and
+    bounds it by the prior's integral: row 0 (the intercept) fixes total
+    mass, the row at 1 fixes the mean, and every interior row is the
+    contraction constraint at that grid point.
+    """
+    support = [
+        (s, w)
+        for s, w in zip(problem.prior.state_space.states, problem.prior.weights)
+        if w > 0
+    ]
+    cons = [
+        lp.constraint(
+            {j: hinge(gp, g) for j, g in enumerate(grid)},
+            lp.EQ if gp in (0, 1) else lp.LE,
+            sum(w * hinge(gp, s) for s, w in support),
+        )
+        for gp in grid
+    ]
     return lp.LinearProgram(
-        num_vars=n,
-        nonnegative=(True,) * n,
+        num_vars=len(grid),
+        nonnegative=(True,) * len(grid),
         constraints=tuple(cons),
-        objective=tuple((j, v) for j, v in enumerate(values)),
+        objective=tuple(enumerate(values)),
         sense=lp.MAX,
     )
 
 
-def _solve_primal(problem: ForwardProblem, grid, values):
-    program = _grid_lp(problem, grid, values)
+def _solve_primal(problem: ForwardProblem, program: lp.LinearProgram, grid):
     first = lp.solve(program)
     if first.status != lp.OPTIMAL:
         raise RuntimeError(f"forward program unexpectedly {first.status}")
@@ -129,16 +140,12 @@ def _solve_primal(problem: ForwardProblem, grid, values):
     assert best is not None
 
     z0 = problem.prior.mean
-    pinned = program.constraints + (
-        lp.constraint({j: v for j, v in enumerate(values)}, lp.EQ, best),
-    )
-    spread = {j: (g - z0) * (g - z0) for j, g in enumerate(grid)}
+    pinned = program.constraints + (lp.constraint(dict(program.objective), lp.EQ, best),)
     second = lp.solve(
-        lp.LinearProgram(
-            num_vars=len(grid),
-            nonnegative=(True,) * len(grid),
+        replace(
+            program,
             constraints=pinned,
-            objective=tuple(spread.items()),
+            objective=tuple((j, (g - z0) * (g - z0)) for j, g in enumerate(grid)),
             sense=lp.MIN,
         )
     )
@@ -148,97 +155,41 @@ def _solve_primal(problem: ForwardProblem, grid, values):
     return best, second.x
 
 
-def _solve_dual(problem: ForwardProblem, grid, values, best):
-    """Explicit dual: nu + hinge multipliers, flattest optimal selection.
+def _solve_dual(program: lp.LinearProgram, grid, best):
+    """Multipliers of the flattest optimal price, one per grid point.
 
-    Variables: intercept (free), one multiplier per interior grid point
-    (nonnegative), one for the terminal equality (free). Constraint per
-    grid point g: price(g) >= V(g).
+    Solves ``lp.dual`` of the primal grid program, whose variable k is the
+    multiplier of grid point k's price basis function, then pins its value
+    and minimizes the total interior mass.
     """
-    n = len(grid)
-    interior = [j for j in range(1, n - 1)]
-    nvars = 1 + len(interior) + 1
-    col_of = {g_idx: 1 + k for k, g_idx in enumerate(interior)}
-    last = nvars - 1
-    one = numeric.scalar(1)
-
-    cons = []
-    for j, g in enumerate(grid):
-        coeffs: dict[int, Scalar] = {0: one, last: 1 - g}
-        for gi in interior:
-            gp = grid[gi]
-            if g < gp:
-                coeffs[col_of[gi]] = gp - g
-        cons.append(lp.constraint(coeffs, lp.GE, values[j]))
-
-    objective = {0: one, last: _hinge_mass(problem.prior, numeric.scalar(1))}
-    for gi in interior:
-        objective[col_of[gi]] = _hinge_mass(problem.prior, grid[gi])
-    nonneg = tuple(j not in (0, last) for j in range(nvars))
-
-    first = lp.solve(
-        lp.LinearProgram(
-            num_vars=nvars,
-            nonnegative=nonneg,
-            constraints=tuple(cons),
-            objective=tuple(objective.items()),
-            sense=lp.MIN,
-        )
-    )
+    dual = lp.dual(program)
+    first = lp.solve(dual)
     if first.status != lp.OPTIMAL or first.objective_value != best:
         raise RuntimeError("dual value does not match the primal optimum")
 
-    pinned = tuple(cons) + (lp.constraint(objective, lp.EQ, best),)
-    flat = {col_of[gi]: one for gi in interior}
+    one = numeric.scalar(1)
+    pinned = dual.constraints + (lp.constraint(dict(dual.objective), lp.EQ, best),)
     second = lp.solve(
-        lp.LinearProgram(
-            num_vars=nvars,
-            nonnegative=nonneg,
+        replace(
+            dual,
             constraints=pinned,
-            objective=tuple(flat.items()),
-            sense=lp.MIN,
+            objective=tuple((k, one) for k, nonneg in enumerate(dual.nonnegative) if nonneg),
         )
     )
     if second.status != lp.OPTIMAL:
         raise RuntimeError("flattest price selection failed")
     assert second.x is not None
-    x = second.x
-    multipliers: dict[Scalar, Scalar] = {numeric.scalar(0): x[0]}
-    for gi in interior:
-        multipliers[grid[gi]] = x[col_of[gi]]
-    multipliers[numeric.scalar(1)] = x[last]
-    return multipliers
+    return dict(zip(grid, second.x))
 
 
-def _price_from_multipliers(grid, multipliers) -> PiecewiseScalarFunction:
-    points = []
-    intercept = multipliers.get(numeric.scalar(0), numeric.scalar(0))
-    for x in grid:
-        val = intercept
-        for z, v in multipliers.items():
-            if z > 0 and z >= x:
-                val += v * (z - x)
-        points.append((x, val))
-    return PiecewiseScalarFunction.from_points(points).simplify()
+def _certified_price(problem: ForwardProblem, grid, values, f, best, multipliers):
+    """Price of grid multipliers, checked as a certificate of the optimum.
 
-
-def solve_forward(problem: ForwardProblem) -> ForwardSolution:
-    """Solve the grid program and certify the solution with its price.
-
-    Raises if any certificate condition fails: the price must majorize the
-    objective on the grid, touch it on the support of the optimum, and
-    integrate identically against the optimum and the prior.
+    Raises unless the price majorizes the objective on the grid, touches it
+    on the support of ``f``, and integrates to ``best`` against both ``f``
+    and the prior.
     """
-    grid = list(problem.grid)
-    objective_fn = menu_value_function(problem.menu) + problem.cost
-    values = [
-        problem.cost(g) + max(utility(a, g) for a in problem.menu.acts)
-        for g in grid
-    ]
-    best, f = _solve_primal(problem, grid, values)
-    multipliers = _solve_dual(problem, grid, values, best)
-    price = _price_from_multipliers(grid, multipliers)
-
+    price = price_function({(0, z): v for z, v in multipliers.items()}, 0).simplify()
     for j, g in enumerate(grid):
         if price(g) - values[j] < 0:
             raise RuntimeError("price fails to majorize the objective on the grid")
@@ -252,6 +203,23 @@ def solve_forward(problem: ForwardProblem) -> ForwardSolution:
     )
     if not (lhs == rhs and lhs == best):
         raise RuntimeError("price integrals disagree with the optimal value")
+    return price
+
+
+def solve_forward(problem: ForwardProblem) -> ForwardSolution:
+    """Solve the grid program and certify the solution with its price.
+
+    Raises if any certificate condition fails: the price must majorize the
+    objective on the grid, touch it on the support of the optimum, and
+    integrate identically against the optimum and the prior.
+    """
+    grid = list(problem.grid)
+    objective_fn = menu_value_function(problem.menu) + problem.cost
+    values = _grid_values(problem, grid)
+    program = _grid_lp(problem, grid, values)
+    best, f = _solve_primal(problem, program, grid)
+    multipliers = _solve_dual(program, grid, best)
+    price = _certified_price(problem, grid, values, f, best, multipliers)
 
     dist = DiscreteCDF.from_pairs(
         (g, f[j]) for j, g in enumerate(grid) if f[j] > 0
@@ -282,7 +250,9 @@ def oracle_value(problem: ForwardProblem, resolution: int) -> Scalar:
 
     Refining can only enlarge the feasible support, so the value is
     nondecreasing in ``resolution``; for piecewise-linear objectives it is
-    constant, which the acceptance suite exploits as a self-check.
+    constant, which the acceptance suite exploits as a self-check. The
+    value is certified like ``solve_forward``'s, by the price whose
+    multipliers are the program's duals, row k going with grid point k.
     """
     if resolution < len(problem.grid):
         raise ValueError("resolution must be at least the grid size")
@@ -290,14 +260,13 @@ def oracle_value(problem: ForwardProblem, resolution: int) -> Scalar:
     for j in range(resolution):
         pts.add(numeric.scalar(Fraction(j, resolution - 1)))
     grid = _dedupe(pts)
-    values = [
-        problem.cost(g) + max(utility(a, g) for a in problem.menu.acts)
-        for g in grid
-    ]
+    values = _grid_values(problem, grid)
     outcome = lp.solve(_grid_lp(problem, grid, values))
     if outcome.status != lp.OPTIMAL:
         raise RuntimeError(f"oracle program unexpectedly {outcome.status}")
-    assert outcome.objective_value is not None
+    assert outcome.x is not None and outcome.duals is not None
+    multipliers = dict(zip(grid, outcome.duals))
+    _certified_price(problem, grid, values, outcome.x, outcome.objective_value, multipliers)
     return outcome.objective_value
 
 
@@ -338,16 +307,17 @@ def _decompose(prior: Prior, dist: DiscreteCDF):
                 g * p,
             )
         )
-    outcome = lp.solve(
-        lp.LinearProgram(
-            num_vars=ns * na,
-            nonnegative=(True,) * (ns * na),
-            constraints=tuple(cons),
-        )
+    program = lp.LinearProgram(
+        num_vars=ns * na,
+        nonnegative=(True,) * (ns * na),
+        constraints=tuple(cons),
     )
+    outcome = lp.solve(program)
     if outcome.status != lp.FEASIBLE:
         raise RuntimeError("transportation decomposition infeasible for a contraction")
     assert outcome.x is not None
+    if not lp.satisfies(program, outcome.x):
+        raise RuntimeError("transportation witness failed direct verification")
     plan = {}
     for si, (zi, _, _) in enumerate(states):
         for ai in range(na):

@@ -24,7 +24,9 @@ optimum moves with ``b_i``. For ``min c . x``:
 * ``c_j - sum_i y_i a_ij >= 0`` for nonnegative variables, ``== 0`` for
   free ones.
 
-For ``max c . x`` every one of these signs flips.
+For ``max c . x`` every one of these signs flips. For a max program
+over ``<=`` and ``=`` rows those are exactly the constraints of
+``dual(program)``, which callers solve instead of writing a dual out.
 """
 
 from __future__ import annotations
@@ -152,6 +154,41 @@ def verify_certificate(lp: LinearProgram, y: Sequence[Scalar]) -> bool:
             return False
     yb = sum((yi * con.rhs for yi, con in zip(y, lp.constraints)), start=Fraction(0))
     return yb < 0
+
+
+def dual(program: LinearProgram) -> LinearProgram:
+    """The dual of ``max c . x`` over ``<=`` and ``=`` rows.
+
+    Row ``i`` becomes variable ``y_i``, nonnegative for a ``<=`` row and
+    free for an ``=`` row; variable ``j`` becomes the row
+    ``sum_i y_i a_ij >= c_j``, or ``= c_j`` when ``x_j`` is free; the
+    objective is ``min b . y``. The optimal duals of ``program`` (see the
+    module docstring) are feasible, and optimal, here. Anything else is a
+    ``ValueError``.
+    """
+    if program.sense != MAX:
+        raise ValueError("dual needs a max program")
+    if any(con.relation == GE for con in program.constraints):
+        raise ValueError("dual needs <= and = rows only")
+    cost = [Fraction(0)] * program.num_vars
+    for j, v in program.objective:
+        cost[j] += v
+    columns: list[list[tuple[int, Scalar]]] = [[] for _ in range(program.num_vars)]
+    for i, con in enumerate(program.constraints):
+        for j, v in con.terms:
+            columns[j].append((i, v))
+    return LinearProgram(
+        num_vars=len(program.constraints),
+        nonnegative=tuple(con.relation == LE for con in program.constraints),
+        constraints=tuple(
+            Constraint(terms=tuple(col), relation=GE if nonneg else EQ, rhs=c)
+            for col, nonneg, c in zip(columns, program.nonnegative, cost)
+        ),
+        objective=tuple(
+            (i, con.rhs) for i, con in enumerate(program.constraints) if con.rhs != 0
+        ),
+        sense=MIN,
+    )
 
 
 def _lcm(a: int, b: int) -> int:

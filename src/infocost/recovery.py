@@ -1,11 +1,15 @@
-"""Cost derivative and price functions from feasible multipliers.
+"""Price basis, cost derivative and price functions from multipliers.
 
-A feasible multiplier vector turns into one convex piecewise-linear
-envelope per observation; the cost derivative is the pointwise minimum of
-(envelope - act payoff) over every observation and act. The price
-function of an observation is its envelope. The auditor re-derives every
-optimality condition from the raw dataset, never trusting construction
-state, so it doubles as an independent oracle in tests.
+A price function is a convex function of the posterior mean, written in
+one basis: an intercept at 0 plus a hinge ``max(z - x, 0)`` at every other
+binding point ``z``. ``hinge`` and ``price_terms`` are the only
+definition of that basis; the cycle rows, the concavity generator rows
+and the forward grid program are all built from them. A feasible
+multiplier vector gives one price function per observation; the cost
+derivative is the pointwise minimum of (price - act payoff) over every
+observation and act. The auditor re-derives every optimality condition
+from the raw dataset, never trusting construction state, so it doubles
+as an independent oracle in tests.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ from .revealed import (
 
 ColKey = tuple[int, Scalar]
 
+_ZERO = numeric.scalar(0)
+_ONE = numeric.scalar(1)
+
 
 def act_payoff_function(u0: Scalar, u1: Scalar) -> PiecewiseScalarFunction:
     return PiecewiseScalarFunction.affine(u1 - u0, u0)
@@ -38,56 +45,71 @@ def menu_value_function(menu) -> PiecewiseScalarFunction:
     )
 
 
-def lambda_to_envelope(
-    multipliers: Mapping[ColKey, Scalar], obs_index: int
-) -> PiecewiseScalarFunction:
-    """Convex envelope of one observation's multipliers.
+def hinge(z: Scalar, x: Scalar) -> Scalar:
+    """The price basis function of binding point ``z``, evaluated at ``x``.
 
-    The entry at 0 is a pure intercept; every other entry at a binding
-    point ``z*`` contributes a hinge ``(z* - z)`` active left of ``z*``.
-    Nonnegative interior entries make the slopes nondecreasing.
+    The point 0 carries the intercept, the constant 1; every other binding
+    point carries the hinge ``max(z - x, 0)``.
     """
-    entries = {
-        z: v for (oi, z), v in multipliers.items() if oi == obs_index
-    }
-    if not entries:
-        return PiecewiseScalarFunction.constant(numeric.scalar(0))
-    intercept = numeric.scalar(0)
-    hinges: list[tuple[Scalar, Scalar]] = []
-    for z, v in entries.items():
-        if z == 0:
-            intercept = v
-        else:
-            hinges.append((z, v))
-    xs = sorted({numeric.scalar(0), numeric.scalar(1), *(z for z, _ in hinges)})
-    points = []
-    for x in xs:
-        val = intercept
-        for z, v in hinges:
-            if z >= x:
-                val += v * (z - x)
-        points.append((x, val))
-    return PiecewiseScalarFunction.from_points(points)
+    if z == 0:
+        return _ONE
+    if x < z:
+        return z - x
+    return _ZERO
+
+
+def price_terms(
+    columns: Sequence[ColKey], obs_index: int, x: Scalar
+) -> dict[int, Scalar]:
+    """Sparse coefficients of one observation's price at ``x``.
+
+    Column ``j`` of ``columns`` is a (observation, binding point) key; the
+    price at ``x`` is the sum of ``coefficient * multiplier`` over the
+    returned entries, which are the nonzero basis values of that
+    observation's columns.
+    """
+    terms = {}
+    for j, (oi, z) in enumerate(columns):
+        if oi == obs_index:
+            h = hinge(z, x)
+            if h:
+                terms[j] = h
+    return terms
 
 
 def price_function(
     multipliers: Mapping[ColKey, Scalar], obs_index: int
 ) -> PiecewiseScalarFunction:
-    """The observation's price function is exactly its envelope."""
-    return lambda_to_envelope(multipliers, obs_index)
+    """Convex price function of one observation's multipliers.
+
+    The price is the multiplier at 0 as intercept plus one hinge per other
+    binding point, weighted by its multiplier (see ``hinge``), so
+    nonnegative interior multipliers make the slopes nondecreasing.
+    """
+    own = {key: v for key, v in multipliers.items() if key[0] == obs_index}
+    if not own:
+        return PiecewiseScalarFunction.constant(_ZERO)
+    columns = tuple(own)
+    values = tuple(own.values())
+    xs = sorted({_ZERO, _ONE, *(z for _, z in columns)})
+    points = []
+    for x in xs:
+        terms = price_terms(columns, obs_index, x)
+        points.append((x, sum((c * values[j] for j, c in terms.items()), _ZERO)))
+    return PiecewiseScalarFunction.from_points(points)
 
 
 def recover_cost(
     dataset: Dataset, multipliers: Mapping[ColKey, Scalar]
 ) -> PiecewiseScalarFunction:
-    """Pointwise minimum of (envelope - payoff) over observations and acts.
+    """Pointwise minimum of (price - payoff) over observations and acts.
 
-    The result is piecewise linear on the union of all envelope
+    The result is piecewise linear on the union of all price
     breakpoints and pairwise crossing points; it need not be concave.
     """
     candidates = []
     for oi, obs in enumerate(dataset.observations):
-        env = lambda_to_envelope(multipliers, oi)
+        env = price_function(multipliers, oi)
         for act in obs.menu.acts:
             candidates.append(env - act_payoff_function(act.u0, act.u1))
     return lower_envelope(candidates)

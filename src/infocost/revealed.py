@@ -229,24 +229,11 @@ def revealed_posterior_mean(obs: Observation, act: Act) -> Scalar:
 
 @dataclass(frozen=True)
 class RevealedSummary:
-    """Per-act revealed means and probabilities, and the revealed CDF.
-
-    ``decision`` holds the revealed decision weights on the support of the
-    revealed CDF, rows per act and columns per support point.
-    """
+    """Per-act revealed means and probabilities, and the revealed CDF."""
 
     act_means: tuple[Scalar, ...]
     act_probabilities: tuple[Scalar, ...]
     cdf: DiscreteCDF
-    decision: tuple[tuple[Scalar, ...], ...]
-
-    def decision_weight(self, act_index: int, z: Scalar) -> Scalar:
-        for si, loc in enumerate(self.cdf.support):
-            if loc == z:
-                return self.decision[act_index][si]
-        # Off the revealed support the decision function defaults to the
-        # unconditional choice probabilities.
-        return self.act_probabilities[act_index]
 
 
 def revealed_summary(obs: Observation) -> RevealedSummary:
@@ -261,16 +248,6 @@ def revealed_summary(obs: Observation) -> RevealedSummary:
         for ai in range(len(obs.menu.acts))
         if probs[ai] > 0
     ]
-    cdf = DiscreteCDF.from_pairs(pairs)
-    decision = tuple(
-        tuple(
-            (probs[ai] / cdf.mass_at(loc))
-            if probs[ai] > 0 and means[ai] == loc
-            else numeric.scalar(0)
-            for loc in cdf.support
-        )
-        for ai in range(len(obs.menu.acts))
-    )
     return RevealedSummary(
-        act_means=means, act_probabilities=probs, cdf=cdf, decision=decision
+        act_means=means, act_probabilities=probs, cdf=DiscreteCDF.from_pairs(pairs)
     )

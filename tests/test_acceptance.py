@@ -270,7 +270,7 @@ def test_criterion_5_violation_certificates():
         assert all(b >= 0 for b in beta)
         for j, free in enumerate(system.free_columns):
             combined = sum(
-                beta[i] * system.matrix[i][j] for i in range(len(beta))
+                beta[i] * dict(system.terms[i]).get(j, 0) for i in range(len(beta))
             )
             if free:
                 assert combined == 0

@@ -23,6 +23,7 @@ from infocost import (
     check_nipmc,
     explain_violation,
     generate_dataset,
+    price_function,
     utility,
 )
 from infocost.revealed import binding_set, prior_cdf, revealed_summary
@@ -112,15 +113,34 @@ class TestFarkasSystem:
         # row for (obs 0, obs 1, act L, act l); column (0, z*=0) entry +sigma(L)
         row_idx = system.rows.index((0, 1, 0, 0))
         col_idx = system.columns.index((0, F(0)))
-        assert system.matrix[row_idx][col_idx] == F(1, 2)
+        assert dict(system.terms[row_idx])[col_idx] == F(1, 2)
         col_idx_b = system.columns.index((1, F(0)))
-        assert system.matrix[row_idx][col_idx_b] == F(-1, 2)
+        assert dict(system.terms[row_idx])[col_idx_b] == F(-1, 2)
 
     def test_hinge_entries_respect_the_mean(self, swap_violation_dataset):
         system = build_farkas_system(swap_violation_dataset)
         row_idx = system.rows.index((0, 1, 0, 0))  # revealed mean 1/4
         col_one = system.columns.index((0, F(1)))
-        assert system.matrix[row_idx][col_one] == (1 - F(1, 4)) * F(1, 2)
+        assert dict(system.terms[row_idx])[col_one] == (1 - F(1, 4)) * F(1, 2)
+
+    def test_rows_are_price_differences_at_the_mean(self):
+        """Row (oa, ob, ai, bi) times any lam is the act's probability times
+        the difference of the two observations' prices at its mean."""
+        rng = random.Random(37)
+        batch = [random_generated_dataset(rng) for _ in range(4)]
+        batch += [_swap_fixture(*p) for p in SWAP_PARAMS[:2]]
+        for ds in batch:
+            system = build_farkas_system(ds)
+            assert system.rows
+            lam = {key: F(rng.randint(-6, 6), rng.randint(1, 4)) for key in system.columns}
+            values = [lam[key] for key in system.columns]
+            for (oa, ob, ai, _), row in zip(system.rows, system.terms):
+                summary = system.summaries[oa]
+                mean = summary.act_means[ai]
+                expected = summary.act_probabilities[ai] * (
+                    price_function(lam, oa)(mean) - price_function(lam, ob)(mean)
+                )
+                assert sum(v * values[j] for j, v in row) == expected
 
     def test_nias_equals_nonnegative_diagonal_surplus(self, swap_violation_dataset):
         """Rows with matching observations are omitted from the system; their
@@ -178,8 +198,8 @@ class TestNipmc:
         for free, value in zip(system.free_columns, lam):
             if not free:
                 assert value >= 0
-        for row, rhs in zip(system.matrix, system.rhs):
-            assert sum(a * v for a, v in zip(row, lam)) <= rhs
+        for row, rhs in zip(system.terms, system.rhs):
+            assert sum(a * lam[j] for j, a in row) <= rhs
 
     def test_swap_dataset_fails_with_verified_certificate(self, swap_violation_dataset):
         verdict = check_nipmc(swap_violation_dataset)
@@ -191,7 +211,7 @@ class TestNipmc:
         # balanced at the free columns, nonnegative at interior ones
         vec = [beta[key] for key in system.rows]
         for j, free in enumerate(system.free_columns):
-            s = sum(vec[i] * system.matrix[i][j] for i in range(len(vec)))
+            s = sum(vec[i] * dict(system.terms[i]).get(j, 0) for i in range(len(vec)))
             if free:
                 assert s == 0
             else:

@@ -1,5 +1,7 @@
 """Concavity predicate and the sufficient-certificate search."""
 
+import itertools
+import random
 from fractions import Fraction as F
 
 from infocost import (
@@ -11,10 +13,14 @@ from infocost import (
     certify_concave,
     generate_dataset,
     is_concave,
+    price_function,
     variance_cost,
     verify_rationalization,
 )
-from infocost.concavity import BUDGET_EXCEEDED, CERTIFIED
+from infocost import lp
+from infocost.axioms import build_farkas_system
+from infocost.concavity import BUDGET_EXCEEDED, CERTIFIED, _assignment_program
+from infocost.model import indirect_utility
 
 
 class TestIsConcave:
@@ -121,3 +127,33 @@ class TestCertifyConcave:
         any_feasible = any(o.status == lp.FEASIBLE for o in outcomes)
         verdict = certify_concave(ds)
         assert any_feasible == (verdict.status == CERTIFIED)
+
+    def test_generator_rows_are_price_differences(self):
+        """Each generator row times any lam is the generator's price minus
+        the other observation's price at the state, bounded by the gap in
+        indirect utility there."""
+        ds = two_menu_concave_dataset()
+        system = build_farkas_system(ds)
+        base = len(system.rows)
+        n = len(ds.observations)
+        rng = random.Random(41)
+        for assignment in itertools.product(range(n), repeat=len(ds.state_space.states)):
+            program = _assignment_program(ds, system, assignment)
+            lam = {key: F(rng.randint(-6, 6), rng.randint(1, 4)) for key in system.columns}
+            values = [lam[key] for key in system.columns]
+            rows = iter(program.constraints[base:])
+            for zi, z in enumerate(ds.state_space.states):
+                gen = assignment[zi]
+                if (gen, z) in lam:
+                    assert next(rows).relation == lp.EQ  # vanishing kink
+                for oi, obs in enumerate(ds.observations):
+                    if oi == gen:
+                        continue
+                    row = next(rows)
+                    lhs = sum(v * values[j] for j, v in row.terms)
+                    assert row.relation == lp.LE
+                    assert lhs == price_function(lam, gen)(z) - price_function(lam, oi)(z)
+                    assert row.rhs == indirect_utility(
+                        ds.observations[gen].menu, z
+                    ) - indirect_utility(obs.menu, z)
+            assert next(rows, None) is None

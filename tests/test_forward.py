@@ -1,10 +1,13 @@
 """Forward information-acquisition solves, duality, and data generation."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 
+from infocost import cli, lp
 from infocost import (
     Act,
     DiscreteCDF,
@@ -160,6 +163,27 @@ class TestOracle:
         v2 = oracle_value(problem, 33)
         assert v0 <= v1 <= v2
 
+    def test_corrupted_duals_are_rejected(
+        self, three_act_menu, four_state_uniform_prior, steep_pooling_cost, monkeypatch
+    ):
+        """The oracle's value is certified by the price built from its duals;
+        raising the intercept breaks contact on the support."""
+        problem = ForwardProblem.build(
+            four_state_uniform_prior, three_act_menu, steep_pooling_cost
+        )
+        real_solve = lp.solve
+
+        def corrupted(program, **kwargs):
+            outcome = real_solve(program, **kwargs)
+            if outcome.status != lp.OPTIMAL:
+                return outcome
+            duals = (outcome.duals[0] + 1,) + outcome.duals[1:]
+            return replace(outcome, duals=duals)
+
+        monkeypatch.setattr(lp, "solve", corrupted)
+        with pytest.raises(RuntimeError):
+            oracle_value(problem, 13)
+
 
 class TestGenerateDataset:
     def test_singleton_menu_generates_uninformative_data(self, four_state_uniform_prior):
@@ -232,3 +256,25 @@ class TestGenerateDataset:
         )
         assert check_nias(ds).passed
         assert check_nipmc(ds).passed
+
+    def test_corrupted_transport_witness_is_rejected(
+        self, three_act_menu, four_state_uniform_prior, steep_pooling_cost, monkeypatch, capsys
+    ):
+        real_solve = lp.solve
+
+        def shifted(program, **kwargs):
+            outcome = real_solve(program, **kwargs)
+            if outcome.status != lp.FEASIBLE:
+                return outcome
+            return replace(outcome, x=tuple(v + 1 for v in outcome.x))
+
+        monkeypatch.setattr(lp, "solve", shifted)
+        with pytest.raises(RuntimeError):
+            generate_dataset(four_state_uniform_prior, [three_act_menu], steep_pooling_cost)
+        spec = resources.files("infocost.fixtures").joinpath("example3_generate.json")
+        assert cli.main(["generate", str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("verification error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err

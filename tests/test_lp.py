@@ -7,6 +7,7 @@ vertex value must match the simplex value exactly.
 """
 
 import itertools
+from dataclasses import replace
 import random
 from fractions import Fraction as F
 
@@ -23,6 +24,7 @@ from infocost.lp import (
     LinearProgram,
     LPResourceError,
     constraint,
+    dual,
     satisfies,
     solve,
     to_lp_text,
@@ -404,6 +406,74 @@ class TestCertificateStructure:
         out = solve(program)
         doubled = tuple(2 * v for v in out.certificate)
         assert verify_certificate(program, doubled)
+
+
+
+class TestDual:
+    """The dual of a max program over <= and = rows, built by transposition."""
+
+    def random_program(self, rng: random.Random) -> LinearProgram:
+        n = rng.randint(1, 4)
+        nonnegative = tuple(rng.random() < 0.6 for _ in range(n))
+        cons = []
+        for _ in range(rng.randint(1, 4)):
+            coeffs = {
+                j: F(rng.randint(-4, 4), rng.randint(1, 3))
+                for j in range(n)
+                if rng.random() < 0.8
+            }
+            rel = rng.choice([LE, EQ])
+            cons.append(constraint(coeffs, rel, F(rng.randint(-5, 6), rng.randint(1, 2))))
+        # a box in <= rows keeps every program bounded
+        for j in range(n):
+            cons.append(constraint({j: F(1)}, LE, F(10)))
+            if not nonnegative[j]:
+                cons.append(constraint({j: F(-1)}, LE, F(10)))
+        return LinearProgram(
+            num_vars=n,
+            nonnegative=nonnegative,
+            constraints=tuple(cons),
+            objective=tuple(
+                (j, F(rng.randint(-3, 3), rng.randint(1, 4))) for j in range(n)
+            ),
+            sense=lp.MAX,
+        )
+
+    def test_strong_duality_and_feasible_duals(self):
+        rng = random.Random(223)
+        seen = set()
+        optimal = 0
+        for _ in range(150):
+            program = self.random_program(rng)
+            out = solve(program)
+            back = solve(dual(program))
+            if out.status != OPTIMAL:
+                assert out.status == INFEASIBLE
+                assert back.status != OPTIMAL
+                continue
+            optimal += 1
+            assert back.status == OPTIMAL
+            assert back.objective_value == out.objective_value
+            assert satisfies(dual(program), out.duals)
+            seen.update(con.relation for con in program.constraints)
+            seen.update(program.nonnegative)
+        assert seen == {LE, EQ, True, False}
+        assert optimal >= 50
+
+    def test_only_max_programs_over_le_and_eq_rows(self):
+        row = constraint({0: F(1)}, LE, F(1))
+        program = LinearProgram(
+            num_vars=1, nonnegative=(True,), constraints=(row,),
+            objective=((0, F(1)),), sense=lp.MAX,
+        )
+        dual(program)
+        for bad in (
+            replace(program, sense=lp.MIN),
+            replace(program, sense=None),
+            replace(program, constraints=(row, constraint({0: F(1)}, GE, F(0)))),
+        ):
+            with pytest.raises(ValueError):
+                dual(bad)
 
 
 def test_lp_text_dump_round_readable():

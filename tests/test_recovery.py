@@ -17,7 +17,6 @@ from infocost import (
     StateSpace,
     check_nipmc,
     information_cost,
-    lambda_to_envelope,
     price_function,
     recover_cost,
     revealed_summary,
@@ -29,11 +28,11 @@ from infocost import (
 
 class TestEnvelope:
     def test_zero_multipliers_flat(self):
-        env = lambda_to_envelope({(0, F(0)): F(0), (0, F(1)): F(0)}, 0)
+        env = price_function({(0, F(0)): F(0), (0, F(1)): F(0)}, 0)
         assert env(F(0)) == 0 and env(F(1)) == 0
 
     def test_intercept_plus_terminal_hinge(self):
-        env = lambda_to_envelope({(0, F(0)): F(1), (0, F(1)): F(2)}, 0)
+        env = price_function({(0, F(0)): F(1), (0, F(1)): F(2)}, 0)
         # 1 + 2(1 - z): affine with slope -2
         assert env(F(0)) == F(3)
         assert env(F(1)) == F(1)
@@ -46,21 +45,23 @@ class TestEnvelope:
             for _ in range(rng.randint(0, 4)):
                 cols[(0, F(rng.randint(1, 11), 12))] = F(rng.randint(0, 5), 2)
             cols[(0, F(1))] = F(rng.randint(-4, 4))
-            env = lambda_to_envelope(cols, 0)
+            env = price_function(cols, 0)
             slopes = env.slopes()
             assert all(a <= b for a, b in zip(slopes, slopes[1:]))
 
     def test_other_observations_ignored(self):
-        env = lambda_to_envelope(
+        env = price_function(
             {(0, F(0)): F(1), (1, F(0)): F(99), (1, F(1, 2)): F(7)}, 0
         )
         assert env(F(1, 2)) == F(1)
 
     def test_price_function_is_the_envelope(self):
         cols = {(0, F(0)): F(1), (0, F(1, 2)): F(3), (0, F(1)): F(0)}
-        a = lambda_to_envelope(cols, 0)
+        # 1 + 3 max(1/2 - z, 0) + 0 (1 - z)
         b = price_function(cols, 0)
-        assert a.breakpoint_values() == b.breakpoint_values()
+        assert [b(z) for z in (F(0), F(1, 4), F(1, 2), F(1))] == [
+            F(5, 2), F(7, 4), F(1), F(1)
+        ]
 
 
 class TestRecoverCost:

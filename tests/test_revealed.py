@@ -245,12 +245,6 @@ class TestRevealedSummary:
         obs = Observation(prior=prior, menu=menu, sdsc=sdsc)
         summary = revealed_summary(obs)
         assert summary.cdf.atoms == ((F(1, 2), F(1)),)
-        assert summary.decision_weight(0, F(1, 2)) == F(1, 4)
-        assert summary.decision_weight(1, F(1, 2)) == F(3, 4)
-
-    def test_off_support_weights_default_to_unconditional(self, three_act_dataset):
-        summary = revealed_summary(three_act_dataset.observations[0])
-        assert summary.decision_weight(0, F(1, 2)) == F(1, 2)
 
     def test_bayes_plausibility(self):
         rng = random.Random(5)
