@@ -21,7 +21,7 @@ from .concavity import BUDGET_EXCEEDED, CERTIFIED, certify_concave
 from .forward import generate_dataset, oracle_value, solve_forward
 from .lp import LPResourceError, to_lp_text
 from .model import validate_dataset
-from .recovery import price_function, recover_cost, verify_rationalization
+from .recovery import _cost_from_prices, price_function, verify_rationalization
 from .revealed import revealed_summary
 
 EXIT_OK = 0
@@ -146,11 +146,11 @@ def cmd_recover(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_REJECTED
     assert verdict.multipliers is not None
-    cost = recover_cost(dataset, verdict.multipliers)
     prices = [
         price_function(verdict.multipliers, oi)
         for oi in range(len(dataset.observations))
     ]
+    cost = _cost_from_prices(dataset, prices)
     audit = verify_rationalization(dataset, cost, prices)
     report = {
         "command": "recover",
@@ -238,7 +238,7 @@ def cmd_concavity(args: argparse.Namespace) -> int:
     total = n ** len(dataset.state_space.states)
     if total > args.budget:
         print(
-            f"note: {total} assignment programs exist; budget {args.budget}",
+            f"note: {total} assignments exist; budget {args.budget} programs",
             file=sys.stderr,
         )
     verdict = certify_concave(dataset, budget=args.budget)
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("concavity", cmd_concavity, "search for a concave rationalizing cost")
     p.add_argument("--budget", type=int, default=10_000,
-                   help="maximum number of assignment programs")
+                   help="maximum number of programs solved, prefix and full")
 
     add("generate", cmd_generate, "generate a dataset from a cost and menus")
     return parser

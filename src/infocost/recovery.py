@@ -107,12 +107,23 @@ def recover_cost(
     The result is piecewise linear on the union of all price
     breakpoints and pairwise crossing points; it need not be concave.
     """
-    candidates = []
-    for oi, obs in enumerate(dataset.observations):
-        env = price_function(multipliers, oi)
-        for act in obs.menu.acts:
-            candidates.append(env - act_payoff_function(act.u0, act.u1))
-    return lower_envelope(candidates)
+    return _cost_from_prices(
+        dataset,
+        [price_function(multipliers, oi) for oi in range(len(dataset.observations))],
+    )
+
+
+def _cost_from_prices(
+    dataset: Dataset, prices: Sequence[PiecewiseScalarFunction]
+) -> PiecewiseScalarFunction:
+    """``recover_cost`` from the price functions already built, one per observation."""
+    return lower_envelope(
+        [
+            price - act_payoff_function(act.u0, act.u1)
+            for obs, price in zip(dataset.observations, prices)
+            for act in obs.menu.acts
+        ]
+    )
 
 
 def variance_cost(kappa: Scalar, z0: Scalar) -> PiecewiseScalarFunction:

@@ -1,8 +1,12 @@
 """Concavity predicate and the sufficient-certificate search."""
 
 import itertools
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
+
+import pytest
 
 from infocost import (
     Act,
@@ -17,9 +21,14 @@ from infocost import (
     variance_cost,
     verify_rationalization,
 )
-from infocost import lp
+from infocost import cli, io, lp
 from infocost.axioms import build_farkas_system
-from infocost.concavity import BUDGET_EXCEEDED, CERTIFIED, _assignment_program
+from infocost.concavity import (
+    BUDGET_EXCEEDED,
+    CERTIFIED,
+    UNDETERMINED,
+    _assignment_program,
+)
 from infocost.model import indirect_utility
 
 
@@ -157,3 +166,116 @@ class TestCertifyConcave:
                         ds.observations[gen].menu, z
                     ) - indirect_utility(obs.menu, z)
             assert next(rows, None) is None
+
+
+def dip_dataset(seed, n_states, n_obs, n_acts):
+    """Optimal choice data under a cost derivative with a deep convex trough."""
+    rng = random.Random(seed)
+    interior = set()
+    while len(interior) < n_states - 2:
+        interior.add(F(rng.randint(1, 23), 24))
+    states = (F(0), *sorted(interior), F(1))
+    weights = [F(rng.randint(1, 6)) for _ in states]
+    prior = Prior(
+        state_space=StateSpace(states=states),
+        weights=tuple(w / sum(weights) for w in weights),
+    )
+    lo = F(rng.randint(1, 3), 12)
+    hi = 1 - F(rng.randint(1, 3), 12)
+    depth = F(rng.randint(4, 12))
+    cost = PiecewiseScalarFunction.from_points(
+        [(F(0), F(-1, 36)), (lo, F(0)), ((lo + hi) / 2, -depth), (hi, F(0)), (F(1), F(-1, 36))]
+    )
+    menus = [
+        Menu(
+            id=f"m{i}",
+            acts=tuple(
+                Act(f"m{i}a{j}", F(rng.randint(-8, 8), 8), F(rng.randint(-8, 8), 8))
+                for j in range(n_acts)
+            ),
+        )
+        for i in range(n_obs)
+    ]
+    return generate_dataset(prior, menus, cost)
+
+
+def dip_batch():
+    """Twenty seeded small datasets, plus three whose search ends undetermined.
+
+    About one S4/N3/K3 draw in a hundred ends undetermined, so those seeds
+    are named rather than drawn.
+    """
+    batch = []
+    for seed in range(20):
+        rng = random.Random(seed)
+        shape = (rng.choice((4, 5)), rng.choice((2, 3)), rng.choice((2, 3)))
+        batch.append(dip_dataset(1000 + seed, *shape))
+    batch += [dip_dataset(seed, 4, 3, 3) for seed in (22, 46, 813)]
+    return batch
+
+
+def exhaustive_search(ds):
+    """Solve every assignment program in lexicographic order; first feasible wins."""
+    system = build_farkas_system(ds)
+    n = len(ds.observations)
+    for assignment in itertools.product(range(n), repeat=len(ds.state_space.states)):
+        outcome = lp.solve(_assignment_program(ds, system, assignment))
+        if outcome.status == lp.FEASIBLE:
+            return CERTIFIED, assignment, dict(zip(system.columns, outcome.x))
+    return UNDETERMINED, None, None
+
+
+class TestPrunedSearch:
+    def test_same_verdicts_as_exhaustive_enumeration(self):
+        statuses = set()
+        pruned_undetermined = 0
+        for ds in dip_batch():
+            verdict = certify_concave(ds)
+            expected = exhaustive_search(ds)
+            assert (verdict.status, verdict.assignment, verdict.multipliers) == expected
+            statuses.add(verdict.status)
+            total = len(ds.observations) ** len(ds.state_space.states)
+            if verdict.status == UNDETERMINED and verdict.programs_solved < total:
+                pruned_undetermined += 1
+        assert statuses == {CERTIFIED, UNDETERMINED}
+        assert pruned_undetermined >= 1
+
+    @pytest.mark.parametrize("seed, shape", [(1009, (5, 3, 3)), (22, (4, 3, 3))])
+    def test_budget_edge(self, seed, shape):
+        ds = dip_dataset(seed, *shape)
+        verdict = certify_concave(ds)
+        assert verdict.programs_solved > 1
+        again = certify_concave(ds, budget=verdict.programs_solved)
+        assert (again.status, again.assignment, again.programs_solved) == (
+            verdict.status,
+            verdict.assignment,
+            verdict.programs_solved,
+        )
+        short = certify_concave(ds, budget=verdict.programs_solved - 1)
+        assert short.status == BUDGET_EXCEEDED
+        assert short.programs_solved == verdict.programs_solved - 1
+
+    def test_corrupted_certificate_is_caught(self, tmp_path, monkeypatch, capsys):
+        ds = dip_dataset(22, 4, 3, 3)
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps(io.dataset_out(ds)))
+        real_solve = lp.solve
+
+        def corrupted(program, **kwargs):
+            outcome = real_solve(program, **kwargs)
+            if outcome.status != lp.INFEASIBLE:
+                return outcome
+            y = list(outcome.certificate)
+            i = next(i for i, w in enumerate(y) if w != 0)
+            y[i] = -y[i]
+            return replace(outcome, certificate=tuple(y))
+
+        monkeypatch.setattr(lp, "solve", corrupted)
+        with pytest.raises(RuntimeError):
+            certify_concave(ds)
+        assert cli.main(["concavity", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("verification error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
