@@ -71,7 +71,6 @@ from .revealed import (
     mpc_gap,
     positive_gap_intervals,
     prior_cdf,
-    revealed_posterior_mean,
     revealed_summary,
 )
 

@@ -181,6 +181,26 @@ def _alternative_program(
     return replace(alternative, constraints=alternative.constraints + (total,))
 
 
+def _flattest_multipliers(
+    program: lp.LinearProgram, free_columns: tuple[bool, ...]
+) -> tuple[Scalar, ...] | None:
+    """Multipliers of ``program`` with minimal interior mass, or None when
+    the relaxed alternative is unbounded, which is exactly when
+    ``program`` is infeasible (beta = 0 is always feasible there)."""
+    relaxed = _alternative_program(program, numeric.scalar(-1), False)
+    outcome = lp.solve(relaxed)
+    if outcome.status == lp.UNBOUNDED:
+        return None
+    if outcome.status != lp.OPTIMAL:
+        raise RuntimeError("flattest-multiplier selection failed")
+    assert outcome.x is not None and outcome.duals is not None
+    # weak duality: a feasible beta of value -mass proves the minimum
+    mass = sum(v for v, f in zip(outcome.duals, free_columns) if not f)
+    if mass != -outcome.objective_value or not lp.satisfies(relaxed, outcome.x):
+        raise RuntimeError("flattest multipliers failed the duality check")
+    return outcome.duals
+
+
 def check_nipmc(dataset: Dataset, *, flattest: bool = False) -> NipmcVerdict:
     """Decide the posterior-mean-cycle axiom via the multiplier system.
 
@@ -188,41 +208,38 @@ def check_nipmc(dataset: Dataset, *, flattest: bool = False) -> NipmcVerdict:
     is feasible exactly when min b . beta over the normalized alternative
     is zero; a negative optimum's beta is the violation certificate, and
     otherwise the duals of the alternative's column rows are multipliers.
+
     With ``flattest`` the multipliers additionally have minimal total
-    interior mass; they are the duals of the alternative with interior
-    rows relaxed to >= -1. That objective prices only interior columns, so
-    the free multipliers at 0 and 1, and interior ones wherever the
-    minimum is not unique, are whichever optimal vertex the simplex
-    reaches.
+    interior mass: they are the duals of the alternative with interior
+    rows relaxed to >= -1 and no normalization, which is solved first.
+    beta = 0 is feasible there, so it is unbounded exactly when the system
+    is infeasible, and only then is the normalized alternative solved for
+    the certificate: one program when the data passes, two when it fails.
+    That objective prices only interior columns, so the free multipliers
+    at 0 and 1, and interior ones wherever the minimum is not unique, are
+    whichever optimal vertex the simplex reaches.
     """
     system = build_farkas_system(dataset)
     program = system.to_linear_program()
     n = len(system.columns)
-    lam: tuple[Scalar, ...] = (numeric.scalar(0),) * n
+    lam: tuple[Scalar, ...] | None = (numeric.scalar(0),) * n
     if system.rows:
-        outcome = lp.solve(_alternative_program(program, numeric.scalar(0), True))
-        if outcome.status != lp.OPTIMAL:
-            raise RuntimeError("cycle alternative has no optimum")
-        assert outcome.x is not None and outcome.duals is not None
-        if outcome.objective_value < 0:
-            if not lp.verify_certificate(program, outcome.x):
-                raise RuntimeError(
-                    "infeasibility certificate failed direct verification"
-                )
-            cert = dict(zip(system.rows, outcome.x))
-            return NipmcVerdict(passed=False, system=system, certificate=cert)
-        lam = outcome.duals[:n]
-        if flattest:
-            relaxed = _alternative_program(program, numeric.scalar(-1), False)
-            refined = lp.solve(relaxed)
-            if refined.status != lp.OPTIMAL:
+        lam = _flattest_multipliers(program, system.free_columns) if flattest else None
+        if lam is None:
+            outcome = lp.solve(_alternative_program(program, numeric.scalar(0), True))
+            if outcome.status != lp.OPTIMAL:
+                raise RuntimeError("cycle alternative has no optimum")
+            assert outcome.x is not None and outcome.duals is not None
+            if outcome.objective_value < 0:
+                if not lp.verify_certificate(program, outcome.x):
+                    raise RuntimeError(
+                        "infeasibility certificate failed direct verification"
+                    )
+                cert = dict(zip(system.rows, outcome.x))
+                return NipmcVerdict(passed=False, system=system, certificate=cert)
+            if flattest:
                 raise RuntimeError("flattest-multiplier selection failed")
-            assert refined.x is not None and refined.duals is not None
-            lam = refined.duals
-            # weak duality: a feasible beta of value -mass proves the minimum
-            mass = sum(v for v, f in zip(lam, system.free_columns) if not f)
-            if mass != -refined.objective_value or not lp.satisfies(relaxed, refined.x):
-                raise RuntimeError("flattest multipliers failed the duality check")
+            lam = outcome.duals[:n]
     if not lp.satisfies(program, lam):
         raise RuntimeError("multipliers failed direct verification")
     return NipmcVerdict(

@@ -314,9 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parsing never changes it, and each ``cmd_*``
+# looks up what it calls at call time, so patching those names still works.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except io.InputError as err:

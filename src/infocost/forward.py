@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import lp, numeric
 from .model import SDSC, Dataset, Menu, Observation, Prior, utility
 from .numeric import Scalar
-from .piecewise import PiecewiseScalarFunction
+from .piecewise import PiecewiseScalarFunction, sorted_points
 from .recovery import hinge, menu_value_function, price_function
 from .revealed import DiscreteCDF
 
@@ -40,7 +40,7 @@ class ForwardProblem:
     grid: tuple[Scalar, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "grid", tuple(_dedupe(self.grid)))
+        object.__setattr__(self, "grid", sorted_points(self.grid))
         need = {numeric.scalar(0), numeric.scalar(1)}
         need.update(
             z
@@ -73,15 +73,7 @@ class ForwardProblem:
         if uniform_points > 0:
             for j in range(uniform_points + 1):
                 pts.add(numeric.scalar(Fraction(j, uniform_points)))
-        return cls(prior=prior, menu=menu, cost=cost, grid=tuple(_dedupe(pts)))
-
-
-def _dedupe(points) -> list[Scalar]:
-    out: list[Scalar] = []
-    for p in sorted(points):
-        if not out or out[-1] != p:
-            out.append(p)
-    return out
+        return cls(prior=prior, menu=menu, cost=cost, grid=sorted_points(pts))
 
 
 @dataclass(frozen=True)
@@ -132,54 +124,27 @@ def _grid_lp(problem: ForwardProblem, grid, values):
     )
 
 
-def _solve_primal(problem: ForwardProblem, program: lp.LinearProgram, grid):
+def _lexicographic(
+    program: lp.LinearProgram, tiebreak: tuple[tuple[int, Scalar], ...]
+) -> tuple[Scalar, tuple[Scalar, ...]]:
+    """Optimal value of ``program`` and an optimum minimizing ``tiebreak``.
+
+    The second solve pins the objective at its optimum as one more ``=``
+    row and minimizes the tie-break objective over what is left.
+    """
     first = lp.solve(program)
     if first.status != lp.OPTIMAL:
         raise RuntimeError(f"forward program unexpectedly {first.status}")
     best = first.objective_value
     assert best is not None
-
-    z0 = problem.prior.mean
     pinned = program.constraints + (lp.constraint(dict(program.objective), lp.EQ, best),)
     second = lp.solve(
-        replace(
-            program,
-            constraints=pinned,
-            objective=tuple((j, (g - z0) * (g - z0)) for j, g in enumerate(grid)),
-            sense=lp.MIN,
-        )
+        replace(program, constraints=pinned, objective=tiebreak, sense=lp.MIN)
     )
     if second.status != lp.OPTIMAL:
-        raise RuntimeError("variance tie-break program unexpectedly infeasible")
+        raise RuntimeError(f"forward tie-break program unexpectedly {second.status}")
     assert second.x is not None
     return best, second.x
-
-
-def _solve_dual(program: lp.LinearProgram, grid, best):
-    """Multipliers of the flattest optimal price, one per grid point.
-
-    Solves ``lp.dual`` of the primal grid program, whose variable k is the
-    multiplier of grid point k's price basis function, then pins its value
-    and minimizes the total interior mass.
-    """
-    dual = lp.dual(program)
-    first = lp.solve(dual)
-    if first.status != lp.OPTIMAL or first.objective_value != best:
-        raise RuntimeError("dual value does not match the primal optimum")
-
-    one = numeric.scalar(1)
-    pinned = dual.constraints + (lp.constraint(dict(dual.objective), lp.EQ, best),)
-    second = lp.solve(
-        replace(
-            dual,
-            constraints=pinned,
-            objective=tuple((k, one) for k, nonneg in enumerate(dual.nonnegative) if nonneg),
-        )
-    )
-    if second.status != lp.OPTIMAL:
-        raise RuntimeError("flattest price selection failed")
-    assert second.x is not None
-    return dict(zip(grid, second.x))
 
 
 def _certified_price(problem: ForwardProblem, grid, values, f, best, multipliers):
@@ -217,8 +182,21 @@ def solve_forward(problem: ForwardProblem) -> ForwardSolution:
     objective_fn = menu_value_function(problem.menu) + problem.cost
     values = _grid_values(problem, grid)
     program = _grid_lp(problem, grid, values)
-    best, f = _solve_primal(problem, program, grid)
-    multipliers = _solve_dual(program, grid, best)
+    # least informative optimum: minimum variance of the posterior means
+    z0 = problem.prior.mean
+    best, f = _lexicographic(
+        program, tuple((j, (g - z0) * (g - z0)) for j, g in enumerate(grid))
+    )
+    # flattest optimal price: variable k of the dual multiplies grid point
+    # k's price basis function; minimize the total interior mass
+    dual = lp.dual(program)
+    one = numeric.scalar(1)
+    dual_best, y = _lexicographic(
+        dual, tuple((k, one) for k, nonneg in enumerate(dual.nonnegative) if nonneg)
+    )
+    if dual_best != best:
+        raise RuntimeError("dual value does not match the primal optimum")
+    multipliers = dict(zip(grid, y))
     price = _certified_price(problem, grid, values, f, best, multipliers)
 
     dist = DiscreteCDF.from_pairs(
@@ -259,7 +237,7 @@ def oracle_value(problem: ForwardProblem, resolution: int) -> Scalar:
     pts = set(problem.grid)
     for j in range(resolution):
         pts.add(numeric.scalar(Fraction(j, resolution - 1)))
-    grid = _dedupe(pts)
+    grid = sorted_points(pts)
     values = _grid_values(problem, grid)
     outcome = lp.solve(_grid_lp(problem, grid, values))
     if outcome.status != lp.OPTIMAL:

@@ -31,6 +31,7 @@ over ``<=`` and ``=`` rows those are exactly the constraints of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -191,18 +192,9 @@ def dual(program: LinearProgram) -> LinearProgram:
     )
 
 
-def _lcm(a: int, b: int) -> int:
-    import math
-
-    return a // math.gcd(a, b) * b
-
-
 def _row_scale(values: Iterable[Scalar]) -> int:
     """Positive multiplier turning the row into integers."""
-    denom = 1
-    for v in values:
-        denom = _lcm(denom, v.denominator)
-    return denom
+    return math.lcm(*(v.denominator for v in values))
 
 
 class _Tableau:
@@ -216,7 +208,6 @@ class _Tableau:
     """
 
     def __init__(self, lp: LinearProgram, pivot_limit: int):
-        self.lp = lp
         self.pivot_limit = pivot_limit
         self.pivots = 0
 

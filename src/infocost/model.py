@@ -134,9 +134,6 @@ class SDSC:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
 
-    def prob(self, act_index: int, state_index: int) -> Scalar:
-        return self.rows[act_index][state_index]
-
 
 @dataclass(frozen=True)
 class Observation:
@@ -154,13 +151,6 @@ class Dataset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "observations", tuple(self.observations))
-
-    @property
-    def single_prior(self) -> bool:
-        if not self.observations:
-            return True
-        first = self.observations[0].prior.weights
-        return all(o.prior.weights == first for o in self.observations)
 
 
 @dataclass(frozen=True)

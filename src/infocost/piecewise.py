@@ -109,7 +109,7 @@ class PiecewiseScalarFunction:
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other: "PiecewiseScalarFunction") -> "PiecewiseScalarFunction":
-        xs = _merge_breakpoints((self.breakpoints, other.breakpoints))
+        xs = sorted_points((*self.breakpoints, *other.breakpoints))
         coeffs = []
         for x1, x2 in zip(xs, xs[1:]):
             mid = (x1 + x2) / 2
@@ -132,12 +132,6 @@ class PiecewiseScalarFunction:
 
     __rmul__ = __mul__
 
-    def shift(self, v: Scalar) -> "PiecewiseScalarFunction":
-        return PiecewiseScalarFunction(
-            breakpoints=self.breakpoints,
-            coefficients=tuple((a, b, c + v) for a, b, c in self.coefficients),
-        )
-
     def simplify(self) -> "PiecewiseScalarFunction":
         """Merge adjacent segments that share one polynomial."""
         xs = [self.breakpoints[0]]
@@ -158,14 +152,11 @@ def _eval(coeffs: Coeffs, z: Scalar) -> Scalar:
     return (a * z + b) * z + c
 
 
-def _merge_breakpoints(groups: Iterable[Sequence[Scalar]]) -> tuple[Scalar, ...]:
-    pts: list[Scalar] = []
-    for g in groups:
-        pts.extend(g)
-    pts.sort()
-    out = [pts[0]]
-    for p in pts[1:]:
-        if out[-1] != p:
+def sorted_points(points: Iterable[Scalar]) -> tuple[Scalar, ...]:
+    """The distinct values of ``points`` in increasing order."""
+    out: list[Scalar] = []
+    for p in sorted(points):
+        if not out or out[-1] != p:
             out.append(p)
     return tuple(out)
 
@@ -189,7 +180,7 @@ def lower_envelope(fns: Sequence[PiecewiseScalarFunction]) -> PiecewiseScalarFun
     """
     if not fns:
         raise ValueError("need at least one function")
-    xs = _merge_breakpoints([f.breakpoints for f in fns])
+    xs = sorted_points(x for f in fns for x in f.breakpoints)
     points: list[tuple[Scalar, Scalar]] = []
     for x1, x2 in zip(xs, xs[1:]):
         lines = [_line_at(f, x1, x2) for f in fns]

@@ -210,7 +210,7 @@ def _audit_observation(
             zip(price.breakpoints, price.breakpoints[1:])
         ):
             if max(x1, lo) < min(x2, hi):
-                seen.append(price.slopes()[i])
+                seen.append(slopes[i])
         if seen:
             affine_slack = max(affine_slack, max(seen) - min(seen))
     affine_off_binding = affine_slack == 0

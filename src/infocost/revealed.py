@@ -7,7 +7,11 @@ That running integral, the "gap", is piecewise linear with kinks only at
 atom locations, so every predicate here reduces to finitely many exact
 evaluations.
 
-Everything in this module is a pure function over immutable inputs.
+An observation's revealed statistics come from one pass over its choice
+data: each act's joint mass with every state gives both its probability
+and its posterior mean. Everything in this module is a pure function
+over immutable inputs; nothing is cached, so each caller that needs a
+summary computes its own.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import numeric
-from .model import Act, Observation, Prior, StateSpace
+from .model import Observation, Prior, StateSpace
 from .numeric import Scalar
 
 
@@ -67,12 +71,6 @@ class DiscreteCDF:
     def support(self) -> tuple[Scalar, ...]:
         return tuple(z for z, _ in self.atoms)
 
-    def mass_at(self, z: Scalar) -> Scalar:
-        for loc, p in self.atoms:
-            if loc == z:
-                return p
-        return numeric.scalar(0)
-
     def value_at(self, z: Scalar) -> Scalar:
         """CDF value P(X <= z)."""
         return sum(p for loc, p in self.atoms if loc <= z)
@@ -109,16 +107,19 @@ def _kinks(prior_cdf: DiscreteCDF, f: DiscreteCDF) -> list[Scalar]:
     return sorted(pts)
 
 
-def is_mpc(prior_cdf: DiscreteCDF, f: DiscreteCDF) -> bool:
-    """True iff ``f`` is a mean-preserving contraction of the prior.
+def _contracts(gaps: dict[Scalar, Scalar]) -> bool:
+    """The MPC condition from gap values at every kink, 1 included.
 
     The gap is piecewise linear between kinks, so nonnegativity at every
-    kink plus a zero at 1 decides the whole continuum.
+    kink plus a zero at 1 decides the whole continuum; extra points
+    change nothing.
     """
-    for k in _kinks(prior_cdf, f):
-        if mpc_gap(prior_cdf, f, k) < 0:
-            return False
-    return mpc_gap(prior_cdf, f, numeric.scalar(1)) == 0
+    return all(v >= 0 for v in gaps.values()) and gaps[1] == 0
+
+
+def is_mpc(prior_cdf: DiscreteCDF, f: DiscreteCDF) -> bool:
+    """True iff ``f`` is a mean-preserving contraction of the prior."""
+    return _contracts({k: mpc_gap(prior_cdf, f, k) for k in _kinks(prior_cdf, f)})
 
 
 def gap_zero_intervals(
@@ -181,14 +182,16 @@ def positive_gap_intervals(
 def binding_set(
     prior_cdf: DiscreteCDF, f: DiscreteCDF, state_space: StateSpace
 ) -> tuple[Scalar, ...]:
-    """Grid states where the contraction constraint binds (gap = 0)."""
-    if not is_mpc(prior_cdf, f):
+    """Grid states where the contraction constraint binds (gap = 0).
+
+    The gap is evaluated once at each kink and state, and those values
+    also decide that the pair is an MPC; a ``ValueError`` otherwise.
+    """
+    points = {*_kinks(prior_cdf, f), *state_space.states}
+    gaps = {z: mpc_gap(prior_cdf, f, z) for z in points}
+    if not _contracts(gaps):
         raise ValueError("binding_set requires a mean-preserving contraction")
-    return tuple(
-        z
-        for z in state_space.states
-        if mpc_gap(prior_cdf, f, z) == 0
-    )
+    return tuple(z for z in state_space.states if gaps[z] == 0)
 
 
 def is_monotone_partitional(prior_cdf: DiscreteCDF, f: DiscreteCDF) -> bool:
@@ -204,29 +207,6 @@ def is_monotone_partitional(prior_cdf: DiscreteCDF, f: DiscreteCDF) -> bool:
     return True
 
 
-def unconditional_probability(obs: Observation, act_index: int) -> Scalar:
-    return sum(
-        obs.sdsc.prob(act_index, zi) * w
-        for zi, w in enumerate(obs.prior.weights)
-    )
-
-
-def revealed_posterior_mean(obs: Observation, act: Act) -> Scalar:
-    """Bayes-weighted average state conditional on ``act`` being chosen.
-
-    An act never chosen reveals nothing, so it is assigned the prior mean.
-    """
-    ai = obs.menu.act_index(act.id)
-    total = unconditional_probability(obs, ai)
-    if total == 0:
-        return obs.prior.mean
-    weighted = sum(
-        z * obs.sdsc.prob(ai, zi) * w
-        for zi, (z, w) in enumerate(zip(obs.prior.state_space.states, obs.prior.weights))
-    )
-    return weighted / total
-
-
 @dataclass(frozen=True)
 class RevealedSummary:
     """Per-act revealed means and probabilities, and the revealed CDF."""
@@ -237,17 +217,28 @@ class RevealedSummary:
 
 
 def revealed_summary(obs: Observation) -> RevealedSummary:
-    probs = tuple(
-        unconditional_probability(obs, ai) for ai in range(len(obs.menu.acts))
-    )
-    means = tuple(
-        revealed_posterior_mean(obs, act) for act in obs.menu.acts
-    )
-    pairs = [
-        (means[ai], probs[ai])
-        for ai in range(len(obs.menu.acts))
-        if probs[ai] > 0
-    ]
+    """Each act's probability and Bayes posterior mean, in one pass per act.
+
+    An act's joint mass at state z is sigma(act | z) * prior(z); its
+    probability is the total mass and its mean the mass-weighted average
+    state. An act never chosen reveals nothing, so it is assigned the
+    prior mean.
+    """
+    states = obs.prior.state_space.states
+    probs: list[Scalar] = []
+    means: list[Scalar] = []
+    for row in obs.sdsc.rows:
+        masses = [p * w for p, w in zip(row, obs.prior.weights)]
+        prob = sum(masses)
+        probs.append(prob)
+        if prob == 0:
+            means.append(obs.prior.mean)
+        else:
+            means.append(sum(z * m for z, m in zip(states, masses)) / prob)
     return RevealedSummary(
-        act_means=means, act_probabilities=probs, cdf=DiscreteCDF.from_pairs(pairs)
+        act_means=tuple(means),
+        act_probabilities=tuple(probs),
+        cdf=DiscreteCDF.from_pairs(
+            (mean, prob) for mean, prob in zip(means, probs) if prob > 0
+        ),
     )

@@ -26,6 +26,7 @@ from infocost import (
     price_function,
     utility,
 )
+from infocost.axioms import _alternative_program
 from infocost.revealed import binding_set, prior_cdf, revealed_summary
 from test_acceptance import _swap_fixture
 
@@ -253,19 +254,53 @@ class TestNipmc:
     def test_flattest_optimality_is_rechecked(self, monkeypatch):
         ds = example3_twice()
         assert check_nipmc(ds, flattest=True).passed
+        relaxed = _alternative_program(
+            build_farkas_system(ds).to_linear_program(), F(-1), False
+        )
         real_solve = lp.solve
-        calls = []
+        corrupted = []
 
-        def second_value_off(program, **kwargs):
+        def relaxed_value_off(program, **kwargs):
             outcome = real_solve(program, **kwargs)
-            calls.append(program)
-            if len(calls) == 2:
+            if program == relaxed:
+                corrupted.append(program)
                 return replace(outcome, objective_value=outcome.objective_value + 1)
             return outcome
 
-        monkeypatch.setattr(lp, "solve", second_value_off)
+        monkeypatch.setattr(lp, "solve", relaxed_value_off)
         with pytest.raises(RuntimeError, match="duality check"):
             check_nipmc(ds, flattest=True)
+        assert corrupted
+
+    def test_flattest_solves_one_program_on_passing_data(self, monkeypatch):
+        real_solve = lp.solve
+        calls = []
+
+        def counted(program, **kwargs):
+            calls.append(program)
+            return real_solve(program, **kwargs)
+
+        monkeypatch.setattr(lp, "solve", counted)
+        verdict = check_nipmc(example3_twice(), flattest=True)
+        assert verdict.passed
+        assert len(calls) == 1
+
+    def test_flattest_on_failing_data_solves_two_programs(
+        self, swap_violation_dataset, monkeypatch
+    ):
+        plain = check_nipmc(swap_violation_dataset)
+        real_solve = lp.solve
+        outcomes = []
+
+        def counted(program, **kwargs):
+            outcomes.append(real_solve(program, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(lp, "solve", counted)
+        verdict = check_nipmc(swap_violation_dataset, flattest=True)
+        assert not verdict.passed
+        assert [o.status for o in outcomes] == [lp.UNBOUNDED, lp.OPTIMAL]
+        assert verdict.certificate == plain.certificate
 
     def test_flattest_multipliers_deterministic(self, three_act_dataset):
         a = check_nipmc(three_act_dataset, flattest=True)
@@ -366,7 +401,7 @@ class TestMultiPrior:
             state_space=space,
             observations=ds1.observations + ds2.observations,
         )
-        assert not merged.single_prior
+        assert merged.observations[0].prior.weights != merged.observations[-1].prior.weights
         assert check_nias(merged).passed
         assert check_nipmc(merged).passed
 

@@ -28,7 +28,6 @@ class TestDatasetFormat:
         doc = json.loads(Path(fixture_path("example3_dataset.json")).read_text())
         ds = io.parse_dataset(doc)
         assert validate_dataset(ds).ok
-        assert ds.single_prior
 
     def test_roundtrip_through_serialization(self):
         doc = json.loads(Path(fixture_path("example3_dataset.json")).read_text())

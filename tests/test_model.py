@@ -160,26 +160,6 @@ class TestValidation:
         assert any("negative" in p for p in validate_dataset(ds).problems)
 
 
-class TestDatasetMode:
-    def test_single_prior_detected(self, three_act_dataset):
-        assert three_act_dataset.single_prior
-
-    def test_multi_prior_detected(self):
-        space = StateSpace(states=(F(0), F(1)))
-        p1 = Prior(state_space=space, weights=(F(1, 2), F(1, 2)))
-        p2 = Prior(state_space=space, weights=(F(1, 3), F(2, 3)))
-        menu = Menu(id="m", acts=(Act("a", F(0), F(0)),))
-        ds = Dataset(
-            state_space=space,
-            observations=(
-                Observation(prior=p1, menu=menu, sdsc=SDSC(rows=((F(1), F(1)),))),
-                Observation(prior=p2, menu=menu, sdsc=SDSC(rows=((F(1), F(1)),))),
-            ),
-        )
-        assert not ds.single_prior
-
-
-
 def test_package_exports_no_submodules():
     import types
 

@@ -59,10 +59,6 @@ class TestAlgebra:
         assert (-fn)(F(1, 4)) == -fn(F(1, 4))
         assert (3 * fn)(F(1, 4)) == 3 * fn(F(1, 4))
 
-    def test_shift(self):
-        fn = PiecewiseScalarFunction.constant(F(1))
-        assert fn.shift(F(2))(F(1, 2)) == F(3)
-
     def test_simplify_merges_collinear(self):
         fn = PiecewiseScalarFunction.from_points(
             [(F(0), F(0)), (F(1, 2), F(1, 2)), (F(1), F(1))]

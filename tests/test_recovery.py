@@ -167,7 +167,7 @@ class TestAuditor:
 
     def test_shifted_cost_loses_contact_keeps_majorization(self, three_act_dataset):
         cost, prices = self._recovered(three_act_dataset)
-        lowered = cost.shift(F(-1))
+        lowered = cost + PiecewiseScalarFunction.constant(F(-1))
         report = verify_rationalization(three_act_dataset, lowered, prices)
         audit = report.audits[0]
         assert not audit.contact_at_revealed

@@ -25,7 +25,6 @@ from infocost import (
     mpc_gap,
     positive_gap_intervals,
     prior_cdf,
-    revealed_posterior_mean,
     revealed_summary,
 )
 from infocost.revealed import gap_zero_intervals
@@ -146,6 +145,32 @@ class TestBindingSet:
         with pytest.raises(ValueError):
             binding_set(f0, spread, StateSpace(states=(F(0), F(1))))
 
+    def test_matches_gap_oracle(self):
+        """On random pairs the binding set is the states where the oracle
+        gap is zero, and a pair is rejected exactly when the oracle gap is
+        negative at a kink or nonzero at 1. A garbling is an MPC of its
+        source; the source is a spread of its garbling, with the same mean."""
+        rng = random.Random(47)
+        rejected = 0
+        for trial in range(120):
+            source = random_cdf(rng)
+            garbled = _random_revealed(rng, source)
+            f0, f = [(source, garbled), (garbled, source), (source, random_cdf(rng))][trial % 3]
+            states = sorted({F(0), F(1), *(F(rng.randint(0, 12), 12) for _ in range(4))})
+            kinks = {F(0), F(1), *f0.support, *f.support}
+            contracts = all(gap_oracle(f0, f, k) >= 0 for k in kinks) and (
+                gap_oracle(f0, f, F(1)) == 0
+            )
+            space = StateSpace(states=tuple(states))
+            if not contracts:
+                rejected += 1
+                with pytest.raises(ValueError):
+                    binding_set(f0, f, space)
+                continue
+            expected = tuple(z for z in states if gap_oracle(f0, f, z) == 0)
+            assert binding_set(f0, f, space) == expected
+        assert 0 < rejected < 120
+
 
 class TestZeroIntervals:
     def test_identical_is_one_big_interval(self, four_state_uniform_prior):
@@ -197,8 +222,7 @@ class TestRevealedMeans:
         menu = Menu(id="m", acts=(Act("a", F(0), F(1)), Act("b", F(1), F(0))))
         sdsc = SDSC(rows=((F(1, 3),) * 4, (F(2, 3),) * 4))
         obs = Observation(prior=four_state_uniform_prior, menu=menu, sdsc=sdsc)
-        for act in menu.acts:
-            assert revealed_posterior_mean(obs, act) == F(1, 2)
+        assert revealed_summary(obs).act_means == (F(1, 2), F(1, 2))
 
     def test_hand_computed_ratio(self):
         space = StateSpace(states=(F(0), F(1)))
@@ -206,20 +230,30 @@ class TestRevealedMeans:
         menu = Menu(id="m", acts=(Act("a", F(0), F(0)), Act("b", F(0), F(0))))
         sdsc = SDSC(rows=((F(3, 4), F(1, 4)), (F(1, 4), F(3, 4))))
         obs = Observation(prior=prior, menu=menu, sdsc=sdsc)
-        assert revealed_posterior_mean(obs, menu.acts[0]) == F(1, 4)
-        assert revealed_posterior_mean(obs, menu.acts[1]) == F(3, 4)
+        assert revealed_summary(obs).act_means == (F(1, 4), F(3, 4))
 
     def test_unchosen_act_gets_prior_mean(self, three_act_dataset):
         obs = three_act_dataset.observations[0]
-        assert revealed_posterior_mean(obs, obs.menu.acts[1]) == F(1, 2)
-
-    def test_act_not_in_menu(self, three_act_dataset):
-        obs = three_act_dataset.observations[0]
-        with pytest.raises(KeyError):
-            revealed_posterior_mean(obs, Act("stranger", F(0), F(0)))
+        assert revealed_summary(obs).act_means[1] == F(1, 2)
 
 
 class TestRevealedSummary:
+    def test_matches_bayes_rule_reference(self):
+        rng = random.Random(53)
+        zero_prob = zero_weight = 0
+        for _ in range(80):
+            obs = _random_observation(rng)
+            summary = revealed_summary(obs)
+            means, probs, atoms = _bayes_reference(
+                obs.prior.state_space.states, obs.prior.weights, obs.sdsc.rows
+            )
+            assert summary.act_means == means
+            assert summary.act_probabilities == probs
+            assert summary.cdf.atoms == atoms
+            zero_prob += 0 in probs
+            zero_weight += 0 in obs.prior.weights
+        assert zero_prob and zero_weight
+
     def test_perfect_separation(self):
         space = StateSpace(states=(F(0), F(1)))
         prior = Prior(state_space=space, weights=(F(1, 3), F(2, 3)))
@@ -271,6 +305,63 @@ class TestRevealedSummary:
             assert sum(summary.act_probabilities) == 1
             # revealed cdf is always a contraction of the prior
             assert is_mpc(prior_cdf(prior), summary.cdf)
+
+
+def _random_revealed(rng: random.Random, f0: DiscreteCDF) -> DiscreteCDF:
+    """A random garbling of ``f0``: its atoms pooled by a random signal."""
+    signals = rng.randint(1, 3)
+    pooled = [[F(0), F(0)] for _ in range(signals)]
+    for z, p in f0.atoms:
+        s = rng.randrange(signals)
+        pooled[s][0] += z * p
+        pooled[s][1] += p
+    return DiscreteCDF.from_pairs((zp / p, p) for zp, p in pooled if p)
+
+
+def _bayes_reference(states, weights, rows):
+    """Per-act probability and posterior mean by Bayes' rule, and the
+    distribution of means of chosen acts, straight from the choice data."""
+    prior_mean = sum(z * w for z, w in zip(states, weights))
+    probs, means = [], []
+    for row in rows:
+        prob = sum(row[i] * weights[i] for i in range(len(states)))
+        probs.append(prob)
+        if prob == 0:
+            means.append(prior_mean)
+        else:
+            means.append(sum(states[i] * row[i] * weights[i] for i in range(len(states))) / prob)
+    atoms = {}
+    for mean, prob in zip(means, probs):
+        if prob:
+            atoms[mean] = atoms.get(mean, F(0)) + prob
+    return tuple(means), tuple(probs), tuple(sorted(atoms.items()))
+
+
+def _random_observation(rng: random.Random) -> Observation:
+    """Random prior with some zero interior weights and random choice
+    data in which some acts are never chosen where the prior has mass."""
+    states = [F(0)] + sorted({F(rng.randint(1, 11), 12) for _ in range(rng.randint(1, 4))}) + [F(1)]
+    weights = [F(rng.randint(1, 5)) if i in (0, len(states) - 1) or rng.random() < 0.7 else F(0)
+               for i in range(len(states))]
+    weights = [w / sum(weights) for w in weights]
+    nacts = rng.randint(1, 4)
+    unchosen = {a for a in range(nacts) if nacts > 1 and rng.random() < 0.3}
+    if len(unchosen) == nacts:
+        unchosen.pop()
+    columns = []
+    for w in weights:
+        # zero-weight states may send mass to any act, even an unchosen one
+        live = [a for a in range(nacts) if w == 0 or a not in unchosen]
+        shares = [F(rng.randint(0, 4)) if a in live else F(0) for a in range(nacts)]
+        if sum(shares) == 0:
+            shares[rng.choice(live)] = F(1)
+        columns.append([v / sum(shares) for v in shares])
+    rows = tuple(tuple(col[a] for col in columns) for a in range(nacts))
+    space = StateSpace(states=tuple(states))
+    menu = Menu(id="m", acts=tuple(Act(f"a{k}", F(0), F(0)) for k in range(nacts)))
+    return Observation(
+        prior=Prior(state_space=space, weights=tuple(weights)), menu=menu, sdsc=SDSC(rows=rows)
+    )
 
 
 def _random_coupling(rng: random.Random, prior: Prior):
