@@ -18,7 +18,7 @@ from typing import Any
 from . import io
 from .axioms import check_nias, check_nipmc, explain_violation
 from .concavity import BUDGET_EXCEEDED, CERTIFIED, certify_concave
-from .forward import generate_dataset, oracle_value, solve_forward
+from .forward import ForwardProblem, generate_dataset, oracle_value, solve_forward
 from .lp import LPResourceError, to_lp_text
 from .model import validate_dataset
 from .recovery import _cost_from_prices, price_function, verify_rationalization
@@ -77,6 +77,13 @@ def _checked_dataset(path: str):
     return dataset
 
 
+def _multipliers_out(multipliers) -> list[dict[str, Any]]:
+    return [
+        {"observation": oi, "z": io.scalar_out(z), "value": io.scalar_out(v)}
+        for (oi, z), v in multipliers.items()
+    ]
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     dataset = _checked_dataset(args.path)
     nias = check_nias(dataset)
@@ -110,10 +117,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     ]
     if verdict.passed:
         assert verdict.multipliers is not None
-        entry["multipliers"] = [
-            {"observation": oi, "z": io.scalar_out(z), "value": io.scalar_out(v)}
-            for (oi, z), v in verdict.multipliers.items()
-        ]
+        entry["multipliers"] = _multipliers_out(verdict.multipliers)
     else:
         assert verdict.certificate is not None
         entry["certificate"] = [
@@ -158,10 +162,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
         "prices": [
             {"observation": oi, **io.function_out(p)} for oi, p in enumerate(prices)
         ],
-        "multipliers": [
-            {"observation": oi, "z": io.scalar_out(z), "value": io.scalar_out(v)}
-            for (oi, z), v in verdict.multipliers.items()
-        ],
+        "multipliers": _multipliers_out(verdict.multipliers),
         "rationalization": {
             "all_ok": audit.all_ok,
             "observations": [
@@ -199,8 +200,6 @@ def cmd_recover(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     problem = io.parse_forward_problem(_load_json(args.path))
     if args.grid_add:
-        from .forward import ForwardProblem
-
         problem = ForwardProblem.build(
             problem.prior, problem.menu, problem.cost,
             extra=problem.grid, uniform_points=args.grid_add,

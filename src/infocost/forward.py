@@ -314,6 +314,13 @@ def generate_dataset(
     distribution is served by its best act (lowest index on ties), and a
     transportation witness converts the distribution into per-state choice
     probabilities through Bayes' rule.
+
+    Choice data reveals one mean per act. When the optimum sends two
+    support points to one act, the data shows their pooled mean, a
+    garbling of what the agent learned. Pooling two points served by one
+    act changes only the cost term, which a concave cost derivative
+    weakly raises, so the pooled data is then optimal too; under any
+    other cost the cycle axiom (``check``) may reject the result.
     """
     observations = []
     zero = numeric.scalar(0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Any, Mapping, Sequence
 
 from . import numeric
+from .forward import ForwardProblem
 from .model import (
     SDSC,
     Act,
@@ -23,6 +24,7 @@ from .model import (
 )
 from .numeric import Scalar
 from .piecewise import PiecewiseScalarFunction
+from .recovery import variance_cost
 
 
 class InputError(ValueError):
@@ -163,8 +165,6 @@ def dataset_out(dataset: Dataset) -> dict[str, Any]:
 
 
 def parse_cost(doc: Mapping[str, Any], z0: Scalar) -> PiecewiseScalarFunction:
-    from .recovery import variance_cost
-
     if "breakpoints" in doc:
         points = [(scalar_in(x), scalar_in(y)) for x, y in doc["breakpoints"]]
         return PiecewiseScalarFunction.from_points(points)
@@ -173,45 +173,41 @@ def parse_cost(doc: Mapping[str, Any], z0: Scalar) -> PiecewiseScalarFunction:
     raise InputError("cost needs 'breakpoints' or 'variance_kappa'")
 
 
-def parse_forward_problem(doc: Mapping[str, Any]):
-    from .forward import ForwardProblem
-
+def _prior_menus_cost(doc: Mapping[str, Any], what: str, parse_menus):
+    """Prior, ``parse_menus(states)`` and cost of a forward problem or a
+    generation spec, with errors named after ``what``."""
     try:
         states = tuple(scalar_in(z) for z in doc["states"])
         prior = Prior(
             state_space=StateSpace(states=states),
             weights=tuple(scalar_in(w) for w in doc["prior"]),
         )
-        menu = _parse_menu(str(doc.get("menu_id", "menu")), doc["menu"], states)
+        menus = parse_menus(states)
     except KeyError as missing:
-        raise InputError(f"forward problem missing field {missing}") from None
+        raise InputError(f"{what} missing field {missing}") from None
     cost_doc = doc.get("cost")
     if not isinstance(cost_doc, Mapping):
-        raise InputError("forward problem needs a 'cost' object")
-    cost = parse_cost(cost_doc, prior.mean)
+        raise InputError(f"{what} needs a 'cost' object")
+    return prior, menus, parse_cost(cost_doc, prior.mean)
+
+
+def parse_forward_problem(doc: Mapping[str, Any]) -> ForwardProblem:
+    prior, menu, cost = _prior_menus_cost(
+        doc,
+        "forward problem",
+        lambda states: _parse_menu(str(doc.get("menu_id", "menu")), doc["menu"], states),
+    )
     return ForwardProblem.build(prior, menu, cost)
 
 
 def parse_generation_spec(doc: Mapping[str, Any]):
-    try:
-        states = tuple(scalar_in(z) for z in doc["states"])
-        prior = Prior(
-            state_space=StateSpace(states=states),
-            weights=tuple(scalar_in(w) for w in doc["prior"]),
-        )
-    except KeyError as missing:
-        raise InputError(f"generation spec missing field {missing}") from None
-    menus_doc = doc.get("menus")
-    if not isinstance(menus_doc, Mapping) or not menus_doc:
-        raise InputError("generation spec needs a nonempty 'menus' mapping")
-    menus = [
-        _parse_menu(name, acts, states) for name, acts in menus_doc.items()
-    ]
-    cost_doc = doc.get("cost")
-    if not isinstance(cost_doc, Mapping):
-        raise InputError("generation spec needs a 'cost' object")
-    cost = parse_cost(cost_doc, prior.mean)
-    return prior, menus, cost
+    def parse_menus(states):
+        menus_doc = doc.get("menus")
+        if not isinstance(menus_doc, Mapping) or not menus_doc:
+            raise InputError("generation spec needs a nonempty 'menus' mapping")
+        return [_parse_menu(name, acts, states) for name, acts in menus_doc.items()]
+
+    return _prior_menus_cost(doc, "generation spec", parse_menus)
 
 
 def function_out(fn: PiecewiseScalarFunction) -> dict[str, Any]:

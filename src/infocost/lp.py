@@ -1,11 +1,14 @@
 """Exact linear programming: simplex with Bland's rule and Farkas certificates.
 
 Every pivot, every feasibility verdict, and every certificate is exact
-rational arithmetic. Free variables are split into differences of
-nonnegatives, inequalities get slack columns, and rows that still lack a
-unit column get artificials; phase one minimizes the artificial mass and,
-when that minimum is positive, its multipliers are the infeasibility
-certificate.
+rational arithmetic, done in integers: each tableau row is stored as a
+positive integer multiple of its rational row, reduced by its gcd, so
+signs and ratio tests read the integers directly and a pivot leaves
+every row with a zero in the pivot column untouched. Free variables are
+split into differences of nonnegatives, inequalities get slack columns,
+and rows that still lack a unit column get artificials; phase one
+minimizes the artificial mass and, when that minimum is positive, its
+multipliers are the infeasibility certificate.
 
 Certificate orientation, for a program with rows ``a_i . x  rel_i  b_i``
 and per-variable sign constraints: the returned ``y`` satisfies
@@ -197,14 +200,33 @@ def _row_scale(values: Iterable[Scalar]) -> int:
     return math.lcm(*(v.denominator for v in values))
 
 
-class _Tableau:
-    """Dense simplex tableau with integer (fraction-free) pivoting.
+def _eliminate(row: list[int], prow: list[int], pc: int) -> list[int]:
+    """``row * piv - f * prow`` with ``piv = prow[pc] > 0`` and ``f = row[pc]``,
+    divided by its gcd.
 
-    Every row is scaled to integers up front and pivots follow the
-    integer-preserving two-term update: each new entry is (old * pivot -
-    cross product) divided exactly by the previous pivot. The rational
-    tableau is the integer one divided by ``det``, whose sign is tracked
-    by every comparison.
+    The result has 0 in column ``pc`` and is a positive multiple of the
+    rational row with the pivot row's multiple of ``f / piv`` removed.
+    Entries of ``row`` beyond the pivot row's end (the objective's scale)
+    meet zeros there, so they are multiplied by ``piv``.
+    """
+    piv, f = prow[pc], row[pc]
+    out = [v * piv - f * p for v, p in zip(row, prow)]
+    out += [v * piv for v in row[len(prow):]]
+    g = math.gcd(*out)
+    return [v // g for v in out] if g > 1 else out
+
+
+class _Tableau:
+    """Dense simplex tableau in integers, each row with its own scale.
+
+    Every row is a list of integers, the right-hand side last, equal to a
+    positive multiple of its rational row: the value of the row's basic
+    variable is ``row[-1] / row[basis]``, and every sign and every ratio
+    test reads the integers as they are. The objective row holds the
+    reduced costs, then minus the objective value, then its scale. One
+    elimination step (``_eliminate``) serves the pivot and the pricing of
+    an objective; a pivot leaves every row with a zero in the pivot
+    column as it is.
     """
 
     def __init__(self, lp: LinearProgram, pivot_limit: int):
@@ -276,61 +298,28 @@ class _Tableau:
             self.row_unit_col.append(ncols)
             ncols += 1
 
+        for row, b in zip(rows, rhs):
+            row.append(b)
         self.rows = rows
-        self.rhs = rhs
         self.ncols = ncols
-        self.obj = [0] * ncols
-        self.obj_rhs = 0
-        self.det = 1  # previous pivot; rational tableau = integers / det
+        self.obj = [0] * (ncols + 1) + [1]
 
-    # -- rational views ---------------------------------------------------
-
-    def _frac(self, v: int) -> Scalar:
-        return Fraction(v, self.det)
-
-    def _neg(self, v: int) -> bool:
-        """Sign of a raw entry as a rational quantity."""
-        return v < 0 if self.det > 0 else v > 0
-
-    def _pos(self, v: int) -> bool:
-        return v > 0 if self.det > 0 else v < 0
+    @property
+    def obj_scale(self) -> int:
+        return self.obj[-1]
 
     @property
     def objective_value(self) -> Scalar:
-        return -self._frac(self.obj_rhs)
+        return Fraction(-self.obj[-2], self.obj_scale)
 
-    # -- objectives -------------------------------------------------------
-
-    def set_phase1_objective(self) -> None:
-        obj = [0] * self.ncols
-        total = 0
-        for i, b in enumerate(self.basis):
-            if b in self.artificial:
-                row = self.rows[i]
-                for j in range(self.ncols):
-                    obj[j] -= row[j]
-                total += self.rhs[i]
-        for c in self.artificial:
-            obj[c] += self.det
+    def set_objective(self, costs: Sequence[int]) -> None:
+        """Reduced-cost row for integer costs, one per column (zeros past
+        the end), priced out against the current basis."""
+        obj = list(costs) + [0] * (self.ncols + 1 - len(costs)) + [1]
+        for row, b in zip(self.rows, self.basis):
+            if obj[b]:
+                obj = _eliminate(obj, row, b)
         self.obj = obj
-        self.obj_rhs = -total
-
-    def set_min_objective(self, costs: Sequence[int]) -> None:
-        """Reduced-cost row for integer structural costs."""
-        obj = [c * self.det for c in costs] + [0] * (self.ncols - len(costs))
-        value = 0
-        for i, b in enumerate(self.basis):
-            cb = costs[b] if b < len(costs) else 0
-            if cb == 0:
-                continue
-            row = self.rows[i]
-            for j in range(self.ncols):
-                obj[j] -= cb * row[j]
-            value += cb * self.rhs[i]
-        self.obj = obj
-        self.obj_rhs = -value
-
-    # -- pivoting ---------------------------------------------------------
 
     def pivot(self, pr: int, pc: int) -> None:
         self.pivots += 1
@@ -338,28 +327,11 @@ class _Tableau:
             raise LPResourceError(f"pivot limit {self.pivot_limit} exceeded")
         rows = self.rows
         prow = rows[pr]
-        piv = prow[pc]
-        prhs = self.rhs[pr]
-        d = self.det
-        for r in range(len(rows)):
-            if r == pr:
-                continue
-            row = rows[r]
-            f = row[pc]
-            if f:
-                row[:] = [(v * piv - f * p) // d for v, p in zip(row, prow)]
-                self.rhs[r] = (self.rhs[r] * piv - f * prhs) // d
-            elif piv != d:
-                row[:] = [v * piv // d for v in row]
-                self.rhs[r] = self.rhs[r] * piv // d
-        f = self.obj[pc]
-        if f:
-            self.obj = [(v * piv - f * p) // d for v, p in zip(self.obj, prow)]
-            self.obj_rhs = (self.obj_rhs * piv - f * prhs) // d
-        elif piv != d:
-            self.obj = [v * piv // d for v in self.obj]
-            self.obj_rhs = self.obj_rhs * piv // d
-        self.det = piv
+        for r, row in enumerate(rows):
+            if r != pr and row[pc]:
+                rows[r] = _eliminate(row, prow, pc)
+        if self.obj[pc]:
+            self.obj = _eliminate(self.obj, prow, pc)
         self.basis[pr] = pc
 
     def run_simplex(self, banned: set[int]) -> str:
@@ -368,26 +340,26 @@ class _Tableau:
             pc = -1
             obj = self.obj
             for j in range(self.ncols):
-                if self._neg(obj[j]) and j not in banned:
+                if obj[j] < 0 and j not in banned:
                     pc = j
                     break
             if pc < 0:
                 return OPTIMAL
             pr = -1
             best_rhs = best_piv = None
-            for r in range(len(self.rows)):
-                a = self.rows[r][pc]
-                if not self._pos(a):
+            for r, row in enumerate(self.rows):
+                a = row[pc]
+                if a <= 0:
                     continue
                 if pr < 0:
-                    pr, best_rhs, best_piv = r, self.rhs[r], a
+                    pr, best_rhs, best_piv = r, row[-1], a
                     continue
                 # ratio comparison rhs/a < best by cross multiplication;
-                # the scale cancels and the product of entries is positive
-                left = self.rhs[r] * best_piv
+                # each row's scale cancels in its own ratio
+                left = row[-1] * best_piv
                 right = best_rhs * a
                 if left < right or (left == right and self.basis[r] < self.basis[pr]):
-                    pr, best_rhs, best_piv = r, self.rhs[r], a
+                    pr, best_rhs, best_piv = r, row[-1], a
             if pr < 0:
                 return UNBOUNDED
             self.pivot(pr, pc)
@@ -396,31 +368,27 @@ class _Tableau:
         """After a zero-mass phase one, remove artificials from the basis."""
         r = 0
         while r < len(self.rows):
+            row = self.rows[r]
             if self.basis[r] not in self.artificial:
                 r += 1
                 continue
-            pc = -1
-            for j in range(self.ncols):
-                if j in self.artificial:
-                    continue
-                if self._pos(self.rows[r][j]) or self._neg(self.rows[r][j]):
-                    pc = j
-                    break
-            if pc >= 0:
-                self.pivot(r, pc)
-                r += 1
+            pc = next(
+                (j for j in range(self.ncols) if row[j] and j not in self.artificial), -1
+            )
+            if pc < 0:
+                # Fully zero row: the original constraint was redundant.
+                del self.rows[r]
+                del self.basis[r]
                 continue
-            # Fully zero row: the original constraint was redundant.
-            del self.rows[r]
-            del self.rhs[r]
-            del self.basis[r]
-
-    # -- extraction -------------------------------------------------------
+            if row[pc] < 0:
+                # The artificial is at level 0, so the negated row keeps
+                # its right-hand side and the pivot is positive.
+                self.rows[r] = [-v for v in row]
+            self.pivot(r, pc)
+            r += 1
 
     def structural_solution(self) -> tuple[Scalar, ...]:
-        col_val: dict[int, Scalar] = {}
-        for r, b in enumerate(self.basis):
-            col_val[b] = self._frac(self.rhs[r])
+        col_val = {b: Fraction(row[-1], row[b]) for row, b in zip(self.rows, self.basis)}
         zero = Fraction(0)
         out = []
         for pos, neg in self.var_cols:
@@ -441,7 +409,8 @@ class _Tableau:
         y = []
         for i, col in enumerate(self.row_unit_col):
             cost = 1 if phase_one and col in self.artificial else 0
-            y.append((cost - self._frac(self.obj[col])) * self.flip[i] * self.row_scale[i])
+            reduced = Fraction(self.obj[col], self.obj_scale)
+            y.append((cost - reduced) * self.flip[i] * self.row_scale[i])
         return tuple(y)
 
     def farkas_certificate(self) -> tuple[Scalar, ...]:
@@ -453,7 +422,7 @@ def solve(lp: LinearProgram, *, pivot_limit: int = DEFAULT_PIVOT_LIMIT) -> LPOut
     """Solve ``lp`` exactly; see the module docstring for the contract."""
     tab = _Tableau(lp, pivot_limit)
 
-    tab.set_phase1_objective()
+    tab.set_objective([int(j in tab.artificial) for j in range(tab.ncols)])
     status = tab.run_simplex(banned=set())
     if status == UNBOUNDED:  # phase-one objective is bounded below by zero
         raise AssertionError("phase one cannot be unbounded")
@@ -473,7 +442,7 @@ def solve(lp: LinearProgram, *, pivot_limit: int = DEFAULT_PIVOT_LIMIT) -> LPOut
         costs[pos] += sign * sv
         if neg is not None:
             costs[neg] -= sign * sv
-    tab.set_min_objective(costs)
+    tab.set_objective(costs)
     status = tab.run_simplex(banned=tab.artificial)
     if status == UNBOUNDED:
         return LPOutcome(status=UNBOUNDED)

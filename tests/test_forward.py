@@ -257,6 +257,43 @@ class TestGenerateDataset:
         assert check_nias(ds).passed
         assert check_nipmc(ds).passed
 
+    def test_pooled_act_means_can_fail_the_cycle_axiom(self):
+        """Choice data reveals one mean per act. Under this dip cost (a deep
+        convex trough) the forward optimum of menus m0 and m2 sends two
+        support points to one act, so the generated data shows their pooled
+        mean, and the cycle axiom rightly rejects it."""
+        space = StateSpace(states=(F(0), F(13, 24), F(7, 8), F(1)))
+        prior = Prior(state_space=space, weights=(F(1, 4), F(1, 6), F(1, 12), F(1, 2)))
+        cost = PiecewiseScalarFunction.from_points([
+            (F(0), F(-1, 36)), (F(1, 4), F(0)), (F(7, 12), F(-5)), (F(11, 12), F(0)),
+            (F(1), F(-1, 36)),
+        ])
+        menus = [
+            Menu(id="m0", acts=(
+                Act("m0a0", F(7, 8), F(-5, 8)), Act("m0a1", F(3, 4), F(7, 8)),
+                Act("m0a2", F(-3, 8), F(3, 4)),
+            )),
+            Menu(id="m1", acts=(
+                Act("m1a0", F(1, 2), F(-3, 8)), Act("m1a1", F(1, 2), F(5, 8)),
+                Act("m1a2", F(3, 8), F(7, 8)),
+            )),
+            Menu(id="m2", acts=(
+                Act("m2a0", F(1, 4), F(-5, 8)), Act("m2a1", F(-3, 8), F(3, 4)),
+                Act("m2a2", F(-7, 8), F(-1, 4)),
+            )),
+        ]
+        pooled = []
+        for menu in menus:
+            acts = solve_forward(ForwardProblem.build(prior, menu, cost)).assignments
+            pooled.append(len(set(acts)) < len(acts))
+        assert pooled == [True, False, True]
+        ds = generate_dataset(prior, menus, cost)
+        assert check_nias(ds).passed
+        verdict = check_nipmc(ds)
+        assert not verdict.passed
+        beta = [verdict.certificate.get(key, F(0)) for key in verdict.system.rows]
+        assert lp.verify_certificate(verdict.system.to_linear_program(), beta)
+
     def test_corrupted_transport_witness_is_rejected(
         self, three_act_menu, four_state_uniform_prior, steep_pooling_cost, monkeypatch, capsys
     ):

@@ -99,6 +99,30 @@ def vertex_oracle(program: LinearProgram):
     return OPTIMAL, best
 
 
+def assert_optimal_with_duals(program: LinearProgram, out, value) -> None:
+    """``out`` is optimal at ``value`` with feasible duals, ``b . y == value``."""
+    assert out.status == OPTIMAL
+    assert satisfies(program, out.x)
+    assert out.objective_value == value
+    y = out.duals
+    flip = 1 if program.sense == lp.MIN else -1
+    for yi, con in zip(y, program.constraints):
+        if con.relation == LE:
+            assert flip * yi <= 0
+        elif con.relation == GE:
+            assert flip * yi >= 0
+    cost = dict(program.objective)
+    for j in range(program.num_vars):
+        reduced = cost.get(j, F(0)) - sum(
+            yi * v for yi, con in zip(y, program.constraints) for k, v in con.terms if k == j
+        )
+        if program.nonnegative[j]:
+            assert flip * reduced >= 0
+        else:
+            assert reduced == 0
+    assert sum(yi * con.rhs for yi, con in zip(y, program.constraints)) == value
+
+
 class TestHandCases:
     def test_one_dimensional_max(self):
         program = LinearProgram(
@@ -198,6 +222,45 @@ class TestHandCases:
         assert out.status == OPTIMAL
         assert out.objective_value == F(1, 20)
 
+    def test_redundant_equality_row_is_dropped(self):
+        # The second row doubles the first: phase one ends with its
+        # artificial basic at 0 in a row that is zero everywhere else.
+        program = LinearProgram(
+            num_vars=2,
+            nonnegative=(True, True),
+            constraints=(
+                constraint({0: F(1), 1: F(1)}, EQ, F(2)),
+                constraint({0: F(2), 1: F(2)}, EQ, F(4)),
+                constraint({0: F(1)}, LE, F(3)),
+            ),
+            objective=((1, F(-1)),),
+            sense=lp.MIN,
+        )
+        out = solve(program)
+        assert out.x == (F(0), F(2))
+        assert_optimal_with_duals(program, out, F(-2))
+
+    def test_artificial_left_on_a_negative_entry(self):
+        # y = 1 and -x + y - z = 1 tie in the ratio test, so phase one
+        # ends with the second row's artificial basic at 0 in the row
+        # -x - z = 0. The drive-out pivots on its entry -1, and phase two
+        # must then see z's entry in that row as positive: raising z
+        # along y + z <= 2 instead would make x negative.
+        program = LinearProgram(
+            num_vars=3,
+            nonnegative=(True, True, True),
+            constraints=(
+                constraint({1: F(1)}, EQ, F(1)),
+                constraint({0: F(-1), 1: F(1), 2: F(-1)}, EQ, F(1)),
+                constraint({1: F(1), 2: F(1)}, LE, F(2)),
+            ),
+            objective=((2, F(-1)),),
+            sense=lp.MIN,
+        )
+        out = solve(program)
+        assert out.x == (F(0), F(1), F(0))
+        assert_optimal_with_duals(program, out, F(0))
+
 
 class TestRandomizedAgainstOracle:
     def random_program(self, rng: random.Random) -> LinearProgram:
@@ -280,6 +343,86 @@ class TestRandomizedAgainstOracle:
                 sense=program.sense,
             )
             assert solve(program).status == solve(scaled).status
+
+
+class TestAgainstHighs:
+    """Programs too large for the vertex oracle, against HiGHS in floats."""
+
+    def random_program(self, rng: random.Random) -> LinearProgram:
+        n = rng.randint(10, 30)
+        nonnegative = tuple(rng.random() < 0.7 for _ in range(n))
+        # Rows hold at a seeded point (tight on = rows) unless shifted, so
+        # most programs are feasible and some are not.
+        point = [F(rng.randint(0 if nonnegative[j] else -4, 4), rng.randint(1, 3)) for j in range(n)]
+        cons = []
+        for _ in range(rng.randint(10, 22)):
+            coeffs = {j: F(rng.randint(-5, 5)) for j in rng.sample(range(n), rng.randint(1, 6))}
+            value = sum(v * point[j] for j, v in coeffs.items())
+            rel = rng.choice([LE, LE, GE, EQ])
+            slack = F(rng.randint(0, 4), rng.randint(1, 2))
+            if rng.random() < 0.06:
+                slack = -slack - 1
+            rhs = {LE: value + slack, GE: value - slack, EQ: value}[rel]
+            cons.append(constraint(coeffs, rel, rhs))
+        for _ in range(rng.randint(0, 3)):  # duplicated or negated rows
+            con = rng.choice(cons)
+            if rng.random() < 0.5:
+                cons.append(con)
+            else:
+                negated = {LE: GE, GE: LE, EQ: EQ}[con.relation]
+                cons.append(constraint({j: -v for j, v in con.terms}, negated, -con.rhs))
+        if rng.random() < 0.7:  # a box keeps most programs bounded
+            for j in range(n):
+                cons.append(constraint({j: F(1)}, LE, F(10)))
+                if not nonnegative[j]:
+                    cons.append(constraint({j: F(1)}, GE, F(-10)))
+        return LinearProgram(
+            num_vars=n,
+            nonnegative=nonnegative,
+            constraints=tuple(cons),
+            objective=tuple((j, F(rng.randint(-3, 3), rng.randint(1, 4))) for j in range(n)),
+            sense=rng.choice([lp.MAX, lp.MIN]),
+        )
+
+    def test_status_and_optimum_match_highs(self):
+        pytest.importorskip("scipy")
+        from scipy.optimize import linprog
+
+        rng = random.Random(307)
+        statuses = []
+        for _ in range(120):
+            program = self.random_program(rng)
+            out = solve(program)
+            sign = 1 if program.sense == lp.MIN else -1
+            c = [0.0] * program.num_vars
+            for j, v in program.objective:
+                c[j] += sign * float(v)
+            a_ub, b_ub, a_eq, b_eq = [], [], [], []
+            for row, rel, rhs in dense_rows(program):
+                row = [float(v) for v in row]
+                if rel == EQ:
+                    a_eq.append(row)
+                    b_eq.append(float(rhs))
+                else:
+                    flip = 1 if rel == LE else -1
+                    a_ub.append([flip * v for v in row])
+                    b_ub.append(flip * float(rhs))
+            ref = linprog(
+                c,
+                A_ub=a_ub or None, b_ub=b_ub or None,
+                A_eq=a_eq or None, b_eq=b_eq or None,
+                bounds=[(0, None) if nn else (None, None) for nn in program.nonnegative],
+                method="highs",
+            )
+            assert ref.status in (0, 2, 3), ref.message
+            assert out.status == {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[ref.status]
+            if out.status == OPTIMAL:
+                assert satisfies(program, out.x)
+                assert float(out.objective_value) == pytest.approx(sign * ref.fun, rel=1e-7, abs=1e-7)
+            elif out.status == INFEASIBLE:
+                assert verify_certificate(program, out.certificate)
+            statuses.append(out.status)
+        assert min(statuses.count(s) for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) >= 5
 
 
 class TestDuals:
