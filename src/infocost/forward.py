@@ -11,17 +11,28 @@ grid-kinked convex price functions, exact for the same reason, and the
 optimal duals of any solve of it are the multipliers of a price function
 that certifies the optimum.
 
-Three tie-breaks keep output deterministic and reproducible:
+``solve_forward`` makes four exact solves: the program, its tie-break,
+the dual, and the dual's tie-break. Each tie-break runs on the optimal
+face of the solve before it (``_lexicographic``), and the flattest
+multipliers are then checked as a price certificate of the optimum.
+
+Three tie-breaks narrow down the reported optimum:
 
 * among optimal distributions, minimum variance (the least informative
   optimum, matching how pooled solutions are conventionally reported);
 * among optimal price functions, minimum total interior kink mass;
 * among optimal acts at a support point, lowest menu index.
+
+The minimum variance and the minimum kink mass are unique values, but
+the optima attaining them need not be unique: two prices can share the
+least kink mass with kinks at different grid points. The distribution
+and price reported are then whichever optimal vertex the simplex
+reaches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp, numeric
@@ -129,22 +140,57 @@ def _lexicographic(
 ) -> tuple[Scalar, tuple[Scalar, ...]]:
     """Optimal value of ``program`` and an optimum minimizing ``tiebreak``.
 
-    The second solve pins the objective at its optimum as one more ``=``
-    row and minimizes the tie-break objective over what is left.
+    The second solve runs on the optimal face, which complementary
+    slackness reads off the first solve's duals ``y``: a feasible point is
+    optimal exactly when it is 0 on every nonnegative column whose reduced
+    cost ``c_j - sum_i y_i a_ij`` is nonzero and meets every inequality
+    row with ``y_i != 0`` with equality. So those columns are dropped
+    (their values are 0), those rows become ``=``, and no row pins the
+    objective. The point found is re-checked against ``program`` by
+    direct multiplication.
     """
     first = lp.solve(program)
     if first.status != lp.OPTIMAL:
         raise RuntimeError(f"forward program unexpectedly {first.status}")
-    best = first.objective_value
-    assert best is not None
-    pinned = program.constraints + (lp.constraint(dict(program.objective), lp.EQ, best),)
-    second = lp.solve(
-        replace(program, constraints=pinned, objective=tiebreak, sense=lp.MIN)
+    best, y = first.objective_value, first.duals
+    assert best is not None and y is not None
+    reduced = [numeric.scalar(0)] * program.num_vars
+    for j, v in program.objective:
+        reduced[j] += v
+    for yi, con in zip(y, program.constraints):
+        if yi:
+            for j, v in con.terms:
+                reduced[j] -= yi * v
+    keep = [
+        j for j in range(program.num_vars)
+        if not (program.nonnegative[j] and reduced[j])
+    ]
+    column = {j: k for k, j in enumerate(keep)}
+    face = lp.LinearProgram(
+        num_vars=len(keep),
+        nonnegative=tuple(program.nonnegative[j] for j in keep),
+        constraints=tuple(
+            lp.Constraint(
+                terms=tuple((column[j], v) for j, v in con.terms if j in column),
+                relation=lp.EQ if yi else con.relation,
+                rhs=con.rhs,
+            )
+            for yi, con in zip(y, program.constraints)
+        ),
+        objective=tuple((column[j], v) for j, v in tiebreak if j in column),
+        sense=lp.MIN,
     )
+    second = lp.solve(face)
     if second.status != lp.OPTIMAL:
         raise RuntimeError(f"forward tie-break program unexpectedly {second.status}")
     assert second.x is not None
-    return best, second.x
+    x = [numeric.scalar(0)] * program.num_vars
+    for k, j in enumerate(keep):
+        x[j] = second.x[k]
+    value = sum((v * x[j] for j, v in program.objective), numeric.scalar(0))
+    if not (lp.satisfies(program, x) and value == best):
+        raise RuntimeError("forward tie-break optimum fails direct verification")
+    return best, tuple(x)
 
 
 def _certified_price(problem: ForwardProblem, grid, values, f, best, multipliers):
@@ -154,7 +200,9 @@ def _certified_price(problem: ForwardProblem, grid, values, f, best, multipliers
     on the support of ``f``, and integrates to ``best`` against both ``f``
     and the prior.
     """
-    price = price_function({(0, z): v for z, v in multipliers.items()}, 0).simplify()
+    price = price_function(
+        {(0, z): v for z, v in multipliers.items() if v}, 0
+    ).simplify()
     for j, g in enumerate(grid):
         if price(g) - values[j] < 0:
             raise RuntimeError("price fails to majorize the objective on the grid")

@@ -1,5 +1,6 @@
 """Forward information-acquisition solves, duality, and data generation."""
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -7,7 +8,7 @@ from importlib import resources
 
 import pytest
 
-from infocost import cli, lp
+from infocost import cli, forward, io, lp
 from infocost import (
     Act,
     DiscreteCDF,
@@ -23,12 +24,62 @@ from infocost import (
     is_monotone_partitional,
     is_mpc,
     oracle_value,
+    price_function,
     prior_cdf,
+    recover_cost,
     revealed_summary,
     solve_forward,
+    verify_rationalization,
 )
 
 ZERO_COST = PiecewiseScalarFunction.constant(F(0))
+
+
+def random_prior(rng: random.Random, n_states: int) -> Prior:
+    interior = set()
+    while len(interior) < n_states - 2:
+        interior.add(F(rng.randint(1, 23), 24))
+    states = (F(0), *sorted(interior), F(1))
+    weights = [F(rng.randint(1, 6)) for _ in states]
+    return Prior(
+        state_space=StateSpace(states=states),
+        weights=tuple(w / sum(weights) for w in weights),
+    )
+
+
+def concave_cost(rng: random.Random) -> PiecewiseScalarFunction:
+    """Piecewise-linear cost derivative with nonincreasing slopes."""
+    kinks = sorted({F(rng.randint(1, 11), 12) for _ in range(rng.randint(1, 4))})
+    xs = [F(0), *kinks, F(1)]
+    slopes = sorted(
+        (F(rng.randint(-8, 8), rng.randint(1, 4)) for _ in xs[1:]), reverse=True
+    )
+    y = F(rng.randint(-2, 2), 4)
+    points = [(xs[0], y)]
+    for x1, x2, s in zip(xs, xs[1:], slopes):
+        y += s * (x2 - x1)
+        points.append((x2, y))
+    return PiecewiseScalarFunction.from_points(points)
+
+
+def dip_cost(rng: random.Random) -> PiecewiseScalarFunction:
+    """Cost derivative with a deep convex trough, like the steep pooling cost."""
+    lo = F(rng.randint(1, 3), 12)
+    hi = 1 - F(rng.randint(1, 3), 12)
+    depth = F(rng.randint(4, 12))
+    return PiecewiseScalarFunction.from_points(
+        [(F(0), F(-1, 36)), (lo, F(0)), ((lo + hi) / 2, -depth), (hi, F(0)), (F(1), F(-1, 36))]
+    )
+
+
+def random_menu(rng: random.Random, name: str, n_acts: int) -> Menu:
+    return Menu(
+        id=name,
+        acts=tuple(
+            Act(f"{name}a{j}", F(rng.randint(-8, 8), 8), F(rng.randint(-8, 8), 8))
+            for j in range(n_acts)
+        ),
+    )
 
 
 def three_state_prior() -> Prior:
@@ -129,6 +180,87 @@ class TestSolveForward:
             p * sol.price(z) for z, p in sol.distribution.atoms
         )
         assert touch == sol.value
+
+
+def pinned_lexicographic(program, tiebreak):
+    """Reference tie-break: pin the objective at its optimum as one more
+    ``=`` row and minimize the tie-break over the whole program."""
+    first = lp.solve(program)
+    assert first.status == lp.OPTIMAL
+    best = first.objective_value
+    pinned = program.constraints + (lp.constraint(dict(program.objective), lp.EQ, best),)
+    second = lp.solve(
+        replace(program, constraints=pinned, objective=tiebreak, sense=lp.MIN)
+    )
+    assert second.status == lp.OPTIMAL
+    return best, second.x
+
+
+class TestOptimalFaceTieBreak:
+    """The tie-breaks run on the optimal face read off the first solve's
+    duals. Their minima must equal those over the pinned program; the
+    minimizers need not be unique, so only the minima are compared."""
+
+    def test_minima_match_the_pinned_program(self):
+        rng = random.Random(8)
+        for trial in range(40):
+            cost = (concave_cost if trial % 2 else dip_cost)(rng)
+            prior = random_prior(rng, rng.randint(4, 6))
+            problem = ForwardProblem.build(
+                prior, random_menu(rng, "m", 3), cost,
+                uniform_points=rng.choice((6, 12, 18, 24, 32)),
+            )
+            sol = solve_forward(problem)
+
+            grid = list(problem.grid)
+            program = forward._grid_lp(problem, grid, forward._grid_values(problem, grid))
+            z0 = prior.mean
+            best, f = pinned_lexicographic(
+                program, tuple((j, (g - z0) ** 2) for j, g in enumerate(grid))
+            )
+            dual = lp.dual(program)
+            interior = tuple((k, F(1)) for k, nonneg in enumerate(dual.nonnegative) if nonneg)
+            dual_best, y = pinned_lexicographic(dual, interior)
+
+            assert sol.value == best == dual_best, trial
+            variance = sum(p * (z - z0) ** 2 for z, p in sol.distribution.atoms)
+            assert variance == sum(f[j] * (g - z0) ** 2 for j, g in enumerate(grid)), trial
+            mass = sum(v for z, v in sol.multipliers.items() if 0 < z < 1)
+            assert mass == sum(y[k] for k, _ in interior), trial
+
+    @pytest.mark.parametrize(
+        "call, pick, message",
+        [
+            (0, 0, "tie-break program unexpectedly infeasible"),
+            (2, -1, "tie-break optimum fails direct verification"),
+        ],
+    )
+    def test_corrupted_first_duals_are_rejected(self, monkeypatch, capsys, call, pick, message):
+        """Zeroing one nonzero dual of the first primal (call 0) or dual
+        (call 2) solve moves the face off the optimum: either it is empty,
+        or its tie-break optimum fails the direct re-check."""
+        spec = resources.files("infocost.fixtures").joinpath("example3_forward.json")
+        problem = io.parse_forward_problem(json.loads(spec.read_text()))
+        real_solve = lp.solve
+        calls = []
+
+        def corrupted(program, **kwargs):
+            outcome = real_solve(program, **kwargs)
+            calls.append(program)
+            if len(calls) != call + 1:
+                return outcome
+            duals = list(outcome.duals)
+            duals[[i for i, v in enumerate(duals) if v][pick]] = F(0)
+            return replace(outcome, duals=tuple(duals))
+
+        monkeypatch.setattr(lp, "solve", corrupted)
+        with pytest.raises(RuntimeError, match=message):
+            solve_forward(problem)
+        calls.clear()
+        assert cli.main(["solve", str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"verification error: forward {message}\n"
 
 
 class TestOracle:
@@ -293,6 +425,21 @@ class TestGenerateDataset:
         assert not verdict.passed
         beta = [verdict.certificate.get(key, F(0)) for key in verdict.system.rows]
         assert lp.verify_certificate(verdict.system.to_linear_program(), beta)
+
+    def test_concave_cost_data_passes_both_axioms_and_the_audit(self):
+        """A concave cost derivative makes pooling same-act posteriors weakly
+        better, so generated data is optimal and rationalizable."""
+        rng = random.Random(31)
+        for trial in range(30):
+            prior = random_prior(rng, 4)
+            menus = [random_menu(rng, f"m{i}", 3) for i in range(3)]
+            ds = generate_dataset(prior, menus, concave_cost(rng))
+            assert check_nias(ds).passed, trial
+            verdict = check_nipmc(ds)
+            assert verdict.passed, trial
+            prices = [price_function(verdict.multipliers, oi) for oi in range(3)]
+            recovered = recover_cost(ds, verdict.multipliers)
+            assert verify_rationalization(ds, recovered, prices).all_ok, trial
 
     def test_corrupted_transport_witness_is_rejected(
         self, three_act_menu, four_state_uniform_prior, steep_pooling_cost, monkeypatch, capsys
