@@ -13,8 +13,17 @@ that certifies the optimum.
 
 ``solve_forward`` makes four exact solves: the program, its tie-break,
 the dual, and the dual's tie-break. Each tie-break runs on the optimal
-face of the solve before it (``_lexicographic``), and the flattest
-multipliers are then checked as a price certificate of the optimum.
+face of the solve before it (``_lexicographic``). One check then proves
+the result optimal (``_certified_price``): the distribution f is a grid
+contraction of the prior, the price p is convex and at least the
+objective V at every grid point, and the integrals of p against f and
+against the prior and of V against f are one number. For any grid
+contraction f', that gives
+
+    integral V df' <= integral p df' <= integral p dprior = integral V df,
+
+so f is optimal and p touches V on its support. ``oracle_value``
+certifies its single solve the same way.
 
 Three tie-breaks narrow down the reported optimum:
 
@@ -97,16 +106,9 @@ class ForwardSolution:
     objective: PiecewiseScalarFunction
 
 
-def _grid_values(problem: ForwardProblem, grid) -> list[Scalar]:
-    """Indirect utility plus cost derivative at every grid point."""
-    return [
-        problem.cost(g) + max(utility(a, g) for a in problem.menu.acts)
-        for g in grid
-    ]
-
-
-def _grid_lp(problem: ForwardProblem, grid, values):
-    """Primal program: maximize sum V(g) f(g) over grid contractions.
+def _grid_lp(problem: ForwardProblem, grid, objective: PiecewiseScalarFunction):
+    """Primal program: maximize sum V(g) f(g) over grid contractions,
+    where V is ``objective``.
 
     Row k integrates the price basis function of ``grid[k]`` against f and
     bounds it by the prior's integral: row 0 (the intercept) fixes total
@@ -130,15 +132,15 @@ def _grid_lp(problem: ForwardProblem, grid, values):
         num_vars=len(grid),
         nonnegative=(True,) * len(grid),
         constraints=tuple(cons),
-        objective=tuple(enumerate(values)),
+        objective=tuple((j, objective(g)) for j, g in enumerate(grid)),
         sense=lp.MAX,
     )
 
 
 def _lexicographic(
     program: lp.LinearProgram, tiebreak: tuple[tuple[int, Scalar], ...]
-) -> tuple[Scalar, tuple[Scalar, ...]]:
-    """Optimal value of ``program`` and an optimum minimizing ``tiebreak``.
+) -> tuple[Scalar, ...]:
+    """An optimum of ``program`` that minimizes ``tiebreak``.
 
     The second solve runs on the optimal face, which complementary
     slackness reads off the first solve's duals ``y``: a feasible point is
@@ -146,14 +148,14 @@ def _lexicographic(
     cost ``c_j - sum_i y_i a_ij`` is nonzero and meets every inequality
     row with ``y_i != 0`` with equality. So those columns are dropped
     (their values are 0), those rows become ``=``, and no row pins the
-    objective. The point found is re-checked against ``program`` by
-    direct multiplication.
+    objective. The point is returned unchecked; ``_certified_price``
+    proves the forward optimum.
     """
     first = lp.solve(program)
     if first.status != lp.OPTIMAL:
         raise RuntimeError(f"forward program unexpectedly {first.status}")
-    best, y = first.objective_value, first.duals
-    assert best is not None and y is not None
+    y = first.duals
+    assert y is not None
     reduced = [numeric.scalar(0)] * program.num_vars
     for j, v in program.objective:
         reduced[j] += v
@@ -187,65 +189,64 @@ def _lexicographic(
     x = [numeric.scalar(0)] * program.num_vars
     for k, j in enumerate(keep):
         x[j] = second.x[k]
-    value = sum((v * x[j] for j, v in program.objective), numeric.scalar(0))
-    if not (lp.satisfies(program, x) and value == best):
-        raise RuntimeError("forward tie-break optimum fails direct verification")
-    return best, tuple(x)
+    return tuple(x)
 
 
-def _certified_price(problem: ForwardProblem, grid, values, f, best, multipliers):
-    """Price of grid multipliers, checked as a certificate of the optimum.
+def _certified_price(problem: ForwardProblem, program: lp.LinearProgram, f, multipliers):
+    """Price of grid multipliers and the value it certifies for ``f``.
 
-    Raises unless the price majorizes the objective on the grid, touches it
-    on the support of ``f``, and integrates to ``best`` against both ``f``
-    and the prior.
+    ``program`` is the grid program of ``problem`` on the grid that keys
+    ``multipliers``. Raises unless ``f`` satisfies ``program`` (it is a
+    grid contraction of the prior), the price is convex and at least the
+    objective at every grid point, and the integrals of the price against
+    ``f`` and against the prior and of the objective against ``f`` are one
+    number. That number, the optimal value, is returned with the price.
     """
+    if not lp.satisfies(program, f):
+        raise RuntimeError("forward optimum is not a contraction of the prior")
     price = price_function(
         {(0, z): v for z, v in multipliers.items() if v}, 0
     ).simplify()
-    for j, g in enumerate(grid):
-        if price(g) - values[j] < 0:
-            raise RuntimeError("price fails to majorize the objective on the grid")
-        if f[j] > 0 and price(g) - values[j] != 0:
-            raise RuntimeError("price does not touch the objective on the support")
-    lhs = sum(f[j] * price(g) for j, g in enumerate(grid))
-    rhs = sum(
+    slopes = price.slopes()
+    if any(s > t for s, t in zip(slopes, slopes[1:])):
+        raise RuntimeError("forward price is not convex")
+    grid = list(multipliers)
+    if any(price(grid[j]) < v for j, v in program.objective):
+        raise RuntimeError("forward price fails to majorize the objective on the grid")
+    value = sum(f[j] * v for j, v in program.objective)
+    on_f = sum(f[j] * price(g) for j, g in enumerate(grid))
+    on_prior = sum(
         w * price(z)
         for z, w in zip(problem.prior.state_space.states, problem.prior.weights)
         if w > 0
     )
-    if not (lhs == rhs and lhs == best):
-        raise RuntimeError("price integrals disagree with the optimal value")
-    return price
+    if not value == on_f == on_prior:
+        raise RuntimeError("forward price integrals disagree with the objective")
+    return price, value
 
 
 def solve_forward(problem: ForwardProblem) -> ForwardSolution:
     """Solve the grid program and certify the solution with its price.
 
-    Raises if any certificate condition fails: the price must majorize the
-    objective on the grid, touch it on the support of the optimum, and
-    integrate identically against the optimum and the prior.
+    Raises unless ``_certified_price`` proves the distribution optimal.
     """
     grid = list(problem.grid)
     objective_fn = menu_value_function(problem.menu) + problem.cost
-    values = _grid_values(problem, grid)
-    program = _grid_lp(problem, grid, values)
+    program = _grid_lp(problem, grid, objective_fn)
     # least informative optimum: minimum variance of the posterior means
     z0 = problem.prior.mean
-    best, f = _lexicographic(
+    f = _lexicographic(
         program, tuple((j, (g - z0) * (g - z0)) for j, g in enumerate(grid))
     )
     # flattest optimal price: variable k of the dual multiplies grid point
     # k's price basis function; minimize the total interior mass
     dual = lp.dual(program)
     one = numeric.scalar(1)
-    dual_best, y = _lexicographic(
+    y = _lexicographic(
         dual, tuple((k, one) for k, nonneg in enumerate(dual.nonnegative) if nonneg)
     )
-    if dual_best != best:
-        raise RuntimeError("dual value does not match the primal optimum")
     multipliers = dict(zip(grid, y))
-    price = _certified_price(problem, grid, values, f, best, multipliers)
+    price, value = _certified_price(problem, program, f, multipliers)
 
     dist = DiscreteCDF.from_pairs(
         (g, f[j]) for j, g in enumerate(grid) if f[j] > 0
@@ -253,7 +254,7 @@ def solve_forward(problem: ForwardProblem) -> ForwardSolution:
     assignments = tuple(_best_act(problem.menu, z) for z in dist.support)
     return ForwardSolution(
         distribution=dist,
-        value=best,
+        value=value,
         price=price,
         multipliers=multipliers,
         assignments=assignments,
@@ -262,13 +263,8 @@ def solve_forward(problem: ForwardProblem) -> ForwardSolution:
 
 
 def _best_act(menu: Menu, z: Scalar) -> str:
-    best_id = menu.acts[0].id
-    best_val = utility(menu.acts[0], z)
-    for act in menu.acts[1:]:
-        v = utility(act, z)
-        if v > best_val:
-            best_id, best_val = act.id, v
-    return best_id
+    """Id of the best act at ``z``; ``max`` keeps the first, lowest index."""
+    return max(menu.acts, key=lambda act: utility(act, z)).id
 
 
 def oracle_value(problem: ForwardProblem, resolution: int) -> Scalar:
@@ -277,8 +273,9 @@ def oracle_value(problem: ForwardProblem, resolution: int) -> Scalar:
     Refining can only enlarge the feasible support, so the value is
     nondecreasing in ``resolution``; for piecewise-linear objectives it is
     constant, which the acceptance suite exploits as a self-check. The
-    value is certified like ``solve_forward``'s, by the price whose
-    multipliers are the program's duals, row k going with grid point k.
+    value is certified like ``solve_forward``'s (``_certified_price``), by
+    the price whose multipliers are the program's duals, row k going with
+    grid point k.
     """
     if resolution < len(problem.grid):
         raise ValueError("resolution must be at least the grid size")
@@ -286,14 +283,12 @@ def oracle_value(problem: ForwardProblem, resolution: int) -> Scalar:
     for j in range(resolution):
         pts.add(numeric.scalar(Fraction(j, resolution - 1)))
     grid = sorted_points(pts)
-    values = _grid_values(problem, grid)
-    outcome = lp.solve(_grid_lp(problem, grid, values))
+    program = _grid_lp(problem, grid, menu_value_function(problem.menu) + problem.cost)
+    outcome = lp.solve(program)
     if outcome.status != lp.OPTIMAL:
         raise RuntimeError(f"oracle program unexpectedly {outcome.status}")
     assert outcome.x is not None and outcome.duals is not None
-    multipliers = dict(zip(grid, outcome.duals))
-    _certified_price(problem, grid, values, outcome.x, outcome.objective_value, multipliers)
-    return outcome.objective_value
+    return _certified_price(problem, program, outcome.x, dict(zip(grid, outcome.duals)))[1]
 
 
 def _decompose(prior: Prior, dist: DiscreteCDF):

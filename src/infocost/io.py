@@ -211,21 +211,13 @@ def parse_generation_spec(doc: Mapping[str, Any]):
 
 
 def function_out(fn: PiecewiseScalarFunction) -> dict[str, Any]:
-    out: dict[str, Any] = {
+    """Breakpoints of a piecewise-affine function (every cost and price
+    the CLI reports); ``function_in`` reads them back."""
+    return {
         "breakpoints": [
             [scalar_out(x), scalar_out(y)] for x, y in fn.breakpoint_values()
         ]
     }
-    if not fn.is_affine:
-        out["segments"] = [
-            {
-                "from": scalar_out(fn.breakpoints[i]),
-                "to": scalar_out(fn.breakpoints[i + 1]),
-                "quadratic": [scalar_out(c) for c in seg],
-            }
-            for i, seg in enumerate(fn.coefficients)
-        ]
-    return out
 
 
 def function_in(doc: Mapping[str, Any]) -> PiecewiseScalarFunction:

@@ -29,6 +29,7 @@ from infocost import (
     recover_cost,
     revealed_summary,
     solve_forward,
+    validate_dataset,
     verify_rationalization,
 )
 
@@ -213,7 +214,7 @@ class TestOptimalFaceTieBreak:
             sol = solve_forward(problem)
 
             grid = list(problem.grid)
-            program = forward._grid_lp(problem, grid, forward._grid_values(problem, grid))
+            program = forward._grid_lp(problem, grid, sol.objective)
             z0 = prior.mean
             best, f = pinned_lexicographic(
                 program, tuple((j, (g - z0) ** 2) for j, g in enumerate(grid))
@@ -232,13 +233,13 @@ class TestOptimalFaceTieBreak:
         "call, pick, message",
         [
             (0, 0, "tie-break program unexpectedly infeasible"),
-            (2, -1, "tie-break optimum fails direct verification"),
+            (2, -1, "price integrals disagree with the objective"),
         ],
     )
     def test_corrupted_first_duals_are_rejected(self, monkeypatch, capsys, call, pick, message):
         """Zeroing one nonzero dual of the first primal (call 0) or dual
         (call 2) solve moves the face off the optimum: either it is empty,
-        or its tie-break optimum fails the direct re-check."""
+        or its tie-break optimum fails the price certificate."""
         spec = resources.files("infocost.fixtures").joinpath("example3_forward.json")
         problem = io.parse_forward_problem(json.loads(spec.read_text()))
         real_solve = lp.solve
@@ -315,6 +316,52 @@ class TestOracle:
         monkeypatch.setattr(lp, "solve", corrupted)
         with pytest.raises(RuntimeError):
             oracle_value(problem, 13)
+
+    @pytest.mark.parametrize(
+        "answer, message",
+        [
+            ("point mass", "optimum is not a contraction of the prior"),
+            ("interpolant", "price is not convex"),
+        ],
+    )
+    def test_uncertified_answers_are_rejected(self, monkeypatch, capsys, answer, message):
+        """Two forged answers to the oracle program of the bundled problem
+        (optimum 1/6) whose prices majorize and touch the objective and
+        integrate alike against the answer and the prior: a point mass at
+        0 under a flat price would certify 2/9, and the prior under the
+        grid interpolant of the objective (two negative interior
+        multipliers) would certify -335/144."""
+        spec = resources.files("infocost.fixtures").joinpath("example3_forward.json")
+        problem = io.parse_forward_problem(json.loads(spec.read_text()))
+        grid = sorted(set(problem.grid) | {F(j, 12) for j in range(13)})
+        objective = solve_forward(problem).objective
+        values = [objective(g) for g in grid]
+        zeros = [F(0)] * (len(grid) - 1)
+        if answer == "point mass":
+            f, y = [F(1), *zeros], [values[0], *zeros]
+        else:
+            weights = dict(zip(problem.prior.state_space.states, problem.prior.weights))
+            f = [weights.get(g, F(0)) for g in grid]
+            # price basis: intercept at 0, max(z - x, 0) at every other z
+            s = [(v2 - v1) / (g2 - g1)
+                 for g1, g2, v1, v2 in zip(grid, grid[1:], values, values[1:])]
+            y = [values[-1], *(b - a for a, b in zip(s, s[1:])), -s[-1]]
+        real_solve = lp.solve
+
+        def forged(program, **kwargs):
+            outcome = real_solve(program, **kwargs)
+            if program.num_vars != len(grid):
+                return outcome
+            value = sum(p * v for p, v in zip(f, values))
+            return replace(outcome, x=tuple(f), duals=tuple(y), objective_value=value)
+
+        monkeypatch.setattr(lp, "solve", forged)
+        with pytest.raises(RuntimeError, match=message):
+            oracle_value(problem, 13)
+        assert cli.main(["solve", str(spec), "--refine", "13"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"verification error: forward {message}\n"
 
 
 class TestGenerateDataset:
@@ -440,6 +487,26 @@ class TestGenerateDataset:
             prices = [price_function(verdict.multipliers, oi) for oi in range(3)]
             recovered = recover_cost(ds, verdict.multipliers)
             assert verify_rationalization(ds, recovered, prices).all_ok, trial
+
+    def test_zero_weight_state_goes_to_its_best_act(
+        self, three_act_menu, four_state_uniform_prior, steep_pooling_cost
+    ):
+        """A state of prior weight 0 is never realized; its choice column
+        puts probability 1 on the best act there. At 1/4 acts a1 and a2
+        tie, and the lower menu index wins."""
+        space = StateSpace(states=(F(0), F(1, 4), F(1, 3), F(2, 3), F(1)))
+        prior = Prior(state_space=space, weights=(F(1, 4), F(0), F(1, 4), F(1, 4), F(1, 4)))
+        ds = generate_dataset(prior, [three_act_menu], steep_pooling_cost)
+        assert validate_dataset(ds).ok
+        rows = ds.observations[0].sdsc.rows
+        assert [row[1] for row in rows] == [1, 0, 0]
+        without = generate_dataset(
+            four_state_uniform_prior, [three_act_menu], steep_pooling_cost
+        )
+        assert (
+            revealed_summary(ds.observations[0]).act_means
+            == revealed_summary(without.observations[0]).act_means
+        )
 
     def test_corrupted_transport_witness_is_rejected(
         self, three_act_menu, four_state_uniform_prior, steep_pooling_cost, monkeypatch, capsys

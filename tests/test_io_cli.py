@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from infocost import cli, io, lp
+from infocost import ForwardProblem, cli, io, lp, solve_forward, variance_cost
 from infocost.io import InputError
 from infocost.model import validate_dataset
 from infocost.piecewise import PiecewiseScalarFunction
@@ -274,6 +274,36 @@ class TestCliExitCodes:
         run_cli("solve", fixture_path("example3_forward.json"), "--grid-add", "7")
         refined = json.loads(capsys.readouterr().out)["value"]["exact"]
         assert base == refined
+
+    def test_solve_variance_kappa_cost(self, tmp_path, capsys):
+        """A ``variance_kappa`` cost is the variance cost at the prior mean."""
+        doc = json.loads(Path(fixture_path("example3_forward.json")).read_text())
+        doc["cost"] = {"variance_kappa": "1/4"}
+        spec = tmp_path / "variance.json"
+        spec.write_text(json.dumps(doc))
+        problem = io.parse_forward_problem(doc)
+        sol = solve_forward(ForwardProblem.build(
+            problem.prior, problem.menu, variance_cost(F(1, 4), problem.prior.mean)
+        ))
+        assert sol.value == F(5, 32)
+        assert run_cli("solve", str(spec), "--refine", "20") == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["value"]["exact"] == "5/32"
+        atoms = [(d["location"]["exact"], d["mass"]["exact"]) for d in out["distribution"]]
+        assert atoms == [("0", "1/4"), ("1/2", "1/2"), ("1", "1/4")]
+        assert sol.distribution.atoms == ((F(0), F(1, 4)), (F(1, 2), F(1, 2)), (F(1), F(1, 4)))
+        assert out["oracle"]["value"]["exact"] == "5/32"
+        assert out["oracle"]["matches"] is True
+
+    def test_cost_without_a_known_key_is_input_error(self, tmp_path, capsys):
+        doc = json.loads(Path(fixture_path("example3_forward.json")).read_text())
+        doc["cost"] = {"kappa": "1/4"}
+        spec = tmp_path / "nocost.json"
+        spec.write_text(json.dumps(doc))
+        assert run_cli("solve", str(spec)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: cost needs 'breakpoints' or 'variance_kappa'\n"
 
     def test_concavity_budget_zero_is_resource_exit(self, capsys):
         code = run_cli(
