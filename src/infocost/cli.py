@@ -219,6 +219,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             io.figure_series(solution.price, "price"),
         ],
     }
+    agrees = True
     if args.refine:
         value = oracle_value(problem, args.refine)
         report["oracle"] = {
@@ -226,8 +227,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "value": io.scalar_out(value),
             "matches": value == solution.value,
         }
+        # The refined grid contains the problem grid, which holds every
+        # kink and prior atom: the refined value equals the optimum for a
+        # piecewise-affine objective and can only exceed it otherwise.
+        if solution.objective.is_affine:
+            agrees = value == solution.value
+        else:
+            agrees = value >= solution.value
     _emit(report, args.output)
     _write_figures(report, args.figures_csv)
+    if not agrees:
+        print("oracle value disagrees with the optimum", file=sys.stderr)
+        return EXIT_REJECTED
     return EXIT_OK
 
 

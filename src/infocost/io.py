@@ -32,7 +32,7 @@ class InputError(ValueError):
 
 
 def scalar_out(x: Scalar) -> dict[str, Any]:
-    return {"exact": numeric.format_scalar(x), "approx": numeric.approx(x)}
+    return {"exact": numeric.format_scalar(x), "approx": float(x)}
 
 
 def scalar_in(obj: Any) -> Scalar:
@@ -234,7 +234,7 @@ def figure_series(fn: PiecewiseScalarFunction, name: str) -> dict[str, Any]:
     xs.append(fn.breakpoints[-1])
     return {
         "name": name,
-        "points": [[numeric.approx(x), numeric.approx(fn(x))] for x in xs],
+        "points": [[float(x), float(fn(x))] for x in xs],
     }
 
 

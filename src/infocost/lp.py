@@ -1,10 +1,14 @@
 """Exact linear programming: simplex with Bland's rule and Farkas certificates.
 
 Every pivot, every feasibility verdict, and every certificate is exact
-rational arithmetic, done in integers: each tableau row is stored as a
-positive integer multiple of its rational row, reduced by its gcd, so
-signs and ratio tests read the integers directly and a pivot leaves
-every row with a zero in the pivot column untouched. Free variables are
+rational arithmetic, done in integers: the tableau is built in integers
+(each caller row times the lcm of its denominators), and each row is
+kept as a positive integer multiple of its rational row, reduced by its
+gcd once a pivot has touched it, so signs and ratio tests read the
+integers directly. A pivot touches only the rows with a nonzero in the
+pivot column; each such row is multiplied once and the pivot row is
+subtracted only at its nonzeros, with both multipliers reduced by their
+gcd. Free variables are
 split into differences of nonnegatives, inequalities get slack columns,
 and rows that still lack a unit column get artificials; phase one
 minimizes the artificial mass and, when that minimum is positive, its
@@ -200,33 +204,51 @@ def _row_scale(values: Iterable[Scalar]) -> int:
     return math.lcm(*(v.denominator for v in values))
 
 
-def _eliminate(row: list[int], prow: list[int], pc: int) -> list[int]:
+def _eliminate(
+    row: list[int], prow: list[int], pc: int, support: Sequence[int]
+) -> list[int]:
     """``row * piv - f * prow`` with ``piv = prow[pc] > 0`` and ``f = row[pc]``,
     divided by its gcd.
 
-    The result has 0 in column ``pc`` and is a positive multiple of the
-    rational row with the pivot row's multiple of ``f / piv`` removed.
-    Entries of ``row`` beyond the pivot row's end (the objective's scale)
-    meet zeros there, so they are multiplied by ``piv``.
+    ``support`` lists the columns where ``prow`` is nonzero. Both
+    multipliers are first reduced by ``gcd(piv, f)``, so the row is
+    multiplied once (copied when the reduced ``piv`` is 1) and the pivot
+    row is subtracted only on its support. The result has 0 in column
+    ``pc`` and is the primitive positive multiple of the rational row with
+    the pivot row's multiple of ``f / piv`` removed, whatever the
+    reduction. Entries of ``row`` beyond the pivot row's end (the
+    objective's scale) are only multiplied.
     """
     piv, f = prow[pc], row[pc]
-    out = [v * piv - f * p for v, p in zip(row, prow)]
-    out += [v * piv for v in row[len(prow):]]
+    g = math.gcd(piv, f)
+    if g > 1:
+        piv //= g
+        f //= g
+    out = [v * piv for v in row] if piv != 1 else row.copy()
+    for j in support:
+        out[j] -= f * prow[j]
     g = math.gcd(*out)
     return [v // g for v in out] if g > 1 else out
 
 
-class _Tableau:
-    """Dense simplex tableau in integers, each row with its own scale.
+def _support(row: list[int]) -> list[int]:
+    """The columns where ``row`` is nonzero."""
+    return [j for j, v in enumerate(row) if v]
 
-    Every row is a list of integers, the right-hand side last, equal to a
-    positive multiple of its rational row: the value of the row's basic
-    variable is ``row[-1] / row[basis]``, and every sign and every ratio
-    test reads the integers as they are. The objective row holds the
-    reduced costs, then minus the objective value, then its scale. One
-    elimination step (``_eliminate``) serves the pivot and the pricing of
-    an objective; a pivot leaves every row with a zero in the pivot
-    column as it is.
+
+class _Tableau:
+    """Simplex tableau in integers, each row with its own scale.
+
+    Every row is a list of integers at full width, the right-hand side
+    last, equal to a positive multiple of its rational row: the value of
+    the row's basic variable is ``row[-1] / row[basis]``, and every sign
+    and every ratio test reads the integers as they are. The rows are
+    built in integers, with no rational arithmetic. The objective row
+    holds the reduced costs, then minus the objective value, then its
+    scale. One elimination step (``_eliminate``) serves the pivot and the
+    pricing of an objective; a pivot lists the pivot row's nonzero columns
+    once, eliminates only in the rows with a nonzero in the pivot column
+    and leaves every other row as it is.
     """
 
     def __init__(self, lp: LinearProgram, pivot_limit: int):
@@ -246,60 +268,47 @@ class _Tableau:
                 ncols += 2
         self.n_structural = ncols
 
-        m = len(lp.constraints)
-        rows = [[0] * ncols for _ in range(m)]
-        rhs = [0] * m
-        self.flip = [1] * m
-        self.row_scale = [1] * m
-        for i, con in enumerate(lp.constraints):
-            scale = _row_scale([v for _, v in con.terms] + [con.rhs])
-            self.row_scale[i] = scale
-            for j, v in con.terms:
-                sv = int(v * scale)
-                pos, neg = self.var_cols[j]
-                rows[i][pos] += sv
-                if neg is not None:
-                    rows[i][neg] -= sv
-            rhs[i] = int(con.rhs * scale)
-
-        # Slack / surplus columns.
-        slack_col = [-1] * m
-        for i, con in enumerate(lp.constraints):
-            if con.relation == EQ:
-                continue
-            coef = 1 if con.relation == LE else -1
-            for r in range(m):
-                rows[r].append(coef if r == i else 0)
-            slack_col[i] = ncols
-            ncols += 1
-
-        # Normalize to nonnegative right-hand sides.
-        for i in range(m):
-            if rhs[i] < 0:
-                rows[i] = [-v for v in rows[i]]
-                rhs[i] = -rhs[i]
-                self.flip[i] = -1
-
-        # Unit columns: reuse a slack/surplus column whose coefficient
-        # became +1, otherwise add an artificial.
+        # Slack / surplus columns, one per inequality. A row's right-hand
+        # side is made nonnegative by flipping the row; the row starts with
+        # its slack basic when that slack then has coefficient +1, and with
+        # an artificial column (after all slacks) otherwise.
+        cons = lp.constraints
+        slack_col = [-1] * len(cons)
+        for i, con in enumerate(cons):
+            if con.relation != EQ:
+                slack_col[i] = ncols
+                ncols += 1
+        self.flip = [-1 if con.rhs < 0 else 1 for con in cons]
         self.basis: list[int] = []
-        self.row_unit_col: list[int] = []
         self.artificial: set[int] = set()
-        for i in range(m):
-            sc = slack_col[i]
-            if sc >= 0 and rows[i][sc] == 1:
+        for con, sc, flip in zip(cons, slack_col, self.flip):
+            if sc >= 0 and (con.relation == LE) == (flip == 1):
                 self.basis.append(sc)
-                self.row_unit_col.append(sc)
-                continue
-            for r in range(m):
-                rows[r].append(1 if r == i else 0)
-            self.artificial.add(ncols)
-            self.basis.append(ncols)
-            self.row_unit_col.append(ncols)
-            ncols += 1
+            else:
+                self.basis.append(ncols)
+                self.artificial.add(ncols)
+                ncols += 1
+        self.row_unit_col = list(self.basis)
 
-        for row, b in zip(rows, rhs):
-            row.append(b)
+        # Each row in integers at its full width: the caller's row times
+        # its scale (the lcm of its denominators) and its flip.
+        self.row_scale = []
+        rows = []
+        for con, sc, flip, unit in zip(cons, slack_col, self.flip, self.basis):
+            scale = _row_scale([v for _, v in con.terms] + [con.rhs])
+            self.row_scale.append(scale)
+            row = [0] * (ncols + 1)
+            for j, v in con.terms:
+                sv = flip * v.numerator * (scale // v.denominator)
+                pos, neg = self.var_cols[j]
+                row[pos] += sv
+                if neg is not None:
+                    row[neg] -= sv
+            if sc >= 0:
+                row[sc] = flip if con.relation == LE else -flip
+            row[unit] = 1
+            row[-1] = flip * con.rhs.numerator * (scale // con.rhs.denominator)
+            rows.append(row)
         self.rows = rows
         self.ncols = ncols
         self.obj = [0] * (ncols + 1) + [1]
@@ -318,7 +327,7 @@ class _Tableau:
         obj = list(costs) + [0] * (self.ncols + 1 - len(costs)) + [1]
         for row, b in zip(self.rows, self.basis):
             if obj[b]:
-                obj = _eliminate(obj, row, b)
+                obj = _eliminate(obj, row, b, _support(row))
         self.obj = obj
 
     def pivot(self, pr: int, pc: int) -> None:
@@ -327,11 +336,12 @@ class _Tableau:
             raise LPResourceError(f"pivot limit {self.pivot_limit} exceeded")
         rows = self.rows
         prow = rows[pr]
+        support = _support(prow)
         for r, row in enumerate(rows):
             if r != pr and row[pc]:
-                rows[r] = _eliminate(row, prow, pc)
+                rows[r] = _eliminate(row, prow, pc, support)
         if self.obj[pc]:
-            self.obj = _eliminate(self.obj, prow, pc)
+            self.obj = _eliminate(self.obj, prow, pc, support)
         self.basis[pr] = pc
 
     def run_simplex(self, banned: set[int]) -> str:

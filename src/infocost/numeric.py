@@ -37,12 +37,6 @@ def scalar(value: object) -> Scalar:
 
 def format_scalar(x: Scalar) -> str:
     """Exact text rendering: ``p/q``, or a bare integer."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return repr(x)
-
-
-def approx(x: Scalar) -> float:
-    return float(x)
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"

@@ -264,6 +264,39 @@ class TestOptimalFaceTieBreak:
         assert captured.err == f"verification error: forward {message}\n"
 
 
+class TestGridProgramAgainstHighs:
+    @pytest.mark.parametrize("seed, points", [(1, 24), (2, 48), (6, 72)])
+    def test_value_matches_highs(self, seed, points):
+        """The grid program solved by HiGHS in floats has the exact
+        forward value as its optimum. The seeds are the first whose optimum
+        acquires information (more than one atom)."""
+        pytest.importorskip("scipy")
+        from scipy.optimize import linprog
+
+        rng = random.Random(seed)
+        problem = ForwardProblem.build(
+            random_prior(rng, 5), random_menu(rng, "m", 3),
+            (concave_cost if seed % 2 else dip_cost)(rng), uniform_points=points,
+        )
+        sol = solve_forward(problem)
+        assert len(sol.distribution.atoms) > 1
+        program = forward._grid_lp(problem, problem.grid, sol.objective)
+        a_eq, b_eq, a_ub, b_ub = [], [], [], []
+        for con in program.constraints:
+            row = [0.0] * program.num_vars
+            for j, v in con.terms:
+                row[j] = float(v)
+            a, b = (a_eq, b_eq) if con.relation == lp.EQ else (a_ub, b_ub)
+            a.append(row)
+            b.append(float(con.rhs))
+        c = [0.0] * program.num_vars
+        for j, v in program.objective:
+            c[j] = -float(v)
+        ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, method="highs")
+        assert ref.status == 0, ref.message
+        assert -ref.fun == pytest.approx(float(sol.value), rel=1e-9, abs=1e-9)
+
+
 class TestOracle:
     def test_refinement_never_moves_piecewise_linear_values(
         self, three_act_menu, four_state_uniform_prior, steep_pooling_cost

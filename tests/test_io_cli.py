@@ -295,6 +295,29 @@ class TestCliExitCodes:
         assert out["oracle"]["value"]["exact"] == "5/32"
         assert out["oracle"]["matches"] is True
 
+    @pytest.mark.parametrize(
+        "variance_kappa, shift, code",
+        [(None, 1, 1), (None, -1, 1), ("1/4", 1, 0), ("1/4", -1, 1)],
+    )
+    def test_solve_refine_exit_code_follows_the_oracle(
+        self, tmp_path, monkeypatch, capsys, variance_kappa, shift, code
+    ):
+        """A refined value off the optimum of a piecewise-affine objective,
+        or below the optimum of a quadratic one, exits 1 after the report."""
+        doc = json.loads(Path(fixture_path("example3_forward.json")).read_text())
+        if variance_kappa:
+            doc["cost"] = {"variance_kappa": variance_kappa}
+        spec = tmp_path / "forward.json"
+        spec.write_text(json.dumps(doc))
+        optimum = solve_forward(io.parse_forward_problem(doc)).value
+        monkeypatch.setattr(cli, "oracle_value", lambda problem, resolution: optimum + shift)
+        assert run_cli("solve", str(spec), "--refine", "16") == code
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out["oracle"]["matches"] is False
+        assert io.scalar_in(out["oracle"]["value"]) == optimum + shift
+        assert captured.err == ("oracle value disagrees with the optimum\n" if code else "")
+
     def test_cost_without_a_known_key_is_input_error(self, tmp_path, capsys):
         doc = json.loads(Path(fixture_path("example3_forward.json")).read_text())
         doc["cost"] = {"kappa": "1/4"}

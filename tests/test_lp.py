@@ -7,13 +7,14 @@ vertex value must match the simplex value exactly.
 """
 
 import itertools
+import math
 from dataclasses import replace
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from infocost import lp
+from infocost import ForwardProblem, lp, solve_forward
 from infocost.lp import (
     LE,
     EQ,
@@ -423,6 +424,112 @@ class TestAgainstHighs:
                 assert verify_certificate(program, out.certificate)
             statuses.append(out.status)
         assert min(statuses.count(s) for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) >= 5
+
+
+def textbook_eliminate(row, prow, pc, support):
+    """Reference elimination: ``row * piv - f * prow`` over every entry,
+    the entries past the pivot row's end (the objective's scale) times
+    ``piv``, divided by the gcd. ``support`` is ignored."""
+    piv, f = prow[pc], row[pc]
+    out = [v * piv - f * p for v, p in zip(row, prow)]
+    out += [v * piv for v in row[len(prow):]]
+    g = math.gcd(*out)
+    return [v // g for v in out] if g > 1 else out
+
+
+def traced(run, eliminate):
+    """``run()`` with ``eliminate`` as the kernel's elimination step, and
+    the pivots ``(row, column)`` it takes, one list per objective set."""
+    phases = []
+    set_objective, pivot = lp._Tableau.set_objective, lp._Tableau.pivot
+
+    def traced_set_objective(tab, costs):
+        phases.append([])
+        set_objective(tab, costs)
+
+    def traced_pivot(tab, pr, pc):
+        phases[-1].append((pr, pc))
+        pivot(tab, pr, pc)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_eliminate", eliminate)
+        mp.setattr(lp._Tableau, "set_objective", traced_set_objective)
+        mp.setattr(lp._Tableau, "pivot", traced_pivot)
+        return run(), phases
+
+
+class TestEliminationPath:
+    """The kernel's elimination (gcd-reduced multipliers, the pivot row
+    subtracted on its support only) must give the same integers as the
+    textbook one, so every pivot and every outcome is the same."""
+
+    def random_pair(self, rng: random.Random):
+        n = rng.randint(2, 14)
+        pc = rng.randrange(n)
+
+        def entry(density):
+            return rng.choice([-1, 1]) * rng.randint(1, 60) if rng.random() < density else 0
+
+        prow = [entry(0.4) for _ in range(n)]
+        prow[pc] = rng.choice([1, rng.randint(1, 40)])
+        row = [entry(0.5) for _ in range(n + rng.randint(0, 1))]
+        row[pc] = rng.choice([
+            rng.choice([-1, 1]) * rng.randint(1, 40),
+            -prow[pc] * rng.randint(1, 5),  # a pivot that divides f, f negative
+            prow[pc] * rng.randint(1, 5),
+        ])
+        g = rng.randint(1, 6)  # a row that is not primitive
+        return [g * v for v in row], prow, pc
+
+    def test_eliminate_matches_the_textbook_step(self):
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(2000):
+            row, prow, pc = self.random_pair(rng)
+            piv, f = prow[pc], row[pc]
+            support = [j for j, v in enumerate(prow) if v]
+            before = list(row)
+            out = lp._eliminate(row, prow, pc, support)
+            assert row == before
+            assert out == textbook_eliminate(row, prow, pc, support)
+            assert len(out) == len(row) and out[pc] == 0
+            assert math.gcd(*out) in (0, 1)
+            # a positive multiple of row - (f / piv) * prow
+            exact = [F(v) - F(f, piv) * p for v, p in zip(row, prow)] + row[len(prow):]
+            k = next((j for j, v in enumerate(out) if v), None)
+            if k is not None:
+                t = out[k] / exact[k]
+                assert t > 0
+                assert all(v == t * e for v, e in zip(out, exact))
+            seen.add((f % piv == 0, f < 0, piv == 1, len(row) > len(prow)))
+        assert len(seen) >= 12
+
+    def assert_same_path(self, run):
+        fast, fast_phases = traced(run, lp._eliminate)
+        slow, slow_phases = traced(run, textbook_eliminate)
+        assert fast == slow
+        assert fast_phases == slow_phases
+        return fast, fast_phases
+
+    def test_random_programs_take_the_same_pivots(self):
+        rng = random.Random(307)
+        statuses = set()
+        for _ in range(120):
+            program = TestAgainstHighs().random_program(rng)
+            outcome, _ = self.assert_same_path(lambda: solve(program))
+            statuses.add(outcome.status)
+        assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+    def test_forward_grid_solve_takes_the_same_pivots(
+        self, three_act_menu, four_state_uniform_prior, steep_pooling_cost
+    ):
+        problem = ForwardProblem.build(
+            four_state_uniform_prior, three_act_menu, steep_pooling_cost, uniform_points=60
+        )
+        assert len(problem.grid) >= 60
+        _, phases = self.assert_same_path(lambda: solve_forward(problem))
+        assert len(phases) == 8  # four programs, two phases each
+        assert sum(map(len, phases)) > 60
 
 
 class TestDuals:

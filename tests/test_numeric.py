@@ -36,6 +36,7 @@ def test_format_scalar():
     assert numeric.format_scalar(F(3, 7)) == "3/7"
     assert numeric.format_scalar(F(4)) == "4"
     assert numeric.format_scalar(F(-1, 2)) == "-1/2"
+    assert numeric.format_scalar(sum([])) == "0"  # an empty sum is the int 0
 
 
 def test_exact_comparisons_in_rational_mode():
