@@ -194,9 +194,11 @@ def _flattest_multipliers(
     if outcome.status != lp.OPTIMAL:
         raise RuntimeError("flattest-multiplier selection failed")
     assert outcome.x is not None and outcome.duals is not None
-    # weak duality: a feasible beta of value -mass proves the minimum
+    # weak duality: a feasible beta of value -mass proves the minimum; the
+    # value is b . beta of the beta checked, not the solver's report
     mass = sum(v for v, f in zip(outcome.duals, free_columns) if not f)
-    if mass != -outcome.objective_value or not lp.satisfies(relaxed, outcome.x):
+    value = sum(v * outcome.x[i] for i, v in relaxed.objective)
+    if not -mass == value == outcome.objective_value or not lp.satisfies(relaxed, outcome.x):
         raise RuntimeError("flattest multipliers failed the duality check")
     return outcome.duals
 

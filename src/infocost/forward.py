@@ -49,7 +49,7 @@ from .model import SDSC, Dataset, Menu, Observation, Prior, utility
 from .numeric import Scalar
 from .piecewise import PiecewiseScalarFunction, sorted_points
 from .recovery import hinge, menu_value_function, price_function
-from .revealed import DiscreteCDF
+from .revealed import DiscreteCDF, prior_cdf
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,7 @@ class ForwardProblem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", sorted_points(self.grid))
-        need = {numeric.scalar(0), numeric.scalar(1)}
-        need.update(
-            z
-            for z, w in zip(self.prior.state_space.states, self.prior.weights)
-            if w > 0
-        )
+        need = {numeric.scalar(0), numeric.scalar(1), *prior_cdf(self.prior).support}
         if not need <= set(self.grid):
             raise ValueError("grid must contain 0, 1, and every prior support point")
 
@@ -82,11 +77,7 @@ class ForwardProblem:
         """Assemble the canonical grid: prior support, both functions'
         breakpoints, the prior mean, plus any extra or uniform points."""
         pts = {numeric.scalar(0), numeric.scalar(1), prior.mean}
-        pts.update(
-            z
-            for z, w in zip(prior.state_space.states, prior.weights)
-            if w > 0
-        )
+        pts.update(prior_cdf(prior).support)
         pts.update(menu_value_function(menu).breakpoints)
         pts.update(cost.breakpoints)
         pts.update(extra)
@@ -115,11 +106,7 @@ def _grid_lp(problem: ForwardProblem, grid, objective: PiecewiseScalarFunction):
     mass, the row at 1 fixes the mean, and every interior row is the
     contraction constraint at that grid point.
     """
-    support = [
-        (s, w)
-        for s, w in zip(problem.prior.state_space.states, problem.prior.weights)
-        if w > 0
-    ]
+    support = prior_cdf(problem.prior).atoms
     cons = [
         lp.constraint(
             {j: hinge(gp, g) for j, g in enumerate(grid)},
@@ -215,11 +202,7 @@ def _certified_price(problem: ForwardProblem, program: lp.LinearProgram, f, mult
         raise RuntimeError("forward price fails to majorize the objective on the grid")
     value = sum(f[j] * v for j, v in program.objective)
     on_f = sum(f[j] * price(g) for j, g in enumerate(grid))
-    on_prior = sum(
-        w * price(z)
-        for z, w in zip(problem.prior.state_space.states, problem.prior.weights)
-        if w > 0
-    )
+    on_prior = sum(w * price(z) for z, w in prior_cdf(problem.prior).atoms)
     if not value == on_f == on_prior:
         raise RuntimeError("forward price integrals disagree with the objective")
     return price, value

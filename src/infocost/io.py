@@ -9,6 +9,7 @@ is accepted only when it is affine-consistent in the state.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Mapping, Sequence
 
 from . import numeric
@@ -31,6 +32,23 @@ class InputError(ValueError):
     """Malformed input document."""
 
 
+def _document(what: str):
+    """Report a ``TypeError`` or ``AttributeError`` raised while parsing a
+    ``what``, a JSON value of the wrong type, as an ``InputError``."""
+
+    def wrap(parse):
+        @functools.wraps(parse)
+        def parse_document(doc):
+            try:
+                return parse(doc)
+            except (TypeError, AttributeError) as err:
+                raise InputError(f"malformed {what}: {err}") from None
+
+        return parse_document
+
+    return wrap
+
+
 def scalar_out(x: Scalar) -> dict[str, Any]:
     return {"exact": numeric.format_scalar(x), "approx": float(x)}
 
@@ -39,8 +57,11 @@ def scalar_in(obj: Any) -> Scalar:
     if isinstance(obj, Mapping):
         if "exact" not in obj:
             raise InputError("scalar object without an 'exact' field")
-        return numeric.scalar(obj["exact"])
-    return numeric.scalar(obj)
+        obj = obj["exact"]
+    try:
+        return numeric.scalar(obj)
+    except TypeError as err:
+        raise InputError(str(err)) from None
 
 
 def _parse_act(obj: Mapping[str, Any], states: Sequence[Scalar]) -> Act:
@@ -68,6 +89,7 @@ def _parse_menu(menu_id: str, acts: Sequence[Any], states) -> Menu:
     return Menu(id=menu_id, acts=tuple(_parse_act(a, states) for a in acts))
 
 
+@_document("dataset")
 def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
     try:
         states = tuple(scalar_in(z) for z in doc["states"])
@@ -191,6 +213,7 @@ def _prior_menus_cost(doc: Mapping[str, Any], what: str, parse_menus):
     return prior, menus, parse_cost(cost_doc, prior.mean)
 
 
+@_document("forward problem")
 def parse_forward_problem(doc: Mapping[str, Any]) -> ForwardProblem:
     prior, menu, cost = _prior_menus_cost(
         doc,
@@ -200,6 +223,7 @@ def parse_forward_problem(doc: Mapping[str, Any]) -> ForwardProblem:
     return ForwardProblem.build(prior, menu, cost)
 
 
+@_document("generation spec")
 def parse_generation_spec(doc: Mapping[str, Any]):
     def parse_menus(states):
         menus_doc = doc.get("menus")
@@ -207,7 +231,13 @@ def parse_generation_spec(doc: Mapping[str, Any]):
             raise InputError("generation spec needs a nonempty 'menus' mapping")
         return [_parse_menu(name, acts, states) for name, acts in menus_doc.items()]
 
-    return _prior_menus_cost(doc, "generation spec", parse_menus)
+    prior, menus, cost = _prior_menus_cost(doc, "generation spec", parse_menus)
+    # the generated dataset carries these states and prior, so a spec that
+    # ``validate`` would reject is rejected here
+    problems = [*prior.state_space.problems(), *prior.problems()]
+    if problems:
+        raise InputError("generation spec is invalid: " + "; ".join(problems))
+    return prior, menus, cost
 
 
 def function_out(fn: PiecewiseScalarFunction) -> dict[str, Any]:

@@ -216,11 +216,7 @@ def _audit_observation(
     affine_off_binding = affine_slack == 0
 
     lhs = sum(p * price(z) for z, p in summary.cdf.atoms)
-    rhs = sum(
-        w * price(z)
-        for z, w in zip(prior.state_space.states, prior.weights)
-        if w > 0
-    )
+    rhs = sum(w * price(z) for z, w in f0.atoms)
     integral_slack = abs(lhs - rhs)
     integral_match = integral_slack == 0
 

@@ -4,8 +4,10 @@ A distribution of posterior means is Bayes-feasible exactly when it is a
 mean-preserving contraction (MPC) of the prior: the running integral of
 (prior CDF - candidate CDF) stays nonnegative and closes to zero at 1.
 That running integral, the "gap", is piecewise linear with kinks only at
-atom locations, so every predicate here reduces to finitely many exact
-evaluations.
+atom locations, so every predicate here reads one table of exact
+evaluations at the kinks (``_gap_table``). ``positive_gap_intervals``,
+``binding_set`` and ``is_monotone_partitional`` require an MPC pair and
+raise ``ValueError`` on any other.
 
 An observation's revealed statistics come from one pass over its choice
 data: each act's joint mass with every state gives both its probability
@@ -77,6 +79,7 @@ class DiscreteCDF:
 
 
 def prior_cdf(prior: Prior) -> DiscreteCDF:
+    """The prior as a distribution: an atom at each state of positive weight."""
     return DiscreteCDF.from_pairs(
         (z, w)
         for z, w in zip(prior.state_space.states, prior.weights)
@@ -100,11 +103,12 @@ def mpc_gap(prior_cdf: DiscreteCDF, f: DiscreteCDF, z: Scalar) -> Scalar:
     return acc
 
 
-def _kinks(prior_cdf: DiscreteCDF, f: DiscreteCDF) -> list[Scalar]:
-    pts = {numeric.scalar(0), numeric.scalar(1)}
-    pts.update(prior_cdf.support)
-    pts.update(f.support)
-    return sorted(pts)
+def _gap_table(
+    prior_cdf: DiscreteCDF, f: DiscreteCDF, extra=()
+) -> dict[Scalar, Scalar]:
+    """The gap at 0, 1, both supports and ``extra``, in increasing order."""
+    points = {numeric.scalar(0), numeric.scalar(1), *prior_cdf.support, *f.support, *extra}
+    return {z: mpc_gap(prior_cdf, f, z) for z in sorted(points)}
 
 
 def _contracts(gaps: dict[Scalar, Scalar]) -> bool:
@@ -117,66 +121,36 @@ def _contracts(gaps: dict[Scalar, Scalar]) -> bool:
     return all(v >= 0 for v in gaps.values()) and gaps[1] == 0
 
 
+def _mpc_gaps(
+    prior_cdf: DiscreteCDF, f: DiscreteCDF, caller: str, extra=()
+) -> dict[Scalar, Scalar]:
+    """``_gap_table``, or a ``ValueError`` naming ``caller`` when the pair
+    is not an MPC."""
+    gaps = _gap_table(prior_cdf, f, extra)
+    if not _contracts(gaps):
+        raise ValueError(f"{caller} requires a mean-preserving contraction")
+    return gaps
+
+
 def is_mpc(prior_cdf: DiscreteCDF, f: DiscreteCDF) -> bool:
     """True iff ``f`` is a mean-preserving contraction of the prior."""
-    return _contracts({k: mpc_gap(prior_cdf, f, k) for k in _kinks(prior_cdf, f)})
-
-
-def gap_zero_intervals(
-    prior_cdf: DiscreteCDF, f: DiscreteCDF
-) -> tuple[tuple[Scalar, Scalar], ...]:
-    """Exact zero set of the gap as maximal closed intervals.
-
-    Point zeros come out as degenerate intervals. Interior zeros of a
-    linear piece (possible only when the pair is not an MPC) are solved by
-    linear interpolation.
-    """
-    ks = _kinks(prior_cdf, f)
-    vals = [mpc_gap(prior_cdf, f, k) for k in ks]
-    pieces: list[tuple[Scalar, Scalar]] = []
-
-    def add(lo: Scalar, hi: Scalar) -> None:
-        if pieces and pieces[-1][1] >= lo:
-            pieces[-1] = (pieces[-1][0], max(pieces[-1][1], hi))
-        else:
-            pieces.append((lo, hi))
-
-    for i in range(len(ks) - 1):
-        a, b = ks[i], ks[i + 1]
-        va, vb = vals[i], vals[i + 1]
-        za, zb = va == 0, vb == 0
-        if za and zb:
-            add(a, b)
-            continue
-        if za:
-            add(a, a)
-        if zb:
-            add(b, b)
-        if not za and not zb and (va > 0) != (vb > 0):
-            t = va / (va - vb)
-            x = a + t * (b - a)
-            add(x, x)
-    return tuple(pieces)
+    return _contracts(_gap_table(prior_cdf, f))
 
 
 def positive_gap_intervals(
     prior_cdf: DiscreteCDF, f: DiscreteCDF
 ) -> tuple[tuple[Scalar, Scalar], ...]:
-    """Maximal intervals of [0, 1] with nonzero gap strictly inside.
+    """Maximal open intervals of [0, 1] where the gap is positive: the
+    regions where the contraction constraint is slack.
 
-    For an MPC pair these are exactly the regions where the contraction
-    constraint is slack.
+    Requires an MPC pair (a ``ValueError`` otherwise). Its gap is
+    nonnegative and linear between kinks, so it is positive exactly
+    between two consecutive zero kinks with a kink between them.
     """
-    zeros = gap_zero_intervals(prior_cdf, f)
-    out: list[tuple[Scalar, Scalar]] = []
-    edge = numeric.scalar(0)
-    for lo, hi in zeros:
-        if edge < lo:
-            out.append((edge, lo))
-        edge = max(edge, hi)
-    if edge < 1:
-        out.append((edge, numeric.scalar(1)))
-    return tuple(out)
+    gaps = _mpc_gaps(prior_cdf, f, "positive_gap_intervals")
+    kinks = list(gaps)
+    zeros = [i for i, z in enumerate(kinks) if gaps[z] == 0]
+    return tuple((kinks[i], kinks[j]) for i, j in zip(zeros, zeros[1:]) if j > i + 1)
 
 
 def binding_set(
@@ -187,24 +161,21 @@ def binding_set(
     The gap is evaluated once at each kink and state, and those values
     also decide that the pair is an MPC; a ``ValueError`` otherwise.
     """
-    points = {*_kinks(prior_cdf, f), *state_space.states}
-    gaps = {z: mpc_gap(prior_cdf, f, z) for z in points}
-    if not _contracts(gaps):
-        raise ValueError("binding_set requires a mean-preserving contraction")
+    gaps = _mpc_gaps(prior_cdf, f, "binding_set", state_space.states)
     return tuple(z for z in state_space.states if gaps[z] == 0)
 
 
 def is_monotone_partitional(prior_cdf: DiscreteCDF, f: DiscreteCDF) -> bool:
-    """True iff the gap vanishes somewhere between consecutive support points."""
-    if not is_mpc(prior_cdf, f):
-        raise ValueError("is_monotone_partitional requires a mean-preserving contraction")
-    zeros = gap_zero_intervals(prior_cdf, f)
+    """True iff the gap vanishes somewhere between consecutive support points.
+
+    Requires an MPC pair (a ``ValueError`` otherwise). Its zeros are kinks
+    or whole segments between zero kinks, and support points are kinks,
+    so a zero kink in each closed gap between support points decides it.
+    """
+    gaps = _mpc_gaps(prior_cdf, f, "is_monotone_partitional")
+    zeros = [z for z, v in gaps.items() if v == 0]
     supp = f.support
-    for z1, z2 in zip(supp, supp[1:]):
-        hit = any(lo <= z2 and hi >= z1 for lo, hi in zeros)
-        if not hit:
-            return False
-    return True
+    return all(any(z1 <= z <= z2 for z in zeros) for z1, z2 in zip(supp, supp[1:]))
 
 
 @dataclass(frozen=True)

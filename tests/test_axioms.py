@@ -5,6 +5,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction as F
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -30,11 +31,38 @@ from infocost.axioms import _alternative_program
 from infocost.revealed import binding_set, prior_cdf, revealed_summary
 from test_acceptance import _swap_fixture
 
+GOLDEN = Path(__file__).parent / "golden"
+
 def singleton_observation(prior, act=None, label="solo"):
     act = act or Act("only", F(0), F(0))
     menu = Menu(id=label, acts=(act,))
     rows = ((F(1),) * len(prior.state_space.states),)
     return Observation(prior=prior, menu=menu, sdsc=SDSC(rows=rows))
+
+
+def forged_flattest_solve(ds):
+    """``lp.solve`` with the answer to ``check_nipmc(ds, flattest=True)``'s
+    program forged: beta = 0, the plain (not flattest) multipliers as
+    duals, and an objective value of minus their interior mass, which
+    beta = 0 does not attain. Returns the forgery and that mass."""
+    system = build_farkas_system(ds)
+    relaxed = _alternative_program(system.to_linear_program(), F(-1), False)
+    plain = check_nipmc(ds).multipliers
+    duals = tuple(plain[c] for c in system.columns)
+    mass = sum(v for v, free in zip(duals, system.free_columns) if not free)
+    real_solve = lp.solve
+
+    def forged(program, **kwargs):
+        if program != relaxed:
+            return real_solve(program, **kwargs)
+        return lp.LPOutcome(
+            status=lp.OPTIMAL,
+            x=(F(0),) * relaxed.num_vars,
+            objective_value=-mass,
+            duals=duals,
+        )
+
+    return forged, mass
 
 
 def example3_twice():
@@ -271,6 +299,19 @@ class TestNipmc:
         with pytest.raises(RuntimeError, match="duality check"):
             check_nipmc(ds, flattest=True)
         assert corrupted
+
+    def test_flattest_value_is_recomputed_from_beta(self, monkeypatch):
+        """A solver that reports the plain multipliers' interior mass as
+        the minimum, with beta = 0, is caught: b . beta is 0, not -mass."""
+        ds = io.parse_dataset(json.loads((GOLDEN / "generated_s0.json").read_text()))
+        forged, mass = forged_flattest_solve(ds)
+        assert mass > sum(
+            v for (_, z), v in check_nipmc(ds, flattest=True).multipliers.items()
+            if 0 < z < 1
+        )
+        monkeypatch.setattr(lp, "solve", forged)
+        with pytest.raises(RuntimeError, match="duality check"):
+            check_nipmc(ds, flattest=True)
 
     def test_flattest_solves_one_program_on_passing_data(self, monkeypatch):
         real_solve = lp.solve

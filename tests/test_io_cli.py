@@ -13,6 +13,7 @@ from infocost.io import InputError
 from infocost.model import validate_dataset
 from infocost.piecewise import PiecewiseScalarFunction
 from infocost.recovery import RationalizationReport, verify_rationalization
+from test_axioms import forged_flattest_solve
 
 
 def fixture_path(name: str) -> str:
@@ -237,6 +238,16 @@ class TestCliExitCodes:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_forged_flattest_minimum_is_exit_1(self, monkeypatch, capsys):
+        path = Path(__file__).parent / "golden" / "generated_s0.json"
+        forged, _ = forged_flattest_solve(io.parse_dataset(json.loads(path.read_text())))
+        monkeypatch.setattr(lp, "solve", forged)
+        assert run_cli("check", str(path), "--flattest") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("verification error: ")
+        assert captured.err.count("\n") == 1
+
     def test_emitted_cost_and_price_reverify(self, capsys):
         run_cli("recover", fixture_path("example3_dataset.json"))
         out = json.loads(capsys.readouterr().out)
@@ -355,6 +366,55 @@ class TestCliExitCodes:
         )
         assert run_cli("check", str(generated)) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("states", ["0", "2/3", "1/3", "1"], "states not strictly increasing at 2/3, 1/3"),
+            ("prior", ["0", "1/2", "1/4", "1/4"], "prior must put mass on state 0"),
+            ("prior", ["1/4", "1/2", "1/4", "0"], "prior must put mass on state 1"),
+        ],
+        ids=["unsorted-states", "no-mass-at-0", "no-mass-at-1"],
+    )
+    def test_generate_rejects_a_spec_validate_would_reject(
+        self, tmp_path, capsys, field, value, problem
+    ):
+        doc = json.loads(Path(fixture_path("example3_generate.json")).read_text())
+        doc[field] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert run_cli("generate", str(spec)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: generation spec is invalid: {problem}\n"
+
+    @pytest.mark.parametrize(
+        "command, fixture, where, value",
+        [
+            ("solve", "example3_forward.json", ("prior", 1), True),
+            ("solve", "example3_forward.json", ("prior", 1), None),
+            ("solve", "example3_forward.json", ("prior", 1), [1]),
+            ("check", "example3_dataset.json", ("states",), 3),
+            ("check", "example3_dataset.json", ("observations", 0, "sigma", 0), 1),
+        ],
+        ids=["prior-true", "prior-null", "prior-list", "states-number", "sigma-row-number"],
+    )
+    def test_wrong_json_type_is_input_error(
+        self, tmp_path, capsys, command, fixture, where, value
+    ):
+        doc = json.loads(Path(fixture_path(fixture)).read_text())
+        *parents, last = where
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(command, str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+        assert captured.err.count("\n") == 1
 
     def test_output_file_flag(self, tmp_path):
         target = tmp_path / "report.json"

@@ -27,7 +27,6 @@ from infocost import (
     prior_cdf,
     revealed_summary,
 )
-from infocost.revealed import gap_zero_intervals
 
 
 def gap_oracle(f0: DiscreteCDF, f: DiscreteCDF, z: F) -> F:
@@ -175,14 +174,57 @@ class TestBindingSet:
 class TestZeroIntervals:
     def test_identical_is_one_big_interval(self, four_state_uniform_prior):
         f0 = prior_cdf(four_state_uniform_prior)
-        assert gap_zero_intervals(f0, f0) == ((F(0), F(1)),)
+        assert positive_gap_intervals(f0, f0) == ()
 
     def test_pooled_zero_set_and_complement(self, four_state_uniform_prior):
         f0 = prior_cdf(four_state_uniform_prior)
         f = DiscreteCDF(atoms=((F(0), F(1, 4)), (F(1, 2), F(1, 2)), (F(1), F(1, 4))))
-        zeros = gap_zero_intervals(f0, f)
-        assert zeros == ((F(0), F(1, 3)), (F(2, 3), F(1)))
         assert positive_gap_intervals(f0, f) == ((F(1, 3), F(2, 3)),)
+
+    def test_matches_gap_oracle(self):
+        """On random pairs the slack intervals are the maximal runs of
+        kink-to-kink pieces whose oracle gap is positive at the midpoint,
+        split at zero kinks, and a pair is monotone partitional exactly
+        when a kink or midpoint with zero oracle gap lies between each two
+        consecutive support points. Both raise on a pair that is not an
+        MPC."""
+        rng = random.Random(53)
+        rejected = 0
+        partitional = set()
+        for trial in range(150):
+            source = random_cdf(rng)
+            garbled = _random_revealed(rng, source)
+            f0, f = [(source, garbled), (garbled, source), (source, random_cdf(rng))][trial % 3]
+            kinks = sorted({F(0), F(1), *f0.support, *f.support})
+            mids = [(a + b) / 2 for a, b in zip(kinks, kinks[1:])]
+            contracts = all(gap_oracle(f0, f, k) >= 0 for k in kinks) and (
+                gap_oracle(f0, f, F(1)) == 0
+            )
+            if not contracts:
+                rejected += 1
+                with pytest.raises(ValueError):
+                    positive_gap_intervals(f0, f)
+                with pytest.raises(ValueError):
+                    is_monotone_partitional(f0, f)
+                continue
+            slack: list[tuple[F, F]] = []
+            for (a, b), mid in zip(zip(kinks, kinks[1:]), mids):
+                if gap_oracle(f0, f, mid) == 0:
+                    continue
+                if slack and slack[-1][1] == a and gap_oracle(f0, f, a) > 0:
+                    slack[-1] = (slack[-1][0], b)
+                else:
+                    slack.append((a, b))
+            assert positive_gap_intervals(f0, f) == tuple(slack)
+            zeros = [x for x in (*kinks, *mids) if gap_oracle(f0, f, x) == 0]
+            expected = all(
+                any(z1 <= x <= z2 for x in zeros)
+                for z1, z2 in zip(f.support, f.support[1:])
+            )
+            assert is_monotone_partitional(f0, f) == expected
+            partitional.add(expected)
+        assert 0 < rejected < 150
+        assert partitional == {True, False}
 
 
 class TestMonotonePartitional:
