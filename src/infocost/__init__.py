@@ -51,7 +51,6 @@ from .model import (
     utility,
     validate_dataset,
 )
-from .numeric import Scalar, scalar
 from .piecewise import PiecewiseScalarFunction, lower_envelope, upper_envelope
 from .recovery import (
     ObservationAudit,

@@ -15,15 +15,15 @@ multiplication before being reported.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from . import lp, numeric
 from .model import Dataset, utility
-from .numeric import Scalar
 from .recovery import price_terms
 from .revealed import RevealedSummary, binding_set, prior_cdf, revealed_summary
 
 RowKey = tuple[int, int, int, int]  # (obs_a, obs_b, act_a, act_b) indices
-ColKey = tuple[int, Scalar]  # (obs, binding point)
+ColKey = tuple[int, Fraction]  # (obs, binding point)
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class NiasViolation:
     observation: int
     chosen: str
     better: str
-    gain: Scalar
+    gain: Fraction
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,10 @@ class FarkasSystem:
 
     rows: tuple[RowKey, ...]
     columns: tuple[ColKey, ...]
-    terms: tuple[tuple[tuple[int, Scalar], ...], ...]
-    rhs: tuple[Scalar, ...]
+    terms: tuple[tuple[tuple[int, Fraction], ...], ...]
+    rhs: tuple[Fraction, ...]
     free_columns: tuple[bool, ...]
-    binding_sets: tuple[tuple[Scalar, ...], ...]
+    binding_sets: tuple[tuple[Fraction, ...], ...]
     summaries: tuple[RevealedSummary, ...]
 
     def to_linear_program(self) -> lp.LinearProgram:
@@ -115,8 +115,8 @@ def build_farkas_system(dataset: Dataset) -> FarkasSystem:
     columns = tuple((oi, z) for oi, zs in enumerate(bindings) for z in zs)
 
     rows: list[RowKey] = []
-    terms: list[tuple[tuple[int, Scalar], ...]] = []
-    rhs: list[Scalar] = []
+    terms: list[tuple[tuple[int, Fraction], ...]] = []
+    rhs: list[Fraction] = []
     n = len(dataset.observations)
     for oa in range(n):
         menu_a = dataset.observations[oa].menu
@@ -154,12 +154,12 @@ def build_farkas_system(dataset: Dataset) -> FarkasSystem:
 class NipmcVerdict:
     passed: bool
     system: FarkasSystem
-    multipliers: dict[ColKey, Scalar] | None = None
-    certificate: dict[RowKey, Scalar] | None = None
+    multipliers: dict[ColKey, Fraction] | None = None
+    certificate: dict[RowKey, Fraction] | None = None
 
 
 def _alternative_program(
-    program: lp.LinearProgram, interior_floor: Scalar, normalized: bool
+    program: lp.LinearProgram, interior_floor: Fraction, normalized: bool
 ) -> lp.LinearProgram:
     """The dual of max ``interior_floor`` * (interior mass) over the
     system ``program``: min b . beta over beta >= 0 with A^T beta = 0 on
@@ -176,18 +176,18 @@ def _alternative_program(
     )
     if not normalized:
         return alternative
-    one = numeric.scalar(1)
+    one = Fraction(1)
     total = lp.constraint({i: one for i in range(alternative.num_vars)}, lp.LE, one)
     return replace(alternative, constraints=alternative.constraints + (total,))
 
 
 def _flattest_multipliers(
     program: lp.LinearProgram, free_columns: tuple[bool, ...]
-) -> tuple[Scalar, ...] | None:
+) -> tuple[Fraction, ...] | None:
     """Multipliers of ``program`` with minimal interior mass, or None when
     the relaxed alternative is unbounded, which is exactly when
     ``program`` is infeasible (beta = 0 is always feasible there)."""
-    relaxed = _alternative_program(program, numeric.scalar(-1), False)
+    relaxed = _alternative_program(program, Fraction(-1), False)
     outcome = lp.solve(relaxed)
     if outcome.status == lp.UNBOUNDED:
         return None
@@ -224,11 +224,11 @@ def check_nipmc(dataset: Dataset, *, flattest: bool = False) -> NipmcVerdict:
     system = build_farkas_system(dataset)
     program = system.to_linear_program()
     n = len(system.columns)
-    lam: tuple[Scalar, ...] | None = (numeric.scalar(0),) * n
+    lam: tuple[Fraction, ...] | None = (Fraction(0),) * n
     if system.rows:
         lam = _flattest_multipliers(program, system.free_columns) if flattest else None
         if lam is None:
-            outcome = lp.solve(_alternative_program(program, numeric.scalar(0), True))
+            outcome = lp.solve(_alternative_program(program, Fraction(0), True))
             if outcome.status != lp.OPTIMAL:
                 raise RuntimeError("cycle alternative has no optimum")
             assert outcome.x is not None and outcome.duals is not None
@@ -258,13 +258,13 @@ def explain_violation(verdict: NipmcVerdict, dataset: Dataset) -> str:
     assert verdict.certificate is not None
     system = verdict.system
     beta = tuple(
-        verdict.certificate.get(key, numeric.scalar(0)) for key in system.rows
+        verdict.certificate.get(key, Fraction(0)) for key in system.rows
     )
     if not lp.verify_certificate(system.to_linear_program(), beta):
         raise ValueError("certificate fails the reallocation conditions")
 
     gain = sum(
-        (b * r for b, r in zip(beta, system.rhs)), start=numeric.scalar(0)
+        (b * r for b, r in zip(beta, system.rhs)), start=Fraction(0)
     )
     lines = [
         "improving posterior-mean reallocation found:",

@@ -3,8 +3,8 @@
 Exit codes are a stable contract: 0 for success or a passing check, 1 for
 a principled rejection (invalid dataset, axiom violation) or a failed
 re-check of a result (a recovery whose audit fails, a certificate or
-multipliers that fail direct verification), 2 for input errors, 3 for
-resource exhaustion.
+multipliers that fail direct verification), 2 for input errors (an
+output path that cannot be written among them), 3 for resource exhaustion.
 """
 
 from __future__ import annotations
@@ -342,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as err:
         print(f"verification error: {err}", file=sys.stderr)
         return EXIT_REJECTED
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

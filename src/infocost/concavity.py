@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
-from . import lp, numeric
+from . import lp
 from .axioms import FarkasSystem, build_farkas_system
 from .model import Dataset, indirect_utility
-from .numeric import Scalar
 from .piecewise import PiecewiseScalarFunction
 from .recovery import (
     _cost_from_prices,
@@ -58,7 +58,7 @@ class ConcavityVerdict:
     status: str
     programs_solved: int
     assignment: tuple[int, ...] | None = None
-    multipliers: dict[tuple[int, Scalar], Scalar] | None = None
+    multipliers: dict[tuple[int, Fraction], Fraction] | None = None
     cost: PiecewiseScalarFunction | None = None
 
 
@@ -75,7 +75,7 @@ def _state_rows(
     rows: list[lp.Constraint] = []
     if (gen, z) in system.columns:
         col = system.columns.index((gen, z))
-        rows.append(lp.constraint({col: numeric.scalar(1)}, lp.EQ, numeric.scalar(0)))
+        rows.append(lp.constraint({col: Fraction(1)}, lp.EQ, Fraction(0)))
     gen_terms = price_terms(system.columns, gen, z)
     gen_phi = indirect_utility(dataset.observations[gen].menu, z)
     for oi, obs in enumerate(dataset.observations):

@@ -44,9 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import lp, numeric
+from . import lp
 from .model import SDSC, Dataset, Menu, Observation, Prior, utility
-from .numeric import Scalar
 from .piecewise import PiecewiseScalarFunction, sorted_points
 from .recovery import hinge, menu_value_function, price_function
 from .revealed import DiscreteCDF, prior_cdf
@@ -57,11 +56,11 @@ class ForwardProblem:
     prior: Prior
     menu: Menu
     cost: PiecewiseScalarFunction
-    grid: tuple[Scalar, ...]
+    grid: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", sorted_points(self.grid))
-        need = {numeric.scalar(0), numeric.scalar(1), *prior_cdf(self.prior).support}
+        need = {Fraction(0), Fraction(1), *prior_cdf(self.prior).support}
         if not need <= set(self.grid):
             raise ValueError("grid must contain 0, 1, and every prior support point")
 
@@ -71,28 +70,28 @@ class ForwardProblem:
         prior: Prior,
         menu: Menu,
         cost: PiecewiseScalarFunction,
-        extra: tuple[Scalar, ...] = (),
+        extra: tuple[Fraction, ...] = (),
         uniform_points: int = 0,
     ) -> "ForwardProblem":
         """Assemble the canonical grid: prior support, both functions'
         breakpoints, the prior mean, plus any extra or uniform points."""
-        pts = {numeric.scalar(0), numeric.scalar(1), prior.mean}
+        pts = {Fraction(0), Fraction(1), prior.mean}
         pts.update(prior_cdf(prior).support)
         pts.update(menu_value_function(menu).breakpoints)
         pts.update(cost.breakpoints)
         pts.update(extra)
         if uniform_points > 0:
             for j in range(uniform_points + 1):
-                pts.add(numeric.scalar(Fraction(j, uniform_points)))
+                pts.add(Fraction(j, uniform_points))
         return cls(prior=prior, menu=menu, cost=cost, grid=sorted_points(pts))
 
 
 @dataclass(frozen=True)
 class ForwardSolution:
     distribution: DiscreteCDF
-    value: Scalar
+    value: Fraction
     price: PiecewiseScalarFunction
-    multipliers: dict[Scalar, Scalar]
+    multipliers: dict[Fraction, Fraction]
     assignments: tuple[str, ...]
     objective: PiecewiseScalarFunction
 
@@ -125,8 +124,8 @@ def _grid_lp(problem: ForwardProblem, grid, objective: PiecewiseScalarFunction):
 
 
 def _lexicographic(
-    program: lp.LinearProgram, tiebreak: tuple[tuple[int, Scalar], ...]
-) -> tuple[Scalar, ...]:
+    program: lp.LinearProgram, tiebreak: tuple[tuple[int, Fraction], ...]
+) -> tuple[Fraction, ...]:
     """An optimum of ``program`` that minimizes ``tiebreak``.
 
     The second solve runs on the optimal face, which complementary
@@ -143,7 +142,7 @@ def _lexicographic(
         raise RuntimeError(f"forward program unexpectedly {first.status}")
     y = first.duals
     assert y is not None
-    reduced = [numeric.scalar(0)] * program.num_vars
+    reduced = [Fraction(0)] * program.num_vars
     for j, v in program.objective:
         reduced[j] += v
     for yi, con in zip(y, program.constraints):
@@ -173,7 +172,7 @@ def _lexicographic(
     if second.status != lp.OPTIMAL:
         raise RuntimeError(f"forward tie-break program unexpectedly {second.status}")
     assert second.x is not None
-    x = [numeric.scalar(0)] * program.num_vars
+    x = [Fraction(0)] * program.num_vars
     for k, j in enumerate(keep):
         x[j] = second.x[k]
     return tuple(x)
@@ -224,9 +223,8 @@ def solve_forward(problem: ForwardProblem) -> ForwardSolution:
     # flattest optimal price: variable k of the dual multiplies grid point
     # k's price basis function; minimize the total interior mass
     dual = lp.dual(program)
-    one = numeric.scalar(1)
     y = _lexicographic(
-        dual, tuple((k, one) for k, nonneg in enumerate(dual.nonnegative) if nonneg)
+        dual, tuple((k, Fraction(1)) for k, nonneg in enumerate(dual.nonnegative) if nonneg)
     )
     multipliers = dict(zip(grid, y))
     price, value = _certified_price(problem, program, f, multipliers)
@@ -245,12 +243,12 @@ def solve_forward(problem: ForwardProblem) -> ForwardSolution:
     )
 
 
-def _best_act(menu: Menu, z: Scalar) -> str:
+def _best_act(menu: Menu, z: Fraction) -> str:
     """Id of the best act at ``z``; ``max`` keeps the first, lowest index."""
     return max(menu.acts, key=lambda act: utility(act, z)).id
 
 
-def oracle_value(problem: ForwardProblem, resolution: int) -> Scalar:
+def oracle_value(problem: ForwardProblem, resolution: int) -> Fraction:
     """Re-solve on a uniform refinement merged into the problem grid.
 
     Refining can only enlarge the feasible support, so the value is
@@ -264,7 +262,7 @@ def oracle_value(problem: ForwardProblem, resolution: int) -> Scalar:
         raise ValueError("resolution must be at least the grid size")
     pts = set(problem.grid)
     for j in range(resolution):
-        pts.add(numeric.scalar(Fraction(j, resolution - 1)))
+        pts.add(Fraction(j, resolution - 1))
     grid = sorted_points(pts)
     program = _grid_lp(problem, grid, menu_value_function(problem.menu) + problem.cost)
     outcome = lp.solve(program)
@@ -295,7 +293,7 @@ def _decompose(prior: Prior, dist: DiscreteCDF):
         return si * na + ai
 
     cons = []
-    one = numeric.scalar(1)
+    one = Fraction(1)
     for si, (_, _, w) in enumerate(states):
         cons.append(
             lp.constraint({var(si, ai): one for ai in range(na)}, lp.EQ, w)
@@ -349,7 +347,7 @@ def generate_dataset(
     other cost the cycle axiom (``check``) may reject the result.
     """
     observations = []
-    zero = numeric.scalar(0)
+    zero = Fraction(0)
     nstates = len(prior.state_space.states)
     for menu in menus:
         sol = solve_forward(ForwardProblem.build(prior, menu, cost))
@@ -363,7 +361,7 @@ def generate_dataset(
         for zi, (z, w) in enumerate(zip(prior.state_space.states, prior.weights)):
             if w > 0:
                 continue
-            rows[menu.act_index(_best_act(menu, z))][zi] = numeric.scalar(1)
+            rows[menu.act_index(_best_act(menu, z))][zi] = Fraction(1)
         observations.append(
             Observation(
                 prior=prior,

@@ -10,6 +10,7 @@ is accepted only when it is affine-consistent in the state.
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
 from . import numeric
@@ -22,8 +23,8 @@ from .model import (
     Observation,
     Prior,
     StateSpace,
+    endpoint_mass_problems,
 )
-from .numeric import Scalar
 from .piecewise import PiecewiseScalarFunction
 from .recovery import variance_cost
 
@@ -49,22 +50,19 @@ def _document(what: str):
     return wrap
 
 
-def scalar_out(x: Scalar) -> dict[str, Any]:
+def scalar_out(x: Fraction) -> dict[str, Any]:
     return {"exact": numeric.format_scalar(x), "approx": float(x)}
 
 
-def scalar_in(obj: Any) -> Scalar:
+def scalar_in(obj: Any) -> Fraction:
     if isinstance(obj, Mapping):
         if "exact" not in obj:
             raise InputError("scalar object without an 'exact' field")
         obj = obj["exact"]
-    try:
-        return numeric.scalar(obj)
-    except TypeError as err:
-        raise InputError(str(err)) from None
+    return numeric.scalar(obj)
 
 
-def _parse_act(obj: Mapping[str, Any], states: Sequence[Scalar]) -> Act:
+def _parse_act(obj: Mapping[str, Any], states: Sequence[Fraction]) -> Act:
     if "id" not in obj:
         raise InputError("act without an 'id'")
     act_id = str(obj["id"])
@@ -186,7 +184,7 @@ def dataset_out(dataset: Dataset) -> dict[str, Any]:
     }
 
 
-def parse_cost(doc: Mapping[str, Any], z0: Scalar) -> PiecewiseScalarFunction:
+def parse_cost(doc: Mapping[str, Any], z0: Fraction) -> PiecewiseScalarFunction:
     if "breakpoints" in doc:
         points = [(scalar_in(x), scalar_in(y)) for x, y in doc["breakpoints"]]
         return PiecewiseScalarFunction.from_points(points)
@@ -220,6 +218,11 @@ def parse_forward_problem(doc: Mapping[str, Any]) -> ForwardProblem:
         "forward problem",
         lambda states: _parse_menu(str(doc.get("menu_id", "menu")), doc["menu"], states),
     )
+    # unlike a generation spec's, a forward prior may leave an endpoint
+    # state without mass
+    problems = [*prior.state_space.problems(), *prior.problems()]
+    if problems:
+        raise InputError("forward problem is invalid: " + "; ".join(problems))
     return ForwardProblem.build(prior, menu, cost)
 
 
@@ -234,7 +237,11 @@ def parse_generation_spec(doc: Mapping[str, Any]):
     prior, menus, cost = _prior_menus_cost(doc, "generation spec", parse_menus)
     # the generated dataset carries these states and prior, so a spec that
     # ``validate`` would reject is rejected here
-    problems = [*prior.state_space.problems(), *prior.problems()]
+    problems = [
+        *prior.state_space.problems(),
+        *prior.problems(),
+        *endpoint_mass_problems(prior),
+    ]
     if problems:
         raise InputError("generation spec is invalid: " + "; ".join(problems))
     return prior, menus, cost
@@ -250,6 +257,7 @@ def function_out(fn: PiecewiseScalarFunction) -> dict[str, Any]:
     }
 
 
+@_document("function")
 def function_in(doc: Mapping[str, Any]) -> PiecewiseScalarFunction:
     points = [(scalar_in(x), scalar_in(y)) for x, y in doc["breakpoints"]]
     return PiecewiseScalarFunction.from_points(points)
@@ -257,7 +265,7 @@ def function_in(doc: Mapping[str, Any]) -> PiecewiseScalarFunction:
 
 def figure_series(fn: PiecewiseScalarFunction, name: str) -> dict[str, Any]:
     """Plot-ready (x, y) pairs at breakpoints and segment midpoints."""
-    xs: list[Scalar] = []
+    xs: list[Fraction] = []
     for x1, x2 in zip(fn.breakpoints, fn.breakpoints[1:]):
         xs.append(x1)
         xs.append((x1 + x2) / 2)

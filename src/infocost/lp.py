@@ -43,8 +43,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .numeric import Scalar
-
 LE = "<="
 EQ = "="
 GE = ">="
@@ -66,9 +64,9 @@ class LPResourceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Constraint:
-    terms: tuple[tuple[int, Scalar], ...]
+    terms: tuple[tuple[int, Fraction], ...]
     relation: str
-    rhs: Scalar
+    rhs: Fraction
 
     def __post_init__(self) -> None:
         if self.relation not in (LE, EQ, GE):
@@ -77,7 +75,7 @@ class Constraint:
 
 
 def constraint(
-    coefficients: Mapping[int, Scalar], relation: str, rhs: Scalar
+    coefficients: Mapping[int, Fraction], relation: str, rhs: Fraction
 ) -> Constraint:
     terms = tuple(
         sorted((j, v) for j, v in coefficients.items() if v != 0)
@@ -90,7 +88,7 @@ class LinearProgram:
     num_vars: int
     nonnegative: tuple[bool, ...]
     constraints: tuple[Constraint, ...]
-    objective: tuple[tuple[int, Scalar], ...] = ()
+    objective: tuple[tuple[int, Fraction], ...] = ()
     sense: str | None = None
 
     def __post_init__(self) -> None:
@@ -113,17 +111,17 @@ class LinearProgram:
 @dataclass(frozen=True)
 class LPOutcome:
     status: str
-    x: tuple[Scalar, ...] | None = None
-    objective_value: Scalar | None = None
-    certificate: tuple[Scalar, ...] | None = None
-    duals: tuple[Scalar, ...] | None = None
+    x: tuple[Fraction, ...] | None = None
+    objective_value: Fraction | None = None
+    certificate: tuple[Fraction, ...] | None = None
+    duals: tuple[Fraction, ...] | None = None
 
 
-def _row_value(con: Constraint, x: Sequence[Scalar]) -> Scalar:
+def _row_value(con: Constraint, x: Sequence[Fraction]) -> Fraction:
     return sum((v * x[j] for j, v in con.terms), start=Fraction(0))
 
 
-def satisfies(lp: LinearProgram, x: Sequence[Scalar]) -> bool:
+def satisfies(lp: LinearProgram, x: Sequence[Fraction]) -> bool:
     """Exact feasibility of a point."""
     for j in range(lp.num_vars):
         if lp.nonnegative[j] and x[j] < 0:
@@ -140,7 +138,7 @@ def satisfies(lp: LinearProgram, x: Sequence[Scalar]) -> bool:
     return True
 
 
-def verify_certificate(lp: LinearProgram, y: Sequence[Scalar]) -> bool:
+def verify_certificate(lp: LinearProgram, y: Sequence[Fraction]) -> bool:
     """Check the Farkas conditions for ``y`` by direct multiplication."""
     if len(y) != len(lp.constraints):
         return False
@@ -149,7 +147,7 @@ def verify_certificate(lp: LinearProgram, y: Sequence[Scalar]) -> bool:
             return False
         if con.relation == GE and yi > 0:
             return False
-    combo: dict[int, Scalar] = {}
+    combo: dict[int, Fraction] = {}
     for yi, con in zip(y, lp.constraints):
         for j, v in con.terms:
             combo[j] = combo.get(j, Fraction(0)) + yi * v
@@ -181,7 +179,7 @@ def dual(program: LinearProgram) -> LinearProgram:
     cost = [Fraction(0)] * program.num_vars
     for j, v in program.objective:
         cost[j] += v
-    columns: list[list[tuple[int, Scalar]]] = [[] for _ in range(program.num_vars)]
+    columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(program.num_vars)]
     for i, con in enumerate(program.constraints):
         for j, v in con.terms:
             columns[j].append((i, v))
@@ -199,7 +197,7 @@ def dual(program: LinearProgram) -> LinearProgram:
     )
 
 
-def _row_scale(values: Iterable[Scalar]) -> int:
+def _row_scale(values: Iterable[Fraction]) -> int:
     """Positive multiplier turning the row into integers."""
     return math.lcm(*(v.denominator for v in values))
 
@@ -318,7 +316,7 @@ class _Tableau:
         return self.obj[-1]
 
     @property
-    def objective_value(self) -> Scalar:
+    def objective_value(self) -> Fraction:
         return Fraction(-self.obj[-2], self.obj_scale)
 
     def set_objective(self, costs: Sequence[int]) -> None:
@@ -397,7 +395,7 @@ class _Tableau:
             self.pivot(r, pc)
             r += 1
 
-    def structural_solution(self) -> tuple[Scalar, ...]:
+    def structural_solution(self) -> tuple[Fraction, ...]:
         col_val = {b: Fraction(row[-1], row[b]) for row, b in zip(self.rows, self.basis)}
         zero = Fraction(0)
         out = []
@@ -408,7 +406,7 @@ class _Tableau:
             out.append(v)
         return tuple(out)
 
-    def row_multipliers(self, phase_one: bool) -> tuple[Scalar, ...]:
+    def row_multipliers(self, phase_one: bool) -> tuple[Fraction, ...]:
         """Duals of the caller's rows for the current objective.
 
         Each row's initial unit column has reduced cost ``cost - dual``
@@ -423,7 +421,7 @@ class _Tableau:
             y.append((cost - reduced) * self.flip[i] * self.row_scale[i])
         return tuple(y)
 
-    def farkas_certificate(self) -> tuple[Scalar, ...]:
+    def farkas_certificate(self) -> tuple[Fraction, ...]:
         """Multipliers for the original rows from phase-one reduced costs."""
         return tuple(-v for v in self.row_multipliers(phase_one=True))
 
@@ -474,10 +472,10 @@ def to_lp_text(lp: LinearProgram, name: str = "program") -> str:
     not for exact round-trips.
     """
 
-    def num(x: Scalar) -> str:
+    def num(x: Fraction) -> str:
         return repr(float(x))
 
-    def side(terms: Iterable[tuple[int, Scalar]]) -> str:
+    def side(terms: Iterable[tuple[int, Fraction]]) -> str:
         parts = []
         for j, v in terms:
             fv = float(v)

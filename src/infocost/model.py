@@ -12,12 +12,10 @@ concurrent tasks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import numeric
-from .numeric import Scalar
 
 
 @dataclass(frozen=True)
@@ -29,14 +27,14 @@ class Act:
     """
 
     id: str
-    u0: Scalar
-    u1: Scalar
+    u0: Fraction
+    u1: Fraction
 
 
-def utility(act: Act, z: Scalar) -> Scalar:
+def utility(act: Act, z: Fraction) -> Fraction:
     """Expected payoff of ``act`` at posterior mean ``z`` in [0, 1]."""
     if z < 0 or z > 1:
-        raise ValueError(f"posterior mean {z!r} outside [0, 1]")
+        raise ValueError(f"posterior mean {numeric.format_scalar(z)} outside [0, 1]")
     return z * act.u1 + (1 - z) * act.u0
 
 
@@ -60,7 +58,7 @@ class Menu:
         raise KeyError(f"act {act_id!r} not in menu {self.id!r}")
 
 
-def indirect_utility(menu: Menu, z: Scalar) -> Scalar:
+def indirect_utility(menu: Menu, z: Fraction) -> Fraction:
     """Best payoff available from ``menu`` at posterior mean ``z``."""
     return max(utility(act, z) for act in menu.acts)
 
@@ -69,7 +67,7 @@ def indirect_utility(menu: Menu, z: Scalar) -> Scalar:
 class StateSpace:
     """Finite grid of states in [0, 1], normalized to run from 0 to 1."""
 
-    states: tuple[Scalar, ...]
+    states: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "states", tuple(self.states))
@@ -95,13 +93,13 @@ class Prior:
     """Distribution over a state grid, with its mean."""
 
     state_space: StateSpace
-    weights: tuple[Scalar, ...]
+    weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", tuple(self.weights))
 
     @property
-    def mean(self) -> Scalar:
+    def mean(self) -> Fraction:
         return sum(z * w for z, w in zip(self.state_space.states, self.weights))
 
     def problems(self) -> list[str]:
@@ -118,18 +116,28 @@ class Prior:
         total = sum(self.weights)
         if total != 1:
             out.append(f"prior weights sum to {numeric.format_scalar(total)}, not 1")
-        if self.weights[0] <= 0:
-            out.append("prior must put mass on state 0")
-        if self.weights[-1] <= 0:
-            out.append("prior must put mass on state 1")
         return out
+
+
+def endpoint_mass_problems(prior: Prior) -> list[str]:
+    """Rules a prior of choice data adds to ``Prior.problems``: mass on
+    both endpoint states. A forward problem's prior need not meet them."""
+    weights = prior.weights
+    if not weights or len(weights) != len(prior.state_space.states):
+        return []
+    out: list[str] = []
+    if weights[0] <= 0:
+        out.append("prior must put mass on state 0")
+    if weights[-1] <= 0:
+        out.append("prior must put mass on state 1")
+    return out
 
 
 @dataclass(frozen=True)
 class SDSC:
     """State-dependent stochastic choice matrix: rows per act, columns per state."""
 
-    rows: tuple[tuple[Scalar, ...], ...]
+    rows: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
@@ -162,12 +170,6 @@ class ValidationReport:
         return not self.problems
 
 
-def _finite(x: Scalar) -> bool:
-    if isinstance(x, Fraction):
-        return True
-    return math.isfinite(x)
-
-
 def validate_dataset(dataset: Dataset) -> ValidationReport:
     """Collect every violated invariant of ``dataset`` into one report."""
     problems: list[str] = []
@@ -179,7 +181,10 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
         where = f"observation {oi} (menu {obs.menu.id!r})"
         if obs.prior.state_space.states != zs:
             problems.append(f"{where}: prior states differ from dataset state space")
-        problems.extend(f"{where}: {p}" for p in obs.prior.problems())
+        problems.extend(
+            f"{where}: {p}"
+            for p in [*obs.prior.problems(), *endpoint_mass_problems(obs.prior)]
+        )
         nacts = len(obs.menu.acts)
         if len(obs.sdsc.rows) != nacts:
             problems.append(
@@ -207,9 +212,4 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
                         f"{where}: sigma column at state {numeric.format_scalar(z)} "
                         f"sums to {numeric.format_scalar(col)}, not 1"
                     )
-        for act in obs.menu.acts:
-            if not (_finite(act.u0) and _finite(act.u1)):
-                problems.append(f"{where}: act {act.id!r} has non-finite payoff")
-        if not all(_finite(w) for w in obs.prior.weights):
-            problems.append(f"{where}: prior has non-finite weight")
     return ValidationReport(problems=tuple(problems))

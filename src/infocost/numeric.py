@@ -1,8 +1,11 @@
-"""Scalar coercion and rendering.
+"""The two crossings between exact rationals and the outside world.
 
-Every quantity in this package is a ``Scalar``: an exact rational
-(:class:`fractions.Fraction`). Exactness makes every equality and sign
-test a plain comparison, which the feasibility machinery depends on.
+Every quantity in this package is a :class:`fractions.Fraction`.
+Exactness makes every equality and sign test a plain comparison, which
+the feasibility machinery depends on. ``scalar`` turns a value read from
+input into a ``Fraction`` (``io.scalar_in`` is its one caller), and
+``format_scalar`` renders a ``Fraction`` as text, in reports and in
+every message that names a scalar.
 """
 
 from __future__ import annotations
@@ -10,11 +13,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Scalar = Fraction
 
-
-def scalar(value: object) -> Scalar:
-    """Coerce ``value`` to an exact rational.
+def scalar(value: object) -> Fraction:
+    """Coerce an input ``value`` to an exact rational.
 
     Accepts ints, ``"p/q"`` strings, decimal strings, floats, and
     Fractions. Floats are converted through their shortest repr, so a
@@ -35,7 +36,7 @@ def scalar(value: object) -> Scalar:
     raise TypeError(f"cannot coerce {type(value).__name__} to a scalar")
 
 
-def format_scalar(x: Scalar) -> str:
+def format_scalar(x: Fraction) -> str:
     """Exact text rendering: ``p/q``, or a bare integer."""
     if x.denominator == 1:
         return str(x.numerator)

@@ -13,19 +13,19 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import numeric
-from .numeric import Scalar
 
-Coeffs = tuple[Scalar, Scalar, Scalar]
+Coeffs = tuple[Fraction, Fraction, Fraction]
 
 
 @dataclass(frozen=True)
 class PiecewiseScalarFunction:
     """Continuous piecewise function on exactly [0, 1]."""
 
-    breakpoints: tuple[Scalar, ...]
+    breakpoints: tuple[Fraction, ...]
     coefficients: tuple[Coeffs, ...]
 
     def __post_init__(self) -> None:
@@ -47,32 +47,30 @@ class PiecewiseScalarFunction:
             left = _eval(self.coefficients[i - 1], xs[i])
             right = _eval(self.coefficients[i], xs[i])
             if left != right:
-                raise ValueError(f"discontinuity at breakpoint {xs[i]!r}")
+                raise ValueError(f"discontinuity at breakpoint {numeric.format_scalar(xs[i])}")
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def constant(cls, v: Scalar) -> "PiecewiseScalarFunction":
-        return cls.affine(numeric.scalar(0), v)
+    def constant(cls, v: Fraction) -> "PiecewiseScalarFunction":
+        return cls.affine(Fraction(0), v)
 
     @classmethod
-    def affine(cls, slope: Scalar, intercept: Scalar) -> "PiecewiseScalarFunction":
-        zero, one = numeric.scalar(0), numeric.scalar(1)
-        return cls(breakpoints=(zero, one), coefficients=((zero, slope, intercept),))
+    def affine(cls, slope: Fraction, intercept: Fraction) -> "PiecewiseScalarFunction":
+        return cls.quadratic(Fraction(0), slope, intercept)
 
     @classmethod
-    def quadratic(cls, a: Scalar, b: Scalar, c: Scalar) -> "PiecewiseScalarFunction":
-        zero, one = numeric.scalar(0), numeric.scalar(1)
-        return cls(breakpoints=(zero, one), coefficients=((a, b, c),))
+    def quadratic(cls, a: Fraction, b: Fraction, c: Fraction) -> "PiecewiseScalarFunction":
+        return cls(breakpoints=(Fraction(0), Fraction(1)), coefficients=((a, b, c),))
 
     @classmethod
     def from_points(
-        cls, points: Iterable[tuple[Scalar, Scalar]]
+        cls, points: Iterable[tuple[Fraction, Fraction]]
     ) -> "PiecewiseScalarFunction":
         """Affine interpolation through (x, y) points spanning [0, 1]."""
         pts = sorted(points, key=lambda t: t[0])
         xs = tuple(x for x, _ in pts)
-        zero = numeric.scalar(0)
+        zero = Fraction(0)
         coeffs = []
         for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
             slope = (y2 - y1) / (x2 - x1)
@@ -81,28 +79,28 @@ class PiecewiseScalarFunction:
 
     # -- evaluation -----------------------------------------------------
 
-    def segment_index(self, z: Scalar) -> int:
+    def segment_index(self, z: Fraction) -> int:
         i = bisect_right(self.breakpoints, z) - 1
         return min(max(i, 0), len(self.coefficients) - 1)
 
-    def __call__(self, z: Scalar) -> Scalar:
+    def __call__(self, z: Fraction) -> Fraction:
         if z < 0 or z > 1:
-            raise ValueError(f"argument {z!r} outside [0, 1]")
+            raise ValueError(f"argument {numeric.format_scalar(z)} outside [0, 1]")
         return _eval(self.coefficients[self.segment_index(z)], z)
 
-    def breakpoint_values(self) -> tuple[tuple[Scalar, Scalar], ...]:
+    def breakpoint_values(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return tuple((x, self(x)) for x in self.breakpoints)
 
     @property
     def is_affine(self) -> bool:
         return all(a == 0 for a, _, _ in self.coefficients)
 
-    def slopes(self) -> tuple[Scalar, ...]:
+    def slopes(self) -> tuple[Fraction, ...]:
         if not self.is_affine:
             raise ValueError("slopes are defined for affine segments only")
         return tuple(b for _, b, _ in self.coefficients)
 
-    def derivative_at(self, seg_index: int, z: Scalar) -> Scalar:
+    def derivative_at(self, seg_index: int, z: Fraction) -> Fraction:
         a, b, _ = self.coefficients[seg_index]
         return 2 * a * z + b
 
@@ -119,12 +117,12 @@ class PiecewiseScalarFunction:
         return PiecewiseScalarFunction(breakpoints=xs, coefficients=tuple(coeffs))
 
     def __neg__(self) -> "PiecewiseScalarFunction":
-        return self * numeric.scalar(-1)
+        return self * Fraction(-1)
 
     def __sub__(self, other: "PiecewiseScalarFunction") -> "PiecewiseScalarFunction":
         return self + (-other)
 
-    def __mul__(self, k: Scalar) -> "PiecewiseScalarFunction":
+    def __mul__(self, k: Fraction) -> "PiecewiseScalarFunction":
         return PiecewiseScalarFunction(
             breakpoints=self.breakpoints,
             coefficients=tuple(tuple(k * c for c in seg) for seg in self.coefficients),
@@ -147,21 +145,21 @@ class PiecewiseScalarFunction:
         return PiecewiseScalarFunction(breakpoints=tuple(xs), coefficients=tuple(coeffs))
 
 
-def _eval(coeffs: Coeffs, z: Scalar) -> Scalar:
+def _eval(coeffs: Coeffs, z: Fraction) -> Fraction:
     a, b, c = coeffs
     return (a * z + b) * z + c
 
 
-def sorted_points(points: Iterable[Scalar]) -> tuple[Scalar, ...]:
+def sorted_points(points: Iterable[Fraction]) -> tuple[Fraction, ...]:
     """The distinct values of ``points`` in increasing order."""
-    out: list[Scalar] = []
+    out: list[Fraction] = []
     for p in sorted(points):
         if not out or out[-1] != p:
             out.append(p)
     return tuple(out)
 
 
-def _line_at(fn: PiecewiseScalarFunction, x1: Scalar, x2: Scalar) -> tuple[Scalar, Scalar]:
+def _line_at(fn: PiecewiseScalarFunction, x1: Fraction, x2: Fraction) -> tuple[Fraction, Fraction]:
     """Slope and value-at-x1 of ``fn`` on [x1, x2], which must be kink-free."""
     mid = (x1 + x2) / 2
     seg = fn.coefficients[fn.segment_index(mid)]
@@ -181,13 +179,13 @@ def lower_envelope(fns: Sequence[PiecewiseScalarFunction]) -> PiecewiseScalarFun
     if not fns:
         raise ValueError("need at least one function")
     xs = sorted_points(x for f in fns for x in f.breakpoints)
-    points: list[tuple[Scalar, Scalar]] = []
+    points: list[tuple[Fraction, Fraction]] = []
     for x1, x2 in zip(xs, xs[1:]):
         lines = [_line_at(f, x1, x2) for f in fns]
         width = x2 - x1
         # Walk the winner from x1 to x2; t measures offset from x1 and
         # each line is (slope m, value v at x1), so line(t) = v + m t.
-        t = numeric.scalar(0)
+        t = Fraction(0)
         cur = min(lines, key=lambda mv: (mv[1], mv[0]))
         if not points:
             points.append((x1, cur[1]))
@@ -210,7 +208,7 @@ def lower_envelope(fns: Sequence[PiecewiseScalarFunction]) -> PiecewiseScalarFun
             # value at the crossing; its slope strictly decreases, so the
             # walk terminates.
             cur = min(lines, key=lambda mv: (mv[1] + mv[0] * t, mv[0]))
-    dedup: list[tuple[Scalar, Scalar]] = []
+    dedup: list[tuple[Fraction, Fraction]] = []
     for x, y in points:
         if dedup and dedup[-1][0] == x:
             continue

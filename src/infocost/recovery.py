@@ -15,11 +15,10 @@ as an independent oracle in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence
 
-from . import numeric
 from .model import Dataset, Prior, utility
-from .numeric import Scalar
 from .piecewise import PiecewiseScalarFunction, lower_envelope, upper_envelope
 from .revealed import (
     DiscreteCDF,
@@ -28,13 +27,13 @@ from .revealed import (
     revealed_summary,
 )
 
-ColKey = tuple[int, Scalar]
+ColKey = tuple[int, Fraction]
 
-_ZERO = numeric.scalar(0)
-_ONE = numeric.scalar(1)
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
-def act_payoff_function(u0: Scalar, u1: Scalar) -> PiecewiseScalarFunction:
+def act_payoff_function(u0: Fraction, u1: Fraction) -> PiecewiseScalarFunction:
     return PiecewiseScalarFunction.affine(u1 - u0, u0)
 
 
@@ -45,7 +44,7 @@ def menu_value_function(menu) -> PiecewiseScalarFunction:
     )
 
 
-def hinge(z: Scalar, x: Scalar) -> Scalar:
+def hinge(z: Fraction, x: Fraction) -> Fraction:
     """The price basis function of binding point ``z``, evaluated at ``x``.
 
     The point 0 carries the intercept, the constant 1; every other binding
@@ -59,8 +58,8 @@ def hinge(z: Scalar, x: Scalar) -> Scalar:
 
 
 def price_terms(
-    columns: Sequence[ColKey], obs_index: int, x: Scalar
-) -> dict[int, Scalar]:
+    columns: Sequence[ColKey], obs_index: int, x: Fraction
+) -> dict[int, Fraction]:
     """Sparse coefficients of one observation's price at ``x``.
 
     Column ``j`` of ``columns`` is a (observation, binding point) key; the
@@ -78,7 +77,7 @@ def price_terms(
 
 
 def price_function(
-    multipliers: Mapping[ColKey, Scalar], obs_index: int
+    multipliers: Mapping[ColKey, Fraction], obs_index: int
 ) -> PiecewiseScalarFunction:
     """Convex price function of one observation's multipliers.
 
@@ -100,7 +99,7 @@ def price_function(
 
 
 def recover_cost(
-    dataset: Dataset, multipliers: Mapping[ColKey, Scalar]
+    dataset: Dataset, multipliers: Mapping[ColKey, Fraction]
 ) -> PiecewiseScalarFunction:
     """Pointwise minimum of (price - payoff) over observations and acts.
 
@@ -126,7 +125,7 @@ def _cost_from_prices(
     )
 
 
-def variance_cost(kappa: Scalar, z0: Scalar) -> PiecewiseScalarFunction:
+def variance_cost(kappa: Fraction, z0: Fraction) -> PiecewiseScalarFunction:
     """Cost derivative whose total cost is kappa times the variance of means."""
     if kappa <= 0:
         raise ValueError("kappa must be positive")
@@ -136,8 +135,8 @@ def variance_cost(kappa: Scalar, z0: Scalar) -> PiecewiseScalarFunction:
 
 
 def information_cost(
-    cost: PiecewiseScalarFunction, z0: Scalar, f: DiscreteCDF
-) -> Scalar:
+    cost: PiecewiseScalarFunction, z0: Fraction, f: DiscreteCDF
+) -> Fraction:
     """Separable cost of a distribution of posterior means: c(z0) - int c dF."""
     return cost(z0) - sum(p * cost(z) for z, p in f.atoms)
 
@@ -149,11 +148,11 @@ class ObservationAudit:
     contact_at_revealed: bool
     affine_off_binding: bool
     integral_match: bool
-    convexity_slack: Scalar
-    majorization_slack: Scalar
-    contact_slack: Scalar
-    affine_slack: Scalar
-    integral_slack: Scalar
+    convexity_slack: Fraction
+    majorization_slack: Fraction
+    contact_slack: Fraction
+    affine_slack: Fraction
+    integral_slack: Fraction
 
     @property
     def ok(self) -> bool:
@@ -178,12 +177,10 @@ class RationalizationReport:
 def _audit_observation(
     obs, prior: Prior, cost: PiecewiseScalarFunction, price: PiecewiseScalarFunction
 ) -> ObservationAudit:
-    zero = numeric.scalar(0)
-
     slopes = price.slopes()
     convexity_slack = min(
         (b - a for a, b in zip(slopes, slopes[1:])),
-        default=zero,
+        default=_ZERO,
     )
     price_convex = convexity_slack >= 0
 
@@ -193,7 +190,7 @@ def _audit_observation(
     price_majorizes = majorization_slack >= 0
 
     summary = revealed_summary(obs)
-    contact_slack = zero
+    contact_slack = _ZERO
     for ai, act in enumerate(obs.menu.acts):
         if summary.act_probabilities[ai] <= 0:
             continue
@@ -202,10 +199,10 @@ def _audit_observation(
         contact_slack = max(contact_slack, abs(dev))
     contact_at_revealed = contact_slack == 0
 
-    affine_slack = zero
+    affine_slack = _ZERO
     f0 = prior_cdf(prior)
     for lo, hi in positive_gap_intervals(f0, summary.cdf):
-        seen: list[Scalar] = []
+        seen: list[Fraction] = []
         for i, (x1, x2) in enumerate(
             zip(price.breakpoints, price.breakpoints[1:])
         ):

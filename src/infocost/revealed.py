@@ -19,17 +19,17 @@ summary computes its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import numeric
 from .model import Observation, Prior, StateSpace
-from .numeric import Scalar
 
 
 @dataclass(frozen=True)
 class DiscreteCDF:
     """Finite-support distribution on [0, 1] as (location, mass) atoms."""
 
-    atoms: tuple[tuple[Scalar, Scalar], ...]
+    atoms: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "atoms", tuple((z, p) for z, p in self.atoms))
@@ -37,20 +37,23 @@ class DiscreteCDF:
             raise ValueError("distribution needs at least one atom")
         for z, p in self.atoms:
             if z < 0 or z > 1:
-                raise ValueError(f"atom location {z!r} outside [0, 1]")
+                raise ValueError(f"atom location {numeric.format_scalar(z)} outside [0, 1]")
             if p <= 0:
-                raise ValueError(f"atom at {z!r} has non-positive mass {p!r}")
+                raise ValueError(
+                    f"atom at {numeric.format_scalar(z)} has non-positive mass "
+                    f"{numeric.format_scalar(p)}"
+                )
         for (a, _), (b, _) in zip(self.atoms, self.atoms[1:]):
             if a >= b:
                 raise ValueError("atom locations must be strictly increasing")
         total = sum(p for _, p in self.atoms)
         if total != 1:
-            raise ValueError(f"masses sum to {total!r}, not 1")
+            raise ValueError(f"masses sum to {numeric.format_scalar(total)}, not 1")
 
     @classmethod
     def from_pairs(cls, pairs) -> "DiscreteCDF":
         """Build from unsorted pairs, merging equal locations, dropping zeros."""
-        merged: list[list[Scalar]] = []
+        merged: list[list[Fraction]] = []
         for z, p in sorted(pairs, key=lambda t: t[0]):
             if p == 0:
                 continue
@@ -61,39 +64,35 @@ class DiscreteCDF:
         return cls(atoms=tuple((z, p) for z, p in merged))
 
     @classmethod
-    def point(cls, z: Scalar) -> "DiscreteCDF":
-        one = numeric.scalar(1)
-        return cls(atoms=((z, one),))
+    def point(cls, z: Fraction) -> "DiscreteCDF":
+        return cls(atoms=((z, Fraction(1)),))
 
     @property
-    def mean(self) -> Scalar:
+    def mean(self) -> Fraction:
         return sum(z * p for z, p in self.atoms)
 
     @property
-    def support(self) -> tuple[Scalar, ...]:
+    def support(self) -> tuple[Fraction, ...]:
         return tuple(z for z, _ in self.atoms)
 
-    def value_at(self, z: Scalar) -> Scalar:
+    def value_at(self, z: Fraction) -> Fraction:
         """CDF value P(X <= z)."""
         return sum(p for loc, p in self.atoms if loc <= z)
 
 
 def prior_cdf(prior: Prior) -> DiscreteCDF:
-    """The prior as a distribution: an atom at each state of positive weight."""
-    return DiscreteCDF.from_pairs(
-        (z, w)
-        for z, w in zip(prior.state_space.states, prior.weights)
-        if w > 0
-    )
+    """The prior as a distribution: an atom at each state of positive
+    weight. A negative weight raises ``ValueError``, naming its state."""
+    return DiscreteCDF.from_pairs(zip(prior.state_space.states, prior.weights))
 
 
-def mpc_gap(prior_cdf: DiscreteCDF, f: DiscreteCDF, z: Scalar) -> Scalar:
+def mpc_gap(prior_cdf: DiscreteCDF, f: DiscreteCDF, z: Fraction) -> Fraction:
     """Integral of (prior CDF - f CDF) from 0 to ``z``, exactly.
 
     Each atom (loc, p) contributes p * max(0, z - loc) to the integral of
     its own CDF, so the gap is a finite sum of hinge terms.
     """
-    acc = numeric.scalar(0)
+    acc = Fraction(0)
     for loc, p in prior_cdf.atoms:
         if loc < z:
             acc += p * (z - loc)
@@ -105,13 +104,13 @@ def mpc_gap(prior_cdf: DiscreteCDF, f: DiscreteCDF, z: Scalar) -> Scalar:
 
 def _gap_table(
     prior_cdf: DiscreteCDF, f: DiscreteCDF, extra=()
-) -> dict[Scalar, Scalar]:
+) -> dict[Fraction, Fraction]:
     """The gap at 0, 1, both supports and ``extra``, in increasing order."""
-    points = {numeric.scalar(0), numeric.scalar(1), *prior_cdf.support, *f.support, *extra}
+    points = {Fraction(0), Fraction(1), *prior_cdf.support, *f.support, *extra}
     return {z: mpc_gap(prior_cdf, f, z) for z in sorted(points)}
 
 
-def _contracts(gaps: dict[Scalar, Scalar]) -> bool:
+def _contracts(gaps: dict[Fraction, Fraction]) -> bool:
     """The MPC condition from gap values at every kink, 1 included.
 
     The gap is piecewise linear between kinks, so nonnegativity at every
@@ -123,7 +122,7 @@ def _contracts(gaps: dict[Scalar, Scalar]) -> bool:
 
 def _mpc_gaps(
     prior_cdf: DiscreteCDF, f: DiscreteCDF, caller: str, extra=()
-) -> dict[Scalar, Scalar]:
+) -> dict[Fraction, Fraction]:
     """``_gap_table``, or a ``ValueError`` naming ``caller`` when the pair
     is not an MPC."""
     gaps = _gap_table(prior_cdf, f, extra)
@@ -139,7 +138,7 @@ def is_mpc(prior_cdf: DiscreteCDF, f: DiscreteCDF) -> bool:
 
 def positive_gap_intervals(
     prior_cdf: DiscreteCDF, f: DiscreteCDF
-) -> tuple[tuple[Scalar, Scalar], ...]:
+) -> tuple[tuple[Fraction, Fraction], ...]:
     """Maximal open intervals of [0, 1] where the gap is positive: the
     regions where the contraction constraint is slack.
 
@@ -155,7 +154,7 @@ def positive_gap_intervals(
 
 def binding_set(
     prior_cdf: DiscreteCDF, f: DiscreteCDF, state_space: StateSpace
-) -> tuple[Scalar, ...]:
+) -> tuple[Fraction, ...]:
     """Grid states where the contraction constraint binds (gap = 0).
 
     The gap is evaluated once at each kink and state, and those values
@@ -182,8 +181,8 @@ def is_monotone_partitional(prior_cdf: DiscreteCDF, f: DiscreteCDF) -> bool:
 class RevealedSummary:
     """Per-act revealed means and probabilities, and the revealed CDF."""
 
-    act_means: tuple[Scalar, ...]
-    act_probabilities: tuple[Scalar, ...]
+    act_means: tuple[Fraction, ...]
+    act_probabilities: tuple[Fraction, ...]
     cdf: DiscreteCDF
 
 
@@ -196,8 +195,8 @@ def revealed_summary(obs: Observation) -> RevealedSummary:
     prior mean.
     """
     states = obs.prior.state_space.states
-    probs: list[Scalar] = []
-    means: list[Scalar] = []
+    probs: list[Fraction] = []
+    means: list[Fraction] = []
     for row in obs.sdsc.rows:
         masses = [p * w for p, w in zip(row, obs.prior.weights)]
         prob = sum(masses)

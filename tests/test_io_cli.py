@@ -389,6 +389,51 @@ class TestCliExitCodes:
         assert captured.err == f"input error: generation spec is invalid: {problem}\n"
 
     @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("prior", ["1/2", "1/2"], "prior has 2 weights for 4 states"),
+            ("states", ["0", "1/3", "1/3", "1"], "states not strictly increasing at 1/3, 1/3"),
+            ("prior", ["1/2", "-1/4", "1/2", "1/4"], "prior weight at state 1/3 is negative"),
+        ],
+        ids=["two-weights-for-four-states", "repeated-state", "negative-weight"],
+    )
+    def test_solve_rejects_a_malformed_forward_problem(
+        self, tmp_path, capsys, field, value, problem
+    ):
+        doc = json.loads(Path(fixture_path("example3_forward.json")).read_text())
+        doc[field] = value
+        spec = tmp_path / "forward.json"
+        spec.write_text(json.dumps(doc))
+        assert run_cli("solve", str(spec)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: forward problem is invalid: {problem}\n"
+
+    def test_solve_accepts_a_forward_prior_without_endpoint_mass(self, tmp_path, capsys):
+        doc = json.loads(Path(fixture_path("example3_forward.json")).read_text())
+        doc["prior"] = ["0", "1/2", "1/2", "0"]
+        spec = tmp_path / "forward.json"
+        spec.write_text(json.dumps(doc))
+        assert run_cli("solve", str(spec)) == 0
+        assert json.loads(capsys.readouterr().out)["value"]["exact"] == "-39/8"
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("validate", "--output"), ("recover", "--figures-csv"), ("check", "--dump-lp")],
+    )
+    def test_unwritable_path_is_input_error(self, tmp_path, capsys, command, flag):
+        """A missing directory, or for ``--figures-csv`` a file where a
+        directory should be, exits 2 with one stderr line."""
+        (tmp_path / "a_file").write_text("")
+        target = tmp_path / ("a_file" if flag == "--figures-csv" else "missing/x")
+        code = run_cli(command, fixture_path("example3_dataset.json"), flag, str(target))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "command, fixture, where, value",
         [
             ("solve", "example3_forward.json", ("prior", 1), True),

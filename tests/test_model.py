@@ -159,6 +159,19 @@ class TestValidation:
         )
         assert any("negative" in p for p in validate_dataset(ds).problems)
 
+    def test_empty_state_space_is_reported_not_raised(self):
+        space = StateSpace(states=())
+        menu = Menu(id="m", acts=(Act("a", F(0), F(0)),))
+        prior = Prior(state_space=space, weights=())
+        ds = Dataset(
+            state_space=space,
+            observations=(Observation(prior=prior, menu=menu, sdsc=SDSC(rows=((),))),),
+        )
+        assert validate_dataset(ds).problems == (
+            "state space needs at least two states",
+            "observation 0 (menu 'm'): prior weights sum to 0, not 1",
+        )
+
 
 def test_package_exports_no_submodules():
     import types

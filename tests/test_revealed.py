@@ -16,6 +16,7 @@ from infocost import (
     DiscreteCDF,
     Menu,
     Observation,
+    PiecewiseScalarFunction,
     Prior,
     SDSC,
     StateSpace,
@@ -26,6 +27,7 @@ from infocost import (
     positive_gap_intervals,
     prior_cdf,
     revealed_summary,
+    utility,
 )
 
 
@@ -61,6 +63,47 @@ class TestDiscreteCDF:
     def test_mean(self):
         cdf = DiscreteCDF(atoms=((F(1, 6), F(1, 2)), (F(5, 6), F(1, 2))))
         assert cdf.mean == F(1, 2)
+
+
+    def test_negative_prior_weight_is_named(self):
+        space = StateSpace(states=(F(0), F(1, 3), F(2, 3), F(1)))
+        prior = Prior(state_space=space, weights=(F(1, 2), F(-1, 4), F(1, 2), F(1, 4)))
+        with pytest.raises(ValueError, match="^atom at 1/3 has non-positive mass -1/4$"):
+            prior_cdf(prior)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: DiscreteCDF(atoms=((F(5, 4), F(1)),)), "atom location 5/4 outside [0, 1]"),
+        (
+            lambda: DiscreteCDF(atoms=((F(1, 3), F(-1, 4)), (F(1, 2), F(5, 4)))),
+            "atom at 1/3 has non-positive mass -1/4",
+        ),
+        (
+            lambda: DiscreteCDF(atoms=((F(0), F(1, 2)), (F(1), F(3, 4)))),
+            "masses sum to 5/4, not 1",
+        ),
+        (lambda: utility(Act("a", F(0), F(1)), F(3, 2)), "posterior mean 3/2 outside [0, 1]"),
+        (
+            lambda: PiecewiseScalarFunction(
+                breakpoints=(F(0), F(1, 2), F(1)),
+                coefficients=((F(0), F(0), F(0)), (F(0), F(0), F(1, 3))),
+            ),
+            "discontinuity at breakpoint 1/2",
+        ),
+        (
+            lambda: PiecewiseScalarFunction.constant(F(0))(F(-1, 2)),
+            "argument -1/2 outside [0, 1]",
+        ),
+    ],
+    ids=["atom-location", "atom-mass", "mass-total", "utility-mean", "discontinuity", "argument"],
+)
+def test_messages_render_scalars_as_p_over_q(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+    assert "Fraction(" not in str(info.value)
 
 
 class TestMpcGap:
