@@ -4,13 +4,17 @@ Exit codes are a stable contract: 0 for success or a passing check, 1 for
 a principled rejection (invalid dataset, axiom violation) or a failed
 re-check of a result (a recovery whose audit fails, a certificate or
 multipliers that fail direct verification), 2 for input errors (an
-output path that cannot be written among them), 3 for resource exhaustion.
+output path that cannot be written among them), 3 for resource exhaustion,
+141 (as for a process killed by SIGPIPE) when the reader of stdout closed
+it before the report was written (``infocost ... | head``).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Any
@@ -28,6 +32,7 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_PIPE = 141
 
 
 def _load_json(path: str) -> Any:
@@ -48,7 +53,8 @@ def _emit(report: dict[str, Any], output: str | None) -> None:
     if output:
         Path(output).write_text(text + "\n")
     else:
-        print(text)
+        # flushed here, so that a closed stdout raises inside ``main``
+        print(text, flush=True)
 
 
 def _write_figures(report: dict[str, Any], csv_dir: str | None) -> None:
@@ -189,8 +195,8 @@ def cmd_recover(args: argparse.Namespace) -> int:
             for oi, p in enumerate(prices)
         ],
     }
-    _emit(report, args.output)
     _write_figures(report, args.figures_csv)
+    _emit(report, args.output)
     if not audit.all_ok:
         print("rationalization audit failed", file=sys.stderr)
         return EXIT_REJECTED
@@ -234,8 +240,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             agrees = value == solution.value
         else:
             agrees = value >= solution.value
-    _emit(report, args.output)
     _write_figures(report, args.figures_csv)
+    _emit(report, args.output)
     if not agrees:
         print("oracle value disagrees with the optimum", file=sys.stderr)
         return EXIT_REJECTED
@@ -342,6 +348,16 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as err:
         print(f"verification error: {err}", file=sys.stderr)
         return EXIT_REJECTED
+    except BrokenPipeError:
+        # The reader of stdout closed it (``| head``): stop without a
+        # message, with stdout on the null device so that the flush at
+        # exit does not fail again.
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return EXIT_PIPE
     except (ValueError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -13,7 +13,10 @@ that certifies the optimum.
 
 ``solve_forward`` makes four exact solves: the program, its tie-break,
 the dual, and the dual's tie-break. Each tie-break runs on the optimal
-face of the solve before it (``_lexicographic``). One check then proves
+face of the solve before it (``_lexicographic``). The dual starts from
+the basis complementary to the program's optimal one (``lp.dual_basis``),
+which is optimal, so it takes no phase one and no phase-two pivot; the
+tie-breaks start from scratch. One check then proves
 the result optimal (``_certified_price``): the distribution f is a grid
 contraction of the prior, the price p is convex and at least the
 objective V at every grid point, and the integrals of p against f and
@@ -124,9 +127,12 @@ def _grid_lp(problem: ForwardProblem, grid, objective: PiecewiseScalarFunction):
 
 
 def _lexicographic(
-    program: lp.LinearProgram, tiebreak: tuple[tuple[int, Fraction], ...]
-) -> tuple[Fraction, ...]:
-    """An optimum of ``program`` that minimizes ``tiebreak``.
+    program: lp.LinearProgram,
+    tiebreak: tuple[tuple[int, Fraction], ...],
+    basis: lp.Basis | None = None,
+) -> tuple[tuple[Fraction, ...], lp.LPOutcome]:
+    """An optimum of ``program`` that minimizes ``tiebreak``, and the first
+    solve's outcome, which starts from ``basis`` when that is given.
 
     The second solve runs on the optimal face, which complementary
     slackness reads off the first solve's duals ``y``: a feasible point is
@@ -137,7 +143,7 @@ def _lexicographic(
     objective. The point is returned unchecked; ``_certified_price``
     proves the forward optimum.
     """
-    first = lp.solve(program)
+    first = lp.solve(program, basis=basis)
     if first.status != lp.OPTIMAL:
         raise RuntimeError(f"forward program unexpectedly {first.status}")
     y = first.duals
@@ -175,7 +181,7 @@ def _lexicographic(
     x = [Fraction(0)] * program.num_vars
     for k, j in enumerate(keep):
         x[j] = second.x[k]
-    return tuple(x)
+    return tuple(x), first
 
 
 def _certified_price(problem: ForwardProblem, program: lp.LinearProgram, f, multipliers):
@@ -217,14 +223,17 @@ def solve_forward(problem: ForwardProblem) -> ForwardSolution:
     program = _grid_lp(problem, grid, objective_fn)
     # least informative optimum: minimum variance of the posterior means
     z0 = problem.prior.mean
-    f = _lexicographic(
+    f, first = _lexicographic(
         program, tuple((j, (g - z0) * (g - z0)) for j, g in enumerate(grid))
     )
     # flattest optimal price: variable k of the dual multiplies grid point
-    # k's price basis function; minimize the total interior mass
+    # k's price basis function; minimize the total interior mass, starting
+    # from the basis complementary to the program's optimal one
     dual = lp.dual(program)
-    y = _lexicographic(
-        dual, tuple((k, Fraction(1)) for k, nonneg in enumerate(dual.nonnegative) if nonneg)
+    y, _ = _lexicographic(
+        dual,
+        tuple((k, Fraction(1)) for k, nonneg in enumerate(dual.nonnegative) if nonneg),
+        lp.dual_basis(program, first),
     )
     multipliers = dict(zip(grid, y))
     price, value = _certified_price(problem, program, f, multipliers)

@@ -34,6 +34,18 @@ optimum moves with ``b_i``. For ``min c . x``:
 For ``max c . x`` every one of these signs flips. For a max program
 over ``<=`` and ``=`` rows those are exactly the constraints of
 ``dual(program)``, which callers solve instead of writing a dual out.
+
+Optimal and feasible outcomes also carry their final ``Basis`` in the
+caller's terms: the basic variables, each with its part (-1 for the
+negative part of a free variable), and the rows whose slack is basic.
+``solve(program, basis=...)`` starts from such a basis: it pivots the
+slack columns in first, each in its own row, then the variables, and
+skips phase one when every basic value is nonnegative and no artificial
+is basic above 0. A basis that names an unknown column, is singular or
+is infeasible is dropped, and the program is solved from scratch, as if
+no basis had been given. ``dual_basis(program, outcome)`` is the basis of
+``dual(program)`` complementary to an optimal basis of ``program``; it is
+optimal there, so phase two starting from it takes no pivots.
 """
 
 from __future__ import annotations
@@ -115,6 +127,19 @@ class LPOutcome:
     objective_value: Fraction | None = None
     certificate: tuple[Fraction, ...] | None = None
     duals: tuple[Fraction, ...] | None = None
+    basis: Basis | None = None
+
+
+@dataclass(frozen=True)
+class Basis:
+    """A simplex basis in the caller's terms: ``(j, part)`` for each basic
+    variable ``x_j``, ``part`` 1, or -1 for the negative part of a free
+    variable, and the rows whose slack is basic. An ``=`` row there is a
+    redundant one, dropped from the tableau; a basis being installed keeps
+    that row's artificial basic, which must then be at level 0."""
+
+    variables: tuple[tuple[int, int], ...] = ()
+    slacks: tuple[int, ...] = ()
 
 
 def _row_value(con: Constraint, x: Sequence[Fraction]) -> Fraction:
@@ -197,6 +222,31 @@ def dual(program: LinearProgram) -> LinearProgram:
     )
 
 
+def dual_basis(program: LinearProgram, outcome: LPOutcome) -> Basis:
+    """The basis of ``dual(program)`` complementary to ``outcome.basis``.
+
+    ``outcome`` is an optimal solve of ``program``. Every row not listed
+    among the basis's slacks (every ``=`` row but a redundant one, and
+    every row whose slack is nonbasic) makes its dual variable basic, on
+    the side given by the sign of its dual; every nonbasic nonnegative
+    variable makes the surplus of its dual row basic.
+    """
+    assert outcome.basis is not None and outcome.duals is not None
+    slacks = set(outcome.basis.slacks)
+    variables = {j for j, _ in outcome.basis.variables}
+    return Basis(
+        variables=tuple(
+            (i, 1 if yi >= 0 else -1)
+            for i, yi in enumerate(outcome.duals)
+            if i not in slacks
+        ),
+        slacks=tuple(
+            j for j in range(program.num_vars)
+            if program.nonnegative[j] and j not in variables
+        ),
+    )
+
+
 def _row_scale(values: Iterable[Fraction]) -> int:
     """Positive multiplier turning the row into integers."""
     return math.lcm(*(v.denominator for v in values))
@@ -271,7 +321,7 @@ class _Tableau:
         # its slack basic when that slack then has coefficient +1, and with
         # an artificial column (after all slacks) otherwise.
         cons = lp.constraints
-        slack_col = [-1] * len(cons)
+        self.slack_col = slack_col = [-1] * len(cons)
         for i, con in enumerate(cons):
             if con.relation != EQ:
                 slack_col[i] = ncols
@@ -287,6 +337,7 @@ class _Tableau:
                 self.artificial.add(ncols)
                 ncols += 1
         self.row_unit_col = list(self.basis)
+        self.redundant: list[int] = []
 
         # Each row in integers at its full width: the caller's row times
         # its scale (the lcm of its denominators) and its flip.
@@ -372,22 +423,83 @@ class _Tableau:
                 return UNBOUNDED
             self.pivot(pr, pc)
 
-    def drive_out_artificials(self) -> None:
-        """After a zero-mass phase one, remove artificials from the basis."""
+    def install(self, basis: Basis) -> bool:
+        """Pivot ``basis`` in, slack columns first (each is a unit column
+        of its own row until a variable is pivoted in); False when it names
+        an unknown column or is singular, or when a basic value ends
+        negative or an artificial stays basic above 0."""
+        targets = []
+        for i in basis.slacks:
+            if not 0 <= i < len(self.slack_col):
+                return False
+            sc = self.slack_col[i]
+            targets.append(sc if sc >= 0 else self.row_unit_col[i])
+        for j, part in basis.variables:
+            if not (0 <= j < len(self.var_cols) and part in (1, -1)):
+                return False
+            pos, neg = self.var_cols[j]
+            col = pos if part == 1 else neg
+            if col is None:
+                return False
+            targets.append(col)
+        wanted = set(targets)
+        for pc in targets:
+            if pc in self.basis:
+                continue
+            pr = next(
+                (r for r, row in enumerate(self.rows)
+                 if row[pc] and self.basis[r] not in wanted),
+                -1,
+            )
+            if pr < 0:
+                return False
+            if self.rows[pr][pc] < 0:
+                self.rows[pr] = [-v for v in self.rows[pr]]
+            self.pivot(pr, pc)
+        return all(
+            row[-1] >= 0 and not (row[-1] and b in self.artificial)
+            for row, b in zip(self.rows, self.basis)
+        )
+
+    def final_basis(self) -> Basis:
+        """The current basis in the caller's terms (see ``Basis``)."""
+        basic = set(self.basis)
+        return Basis(
+            variables=tuple(
+                (j, part)
+                for j, cols in enumerate(self.var_cols)
+                for col, part in zip(cols, (1, -1))
+                if col in basic
+            ),
+            slacks=tuple(sorted(
+                self.redundant + [i for i, sc in enumerate(self.slack_col) if sc in basic]
+            )),
+        )
+
+    def drive_out_artificials(self, priced: bool = False) -> None:
+        """Remove the artificials that are basic at level 0.
+
+        Each leaves for the first column with a nonzero in its row or,
+        when ``priced``, for the column of least reduced cost per unit of
+        its entry (the dual ratio test), which keeps every nonnegative
+        reduced cost nonnegative.
+        """
         r = 0
         while r < len(self.rows):
             row = self.rows[r]
             if self.basis[r] not in self.artificial:
                 r += 1
                 continue
-            pc = next(
-                (j for j in range(self.ncols) if row[j] and j not in self.artificial), -1
-            )
-            if pc < 0:
+            cols = [j for j in range(self.ncols) if row[j] and j not in self.artificial]
+            if not cols:
                 # Fully zero row: the original constraint was redundant.
+                self.redundant.append(self.row_unit_col.index(self.basis[r]))
                 del self.rows[r]
                 del self.basis[r]
                 continue
+            pc = cols[0]
+            if priced:
+                pc = min(cols, key=lambda j: Fraction(self.obj[j], abs(row[j])))
             if row[pc] < 0:
                 # The artificial is at level 0, so the negated row keeps
                 # its right-hand side and the pivot is positive.
@@ -426,20 +538,31 @@ class _Tableau:
         return tuple(-v for v in self.row_multipliers(phase_one=True))
 
 
-def solve(lp: LinearProgram, *, pivot_limit: int = DEFAULT_PIVOT_LIMIT) -> LPOutcome:
-    """Solve ``lp`` exactly; see the module docstring for the contract."""
+def solve(
+    lp: LinearProgram,
+    *,
+    pivot_limit: int = DEFAULT_PIVOT_LIMIT,
+    basis: Basis | None = None,
+) -> LPOutcome:
+    """Solve ``lp`` exactly, from ``basis`` when that is a feasible basis;
+    see the module docstring for the contract."""
     tab = _Tableau(lp, pivot_limit)
-
-    tab.set_objective([int(j in tab.artificial) for j in range(tab.ncols)])
-    status = tab.run_simplex(banned=set())
-    if status == UNBOUNDED:  # phase-one objective is bounded below by zero
-        raise AssertionError("phase one cannot be unbounded")
-    if tab.objective_value > 0:
-        return LPOutcome(status=INFEASIBLE, certificate=tab.farkas_certificate())
-    tab.drive_out_artificials()
+    warm = basis is not None and tab.install(basis)
+    if not warm:
+        if basis is not None:  # start over, the install pivots still counted
+            spent = tab.pivots
+            tab = _Tableau(lp, pivot_limit)
+            tab.pivots = spent
+        tab.set_objective([int(j in tab.artificial) for j in range(tab.ncols)])
+        status = tab.run_simplex(banned=set())
+        if status == UNBOUNDED:  # phase-one objective is bounded below by zero
+            raise AssertionError("phase one cannot be unbounded")
+        if tab.objective_value > 0:
+            return LPOutcome(status=INFEASIBLE, certificate=tab.farkas_certificate())
 
     if lp.sense is None:
-        return LPOutcome(status=FEASIBLE, x=tab.structural_solution())
+        tab.drive_out_artificials()
+        return LPOutcome(status=FEASIBLE, x=tab.structural_solution(), basis=tab.final_basis())
 
     obj_scale = _row_scale([v for _, v in lp.objective])
     costs = [0] * tab.n_structural
@@ -451,6 +574,8 @@ def solve(lp: LinearProgram, *, pivot_limit: int = DEFAULT_PIVOT_LIMIT) -> LPOut
         if neg is not None:
             costs[neg] -= sign * sv
     tab.set_objective(costs)
+    # from an optimal basis, the dual ratio test keeps it optimal
+    tab.drive_out_artificials(priced=warm)
     status = tab.run_simplex(banned=tab.artificial)
     if status == UNBOUNDED:
         return LPOutcome(status=UNBOUNDED)
@@ -461,6 +586,7 @@ def solve(lp: LinearProgram, *, pivot_limit: int = DEFAULT_PIVOT_LIMIT) -> LPOut
         x=tab.structural_solution(),
         objective_value=value,
         duals=duals,
+        basis=tab.final_basis(),
     )
 
 

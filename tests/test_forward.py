@@ -264,6 +264,48 @@ class TestOptimalFaceTieBreak:
         assert captured.err == f"verification error: forward {message}\n"
 
 
+class TestWarmDual:
+    """The dual's first solve starts from the basis complementary to the
+    program's optimal one. That skips its phase one and must change no
+    output: a cold dual gives the same solution."""
+
+    def problems(self):
+        fixtures = resources.files("infocost.fixtures")
+        for name in ("example2_forward.json", "example2_twopoint_forward.json",
+                     "example3_concavified_forward.json", "example3_forward.json"):
+            yield io.parse_forward_problem(json.loads(fixtures.joinpath(name).read_text()))
+        rng = random.Random(14)
+        for trial in range(40):
+            yield ForwardProblem.build(
+                random_prior(rng, rng.randint(4, 6)), random_menu(rng, "m", 3),
+                (concave_cost if trial % 2 else dip_cost)(rng),
+                uniform_points=rng.randint(24, 60),
+            )
+
+    def test_warm_and_cold_duals_give_one_solution(self, monkeypatch):
+        problems = list(self.problems())
+        installs = []
+        install = lp._Tableau.install
+
+        def recorded(tab, basis):
+            installs.append(install(tab, basis))
+            return installs[-1]
+
+        monkeypatch.setattr(lp._Tableau, "install", recorded)
+        warm = [solve_forward(problem) for problem in problems]
+        assert installs == [True] * len(problems)
+
+        real_solve = lp.solve
+
+        def cold(program, *, basis=None, **kwargs):
+            return real_solve(program, **kwargs)
+
+        monkeypatch.setattr(lp, "solve", cold)
+        for problem, solution in zip(problems, warm):
+            assert solve_forward(problem) == solution
+        assert len(installs) == len(problems)
+
+
 class TestGridProgramAgainstHighs:
     @pytest.mark.parametrize("seed, points", [(1, 24), (2, 48), (6, 72)])
     def test_value_matches_highs(self, seed, points):

@@ -419,19 +419,43 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize(
         "command, flag",
-        [("validate", "--output"), ("recover", "--figures-csv"), ("check", "--dump-lp")],
+        [
+            ("validate", "--output"),
+            ("recover", "--figures-csv"),
+            ("solve", "--figures-csv"),
+            ("check", "--dump-lp"),
+        ],
     )
     def test_unwritable_path_is_input_error(self, tmp_path, capsys, command, flag):
         """A missing directory, or for ``--figures-csv`` a file where a
-        directory should be, exits 2 with one stderr line."""
+        directory should be, exits 2 with one stderr line and no report."""
         (tmp_path / "a_file").write_text("")
         target = tmp_path / ("a_file" if flag == "--figures-csv" else "missing/x")
-        code = run_cli(command, fixture_path("example3_dataset.json"), flag, str(target))
+        fixture = "example3_forward.json" if command == "solve" else "example3_dataset.json"
+        code = run_cli(command, fixture_path(fixture), flag, str(target))
         assert code == 2
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
         assert err.startswith("input error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_closed_stdout_exits_quietly(self, monkeypatch, capsys):
+        """A reader that closes stdout (``infocost recover ... | head``) is
+        not an input error: exit 141, as for SIGPIPE, with nothing on
+        stderr."""
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert run_cli("recover", fixture_path("example3_dataset.json")) == cli.EXIT_PIPE == 141
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "command, fixture, where, value",

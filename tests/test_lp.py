@@ -22,10 +22,12 @@ from infocost.lp import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    Basis,
     LinearProgram,
     LPResourceError,
     constraint,
     dual,
+    dual_basis,
     satisfies,
     solve,
     to_lp_text,
@@ -528,7 +530,10 @@ class TestEliminationPath:
         )
         assert len(problem.grid) >= 60
         _, phases = self.assert_same_path(lambda: solve_forward(problem))
-        assert len(phases) == 8  # four programs, two phases each
+        # four programs, two phases each but the dual's: it starts from the
+        # basis complementary to the program's optimal one and skips phase
+        # one; its install pivots run through the same elimination
+        assert len(phases) == 7
         assert sum(map(len, phases)) > 60
 
 
@@ -724,6 +729,116 @@ class TestDual:
         ):
             with pytest.raises(ValueError):
                 dual(bad)
+
+
+def simplex_runs(run):
+    """``run()`` and the pivots of each ``run_simplex`` call it made."""
+    runs = []
+    run_simplex = lp._Tableau.run_simplex
+
+    def counted(tab, banned):
+        before = tab.pivots
+        status = run_simplex(tab, banned)
+        runs.append(tab.pivots - before)
+        return status
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp._Tableau, "run_simplex", counted)
+        return run(), runs
+
+
+class TestStartingBasis:
+    """``solve(..., basis=...)``: a feasible basis skips phase one, the
+    complementary basis of the dual is optimal, and any basis that cannot
+    be installed gives exactly the cold outcome."""
+
+    # max x0 + x1 over x0 + x1 <= 4, x0 - x1 <= 2: optimum (3, 1)
+    square = LinearProgram(
+        num_vars=2,
+        nonnegative=(True, True),
+        constraints=(
+            constraint({0: F(1), 1: F(1)}, LE, F(4)),
+            constraint({0: F(1), 1: F(-1)}, LE, F(2)),
+        ),
+        objective=((0, F(1)), (1, F(1))),
+        sense=lp.MAX,
+    )
+
+    def test_complementary_basis_is_optimal_for_the_dual(self):
+        rng = random.Random(223)
+        optimal = 0
+        for _ in range(300):
+            program = TestDual().random_program(rng)
+            out = solve(program)
+            if out.status != OPTIMAL:
+                continue
+            optimal += 1
+            back = dual(program)
+            warm, runs = simplex_runs(lambda: solve(back, basis=dual_basis(program, out)))
+            assert runs == [0]  # phase two only, and no pivot in it
+            assert warm.status == OPTIMAL
+            assert warm.objective_value == solve(back).objective_value == out.objective_value
+            assert satisfies(back, warm.x)
+            assert satisfies(program, warm.duals)
+        assert optimal >= 100
+
+    def test_final_basis_restarts_without_pivots(self):
+        rng = random.Random(307)
+        statuses = set()
+        for _ in range(120):
+            program = TestAgainstHighs().random_program(rng)
+            for candidate in (program, replace(program, objective=(), sense=None)):
+                out = solve(candidate)
+                if out.basis is None:
+                    assert out.status in (INFEASIBLE, UNBOUNDED)
+                    continue
+                again, runs = simplex_runs(lambda: solve(candidate, basis=out.basis))
+                assert again == out
+                assert runs == ([0] if candidate.sense else [])
+                statuses.add(out.status)
+        assert statuses == {OPTIMAL, lp.FEASIBLE}
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            Basis(variables=((2, 1),)),  # no variable 2
+            Basis(variables=((0, -1),)),  # x0 has no negative part
+            Basis(variables=((0, 2),)),
+            Basis(slacks=(2,)),  # no row 2
+        ],
+    )
+    def test_unknown_columns_fall_back_to_the_cold_solve(self, basis):
+        assert solve(self.square, basis=basis) == solve(self.square)
+
+    def test_singular_basis_falls_back_to_the_cold_solve(self):
+        doubled = replace(self.square, constraints=(
+            constraint({0: F(1), 1: F(1)}, LE, F(4)),
+            constraint({0: F(2), 1: F(2)}, LE, F(10)),
+        ))
+        basis = Basis(variables=((0, 1), (1, 1)))
+        assert solve(doubled, basis=basis) == solve(doubled)
+        free = replace(self.square, nonnegative=(True, False))
+        basis = Basis(variables=((1, 1), (1, -1)))
+        assert solve(free, basis=basis) == solve(free)
+
+    def test_infeasible_basis_falls_back_to_the_cold_solve(self):
+        # x1 and the first slack basic: x1 = -2
+        basis = Basis(variables=((1, 1),), slacks=(0,))
+        assert solve(self.square, basis=basis) == solve(self.square)
+        # an = row left to its artificial, at level 3
+        pinned = replace(self.square, constraints=(
+            constraint({0: F(1), 1: F(1)}, EQ, F(3)),
+            constraint({0: F(1), 1: F(-1)}, LE, F(2)),
+        ))
+        basis = Basis(slacks=(1,))
+        assert solve(pinned, basis=basis) == solve(pinned)
+
+    def test_install_pivots_count_against_the_limit(self):
+        basis = Basis(variables=((0, 1), (1, 1)))
+        with pytest.raises(LPResourceError):
+            solve(self.square, basis=basis, pivot_limit=1)
+        out, runs = simplex_runs(lambda: solve(self.square, basis=basis, pivot_limit=2))
+        assert out.x == (F(3), F(1)) and runs == [0]
 
 
 def test_lp_text_dump_round_readable():
