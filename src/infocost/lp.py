@@ -5,14 +5,17 @@ rational arithmetic, done in integers: the tableau is built in integers
 (each caller row times the lcm of its denominators), and each row is
 kept as a positive integer multiple of its rational row, reduced by its
 gcd once a pivot has touched it, so signs and ratio tests read the
-integers directly. A pivot touches only the rows with a nonzero in the
-pivot column; each such row is multiplied once and the pivot row is
-subtracted only at its nonzeros, with both multipliers reduced by their
-gcd. Free variables are
-split into differences of nonnegatives, inequalities get slack columns,
-and rows that still lack a unit column get artificials; phase one
-minimizes the artificial mass and, when that minimum is positive, its
-multipliers are the infeasibility certificate.
+integers directly. A row is a dict from column to nonzero integer, so
+its zeros are neither stored nor touched. A pivot touches only the rows
+with an entry in the pivot column; each such row has its nonzeros
+multiplied once and the pivot row subtracted at the pivot row's
+nonzeros, with both multipliers reduced by their gcd. Each reported
+number (a coordinate of ``x``, the optimal value, a dual, a certificate
+entry) is built once from tableau integers, as one ``Fraction``. Free
+variables are split into differences of nonnegatives, inequalities get
+slack columns, and rows that still lack a unit column get artificials;
+phase one minimizes the artificial mass and, when that minimum is
+positive, its multipliers are the infeasibility certificate.
 
 Certificate orientation, for a program with rows ``a_i . x  rel_i  b_i``
 and per-variable sign constraints: the returned ``y`` satisfies
@@ -68,6 +71,8 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 DEFAULT_PIVOT_LIMIT = 10_000_000
+
+_ZERO = Fraction(0)
 
 
 class LPResourceError(RuntimeError):
@@ -143,7 +148,7 @@ class Basis:
 
 
 def _row_value(con: Constraint, x: Sequence[Fraction]) -> Fraction:
-    return sum((v * x[j] for j, v in con.terms), start=Fraction(0))
+    return sum((v * x[j] for j, v in con.terms if x[j]), start=_ZERO)
 
 
 def satisfies(lp: LinearProgram, x: Sequence[Fraction]) -> bool:
@@ -172,19 +177,18 @@ def verify_certificate(lp: LinearProgram, y: Sequence[Fraction]) -> bool:
             return False
         if con.relation == GE and yi > 0:
             return False
+    used = [(yi, con) for yi, con in zip(y, lp.constraints) if yi]
     combo: dict[int, Fraction] = {}
-    for yi, con in zip(y, lp.constraints):
+    for yi, con in used:
         for j, v in con.terms:
-            combo[j] = combo.get(j, Fraction(0)) + yi * v
-    for j in range(lp.num_vars):
-        s = combo.get(j, Fraction(0))
+            combo[j] = combo.get(j, _ZERO) + yi * v
+    for j, s in combo.items():
         if lp.nonnegative[j]:
             if s < 0:
                 return False
         elif s != 0:
             return False
-    yb = sum((yi * con.rhs for yi, con in zip(y, lp.constraints)), start=Fraction(0))
-    return yb < 0
+    return sum((yi * con.rhs for yi, con in used), start=_ZERO) < 0
 
 
 def dual(program: LinearProgram) -> LinearProgram:
@@ -252,51 +256,50 @@ def _row_scale(values: Iterable[Fraction]) -> int:
     return math.lcm(*(v.denominator for v in values))
 
 
-def _eliminate(
-    row: list[int], prow: list[int], pc: int, support: Sequence[int]
-) -> list[int]:
+def _eliminate(row: dict[int, int], prow: dict[int, int], pc: int) -> dict[int, int]:
     """``row * piv - f * prow`` with ``piv = prow[pc] > 0`` and ``f = row[pc]``,
-    divided by its gcd.
+    divided by the gcd of its values.
 
-    ``support`` lists the columns where ``prow`` is nonzero. Both
-    multipliers are first reduced by ``gcd(piv, f)``, so the row is
-    multiplied once (copied when the reduced ``piv`` is 1) and the pivot
-    row is subtracted only on its support. The result has 0 in column
-    ``pc`` and is the primitive positive multiple of the rational row with
-    the pivot row's multiple of ``f / piv`` removed, whatever the
-    reduction. Entries of ``row`` beyond the pivot row's end (the
-    objective's scale) are only multiplied.
+    Both multipliers are first reduced by ``gcd(piv, f)``, so the row's
+    nonzeros are multiplied once (copied when the reduced ``piv`` is 1)
+    and the pivot row is subtracted at its nonzeros only; an entry that
+    becomes 0 is deleted. The result has no entry in column ``pc`` and is
+    the primitive positive multiple of the rational row with the pivot
+    row's multiple of ``f / piv`` removed, whatever the reduction. Keys
+    that the pivot row lacks (the objective's scale) are only multiplied.
     """
     piv, f = prow[pc], row[pc]
     g = math.gcd(piv, f)
     if g > 1:
         piv //= g
         f //= g
-    out = [v * piv for v in row] if piv != 1 else row.copy()
-    for j in support:
-        out[j] -= f * prow[j]
-    g = math.gcd(*out)
-    return [v // g for v in out] if g > 1 else out
-
-
-def _support(row: list[int]) -> list[int]:
-    """The columns where ``row`` is nonzero."""
-    return [j for j, v in enumerate(row) if v]
+    out = {j: v * piv for j, v in row.items()} if piv != 1 else row.copy()
+    for j, p in prow.items():
+        v = out.get(j, 0) - f * p
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    g = math.gcd(*out.values())
+    return {j: v // g for j, v in out.items()} if g > 1 else out
 
 
 class _Tableau:
     """Simplex tableau in integers, each row with its own scale.
 
-    Every row is a list of integers at full width, the right-hand side
-    last, equal to a positive multiple of its rational row: the value of
-    the row's basic variable is ``row[-1] / row[basis]``, and every sign
-    and every ratio test reads the integers as they are. The rows are
-    built in integers, with no rational arithmetic. The objective row
-    holds the reduced costs, then minus the objective value, then its
-    scale. One elimination step (``_eliminate``) serves the pivot and the
-    pricing of an objective; a pivot lists the pivot row's nonzero columns
-    once, eliminates only in the rows with a nonzero in the pivot column
-    and leaves every other row as it is.
+    Every row is a dict from column to nonzero integer, equal to a
+    positive multiple of its rational row, with no entry for a zero. The
+    right-hand side sits under the key ``rhs``, one past the last column,
+    so the value of the row's basic variable is ``row[rhs] / row[basis]``
+    (0 when the key is absent), and every sign and every ratio test reads
+    the integers as they are. The rows are built in integers, with no
+    rational arithmetic. The objective row holds the reduced costs, minus
+    the objective value under ``rhs``, and its positive scale under
+    ``scale``, one key further on. One elimination step (``_eliminate``)
+    serves the pivot and the pricing of an objective; a pivot eliminates
+    only in the rows with an entry in the pivot column and leaves every
+    other row as it is. Each reported number is built once, as one
+    ``Fraction`` of tableau integers.
     """
 
     def __init__(self, lp: LinearProgram, pivot_limit: int):
@@ -338,45 +341,40 @@ class _Tableau:
                 ncols += 1
         self.row_unit_col = list(self.basis)
         self.redundant: list[int] = []
+        self.ncols = ncols
+        self.rhs = rhs = ncols
+        self.scale = ncols + 1
 
-        # Each row in integers at its full width: the caller's row times
-        # its scale (the lcm of its denominators) and its flip.
+        # Each row in integers: the caller's row times its scale (the lcm
+        # of its denominators) and its flip.
         self.row_scale = []
         rows = []
         for con, sc, flip, unit in zip(cons, slack_col, self.flip, self.basis):
             scale = _row_scale([v for _, v in con.terms] + [con.rhs])
             self.row_scale.append(scale)
-            row = [0] * (ncols + 1)
+            row: dict[int, int] = {}
             for j, v in con.terms:
                 sv = flip * v.numerator * (scale // v.denominator)
                 pos, neg = self.var_cols[j]
-                row[pos] += sv
+                row[pos] = row.get(pos, 0) + sv
                 if neg is not None:
-                    row[neg] -= sv
+                    row[neg] = row.get(neg, 0) - sv
             if sc >= 0:
                 row[sc] = flip if con.relation == LE else -flip
             row[unit] = 1
-            row[-1] = flip * con.rhs.numerator * (scale // con.rhs.denominator)
-            rows.append(row)
+            row[rhs] = flip * con.rhs.numerator * (scale // con.rhs.denominator)
+            rows.append({j: v for j, v in row.items() if v})
         self.rows = rows
-        self.ncols = ncols
-        self.obj = [0] * (ncols + 1) + [1]
+        self.obj = {self.scale: 1}
 
-    @property
-    def obj_scale(self) -> int:
-        return self.obj[-1]
-
-    @property
-    def objective_value(self) -> Fraction:
-        return Fraction(-self.obj[-2], self.obj_scale)
-
-    def set_objective(self, costs: Sequence[int]) -> None:
-        """Reduced-cost row for integer costs, one per column (zeros past
-        the end), priced out against the current basis."""
-        obj = list(costs) + [0] * (self.ncols + 1 - len(costs)) + [1]
+    def set_objective(self, costs: Mapping[int, int]) -> None:
+        """Reduced-cost row for integer costs by column (absent ones 0),
+        priced out against the current basis."""
+        obj = {j: c for j, c in costs.items() if c}
+        obj[self.scale] = 1
         for row, b in zip(self.rows, self.basis):
-            if obj[b]:
-                obj = _eliminate(obj, row, b, _support(row))
+            if b in obj:
+                obj = _eliminate(obj, row, b)
         self.obj = obj
 
     def pivot(self, pr: int, pc: int) -> None:
@@ -385,40 +383,39 @@ class _Tableau:
             raise LPResourceError(f"pivot limit {self.pivot_limit} exceeded")
         rows = self.rows
         prow = rows[pr]
-        support = _support(prow)
         for r, row in enumerate(rows):
-            if r != pr and row[pc]:
-                rows[r] = _eliminate(row, prow, pc, support)
-        if self.obj[pc]:
-            self.obj = _eliminate(self.obj, prow, pc, support)
+            if pc in row and r != pr:
+                rows[r] = _eliminate(row, prow, pc)
+        if pc in self.obj:
+            self.obj = _eliminate(self.obj, prow, pc)
         self.basis[pr] = pc
 
     def run_simplex(self, banned: set[int]) -> str:
         """Minimize the current objective; Bland's rule throughout."""
+        ncols, rhs = self.ncols, self.rhs
         while True:
-            pc = -1
-            obj = self.obj
-            for j in range(self.ncols):
-                if obj[j] < 0 and j not in banned:
-                    pc = j
-                    break
+            pc = min(
+                (j for j, v in self.obj.items() if v < 0 and j < ncols and j not in banned),
+                default=-1,
+            )
             if pc < 0:
                 return OPTIMAL
             pr = -1
-            best_rhs = best_piv = None
+            best_rhs = best_piv = 0
             for r, row in enumerate(self.rows):
-                a = row[pc]
+                a = row.get(pc, 0)
                 if a <= 0:
                     continue
+                b = row.get(rhs, 0)
                 if pr < 0:
-                    pr, best_rhs, best_piv = r, row[-1], a
+                    pr, best_rhs, best_piv = r, b, a
                     continue
-                # ratio comparison rhs/a < best by cross multiplication;
+                # ratio comparison b/a < best by cross multiplication;
                 # each row's scale cancels in its own ratio
-                left = row[-1] * best_piv
+                left = b * best_piv
                 right = best_rhs * a
                 if left < right or (left == right and self.basis[r] < self.basis[pr]):
-                    pr, best_rhs, best_piv = r, row[-1], a
+                    pr, best_rhs, best_piv = r, b, a
             if pr < 0:
                 return UNBOUNDED
             self.pivot(pr, pc)
@@ -443,22 +440,24 @@ class _Tableau:
                 return False
             targets.append(col)
         wanted = set(targets)
+        rows = self.rows
         for pc in targets:
             if pc in self.basis:
                 continue
             pr = next(
-                (r for r, row in enumerate(self.rows)
-                 if row[pc] and self.basis[r] not in wanted),
+                (r for r, row in enumerate(rows)
+                 if pc in row and self.basis[r] not in wanted),
                 -1,
             )
             if pr < 0:
                 return False
-            if self.rows[pr][pc] < 0:
-                self.rows[pr] = [-v for v in self.rows[pr]]
+            if rows[pr][pc] < 0:
+                rows[pr] = {j: -v for j, v in rows[pr].items()}
             self.pivot(pr, pc)
+        rhs = self.rhs
         return all(
-            row[-1] >= 0 and not (row[-1] and b in self.artificial)
-            for row, b in zip(self.rows, self.basis)
+            row.get(rhs, 0) >= 0 and not (rhs in row and b in self.artificial)
+            for row, b in zip(rows, self.basis)
         )
 
     def final_basis(self) -> Basis:
@@ -490,7 +489,7 @@ class _Tableau:
             if self.basis[r] not in self.artificial:
                 r += 1
                 continue
-            cols = [j for j in range(self.ncols) if row[j] and j not in self.artificial]
+            cols = sorted(j for j in row if j < self.ncols and j not in self.artificial)
             if not cols:
                 # Fully zero row: the original constraint was redundant.
                 self.redundant.append(self.row_unit_col.index(self.basis[r]))
@@ -499,43 +498,49 @@ class _Tableau:
                 continue
             pc = cols[0]
             if priced:
-                pc = min(cols, key=lambda j: Fraction(self.obj[j], abs(row[j])))
+                pc = min(cols, key=lambda j: Fraction(self.obj.get(j, 0), abs(row[j])))
             if row[pc] < 0:
                 # The artificial is at level 0, so the negated row keeps
                 # its right-hand side and the pivot is positive.
-                self.rows[r] = [-v for v in row]
+                self.rows[r] = {j: -v for j, v in row.items()}
             self.pivot(r, pc)
             r += 1
 
     def structural_solution(self) -> tuple[Fraction, ...]:
-        col_val = {b: Fraction(row[-1], row[b]) for row, b in zip(self.rows, self.basis)}
-        zero = Fraction(0)
+        """The caller's variables, each one ``Fraction`` of its basic row's
+        right-hand side over its pivot (negated for the negative part of a
+        free variable; both parts are never basic together)."""
+        rhs = self.rhs
+        level = {b: row for row, b in zip(self.rows, self.basis) if rhs in row}
         out = []
         for pos, neg in self.var_cols:
-            v = col_val.get(pos, zero)
-            if neg is not None:
-                v = v - col_val.get(neg, zero)
-            out.append(v)
+            if pos in level:
+                row = level[pos]
+                out.append(Fraction(row[rhs], row[pos]))
+            elif neg in level:
+                row = level[neg]
+                out.append(Fraction(-row[rhs], row[neg]))
+            else:
+                out.append(_ZERO)
         return tuple(out)
 
-    def row_multipliers(self, phase_one: bool) -> tuple[Fraction, ...]:
-        """Duals of the caller's rows for the current objective.
+    def row_multipliers(self, phase_one: bool, sign: int, scale: int) -> tuple[Fraction, ...]:
+        """Duals of the caller's rows for the current objective, times
+        ``sign / scale``.
 
         Each row's initial unit column has reduced cost ``cost - dual``
         (cost 1 for an artificial in phase one, 0 otherwise); unflipping
         and unscaling maps those duals of the standardized rows to the
-        caller's rows.
+        caller's rows. Each is one ``Fraction`` of tableau integers.
         """
+        obj = self.obj
+        s = obj[self.scale]
+        den = s * scale
         y = []
-        for i, col in enumerate(self.row_unit_col):
-            cost = 1 if phase_one and col in self.artificial else 0
-            reduced = Fraction(self.obj[col], self.obj_scale)
-            y.append((cost - reduced) * self.flip[i] * self.row_scale[i])
+        for col, flip, rs in zip(self.row_unit_col, self.flip, self.row_scale):
+            num = (s if phase_one and col in self.artificial else 0) - obj.get(col, 0)
+            y.append(Fraction(sign * flip * rs * num, den) if num else _ZERO)
         return tuple(y)
-
-    def farkas_certificate(self) -> tuple[Fraction, ...]:
-        """Multipliers for the original rows from phase-one reduced costs."""
-        return tuple(-v for v in self.row_multipliers(phase_one=True))
 
 
 def solve(
@@ -553,39 +558,41 @@ def solve(
             spent = tab.pivots
             tab = _Tableau(lp, pivot_limit)
             tab.pivots = spent
-        tab.set_objective([int(j in tab.artificial) for j in range(tab.ncols)])
+        tab.set_objective(dict.fromkeys(tab.artificial, 1))
         status = tab.run_simplex(banned=set())
         if status == UNBOUNDED:  # phase-one objective is bounded below by zero
             raise AssertionError("phase one cannot be unbounded")
-        if tab.objective_value > 0:
-            return LPOutcome(status=INFEASIBLE, certificate=tab.farkas_certificate())
+        if tab.obj.get(tab.rhs, 0) < 0:  # artificial mass left above 0
+            # the Farkas multipliers are minus the phase-one duals
+            certificate = tab.row_multipliers(phase_one=True, sign=-1, scale=1)
+            return LPOutcome(status=INFEASIBLE, certificate=certificate)
 
     if lp.sense is None:
         tab.drive_out_artificials()
         return LPOutcome(status=FEASIBLE, x=tab.structural_solution(), basis=tab.final_basis())
 
-    obj_scale = _row_scale([v for _, v in lp.objective])
-    costs = [0] * tab.n_structural
+    obj_scale = _row_scale(v for _, v in lp.objective)
     sign = 1 if lp.sense == MIN else -1
+    costs: dict[int, int] = {}
     for j, v in lp.objective:
-        sv = int(v * obj_scale)
+        sv = sign * v.numerator * (obj_scale // v.denominator)
         pos, neg = tab.var_cols[j]
-        costs[pos] += sign * sv
+        costs[pos] = costs.get(pos, 0) + sv
         if neg is not None:
-            costs[neg] -= sign * sv
+            costs[neg] = costs.get(neg, 0) - sv
     tab.set_objective(costs)
     # from an optimal basis, the dual ratio test keeps it optimal
     tab.drive_out_artificials(priced=warm)
     status = tab.run_simplex(banned=tab.artificial)
     if status == UNBOUNDED:
         return LPOutcome(status=UNBOUNDED)
-    value = sign * tab.objective_value / obj_scale
-    duals = tuple(sign * v / obj_scale for v in tab.row_multipliers(phase_one=False))
     return LPOutcome(
         status=OPTIMAL,
         x=tab.structural_solution(),
-        objective_value=value,
-        duals=duals,
+        objective_value=Fraction(
+            -sign * tab.obj.get(tab.rhs, 0), tab.obj[tab.scale] * obj_scale
+        ),
+        duals=tab.row_multipliers(phase_one=False, sign=sign, scale=obj_scale),
         basis=tab.final_basis(),
     )
 

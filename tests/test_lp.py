@@ -428,10 +428,23 @@ class TestAgainstHighs:
         assert min(statuses.count(s) for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) >= 5
 
 
-def textbook_eliminate(row, prow, pc, support):
-    """Reference elimination: ``row * piv - f * prow`` over every entry,
-    the entries past the pivot row's end (the objective's scale) times
-    ``piv``, divided by the gcd. ``support`` is ignored."""
+def dense(row, width):
+    """A kernel row (column -> nonzero integer) as ``width`` integers."""
+    out = [0] * width
+    for j, v in row.items():
+        out[j] = v
+    return out
+
+
+def sparse(values):
+    """The kernel's row for a list of integers: its nonzeros by column."""
+    return {j: v for j, v in enumerate(values) if v}
+
+
+def textbook_step(row, prow, pc):
+    """Reference elimination on dense rows: ``row * piv - f * prow`` over
+    every entry, the entries past the pivot row's end (the objective's
+    scale) times ``piv``, divided by the gcd."""
     piv, f = prow[pc], row[pc]
     out = [v * piv - f * p for v, p in zip(row, prow)]
     out += [v * piv for v in row[len(prow):]]
@@ -439,10 +452,19 @@ def textbook_eliminate(row, prow, pc, support):
     return [v // g for v in out] if g > 1 else out
 
 
+def textbook_eliminate(row, prow, pc):
+    """``textbook_step`` on the kernel's rows: both are densified over
+    every column up to the last key either holds, and the result is
+    given back as a kernel row."""
+    width = 1 + max(max(row), max(prow))
+    return sparse(textbook_step(dense(row, width), dense(prow, width), pc))
+
+
 def traced(run, eliminate):
-    """``run()`` with ``eliminate`` as the kernel's elimination step, and
-    the pivots ``(row, column)`` it takes, one list per objective set."""
-    phases = []
+    """``run()`` with ``eliminate`` as the kernel's elimination step, the
+    pivots ``(row, column)`` it takes, one list per objective set, and the
+    rows and the objective row after each pivot."""
+    phases, states = [], []
     set_objective, pivot = lp._Tableau.set_objective, lp._Tableau.pivot
 
     def traced_set_objective(tab, costs):
@@ -452,18 +474,20 @@ def traced(run, eliminate):
     def traced_pivot(tab, pr, pc):
         phases[-1].append((pr, pc))
         pivot(tab, pr, pc)
+        # an elimination returns a new row, so the dicts are not copied
+        states.append((list(tab.rows), tab.obj))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "_eliminate", eliminate)
         mp.setattr(lp._Tableau, "set_objective", traced_set_objective)
         mp.setattr(lp._Tableau, "pivot", traced_pivot)
-        return run(), phases
+        return run(), phases, states
 
 
 class TestEliminationPath:
-    """The kernel's elimination (gcd-reduced multipliers, the pivot row
-    subtracted on its support only) must give the same integers as the
-    textbook one, so every pivot and every outcome is the same."""
+    """The kernel's elimination (on the nonzeros only, with gcd-reduced
+    multipliers) must give the same integers as the dense textbook one, so
+    every pivot, every row and every outcome is the same."""
 
     def random_pair(self, rng: random.Random):
         n = rng.randint(2, 14)
@@ -480,6 +504,10 @@ class TestEliminationPath:
             -prow[pc] * rng.randint(1, 5),  # a pivot that divides f, f negative
             prow[pc] * rng.randint(1, 5),
         ])
+        if rng.random() < 0.3:  # an entry that the elimination cancels
+            k = rng.choice([j for j in range(n) if j != pc])
+            prow[k] = prow[pc] * rng.randint(1, 3)
+            row[k] = row[pc] * (prow[k] // prow[pc])
         g = rng.randint(1, 6)  # a row that is not primitive
         return [g * v for v in row], prow, pc
 
@@ -489,28 +517,33 @@ class TestEliminationPath:
         for _ in range(2000):
             row, prow, pc = self.random_pair(rng)
             piv, f = prow[pc], row[pc]
-            support = [j for j, v in enumerate(prow) if v]
-            before = list(row)
-            out = lp._eliminate(row, prow, pc, support)
-            assert row == before
-            assert out == textbook_eliminate(row, prow, pc, support)
-            assert len(out) == len(row) and out[pc] == 0
-            assert math.gcd(*out) in (0, 1)
+            before = sparse(row)
+            out = lp._eliminate(sparse(row), sparse(prow), pc)
+            assert 0 not in out.values() and pc not in out
+            assert max(out, default=0) < len(row)
+            assert dense(out, len(row)) == textbook_step(row, prow, pc)
+            assert math.gcd(*out.values()) in (0, 1)
+            # the input row is left as it was
+            kept = sparse(row)
+            lp._eliminate(kept, sparse(prow), pc)
+            assert kept == before
             # a positive multiple of row - (f / piv) * prow
             exact = [F(v) - F(f, piv) * p for v, p in zip(row, prow)] + row[len(prow):]
-            k = next((j for j, v in enumerate(out) if v), None)
+            k = min(out, default=None)
             if k is not None:
-                t = out[k] / exact[k]
+                t = F(out[k]) / exact[k]
                 assert t > 0
-                assert all(v == t * e for v, e in zip(out, exact))
-            seen.add((f % piv == 0, f < 0, piv == 1, len(row) > len(prow)))
-        assert len(seen) >= 12
+                assert all(v == t * e for v, e in zip(dense(out, len(row)), exact))
+            cancelled = any(row[j] and j != pc and not out.get(j) for j in range(len(prow)))
+            seen.add((f % piv == 0, f < 0, piv == 1, len(row) > len(prow), cancelled))
+        assert len(seen) >= 24
 
     def assert_same_path(self, run):
-        fast, fast_phases = traced(run, lp._eliminate)
-        slow, slow_phases = traced(run, textbook_eliminate)
+        fast, fast_phases, fast_states = traced(run, lp._eliminate)
+        slow, slow_phases, slow_states = traced(run, textbook_eliminate)
         assert fast == slow
         assert fast_phases == slow_phases
+        assert fast_states == slow_states
         return fast, fast_phases
 
     def test_random_programs_take_the_same_pivots(self):
@@ -535,6 +568,116 @@ class TestEliminationPath:
         # one; its install pivots run through the same elimination
         assert len(phases) == 7
         assert sum(map(len, phases)) > 60
+
+
+class TestRowFormat:
+    """After every pivot each row stores nonzeros only, with its basic
+    column's entry positive and the gcd of its values 1; the objective row
+    too, with no entry at a basic column and a positive scale."""
+
+    def assert_invariants(self, tab):
+        rhs, scale = tab.rhs, tab.scale
+        for row, b in zip(tab.rows, tab.basis):
+            assert 0 not in row.values()
+            assert row[b] > 0
+            assert math.gcd(*row.values()) == 1
+            assert (rhs in row) == (row.get(rhs, 0) != 0)
+            assert max(row) <= rhs
+        obj = tab.obj
+        assert 0 not in obj.values()
+        assert obj[scale] > 0 and max(obj) == scale
+        assert math.gcd(*obj.values()) == 1
+        assert not set(tab.basis) & set(obj)
+
+    def test_row_format_holds_after_every_pivot(self):
+        pivot = lp._Tableau.pivot
+        checked = 0
+
+        def checked_pivot(tab, pr, pc):
+            nonlocal checked
+            pivot(tab, pr, pc)
+            self.assert_invariants(tab)
+            checked += 1
+
+        rng = random.Random(307)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp._Tableau, "pivot", checked_pivot)
+            for _ in range(120):
+                solve(TestAgainstHighs().random_program(rng))
+        assert checked > 1000
+
+
+def final_tableau(run):
+    """``run()`` and the last tableau it built, in its final state."""
+    built = []
+    init = lp._Tableau.__init__
+
+    def recorded(tab, *args):
+        init(tab, *args)
+        built.append(tab)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp._Tableau, "__init__", recorded)
+        return run(), built[-1]
+
+
+def reference_outcome(program, status, tab):
+    """The numbers an outcome of ``status`` reports, by the rational
+    formulas, read from the densified final tableau: each dual is
+    ``(cost - obj / scale) * flip * row_scale``, then times
+    ``sign / obj_scale``; the certificate is minus the phase-one duals."""
+    width = tab.ncols + 1
+    rows = [dense(row, width) for row in tab.rows]
+    obj = dense(tab.obj, width + 1)
+    scale = obj[-1]
+    level = {b: F(row[-1], row[b]) for row, b in zip(rows, tab.basis)}
+    x = tuple(
+        level.get(pos, F(0)) - (level.get(neg, F(0)) if neg is not None else 0)
+        for pos, neg in tab.var_cols
+    )
+
+    def multipliers(phase_one):
+        return [
+            (int(phase_one and col in tab.artificial) - F(obj[col], scale)) * flip * rs
+            for col, flip, rs in zip(tab.row_unit_col, tab.flip, tab.row_scale)
+        ]
+
+    if status == INFEASIBLE:
+        return {"certificate": tuple(-v for v in multipliers(phase_one=True))}
+    if status == lp.FEASIBLE:
+        return {"x": x}
+    sign = 1 if program.sense == lp.MIN else -1
+    obj_scale = math.lcm(*(v.denominator for _, v in program.objective))
+    return {
+        "x": x,
+        "objective_value": sign * F(-obj[-2], scale) / obj_scale,
+        "duals": tuple(sign * v / obj_scale for v in multipliers(phase_one=False)),
+    }
+
+
+class TestIntegerAssembly:
+    """Each reported number is one ``Fraction`` of tableau integers, equal
+    to the rational formula applied to the final tableau."""
+
+    def test_reported_numbers_match_the_rational_formulas(self):
+        rng = random.Random(401)
+        seen = set()
+        programs = [TestAgainstHighs().random_program(rng) for _ in range(60)]
+        programs += [TestDuals().random_program(rng) for _ in range(150)]
+        programs += [replace(p, objective=(), sense=None) for p in programs[:30]]
+        for program in programs:
+            out, tab = final_tableau(lambda: solve(program))
+            if out.status == UNBOUNDED:
+                continue
+            want = reference_outcome(program, out.status, tab)
+            for name, value in want.items():
+                got = getattr(out, name)
+                assert got == value
+                assert all(type(v) is F for v in (got if isinstance(got, tuple) else [got]))
+            seen.add(out.status)
+            if out.status == OPTIMAL and not all(program.nonnegative):
+                seen.add("free")
+        assert seen == {OPTIMAL, INFEASIBLE, lp.FEASIBLE, "free"}
 
 
 class TestDuals:
