@@ -44,28 +44,44 @@ reaches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import lp
 from .model import SDSC, Dataset, Menu, Observation, Prior, utility
 from .piecewise import PiecewiseScalarFunction, sorted_points
-from .recovery import hinge, menu_value_function, price_function
+from .recovery import menu_value_function, price_function
 from .revealed import DiscreteCDF, prior_cdf
 
 
 @dataclass(frozen=True)
 class ForwardProblem:
+    """Maximize the integral of ``objective`` over the contractions of
+    ``prior`` supported on ``grid``.
+
+    ``objective`` is the menu's indirect utility plus the cost derivative.
+    It is built once, when the problem is made, unless the caller passes
+    it (``build`` passes the one whose breakpoints it put on the grid);
+    ``solve_forward``, ``oracle_value`` and ``generate_dataset`` read it.
+    """
+
     prior: Prior
     menu: Menu
     cost: PiecewiseScalarFunction
     grid: tuple[Fraction, ...]
+    objective: PiecewiseScalarFunction = field(  # type: ignore[assignment]
+        default=None, compare=False, repr=False, kw_only=True
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", sorted_points(self.grid))
         need = {Fraction(0), Fraction(1), *prior_cdf(self.prior).support}
         if not need <= set(self.grid):
             raise ValueError("grid must contain 0, 1, and every prior support point")
+        if self.objective is None:
+            object.__setattr__(
+                self, "objective", menu_value_function(self.menu) + self.cost
+            )
 
     @classmethod
     def build(
@@ -76,17 +92,21 @@ class ForwardProblem:
         extra: tuple[Fraction, ...] = (),
         uniform_points: int = 0,
     ) -> "ForwardProblem":
-        """Assemble the canonical grid: prior support, both functions'
-        breakpoints, the prior mean, plus any extra or uniform points."""
+        """Assemble the canonical grid: prior support, the objective's
+        breakpoints (those of the menu's indirect utility and of the cost),
+        the prior mean, plus any extra or uniform points. The objective is
+        built here, once, and handed to the problem."""
+        objective = menu_value_function(menu) + cost
         pts = {Fraction(0), Fraction(1), prior.mean}
         pts.update(prior_cdf(prior).support)
-        pts.update(menu_value_function(menu).breakpoints)
-        pts.update(cost.breakpoints)
+        pts.update(objective.breakpoints)
         pts.update(extra)
         if uniform_points > 0:
             for j in range(uniform_points + 1):
                 pts.add(Fraction(j, uniform_points))
-        return cls(prior=prior, menu=menu, cost=cost, grid=sorted_points(pts))
+        return cls(
+            prior=prior, menu=menu, cost=cost, grid=sorted_points(pts), objective=objective
+        )
 
 
 @dataclass(frozen=True)
@@ -101,27 +121,44 @@ class ForwardSolution:
 
 def _grid_lp(problem: ForwardProblem, grid, objective: PiecewiseScalarFunction):
     """Primal program: maximize sum V(g) f(g) over grid contractions,
-    where V is ``objective``.
+    where V is ``objective`` and ``grid`` is increasing from 0 to 1.
 
-    Row k integrates the price basis function of ``grid[k]`` against f and
-    bounds it by the prior's integral: row 0 (the intercept) fixes total
-    mass, the row at 1 fixes the mean, and every interior row is the
-    contraction constraint at that grid point.
+    Row k integrates the price basis function of ``grid[k]``
+    (``recovery.hinge``) against f and bounds it by the prior's integral;
+    the rows are written directly. Row 0, the intercept, is all ones and
+    fixes total mass at the prior's 1. Row k > 0 has the coefficient ``grid[k] - grid[j]``
+    at each ``j < k`` (the hinge is 0 from ``grid[k]`` on) and right-hand
+    side the sum of ``w (grid[k] - s)`` over the prior's atoms ``(s, w)``
+    with ``s < grid[k]``. The row at 1 fixes the mean, and every interior
+    row is the contraction constraint at that grid point. The objective is
+    evaluated at the grid in one sweep.
     """
-    support = prior_cdf(problem.prior).atoms
-    cons = [
-        lp.constraint(
-            {j: hinge(gp, g) for j, g in enumerate(grid)},
-            lp.EQ if gp in (0, 1) else lp.LE,
-            sum(w * hinge(gp, s) for s, w in support),
+    atoms = prior_cdf(problem.prior).atoms
+    one = Fraction(1)
+    cons = [lp.Constraint(tuple((j, one) for j in range(len(grid))), lp.EQ, one)]
+    # The right-hand side at g is g * mass - moment, where mass and moment
+    # are the prior's weight and first moment below g, swept up with g.
+    mass = moment = Fraction(0)
+    below = 0
+    for k in range(1, len(grid)):
+        g = grid[k]
+        while below < len(atoms) and atoms[below][0] < g:
+            s, w = atoms[below]
+            mass += w
+            moment += w * s
+            below += 1
+        cons.append(
+            lp.Constraint(
+                tuple((j, g - grid[j]) for j in range(k)),
+                lp.EQ if g == 1 else lp.LE,
+                g * mass - moment,
+            )
         )
-        for gp in grid
-    ]
     return lp.LinearProgram(
         num_vars=len(grid),
         nonnegative=(True,) * len(grid),
         constraints=tuple(cons),
-        objective=tuple((j, objective(g)) for j, g in enumerate(grid)),
+        objective=tuple(enumerate(objective.values_at(grid))),
         sense=lp.MAX,
     )
 
@@ -202,12 +239,13 @@ def _certified_price(problem: ForwardProblem, program: lp.LinearProgram, f, mult
     slopes = price.slopes()
     if any(s > t for s, t in zip(slopes, slopes[1:])):
         raise RuntimeError("forward price is not convex")
-    grid = list(multipliers)
-    if any(price(grid[j]) < v for j, v in program.objective):
+    at_grid = price.values_at(list(multipliers))
+    if any(at_grid[j] < v for j, v in program.objective):
         raise RuntimeError("forward price fails to majorize the objective on the grid")
     value = sum(f[j] * v for j, v in program.objective)
-    on_f = sum(f[j] * price(g) for j, g in enumerate(grid))
-    on_prior = sum(w * price(z) for z, w in prior_cdf(problem.prior).atoms)
+    on_f = sum(f[j] * p for j, p in enumerate(at_grid))
+    atoms = prior_cdf(problem.prior).atoms
+    on_prior = sum(w * p for (_, w), p in zip(atoms, price.values_at([z for z, _ in atoms])))
     if not value == on_f == on_prior:
         raise RuntimeError("forward price integrals disagree with the objective")
     return price, value
@@ -219,8 +257,7 @@ def solve_forward(problem: ForwardProblem) -> ForwardSolution:
     Raises unless ``_certified_price`` proves the distribution optimal.
     """
     grid = list(problem.grid)
-    objective_fn = menu_value_function(problem.menu) + problem.cost
-    program = _grid_lp(problem, grid, objective_fn)
+    program = _grid_lp(problem, grid, problem.objective)
     # least informative optimum: minimum variance of the posterior means
     z0 = problem.prior.mean
     f, first = _lexicographic(
@@ -248,7 +285,7 @@ def solve_forward(problem: ForwardProblem) -> ForwardSolution:
         price=price,
         multipliers=multipliers,
         assignments=assignments,
-        objective=objective_fn,
+        objective=problem.objective,
     )
 
 
@@ -273,7 +310,7 @@ def oracle_value(problem: ForwardProblem, resolution: int) -> Fraction:
     for j in range(resolution):
         pts.add(Fraction(j, resolution - 1))
     grid = sorted_points(pts)
-    program = _grid_lp(problem, grid, menu_value_function(problem.menu) + problem.cost)
+    program = _grid_lp(problem, grid, problem.objective)
     outcome = lp.solve(program)
     if outcome.status != lp.OPTIMAL:
         raise RuntimeError(f"oracle program unexpectedly {outcome.status}")

@@ -272,7 +272,7 @@ def figure_series(fn: PiecewiseScalarFunction, name: str) -> dict[str, Any]:
     xs.append(fn.breakpoints[-1])
     return {
         "name": name,
-        "points": [[float(x), float(fn(x))] for x in xs],
+        "points": [[float(x), float(y)] for x, y in zip(xs, fn.values_at(xs))],
     }
 
 

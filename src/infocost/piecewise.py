@@ -5,8 +5,15 @@ functions, indirect utilities, and their sums and envelopes. Segments are
 quadratic ``a z^2 + b z + c`` with ``a = 0`` for the affine case; the only
 quadratic producer is the posterior-variance cost.
 
-Envelopes (pointwise min/max) are computed exactly over the refined
-breakpoint grid, splitting segments at pairwise crossing points.
+Envelopes (pointwise min/max) of piecewise functions are computed exactly
+over the refined breakpoint grid, splitting segments at pairwise crossing
+points; an envelope of plain lines, such as a menu's indirect utility,
+needs no grid and is built by ``recovery.menu_value_function``.
+
+Functions are evaluated at many points by one sweep: ``values_at`` walks
+a sorted list of points and the breakpoints together, and ``__add__``
+walks both operands' breakpoints in step, so neither searches for a
+segment per point.
 """
 
 from __future__ import annotations
@@ -84,12 +91,36 @@ class PiecewiseScalarFunction:
         return min(max(i, 0), len(self.coefficients) - 1)
 
     def __call__(self, z: Fraction) -> Fraction:
-        if z < 0 or z > 1:
-            raise ValueError(f"argument {numeric.format_scalar(z)} outside [0, 1]")
+        _check_domain(z)
         return _eval(self.coefficients[self.segment_index(z)], z)
 
+    def values_at(self, xs: Sequence[Fraction]) -> list[Fraction]:
+        """The values at the nondecreasing points ``xs``, in one sweep.
+
+        Equal to ``[self(x) for x in xs]``, raising the same way on a
+        point outside [0, 1]; at a breakpoint the segment to its right is
+        used, as in ``segment_index``.
+        """
+        out: list[Fraction] = []
+        if not xs:
+            return out
+        _check_domain(xs[0])
+        _check_domain(xs[-1])
+        bps, coeffs = self.breakpoints, self.coefficients
+        last = len(coeffs) - 1
+        i = 0
+        prev = xs[0]
+        for x in xs:
+            if x < prev:
+                raise ValueError("points must be nondecreasing")
+            prev = x
+            while i < last and bps[i + 1] <= x:
+                i += 1
+            out.append(_eval(coeffs[i], x))
+        return out
+
     def breakpoint_values(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple((x, self(x)) for x in self.breakpoints)
+        return tuple(zip(self.breakpoints, self.values_at(self.breakpoints)))
 
     @property
     def is_affine(self) -> bool:
@@ -100,6 +131,23 @@ class PiecewiseScalarFunction:
             raise ValueError("slopes are defined for affine segments only")
         return tuple(b for _, b, _ in self.coefficients)
 
+    def minimum(self) -> Fraction:
+        """The exact minimum over [0, 1].
+
+        It is attained at a breakpoint or, on a segment with ``a > 0``, at
+        the stationary point ``-b / 2a`` when that lies inside the segment.
+        """
+        bps = self.breakpoints
+        values = [_eval(self.coefficients[-1], bps[-1])]
+        for x1, x2, seg in zip(bps, bps[1:], self.coefficients):
+            values.append(_eval(seg, x1))
+            a, b, _ = seg
+            if a > 0:
+                x = -b / (2 * a)
+                if x1 < x < x2:
+                    values.append(_eval(seg, x))
+        return min(values)
+
     def derivative_at(self, seg_index: int, z: Fraction) -> Fraction:
         a, b, _ = self.coefficients[seg_index]
         return 2 * a * z + b
@@ -107,14 +155,24 @@ class PiecewiseScalarFunction:
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other: "PiecewiseScalarFunction") -> "PiecewiseScalarFunction":
-        xs = sorted_points((*self.breakpoints, *other.breakpoints))
+        """Sum on the merged breakpoints: both breakpoint lists are walked in
+        step, and each merged interval adds the two segments covering it."""
+        xa, ca = self.breakpoints, self.coefficients
+        xb, cb = other.breakpoints, other.coefficients
+        xs = [xa[0]]
         coeffs = []
-        for x1, x2 in zip(xs, xs[1:]):
-            mid = (x1 + x2) / 2
-            ca = self.coefficients[self.segment_index(mid)]
-            cb = other.coefficients[other.segment_index(mid)]
-            coeffs.append(tuple(p + q for p, q in zip(ca, cb)))
-        return PiecewiseScalarFunction(breakpoints=xs, coefficients=tuple(coeffs))
+        i = j = 0
+        # Both lists end at 1, so both indices run off their ends together.
+        while i < len(ca):
+            (a1, b1, c1), (a2, b2, c2) = ca[i], cb[j]
+            coeffs.append((a1 + a2, b1 + b2, c1 + c2))
+            na, nb = xa[i + 1], xb[j + 1]
+            xs.append(min(na, nb))
+            if na <= nb:
+                i += 1
+            if nb <= na:
+                j += 1
+        return PiecewiseScalarFunction(breakpoints=tuple(xs), coefficients=tuple(coeffs))
 
     def __neg__(self) -> "PiecewiseScalarFunction":
         return self * Fraction(-1)
@@ -148,6 +206,11 @@ class PiecewiseScalarFunction:
 def _eval(coeffs: Coeffs, z: Fraction) -> Fraction:
     a, b, c = coeffs
     return (a * z + b) * z + c
+
+
+def _check_domain(z: Fraction) -> None:
+    if z < 0 or z > 1:
+        raise ValueError(f"argument {numeric.format_scalar(z)} outside [0, 1]")
 
 
 def sorted_points(points: Iterable[Fraction]) -> tuple[Fraction, ...]:

@@ -3,8 +3,9 @@
 A price function is a convex function of the posterior mean, written in
 one basis: an intercept at 0 plus a hinge ``max(z - x, 0)`` at every other
 binding point ``z``. ``hinge`` and ``price_terms`` are the only
-definition of that basis; the cycle rows, the concavity generator rows
-and the forward grid program are all built from them. A feasible
+definition of that basis; the cycle rows and the concavity generator
+rows are built from them, and the forward grid program writes the same
+hinge values straight from its sorted grid (``forward._grid_lp``). A feasible
 multiplier vector gives one price function per observation; the cost
 derivative is the pointwise minimum of (price - act payoff) over every
 observation and act. The auditor re-derives every optimality condition
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .model import Dataset, Prior, utility
-from .piecewise import PiecewiseScalarFunction, lower_envelope, upper_envelope
+from .piecewise import PiecewiseScalarFunction, lower_envelope
 from .revealed import (
     DiscreteCDF,
     positive_gap_intervals,
@@ -38,10 +39,30 @@ def act_payoff_function(u0: Fraction, u1: Fraction) -> PiecewiseScalarFunction:
 
 
 def menu_value_function(menu) -> PiecewiseScalarFunction:
-    """Indirect utility of a menu as an explicit piecewise function."""
-    return upper_envelope(
-        [act_payoff_function(a.u0, a.u1) for a in menu.acts]
-    )
+    """Indirect utility of a menu: the upper envelope of its act lines.
+
+    The walk starts at 0 on the highest line there, the steepest among
+    ties. Every steeper line is then strictly below it, so the next kink is
+    the nearest crossing with a steeper line, if that lies before 1, and
+    there the steepest line through the crossing takes over. Slopes
+    strictly increase along the walk, so it ends.
+    """
+    lines = {(a.u1 - a.u0, a.u0) for a in menu.acts}  # (slope, value at 0)
+    m, c = max(lines, key=lambda line: (line[1], line[0]))
+    xs = [_ZERO]
+    coeffs = [(_ZERO, m, c)]
+    while True:
+        crossings = [((c - c2) / (m2 - m), m2, c2) for m2, c2 in lines if m2 > m]
+        if not crossings:
+            break
+        t = min(crossings)[0]
+        if t >= 1:
+            break
+        _, m, c = max(x for x in crossings if x[0] == t)
+        xs.append(t)
+        coeffs.append((_ZERO, m, c))
+    xs.append(_ONE)
+    return PiecewiseScalarFunction(breakpoints=tuple(xs), coefficients=tuple(coeffs))
 
 
 def hinge(z: Fraction, x: Fraction) -> Fraction:
@@ -185,8 +206,7 @@ def _audit_observation(
     price_convex = convexity_slack >= 0
 
     target = menu_value_function(obs.menu) + cost
-    grid = sorted({*price.breakpoints, *target.breakpoints})
-    majorization_slack = min(price(x) - target(x) for x in grid)
+    majorization_slack = (price - target).minimum()
     price_majorizes = majorization_slack >= 0
 
     summary = revealed_summary(obs)
@@ -239,7 +259,8 @@ def verify_rationalization(
     """Audit the optimality conditions per observation from raw data.
 
     Checks, for each observation: the price function is convex, majorizes
-    indirect utility plus cost, touches it at every revealed mean of a
+    indirect utility plus cost on all of [0, 1] (the gap's exact minimum,
+    inside a quadratic segment too), touches it at every revealed mean of a
     chosen act, is affine wherever the contraction constraint is slack,
     and integrates identically against the revealed distribution and the
     prior. All five together certify the construction.

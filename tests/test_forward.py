@@ -8,7 +8,7 @@ from importlib import resources
 
 import pytest
 
-from infocost import cli, forward, io, lp
+from infocost import cli, forward, io, lp, recovery
 from infocost import (
     Act,
     DiscreteCDF,
@@ -30,6 +30,7 @@ from infocost import (
     revealed_summary,
     solve_forward,
     validate_dataset,
+    variance_cost,
     verify_rationalization,
 )
 
@@ -304,6 +305,92 @@ class TestWarmDual:
         for problem, solution in zip(problems, warm):
             assert solve_forward(problem) == solution
         assert len(installs) == len(problems)
+
+
+def hinge_grid_lp(problem: ForwardProblem, grid, objective) -> lp.LinearProgram:
+    """The grid program built by evaluating the price basis at every (row,
+    point) pair and letting ``lp.constraint`` drop the zeros, with the
+    objective called at each point: the reference for ``forward._grid_lp``."""
+    support = prior_cdf(problem.prior).atoms
+    cons = [
+        lp.constraint(
+            {j: recovery.hinge(gp, g) for j, g in enumerate(grid)},
+            lp.EQ if gp in (0, 1) else lp.LE,
+            sum(w * recovery.hinge(gp, s) for s, w in support),
+        )
+        for gp in grid
+    ]
+    return lp.LinearProgram(
+        num_vars=len(grid),
+        nonnegative=(True,) * len(grid),
+        constraints=tuple(cons),
+        objective=tuple((j, objective(g)) for j, g in enumerate(grid)),
+        sense=lp.MAX,
+    )
+
+
+class TestGridProgram:
+    def test_direct_rows_match_the_hinge_rows(
+        self, three_act_menu, four_state_uniform_prior, steep_pooling_cost, concavified_cost
+    ):
+        problems = list(TestWarmDual().problems())
+        for cost in (steep_pooling_cost, concavified_cost, ZERO_COST):
+            problems.append(ForwardProblem.build(four_state_uniform_prior, three_act_menu, cost))
+        rng = random.Random(31)
+        for _ in range(6):
+            prior = random_prior(rng, rng.randint(3, 6))
+            problems.append(ForwardProblem.build(
+                prior, random_menu(rng, "m", 3), variance_cost(F(rng.randint(1, 4)), prior.mean),
+                uniform_points=rng.randint(8, 30),
+            ))
+        for problem in problems:
+            objective = recovery.menu_value_function(problem.menu) + problem.cost
+            assert problem.objective == objective
+            grid = list(problem.grid)
+            assert forward._grid_lp(problem, grid, objective) == hinge_grid_lp(problem, grid, objective)
+
+
+class TestObjectiveBuiltOnce:
+    """A forward problem's objective is built when the problem is made and
+    read by every solve; the auditor builds its own target per observation."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        menus = []
+        real = recovery.menu_value_function
+
+        def counted(menu):
+            menus.append(menu)
+            return real(menu)
+
+        monkeypatch.setattr(forward, "menu_value_function", counted)
+        monkeypatch.setattr(recovery, "menu_value_function", counted)
+        return menus
+
+    def test_solves_read_the_problems_objective(self, builds):
+        rng = random.Random(5)
+        prior, menu, cost = random_prior(rng, 5), random_menu(rng, "m", 3), concave_cost(rng)
+        problem = ForwardProblem.build(prior, menu, cost, uniform_points=12)
+        direct = ForwardProblem(prior=prior, menu=menu, cost=cost, grid=problem.grid)
+        assert builds == [menu, menu]
+        assert direct == problem and direct.objective == problem.objective
+        for made in (problem, direct):
+            solve_forward(made)
+            oracle_value(made, 2 * len(made.grid))
+        assert builds == [menu, menu]
+
+    def test_generation_builds_one_per_menu_and_the_audit_one_per_observation(self, builds):
+        rng = random.Random(6)
+        prior, cost = random_prior(rng, 5), concave_cost(rng)
+        menus = [random_menu(rng, f"m{i}", 3) for i in range(3)]
+        dataset = generate_dataset(prior, menus, cost)
+        assert builds == menus
+        builds.clear()
+        verdict = check_nipmc(dataset, flattest=True)
+        assert verdict.passed
+        prices = [price_function(verdict.multipliers, oi) for oi in range(len(menus))]
+        verify_rationalization(dataset, recover_cost(dataset, verdict.multipliers), prices)
+        assert builds == menus
 
 
 class TestGridProgramAgainstHighs:

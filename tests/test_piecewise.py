@@ -15,6 +15,28 @@ def random_affine_pwl(rng: random.Random) -> PiecewiseScalarFunction:
     return PiecewiseScalarFunction.from_points(list(zip(xs, ys)))
 
 
+def random_quadratic_pwl(rng: random.Random) -> PiecewiseScalarFunction:
+    """A random affine-segmented function plus a quadratic: every segment
+    is a quadratic with one shared leading coefficient."""
+    quad = PiecewiseScalarFunction.quadratic(
+        F(rng.randint(-4, 4), 3), F(rng.randint(-4, 4), 2), F(rng.randint(-2, 2))
+    )
+    return random_affine_pwl(rng) + quad
+
+
+def midpoint_sum(a: PiecewiseScalarFunction, b: PiecewiseScalarFunction) -> PiecewiseScalarFunction:
+    """The sum as built by finding each operand's segment at the midpoint of
+    every merged interval: the reference for ``__add__``'s merge walk."""
+    xs = sorted({*a.breakpoints, *b.breakpoints})
+    coeffs = []
+    for x1, x2 in zip(xs, xs[1:]):
+        mid = (x1 + x2) / 2
+        ca = a.coefficients[a.segment_index(mid)]
+        cb = b.coefficients[b.segment_index(mid)]
+        coeffs.append(tuple(p + q for p, q in zip(ca, cb)))
+    return PiecewiseScalarFunction(breakpoints=tuple(xs), coefficients=tuple(coeffs))
+
+
 class TestConstruction:
     def test_domain_must_cover_unit_interval(self):
         with pytest.raises(ValueError):
@@ -31,6 +53,43 @@ class TestConstruction:
         fn = PiecewiseScalarFunction.constant(F(2))
         with pytest.raises(ValueError):
             fn(F(-1, 10))
+
+    def test_values_at_matches_pointwise_calls(self):
+        rng = random.Random(41)
+        for trial in range(40):
+            fn = (random_quadratic_pwl if trial % 2 else random_affine_pwl)(rng)
+            xs = sorted([
+                *fn.breakpoints,
+                *fn.breakpoints[:2],
+                *(F(rng.randint(0, 48), 48) for _ in range(10)),
+            ])
+            assert fn.values_at(xs) == [fn(x) for x in xs]
+            assert fn.values_at(xs[-1:]) == [fn(xs[-1])]
+        assert fn.values_at([]) == []
+
+    def test_values_at_raises_like_call(self):
+        fn = random_affine_pwl(random.Random(3))
+        for xs, bad in (
+            ([F(-1, 10), F(1, 2)], F(-1, 10)),
+            ([F(0), F(1, 2), F(11, 10)], F(11, 10)),
+        ):
+            with pytest.raises(ValueError) as call:
+                fn(bad)
+            with pytest.raises(ValueError) as sweep:
+                fn.values_at(xs)
+            assert str(sweep.value) == str(call.value)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            fn.values_at([F(1, 2), F(1, 4), F(3, 4)])
+
+    def test_minimum_includes_a_convex_segments_stationary_point(self):
+        assert PiecewiseScalarFunction.quadratic(F(1), F(-1), F(0)).minimum() == F(-1, 4)
+        assert PiecewiseScalarFunction.quadratic(F(-1), F(1), F(0)).minimum() == F(0)
+        # the stationary point 3/2 of z^2 - 3z lies outside [0, 1]
+        assert PiecewiseScalarFunction.quadratic(F(1), F(-3), F(0)).minimum() == F(-2)
+        rng = random.Random(43)
+        for _ in range(20):
+            fn = random_affine_pwl(rng)
+            assert fn.minimum() == min(fn(x) for x in fn.breakpoints)
 
     def test_from_points_interpolates(self):
         fn = PiecewiseScalarFunction.from_points(
@@ -58,6 +117,20 @@ class TestAlgebra:
         fn = PiecewiseScalarFunction.from_points([(F(0), F(2)), (F(1), F(-2))])
         assert (-fn)(F(1, 4)) == -fn(F(1, 4))
         assert (3 * fn)(F(1, 4)) == 3 * fn(F(1, 4))
+
+    def test_merge_walk_sum_matches_the_midpoint_sum(self):
+        rng = random.Random(37)
+        shared = PiecewiseScalarFunction.from_points(
+            [(F(0), F(1)), (F(1, 3), F(0)), (F(2, 3), F(2)), (F(1), F(1))]
+        )
+        pairs = [(shared, shared), (shared, PiecewiseScalarFunction.constant(F(3)))]
+        for trial in range(60):
+            make_a = random_quadratic_pwl if trial % 3 == 0 else random_affine_pwl
+            make_b = random_quadratic_pwl if trial % 2 else random_affine_pwl
+            pairs.append((make_a(rng), make_b(rng)))
+        for a, b in pairs:
+            assert a + b == midpoint_sum(a, b)
+            assert b + a == midpoint_sum(b, a)
 
     def test_simplify_merges_collinear(self):
         fn = PiecewiseScalarFunction.from_points(

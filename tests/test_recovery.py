@@ -17,6 +17,7 @@ from infocost import (
     StateSpace,
     check_nipmc,
     information_cost,
+    lower_envelope,
     price_function,
     recover_cost,
     revealed_summary,
@@ -24,6 +25,40 @@ from infocost import (
     variance_cost,
     verify_rationalization,
 )
+from infocost.recovery import act_payoff_function, menu_value_function
+
+
+def generic_upper_envelope(menu: Menu) -> PiecewiseScalarFunction:
+    """The menu's indirect utility by the generic envelope walk, as
+    ``upper_envelope`` builds it: the reference for the envelope of lines."""
+    return -lower_envelope([-act_payoff_function(a.u0, a.u1) for a in menu.acts])
+
+
+def line_menu(*payoffs: tuple[F, F]) -> Menu:
+    return Menu(id="m", acts=tuple(Act(f"a{j}", u0, u1) for j, (u0, u1) in enumerate(payoffs)))
+
+
+class TestMenuValueFunction:
+    def test_envelope_of_lines_matches_the_generic_walk(self):
+        menus = [
+            line_menu((F(1, 3), F(2, 3))),  # a single act
+            line_menu((F(1), F(0)), (F(1), F(0)), (F(0), F(1))),  # duplicate acts
+            line_menu((F(0), F(1)), (F(1, 2), F(3, 2)), (F(1), F(0))),  # parallel lines
+            line_menu((F(0), F(1)), (F(0), F(-1))),  # crossing at 0
+            line_menu((F(1), F(0)), (F(0), F(0))),  # crossing at 1
+            line_menu((F(1), F(0)), (F(1, 2), F(1, 2)), (F(0), F(1))),  # three through one point
+            line_menu((F(1), F(0)), (F(1, 4), F(1, 4)), (F(0), F(1)), (F(1, 2), F(1, 2))),
+            line_menu((F(0), F(0)), (F(0), F(0)), (F(0), F(0))),  # all tied
+        ]
+        rng = random.Random(23)
+        for _ in range(200):
+            menus.append(line_menu(*(
+                (F(rng.randint(-4, 4), 4), F(rng.randint(-4, 4), 4))
+                for _ in range(rng.randint(1, 6))
+            )))
+        for menu in menus:
+            assert menu_value_function(menu) == generic_upper_envelope(menu), menu
+
 
 
 class TestEnvelope:
@@ -199,6 +234,29 @@ class TestAuditor:
         audit = report.audits[0]
         assert not audit.affine_off_binding
         assert audit.affine_slack > 0
+
+    def test_dip_between_breakpoints_is_caught(self):
+        """With a quadratic cost, price - (indirect utility + cost) can dip
+        inside a segment: a flat price of -1/4 against variance_cost(1, 1/2)
+        and one act paying 0 meets the target at 0 and 1, its only
+        breakpoints, and falls 1/4 short of it at 1/2."""
+        space = StateSpace(states=(F(0), F(1)))
+        prior = Prior(state_space=space, weights=(F(1, 2), F(1, 2)))
+        menu = Menu(id="m", acts=(Act("a", F(0), F(0)),))
+        ds = Dataset(
+            state_space=space,
+            observations=(
+                Observation(
+                    prior=prior, menu=menu, sdsc=SDSC(rows=((F(1), F(1)),))
+                ),
+            ),
+        )
+        flat = PiecewiseScalarFunction.constant(F(-1, 4))
+        report = verify_rationalization(ds, variance_cost(F(1), F(1, 2)), [flat])
+        audit = report.audits[0]
+        assert audit.majorization_slack == F(-1, 4)
+        assert not audit.price_majorizes
+        assert not report.all_ok
 
     def test_integral_mismatch_is_caught(self, three_act_dataset):
         # kink strictly inside the high pooling interval: the revealed
