@@ -25,8 +25,14 @@ contraction f', that gives
 
     integral V df' <= integral p df' <= integral p dprior = integral V df,
 
-so f is optimal and p touches V on its support. ``oracle_value``
-certifies its single solve the same way.
+so f is optimal and p touches V on its support.
+
+``generate_dataset`` and ``oracle_value`` emit no price, so they solve no
+dual: the first solve's own optimal duals are the multipliers of a price
+that certifies every point of that solve's optimal face, by complementary
+slackness, and the same check proves their optimum. So
+``generate_dataset`` makes two solves, the program and its tie-break, and
+``oracle_value`` makes one, with no tie-break.
 
 Three tie-breaks narrow down the reported optimum:
 
@@ -59,10 +65,11 @@ class ForwardProblem:
     """Maximize the integral of ``objective`` over the contractions of
     ``prior`` supported on ``grid``.
 
-    ``objective`` is the menu's indirect utility plus the cost derivative.
-    It is built once, when the problem is made, unless the caller passes
-    it (``build`` passes the one whose breakpoints it put on the grid);
-    ``solve_forward``, ``oracle_value`` and ``generate_dataset`` read it.
+    ``objective`` is the menu's indirect utility plus the cost derivative,
+    and ``prior_cdf`` is the prior as a distribution. Each is built once,
+    when the problem is made, unless the caller passes it (``build`` passes
+    the ones whose points it put on the grid); ``solve_forward``,
+    ``oracle_value`` and ``generate_dataset`` read them.
     """
 
     prior: Prior
@@ -72,10 +79,15 @@ class ForwardProblem:
     objective: PiecewiseScalarFunction = field(  # type: ignore[assignment]
         default=None, compare=False, repr=False, kw_only=True
     )
+    prior_cdf: DiscreteCDF = field(  # type: ignore[assignment]
+        default=None, compare=False, repr=False, kw_only=True
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", sorted_points(self.grid))
-        need = {Fraction(0), Fraction(1), *prior_cdf(self.prior).support}
+        if self.prior_cdf is None:
+            object.__setattr__(self, "prior_cdf", prior_cdf(self.prior))
+        need = {Fraction(0), Fraction(1), *self.prior_cdf.support}
         if not need <= set(self.grid):
             raise ValueError("grid must contain 0, 1, and every prior support point")
         if self.objective is None:
@@ -94,18 +106,21 @@ class ForwardProblem:
     ) -> "ForwardProblem":
         """Assemble the canonical grid: prior support, the objective's
         breakpoints (those of the menu's indirect utility and of the cost),
-        the prior mean, plus any extra or uniform points. The objective is
-        built here, once, and handed to the problem."""
+        the prior mean, plus any extra or uniform points. The objective and
+        the prior's distribution are built here, once, and handed to the
+        problem."""
         objective = menu_value_function(menu) + cost
+        cdf = prior_cdf(prior)
         pts = {Fraction(0), Fraction(1), prior.mean}
-        pts.update(prior_cdf(prior).support)
+        pts.update(cdf.support)
         pts.update(objective.breakpoints)
         pts.update(extra)
         if uniform_points > 0:
             for j in range(uniform_points + 1):
                 pts.add(Fraction(j, uniform_points))
         return cls(
-            prior=prior, menu=menu, cost=cost, grid=sorted_points(pts), objective=objective
+            prior=prior, menu=menu, cost=cost, grid=sorted_points(pts),
+            objective=objective, prior_cdf=cdf,
         )
 
 
@@ -133,7 +148,7 @@ def _grid_lp(problem: ForwardProblem, grid, objective: PiecewiseScalarFunction):
     row is the contraction constraint at that grid point. The objective is
     evaluated at the grid in one sweep.
     """
-    atoms = prior_cdf(problem.prior).atoms
+    atoms = problem.prior_cdf.atoms
     one = Fraction(1)
     cons = [lp.Constraint(tuple((j, one) for j in range(len(grid))), lp.EQ, one)]
     # The right-hand side at g is g * mass - moment, where mass and moment
@@ -244,11 +259,31 @@ def _certified_price(problem: ForwardProblem, program: lp.LinearProgram, f, mult
         raise RuntimeError("forward price fails to majorize the objective on the grid")
     value = sum(f[j] * v for j, v in program.objective)
     on_f = sum(f[j] * p for j, p in enumerate(at_grid))
-    atoms = prior_cdf(problem.prior).atoms
+    atoms = problem.prior_cdf.atoms
     on_prior = sum(w * p for (_, w), p in zip(atoms, price.values_at([z for z, _ in atoms])))
     if not value == on_f == on_prior:
         raise RuntimeError("forward price integrals disagree with the objective")
     return price, value
+
+
+def _least_informative(problem: ForwardProblem):
+    """The grid, the grid program, its optimum ``f`` of minimum variance
+    of the posterior means, and the first solve's outcome, whose duals
+    certify ``f`` as they do every optimum."""
+    grid = list(problem.grid)
+    program = _grid_lp(problem, grid, problem.objective)
+    z0 = problem.prior.mean
+    f, first = _lexicographic(
+        program, tuple((j, (g - z0) * (g - z0)) for j, g in enumerate(grid))
+    )
+    return grid, program, f, first
+
+
+def _served(menu: Menu, grid, f) -> tuple[DiscreteCDF, tuple[str, ...]]:
+    """The distribution ``f`` on ``grid`` and the best act at each of its
+    support points."""
+    dist = DiscreteCDF.from_pairs((g, f[j]) for j, g in enumerate(grid) if f[j] > 0)
+    return dist, tuple(_best_act(menu, z) for z in dist.support)
 
 
 def solve_forward(problem: ForwardProblem) -> ForwardSolution:
@@ -256,13 +291,7 @@ def solve_forward(problem: ForwardProblem) -> ForwardSolution:
 
     Raises unless ``_certified_price`` proves the distribution optimal.
     """
-    grid = list(problem.grid)
-    program = _grid_lp(problem, grid, problem.objective)
-    # least informative optimum: minimum variance of the posterior means
-    z0 = problem.prior.mean
-    f, first = _lexicographic(
-        program, tuple((j, (g - z0) * (g - z0)) for j, g in enumerate(grid))
-    )
+    grid, program, f, first = _least_informative(problem)
     # flattest optimal price: variable k of the dual multiplies grid point
     # k's price basis function; minimize the total interior mass, starting
     # from the basis complementary to the program's optimal one
@@ -274,11 +303,7 @@ def solve_forward(problem: ForwardProblem) -> ForwardSolution:
     )
     multipliers = dict(zip(grid, y))
     price, value = _certified_price(problem, program, f, multipliers)
-
-    dist = DiscreteCDF.from_pairs(
-        (g, f[j]) for j, g in enumerate(grid) if f[j] > 0
-    )
-    assignments = tuple(_best_act(problem.menu, z) for z in dist.support)
+    dist, assignments = _served(problem.menu, grid, f)
     return ForwardSolution(
         distribution=dist,
         value=value,
@@ -380,8 +405,11 @@ def generate_dataset(
 ) -> Dataset:
     """Produce choice data that an optimizing agent with this cost would emit.
 
-    Each menu is solved forward; every support point of the optimal
-    distribution is served by its best act (lowest index on ties), and a
+    Each menu's grid program is solved for the least informative optimum,
+    the distribution ``solve_forward`` reports, and certified by the first
+    solve's own duals (``_certified_price``); the flattest price, which
+    the data does not show, is never solved for. Every support point of
+    the optimum is served by its best act (lowest index on ties), and a
     transportation witness converts the distribution into per-state choice
     probabilities through Bayes' rule.
 
@@ -396,13 +424,16 @@ def generate_dataset(
     zero = Fraction(0)
     nstates = len(prior.state_space.states)
     for menu in menus:
-        sol = solve_forward(ForwardProblem.build(prior, menu, cost))
-        plan = _decompose(prior, sol.distribution)
+        problem = ForwardProblem.build(prior, menu, cost)
+        grid, program, f, first = _least_informative(problem)
+        _certified_price(problem, program, f, dict(zip(grid, first.duals)))
+        dist, assignments = _served(menu, grid, f)
+        plan = _decompose(prior, dist)
         rows = [[zero] * nstates for _ in menu.acts]
         for (zi, ai), mass in plan.items():
             if mass == 0:
                 continue
-            act_row = menu.act_index(sol.assignments[ai])
+            act_row = menu.act_index(assignments[ai])
             rows[act_row][zi] += mass / prior.weights[zi]
         for zi, (z, w) in enumerate(zip(prior.state_space.states, prior.weights)):
             if w > 0:

@@ -3,12 +3,18 @@
 Each case runs ``cli.main`` in process. The cases are every bundled
 fixture under ``validate``, ``check``, ``check --flattest``, ``recover``,
 ``recover --flattest``, ``solve --refine 16``, ``concavity`` and
-``generate``, and four multi-observation S5/N3/K3 datasets under the
-dataset commands. The fixtures never give a passing cycle system with
-rows, so the four datasets cover that: they were written once with
+``generate``, four multi-observation S5/N3/K3 datasets under the
+dataset commands, and four S5/N3/K3 generation specs under ``generate``.
+The fixtures never give a passing cycle system with rows, so the four
+datasets cover that: they were written once with
 ``test_axioms.random_generated_dataset(random.Random(seed))`` for seeds
 0-3 and are committed under ``tests/golden/``, so a later generator
-change cannot move them.
+change cannot move them. Only one fixture is a generation spec with a
+single menu, so the four specs cover multi-menu generation: each was
+drawn once with ``test_forward``'s ``random_prior(rng, 5)``, then
+``concave_cost(rng)`` or ``dip_cost(rng)``, then three
+``random_menu(rng, f"m{i}", 3)``, from ``random.Random(seed)`` for seeds
+0 and 1, and is committed as ``generate_<cost>_s<seed>.json``.
 
 The expected digests are in ``tests/golden/cli.json``. After a change
 that is meant to alter CLI output, regenerate them with
@@ -56,6 +62,9 @@ GENERATED_COMMANDS = (
     ("recover", "--flattest"),
     ("concavity",),
 )
+SPECS = tuple(
+    f"generate_{cost}_s{seed}.json" for cost in ("concave", "dip") for seed in range(2)
+)
 
 
 def _cases() -> dict[str, tuple[str, ...]]:
@@ -69,6 +78,8 @@ def _cases() -> dict[str, tuple[str, ...]]:
         for command, *flags in GENERATED_COMMANDS:
             path = str(GOLDEN / name)
             cases[" ".join((command, name, *flags))] = (command, path, *flags)
+    for name in SPECS:
+        cases[f"generate {name}"] = ("generate", str(GOLDEN / name))
     return cases
 
 

@@ -2,20 +2,24 @@
 
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from importlib import resources
 
 import pytest
 
-from infocost import cli, forward, io, lp, recovery
+from infocost import cli, forward, io, lp, recovery, revealed
 from infocost import (
     Act,
+    Dataset,
     DiscreteCDF,
     ForwardProblem,
     Menu,
+    Observation,
     PiecewiseScalarFunction,
     Prior,
+    SDSC,
     StateSpace,
     check_nias,
     check_nipmc,
@@ -82,6 +86,37 @@ def random_menu(rng: random.Random, name: str, n_acts: int) -> Menu:
             for j in range(n_acts)
         ),
     )
+
+
+def pooled_act_case():
+    """Prior, menus and dip cost under which the forward optimum of menus
+    m0 and m2 sends two support points to one act."""
+    space = StateSpace(states=(F(0), F(13, 24), F(7, 8), F(1)))
+    prior = Prior(state_space=space, weights=(F(1, 4), F(1, 6), F(1, 12), F(1, 2)))
+    cost = PiecewiseScalarFunction.from_points([
+        (F(0), F(-1, 36)), (F(1, 4), F(0)), (F(7, 12), F(-5)), (F(11, 12), F(0)),
+        (F(1), F(-1, 36)),
+    ])
+    menus = [
+        Menu(id="m0", acts=(
+            Act("m0a0", F(7, 8), F(-5, 8)), Act("m0a1", F(3, 4), F(7, 8)),
+            Act("m0a2", F(-3, 8), F(3, 4)),
+        )),
+        Menu(id="m1", acts=(
+            Act("m1a0", F(1, 2), F(-3, 8)), Act("m1a1", F(1, 2), F(5, 8)),
+            Act("m1a2", F(3, 8), F(7, 8)),
+        )),
+        Menu(id="m2", acts=(
+            Act("m2a0", F(1, 4), F(-5, 8)), Act("m2a1", F(-3, 8), F(3, 4)),
+            Act("m2a2", F(-7, 8), F(-1, 4)),
+        )),
+    ]
+    return prior, menus, cost
+
+
+def bundled_generation_spec():
+    spec = resources.files("infocost.fixtures").joinpath("example3_generate.json")
+    return spec, io.parse_generation_spec(json.loads(spec.read_text()))
 
 
 def three_state_prior() -> Prior:
@@ -265,6 +300,59 @@ class TestOptimalFaceTieBreak:
         assert captured.err == f"verification error: forward {message}\n"
 
 
+class TestGenerateCertificate:
+    """``generate_dataset`` certifies its optimum with the first solve's
+    own duals. Each forgery below must end in a ``RuntimeError`` and, on
+    the command line, in exit 1 with one line on standard error. Zeroing
+    a nonzero dual of the first solve empties the optimal face; a shifted
+    face optimum is no contraction of the prior; the prior itself is one,
+    but not optimal, so the first solve's price values it above the
+    objective."""
+
+    @pytest.mark.parametrize(
+        "forgery, message",
+        [
+            ("zero a nonzero dual", "tie-break program unexpectedly infeasible"),
+            ("shift the face optimum", "optimum is not a contraction of the prior"),
+            ("answer the prior", "price integrals disagree with the objective"),
+        ],
+    )
+    def test_forgeries_are_rejected(self, monkeypatch, capsys, forgery, message):
+        spec, (prior, menus, cost) = bundled_generation_spec()
+        real_solve, real_lexicographic = lp.solve, forward._lexicographic
+        calls = []
+
+        def corrupted(program, **kwargs):
+            outcome = real_solve(program, **kwargs)
+            calls.append(program)
+            if forgery == "zero a nonzero dual" and len(calls) == 1:
+                duals = list(outcome.duals)
+                duals[[i for i, v in enumerate(duals) if v][-1]] = F(0)
+                return replace(outcome, duals=tuple(duals))
+            if forgery == "shift the face optimum" and len(calls) == 2:
+                return replace(outcome, x=tuple(v + 1 for v in outcome.x))
+            return outcome
+
+        (menu,) = menus
+        grid = ForwardProblem.build(prior, menu, cost).grid
+        weights = dict(zip(prior.state_space.states, prior.weights))
+
+        def answered(program, tiebreak, basis=None):
+            _, first = real_lexicographic(program, tiebreak, basis)
+            return tuple(weights.get(g, F(0)) for g in grid), first
+
+        monkeypatch.setattr(lp, "solve", corrupted)
+        if forgery == "answer the prior":
+            monkeypatch.setattr(forward, "_lexicographic", answered)
+        with pytest.raises(RuntimeError, match=message):
+            generate_dataset(prior, menus, cost)
+        calls.clear()
+        assert cli.main(["generate", str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"verification error: forward {message}\n"
+
+
 class TestWarmDual:
     """The dual's first solve starts from the basis complementary to the
     program's optimal one. That skips its phase one and must change no
@@ -391,6 +479,34 @@ class TestObjectiveBuiltOnce:
         prices = [price_function(verdict.multipliers, oi) for oi in range(len(menus))]
         verify_rationalization(dataset, recover_cost(dataset, verdict.multipliers), prices)
         assert builds == menus
+
+
+class TestPriorCdfBuiltOnce:
+    def test_one_per_problem(self, monkeypatch):
+        """A forward problem's prior distribution is built when the problem
+        is made and read by every solve and certificate."""
+        priors = []
+        real = revealed.prior_cdf
+
+        def counted(prior):
+            priors.append(prior)
+            return real(prior)
+
+        monkeypatch.setattr(forward, "prior_cdf", counted)
+        monkeypatch.setattr(revealed, "prior_cdf", counted)
+        rng = random.Random(5)
+        prior, cost = random_prior(rng, 5), concave_cost(rng)
+        menus = [random_menu(rng, f"m{i}", 3) for i in range(3)]
+        problem = ForwardProblem.build(prior, menus[0], cost, uniform_points=12)
+        direct = ForwardProblem(prior=prior, menu=menus[0], cost=cost, grid=problem.grid)
+        assert priors == [prior, prior]
+        assert direct.prior_cdf == problem.prior_cdf == real(prior)
+        for made in (problem, direct):
+            solve_forward(made)
+            oracle_value(made, 2 * len(made.grid))
+        assert priors == [prior, prior]
+        generate_dataset(prior, menus, cost)
+        assert priors == [prior] * (2 + len(menus))
 
 
 class TestGridProgramAgainstHighs:
@@ -526,7 +642,71 @@ class TestOracle:
         assert captured.err == f"verification error: forward {message}\n"
 
 
+def generated_from_solve_forward(prior, menus, cost) -> Dataset:
+    """Choice data built from ``solve_forward``'s distribution and acts:
+    the reference that ``generate_dataset`` must equal."""
+    observations = []
+    for menu in menus:
+        sol = solve_forward(ForwardProblem.build(prior, menu, cost))
+        rows = [[F(0)] * len(prior.weights) for _ in menu.acts]
+        for (zi, ai), mass in forward._decompose(prior, sol.distribution).items():
+            if mass:
+                rows[menu.act_index(sol.assignments[ai])][zi] += mass / prior.weights[zi]
+        for zi, (z, w) in enumerate(zip(prior.state_space.states, prior.weights)):
+            if w == 0:
+                rows[menu.act_index(forward._best_act(menu, z))][zi] = F(1)
+        observations.append(
+            Observation(prior=prior, menu=menu, sdsc=SDSC(rows=tuple(map(tuple, rows))))
+        )
+    return Dataset(state_space=prior.state_space, observations=tuple(observations))
+
+
+def generation_cases():
+    """(prior, menus, cost) triples: 32 S5/N3/K3 draws under concave costs
+    and 32 under dip costs, the pooled-act case, a prior with a state of
+    weight 0, and the bundled generation spec."""
+    rng = random.Random(41)
+    for trial in range(64):
+        prior = random_prior(rng, 5)
+        cost = (dip_cost if trial % 2 else concave_cost)(rng)
+        yield prior, [random_menu(rng, f"m{i}", 3) for i in range(3)], cost
+    yield pooled_act_case()
+    space = StateSpace(states=(F(0), F(1, 4), F(1, 3), F(2, 3), F(1)))
+    zero_weight = Prior(state_space=space, weights=(F(1, 4), F(0), F(1, 4), F(1, 4), F(1, 4)))
+    yield zero_weight, pooled_act_case()[1], dip_cost(rng)
+    yield bundled_generation_spec()[1]
+
+
 class TestGenerateDataset:
+    def test_matches_the_data_of_solve_forward(self):
+        """The flattest price is never shown in the data, so stopping
+        before the dual changes no generated dataset."""
+        cases = list(generation_cases())
+        assert len(cases) >= 64
+        for n, (prior, menus, cost) in enumerate(cases):
+            assert generate_dataset(prior, menus, cost) == generated_from_solve_forward(
+                prior, menus, cost
+            ), n
+
+    def test_solves_the_program_its_face_and_the_witness_only(self, monkeypatch):
+        """Per menu: the first solve, its tie-break on the optimal face and
+        the transport witness; no dual. ``solve_forward`` still makes four
+        solves, two of them on the dual."""
+        counts = Counter()
+        for name in ("solve", "dual", "dual_basis"):
+            def counted(*args, _real=getattr(lp, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(lp, name, counted)
+        prior, menus, cost = pooled_act_case()
+        generate_dataset(prior, menus, cost)
+        assert counts == {"solve": 3 * len(menus)}
+        counts.clear()
+        solve_forward(ForwardProblem.build(prior, menus[0], cost))
+        assert counts == {"solve": 4, "dual": 1, "dual_basis": 1}
+
+
     def test_singleton_menu_generates_uninformative_data(self, four_state_uniform_prior):
         menu = Menu(id="solo", acts=(Act("a", F(1), F(2)),))
         ds = generate_dataset(four_state_uniform_prior, [menu], ZERO_COST)
@@ -603,26 +783,7 @@ class TestGenerateDataset:
         convex trough) the forward optimum of menus m0 and m2 sends two
         support points to one act, so the generated data shows their pooled
         mean, and the cycle axiom rightly rejects it."""
-        space = StateSpace(states=(F(0), F(13, 24), F(7, 8), F(1)))
-        prior = Prior(state_space=space, weights=(F(1, 4), F(1, 6), F(1, 12), F(1, 2)))
-        cost = PiecewiseScalarFunction.from_points([
-            (F(0), F(-1, 36)), (F(1, 4), F(0)), (F(7, 12), F(-5)), (F(11, 12), F(0)),
-            (F(1), F(-1, 36)),
-        ])
-        menus = [
-            Menu(id="m0", acts=(
-                Act("m0a0", F(7, 8), F(-5, 8)), Act("m0a1", F(3, 4), F(7, 8)),
-                Act("m0a2", F(-3, 8), F(3, 4)),
-            )),
-            Menu(id="m1", acts=(
-                Act("m1a0", F(1, 2), F(-3, 8)), Act("m1a1", F(1, 2), F(5, 8)),
-                Act("m1a2", F(3, 8), F(7, 8)),
-            )),
-            Menu(id="m2", acts=(
-                Act("m2a0", F(1, 4), F(-5, 8)), Act("m2a1", F(-3, 8), F(3, 4)),
-                Act("m2a2", F(-7, 8), F(-1, 4)),
-            )),
-        ]
+        prior, menus, cost = pooled_act_case()
         pooled = []
         for menu in menus:
             acts = solve_forward(ForwardProblem.build(prior, menu, cost)).assignments
