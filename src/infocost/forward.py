@@ -57,7 +57,7 @@ from . import lp
 from .model import SDSC, Dataset, Menu, Observation, Prior, utility
 from .piecewise import PiecewiseScalarFunction, sorted_points
 from .recovery import menu_value_function, price_function
-from .revealed import DiscreteCDF, prior_cdf
+from .revealed import DiscreteCDF, cdf_integrals, prior_cdf
 
 
 @dataclass(frozen=True)
@@ -141,32 +141,24 @@ def _grid_lp(problem: ForwardProblem, grid, objective: PiecewiseScalarFunction):
     Row k integrates the price basis function of ``grid[k]``
     (``recovery.hinge``) against f and bounds it by the prior's integral;
     the rows are written directly. Row 0, the intercept, is all ones and
-    fixes total mass at the prior's 1. Row k > 0 has the coefficient ``grid[k] - grid[j]``
-    at each ``j < k`` (the hinge is 0 from ``grid[k]`` on) and right-hand
-    side the sum of ``w (grid[k] - s)`` over the prior's atoms ``(s, w)``
-    with ``s < grid[k]``. The row at 1 fixes the mean, and every interior
-    row is the contraction constraint at that grid point. The objective is
-    evaluated at the grid in one sweep.
+    fixes total mass at the prior's 1. Row k > 0 has the coefficient
+    ``grid[k] - grid[j]`` at each ``j < k`` (the hinge is 0 from
+    ``grid[k]`` on) and right-hand side the integral of the prior's CDF up
+    to ``grid[k]``, read from one sweep over the grid
+    (``revealed.cdf_integrals``). The row at 1 fixes the mean, and every
+    interior row is the contraction constraint at that grid point. The
+    objective is evaluated at the grid in one sweep.
     """
-    atoms = problem.prior_cdf.atoms
     one = Fraction(1)
+    rhs = cdf_integrals(problem.prior_cdf, grid)
     cons = [lp.Constraint(tuple((j, one) for j in range(len(grid))), lp.EQ, one)]
-    # The right-hand side at g is g * mass - moment, where mass and moment
-    # are the prior's weight and first moment below g, swept up with g.
-    mass = moment = Fraction(0)
-    below = 0
     for k in range(1, len(grid)):
         g = grid[k]
-        while below < len(atoms) and atoms[below][0] < g:
-            s, w = atoms[below]
-            mass += w
-            moment += w * s
-            below += 1
         cons.append(
             lp.Constraint(
                 tuple((j, g - grid[j]) for j in range(k)),
                 lp.EQ if g == 1 else lp.LE,
-                g * mass - moment,
+                rhs[k],
             )
         )
     return lp.LinearProgram(
@@ -248,9 +240,7 @@ def _certified_price(problem: ForwardProblem, program: lp.LinearProgram, f, mult
     """
     if not lp.satisfies(program, f):
         raise RuntimeError("forward optimum is not a contraction of the prior")
-    price = price_function(
-        {(0, z): v for z, v in multipliers.items() if v}, 0
-    ).simplify()
+    price = price_function({(0, z): v for z, v in multipliers.items() if v}, 0)
     slopes = price.slopes()
     if any(s > t for s, t in zip(slopes, slopes[1:])):
         raise RuntimeError("forward price is not convex")

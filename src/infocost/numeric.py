@@ -32,7 +32,10 @@ def scalar(value: object) -> Fraction:
             raise ValueError(f"non-finite scalar: {value!r}")
         return Fraction(str(value))
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"scalar {value!r} has a zero denominator") from None
     raise TypeError(f"cannot coerce {type(value).__name__} to a scalar")
 
 

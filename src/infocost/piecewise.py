@@ -5,15 +5,17 @@ functions, indirect utilities, and their sums and envelopes. Segments are
 quadratic ``a z^2 + b z + c`` with ``a = 0`` for the affine case; the only
 quadratic producer is the posterior-variance cost.
 
-Envelopes (pointwise min/max) of piecewise functions are computed exactly
-over the refined breakpoint grid, splitting segments at pairwise crossing
-points; an envelope of plain lines, such as a menu's indirect utility,
-needs no grid and is built by ``recovery.menu_value_function``.
+Every envelope is built by one walk, ``line_envelope``: the lower
+envelope of lines over an interval, found crossing by crossing from its
+left end. ``lower_envelope`` runs it on each interval of the merged
+breakpoint grid of affine-segmented functions, and a menu's indirect
+utility (``recovery.menu_value_function``) is the walk over the negated
+act lines on [0, 1].
 
 Functions are evaluated at many points by one sweep: ``values_at`` walks
 a sorted list of points and the breakpoints together, and ``__add__``
-walks both operands' breakpoints in step, so neither searches for a
-segment per point.
+and ``lower_envelope`` walk every operand's breakpoints in step, so none
+of them searches for a segment per point.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from . import numeric
 
 Coeffs = tuple[Fraction, Fraction, Fraction]
+Line = tuple[Fraction, Fraction]  # (slope, value at 0)
 
 
 @dataclass(frozen=True)
@@ -74,12 +77,17 @@ class PiecewiseScalarFunction:
     def from_points(
         cls, points: Iterable[tuple[Fraction, Fraction]]
     ) -> "PiecewiseScalarFunction":
-        """Affine interpolation through (x, y) points spanning [0, 1]."""
+        """Affine interpolation through (x, y) points spanning [0, 1].
+
+        A repeated x raises ``ValueError``, naming it.
+        """
         pts = sorted(points, key=lambda t: t[0])
         xs = tuple(x for x, _ in pts)
         zero = Fraction(0)
         coeffs = []
         for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
+            if x1 == x2:
+                raise ValueError(f"repeated breakpoint {numeric.format_scalar(x1)}")
             slope = (y2 - y1) / (x2 - x1)
             coeffs.append((zero, slope, y1 - slope * x1))
         return cls(breakpoints=xs, coefficients=tuple(coeffs))
@@ -188,20 +196,6 @@ class PiecewiseScalarFunction:
 
     __rmul__ = __mul__
 
-    def simplify(self) -> "PiecewiseScalarFunction":
-        """Merge adjacent segments that share one polynomial."""
-        xs = [self.breakpoints[0]]
-        coeffs: list[Coeffs] = []
-        for i, seg in enumerate(self.coefficients):
-            if coeffs and all(
-                p == q for p, q in zip(coeffs[-1], seg)
-            ):
-                xs[-1] = self.breakpoints[i + 1]
-                continue
-            coeffs.append(seg)
-            xs.append(self.breakpoints[i + 1])
-        return PiecewiseScalarFunction(breakpoints=tuple(xs), coefficients=tuple(coeffs))
-
 
 def _eval(coeffs: Coeffs, z: Fraction) -> Fraction:
     a, b, c = coeffs
@@ -222,61 +216,66 @@ def sorted_points(points: Iterable[Fraction]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _line_at(fn: PiecewiseScalarFunction, x1: Fraction, x2: Fraction) -> tuple[Fraction, Fraction]:
-    """Slope and value-at-x1 of ``fn`` on [x1, x2], which must be kink-free."""
-    mid = (x1 + x2) / 2
-    seg = fn.coefficients[fn.segment_index(mid)]
-    a, b, c = seg
-    if a != 0:
-        raise ValueError("envelopes require affine segments")
-    return b, _eval(seg, x1)
+def line_envelope(
+    lines: Collection[Line], x1: Fraction, x2: Fraction
+) -> list[tuple[Fraction, Line]]:
+    """The lower envelope of ``lines`` on [x1, x2], as (start, line) pieces
+    from left to right; each line is (slope, value at 0).
+
+    The walk starts at x1 on the lowest line there, the flattest among
+    ties. Every flatter line is then strictly above it, so the next kink is
+    the nearest crossing with a flatter line, if that lies before x2, and
+    there the flattest line through the crossing takes over. Slopes
+    strictly decrease along the walk, so it ends.
+    """
+    if x1:
+        m, c = min(lines, key=lambda line: (line[0] * x1 + line[1], line[0]))
+    else:  # the usual start, 0, without multiplying by it
+        m, c = min(lines, key=lambda line: (line[1], line[0]))
+    pieces = [(x1, (m, c))]
+    while True:
+        crossings = [((c2 - c) / (m - m2), m2, c2) for m2, c2 in lines if m2 < m]
+        if not crossings:
+            return pieces
+        t, m, c = min(crossings)
+        if t >= x2:
+            return pieces
+        pieces.append((t, (m, c)))
 
 
 def lower_envelope(fns: Sequence[PiecewiseScalarFunction]) -> PiecewiseScalarFunction:
     """Pointwise minimum of affine-segmented functions, exactly.
 
-    On each interval of the merged breakpoint grid all inputs are affine,
-    so the envelope there is a lower envelope of lines, found by walking
-    crossings from left to right.
+    On each interval of the merged breakpoint grid every input is one
+    line, its segment there (each input's segment is tracked in step with
+    the grid, as in ``__add__``), so the envelope there is the
+    ``line_envelope`` of those lines. A piece on the same line as the one
+    before it extends that one, so every breakpoint is a kink.
     """
     if not fns:
         raise ValueError("need at least one function")
+    if not all(f.is_affine for f in fns):
+        raise ValueError("envelopes require affine segments")
     xs = sorted_points(x for f in fns for x in f.breakpoints)
-    points: list[tuple[Fraction, Fraction]] = []
+    at = [0] * len(fns)
+    starts: list[Fraction] = []
+    lines: list[Line] = []
     for x1, x2 in zip(xs, xs[1:]):
-        lines = [_line_at(f, x1, x2) for f in fns]
-        width = x2 - x1
-        # Walk the winner from x1 to x2; t measures offset from x1 and
-        # each line is (slope m, value v at x1), so line(t) = v + m t.
-        t = Fraction(0)
-        cur = min(lines, key=lambda mv: (mv[1], mv[0]))
-        if not points:
-            points.append((x1, cur[1]))
-        while True:
-            best_t = None
-            for m, v in lines:
-                if m >= cur[0]:
-                    continue
-                tc = (v - cur[1]) / (cur[0] - m)
-                if tc <= t or tc > width:
-                    continue
-                if best_t is None or tc < best_t:
-                    best_t = tc
-            if best_t is None:
-                points.append((x2, cur[1] + cur[0] * width))
-                break
-            points.append((x1 + best_t, cur[1] + cur[0] * best_t))
-            t = best_t
-            # The new winner is the flattest line attaining the envelope
-            # value at the crossing; its slope strictly decreases, so the
-            # walk terminates.
-            cur = min(lines, key=lambda mv: (mv[1] + mv[0] * t, mv[0]))
-    dedup: list[tuple[Fraction, Fraction]] = []
-    for x, y in points:
-        if dedup and dedup[-1][0] == x:
-            continue
-        dedup.append((x, y))
-    return PiecewiseScalarFunction.from_points(dedup).simplify()
+        here = []
+        for k, f in enumerate(fns):
+            if f.breakpoints[at[k] + 1] <= x1:
+                at[k] += 1
+            _, b, c = f.coefficients[at[k]]
+            here.append((b, c))
+        for x, line in line_envelope(here, x1, x2):
+            if not lines or lines[-1] != line:
+                starts.append(x)
+                lines.append(line)
+    zero = Fraction(0)
+    return PiecewiseScalarFunction(
+        breakpoints=(*starts, xs[-1]),
+        coefficients=tuple((zero, m, c) for m, c in lines),
+    )
 
 
 def upper_envelope(fns: Sequence[PiecewiseScalarFunction]) -> PiecewiseScalarFunction:

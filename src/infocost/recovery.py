@@ -8,9 +8,12 @@ rows are built from them, and the forward grid program writes the same
 hinge values straight from its sorted grid (``forward._grid_lp``). A feasible
 multiplier vector gives one price function per observation; the cost
 derivative is the pointwise minimum of (price - act payoff) over every
-observation and act. The auditor re-derives every optimality condition
-from the raw dataset, never trusting construction state, so it doubles
-as an independent oracle in tests.
+observation and act. That minimum and a menu's indirect utility are both
+built by the one envelope walk, ``piecewise.line_envelope``: the first
+through ``lower_envelope``, the second on the negated act lines. The
+auditor re-derives every optimality condition from the raw dataset,
+never trusting construction state, so it doubles as an independent
+oracle in tests.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .model import Dataset, Prior, utility
-from .piecewise import PiecewiseScalarFunction, lower_envelope
+from .piecewise import PiecewiseScalarFunction, line_envelope, lower_envelope
 from .revealed import (
     DiscreteCDF,
     positive_gap_intervals,
@@ -39,30 +42,13 @@ def act_payoff_function(u0: Fraction, u1: Fraction) -> PiecewiseScalarFunction:
 
 
 def menu_value_function(menu) -> PiecewiseScalarFunction:
-    """Indirect utility of a menu: the upper envelope of its act lines.
-
-    The walk starts at 0 on the highest line there, the steepest among
-    ties. Every steeper line is then strictly below it, so the next kink is
-    the nearest crossing with a steeper line, if that lies before 1, and
-    there the steepest line through the crossing takes over. Slopes
-    strictly increase along the walk, so it ends.
-    """
-    lines = {(a.u1 - a.u0, a.u0) for a in menu.acts}  # (slope, value at 0)
-    m, c = max(lines, key=lambda line: (line[1], line[0]))
-    xs = [_ZERO]
-    coeffs = [(_ZERO, m, c)]
-    while True:
-        crossings = [((c - c2) / (m2 - m), m2, c2) for m2, c2 in lines if m2 > m]
-        if not crossings:
-            break
-        t = min(crossings)[0]
-        if t >= 1:
-            break
-        _, m, c = max(x for x in crossings if x[0] == t)
-        xs.append(t)
-        coeffs.append((_ZERO, m, c))
-    xs.append(_ONE)
-    return PiecewiseScalarFunction(breakpoints=tuple(xs), coefficients=tuple(coeffs))
+    """Indirect utility of a menu: the upper envelope of its act lines,
+    walked as the lower envelope of their negations (``line_envelope``)."""
+    pieces = line_envelope([(a.u0 - a.u1, -a.u0) for a in menu.acts], _ZERO, _ONE)
+    return PiecewiseScalarFunction(
+        breakpoints=(*(x for x, _ in pieces), _ONE),
+        coefficients=tuple((_ZERO, -m, -c) for _, (m, c) in pieces),
+    )
 
 
 def hinge(z: Fraction, x: Fraction) -> Fraction:

@@ -9,6 +9,11 @@ evaluations at the kinks (``_gap_table``). ``positive_gap_intervals``,
 ``binding_set`` and ``is_monotone_partitional`` require an MPC pair and
 raise ``ValueError`` on any other.
 
+The integral of one CDF at increasing points is one sweep over its atoms
+(``cdf_integrals``). The gap table is the difference of two sweeps,
+``mpc_gap`` is the sweep at one point, and the forward grid program reads
+its right-hand sides from the prior's sweep.
+
 An observation's revealed statistics come from one pass over its choice
 data: each act's joint mass with every state gives both its probability
 and its posterior mean. Everything in this module is a pure function
@@ -86,28 +91,41 @@ def prior_cdf(prior: Prior) -> DiscreteCDF:
     return DiscreteCDF.from_pairs(zip(prior.state_space.states, prior.weights))
 
 
-def mpc_gap(prior_cdf: DiscreteCDF, f: DiscreteCDF, z: Fraction) -> Fraction:
-    """Integral of (prior CDF - f CDF) from 0 to ``z``, exactly.
+def cdf_integrals(cdf: DiscreteCDF, points) -> list[Fraction]:
+    """Integral of ``cdf``'s CDF from 0 to each of the increasing ``points``.
 
-    Each atom (loc, p) contributes p * max(0, z - loc) to the integral of
-    its own CDF, so the gap is a finite sum of hinge terms.
+    At g it is g * (mass below g) - (first moment below g), and both sums
+    are swept up with g, so the points and the atoms are walked once.
     """
-    acc = Fraction(0)
-    for loc, p in prior_cdf.atoms:
-        if loc < z:
-            acc += p * (z - loc)
-    for loc, p in f.atoms:
-        if loc < z:
-            acc -= p * (z - loc)
-    return acc
+    atoms = cdf.atoms
+    out = []
+    mass = moment = Fraction(0)
+    below = 0
+    for g in points:
+        while below < len(atoms) and atoms[below][0] < g:
+            s, w = atoms[below]
+            mass += w
+            moment += w * s
+            below += 1
+        out.append(g * mass - moment)
+    return out
+
+
+def mpc_gap(prior_cdf: DiscreteCDF, f: DiscreteCDF, z: Fraction) -> Fraction:
+    """Integral of (prior CDF - f CDF) from 0 to ``z``, exactly."""
+    return cdf_integrals(prior_cdf, (z,))[0] - cdf_integrals(f, (z,))[0]
 
 
 def _gap_table(
     prior_cdf: DiscreteCDF, f: DiscreteCDF, extra=()
 ) -> dict[Fraction, Fraction]:
-    """The gap at 0, 1, both supports and ``extra``, in increasing order."""
-    points = {Fraction(0), Fraction(1), *prior_cdf.support, *f.support, *extra}
-    return {z: mpc_gap(prior_cdf, f, z) for z in sorted(points)}
+    """The gap at 0, 1, both supports and ``extra``, in increasing order:
+    the difference of the two distributions' ``cdf_integrals`` sweeps."""
+    points = sorted({Fraction(0), Fraction(1), *prior_cdf.support, *f.support, *extra})
+    return {
+        z: a - b
+        for z, a, b in zip(points, cdf_integrals(prior_cdf, points), cdf_integrals(f, points))
+    }
 
 
 def _contracts(gaps: dict[Fraction, Fraction]) -> bool:

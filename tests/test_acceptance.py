@@ -121,7 +121,7 @@ def test_criterion_2_flattened_cost_and_exact_price(capsys):
     ]
     price = PiecewiseScalarFunction.from_points(
         [(F(x["exact"]), F(y["exact"])) for x, y in doc["price"]["breakpoints"]]
-    ).simplify()
+    )
     price_ok = (
         price.breakpoints == (F(0), F(1, 3), F(2, 3), F(1))
         and price.breakpoint_values()

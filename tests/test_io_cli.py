@@ -409,6 +409,40 @@ class TestCliExitCodes:
         assert captured.out == ""
         assert captured.err == f"input error: forward problem is invalid: {problem}\n"
 
+    @pytest.mark.parametrize(
+        "command, fixture",
+        [("check", "example3_dataset.json"), ("solve", "example3_forward.json")],
+    )
+    def test_zero_denominator_is_input_error(self, tmp_path, capsys, command, fixture):
+        """A state written "1/0" exits 2 with one stderr line naming it."""
+        doc = json.loads(Path(fixture_path(fixture)).read_text())
+        doc["states"][1] = "1/0"
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(command, str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+        assert "'1/0'" in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, fixture",
+        [("solve", "example3_forward.json"), ("generate", "example3_generate.json")],
+    )
+    def test_repeated_cost_breakpoint_is_input_error(self, tmp_path, capsys, command, fixture):
+        doc = json.loads(Path(fixture_path(fixture)).read_text())
+        points = doc["cost"]["breakpoints"]
+        points.insert(2, ["1/6", "1"])
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(command, str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+        assert "repeated breakpoint 1/6" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_solve_accepts_a_forward_prior_without_endpoint_mass(self, tmp_path, capsys):
         doc = json.loads(Path(fixture_path("example3_forward.json")).read_text())
         doc["prior"] = ["0", "1/2", "1/2", "0"]

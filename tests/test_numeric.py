@@ -44,3 +44,8 @@ def test_exact_comparisons_in_rational_mode():
     assert tiny == F(1, 10**30)
     assert tiny > 0
     assert -tiny < 0
+
+
+def test_zero_denominator_raises_value_error_naming_the_text():
+    with pytest.raises(ValueError, match="'1/0'"):
+        numeric.scalar("1/0")

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -35,6 +36,37 @@ def midpoint_sum(a: PiecewiseScalarFunction, b: PiecewiseScalarFunction) -> Piec
         cb = b.coefficients[b.segment_index(mid)]
         coeffs.append(tuple(p + q for p, q in zip(ca, cb)))
     return PiecewiseScalarFunction(breakpoints=tuple(xs), coefficients=tuple(coeffs))
+
+
+def envelope_probes(fns) -> list[F]:
+    """Every merged breakpoint of ``fns``, every crossing of two of their
+    segments inside a merged interval, and the midpoint between each two
+    consecutive such points. Between two consecutive probes every input is
+    one line and no two lines cross, so the true envelope is one line
+    there: found by brute force, sharing no code with the envelope walk."""
+    xs = sorted({x for f in fns for x in f.breakpoints})
+    points = set(xs)
+    for x1, x2 in zip(xs, xs[1:]):
+        mid = (x1 + x2) / 2
+        lines = {f.coefficients[f.segment_index(mid)][1:] for f in fns}
+        for (m1, c1), (m2, c2) in combinations(lines, 2):
+            if m1 != m2:
+                t = (c2 - c1) / (m1 - m2)
+                if x1 < t < x2:
+                    points.add(t)
+    points = sorted(points)
+    return points + [(a + b) / 2 for a, b in zip(points, points[1:])]
+
+
+def assert_pointwise_envelope(env: PiecewiseScalarFunction, fns, pick) -> None:
+    """``env`` is ``pick`` (min or max) of ``fns`` at every probe, kinks
+    only at probes, so it is affine between probes and equal everywhere,
+    and no two adjacent segments share coefficients."""
+    probes = envelope_probes(fns)
+    assert set(env.breakpoints) <= set(probes)
+    for z in probes:
+        assert env(z) == pick(f(z) for f in fns), z
+    assert all(p != q for p, q in zip(env.coefficients, env.coefficients[1:]))
 
 
 class TestConstruction:
@@ -91,6 +123,12 @@ class TestConstruction:
             fn = random_affine_pwl(rng)
             assert fn.minimum() == min(fn(x) for x in fn.breakpoints)
 
+    def test_from_points_rejects_a_repeated_x(self):
+        with pytest.raises(ValueError, match="repeated breakpoint 1/2"):
+            PiecewiseScalarFunction.from_points(
+                [(F(0), F(0)), (F(1, 2), F(1)), (F(1, 2), F(2)), (F(1), F(0))]
+            )
+
     def test_from_points_interpolates(self):
         fn = PiecewiseScalarFunction.from_points(
             [(F(0), F(0)), (F(1, 2), F(1)), (F(1), F(0))]
@@ -131,12 +169,6 @@ class TestAlgebra:
         for a, b in pairs:
             assert a + b == midpoint_sum(a, b)
             assert b + a == midpoint_sum(b, a)
-
-    def test_simplify_merges_collinear(self):
-        fn = PiecewiseScalarFunction.from_points(
-            [(F(0), F(0)), (F(1, 2), F(1, 2)), (F(1), F(1))]
-        )
-        assert fn.simplify().breakpoints == (F(0), F(1))
 
 
 class TestQuadratic:
@@ -192,6 +224,15 @@ class TestEnvelopes:
             )
             for z in probes:
                 assert env(z) == min(f(z) for f in fns)
+
+    def test_envelopes_match_the_brute_force_oracle(self):
+        rng = random.Random(59)
+        lists = [[random_affine_pwl(rng) for _ in range(rng.randint(1, 5))] for _ in range(150)]
+        shared = random_affine_pwl(rng)
+        lists += [[shared, shared], [shared, -shared], [shared, shared + shared]]
+        for fns in lists:
+            assert_pointwise_envelope(lower_envelope(fns), fns, min)
+            assert_pointwise_envelope(upper_envelope(fns), fns, max)
 
     def test_tied_lines_do_not_break_the_walk(self):
         a = PiecewiseScalarFunction.affine(F(1), F(0))

@@ -26,6 +26,7 @@ from infocost import (
     verify_rationalization,
 )
 from infocost.recovery import act_payoff_function, menu_value_function
+from test_piecewise import assert_pointwise_envelope
 
 
 def generic_upper_envelope(menu: Menu) -> PiecewiseScalarFunction:
@@ -38,27 +39,37 @@ def line_menu(*payoffs: tuple[F, F]) -> Menu:
     return Menu(id="m", acts=tuple(Act(f"a{j}", u0, u1) for j, (u0, u1) in enumerate(payoffs)))
 
 
+def line_menus() -> list[Menu]:
+    """Menus of one to six act lines: edge cases, then 200 seeded draws."""
+    menus = [
+        line_menu((F(1, 3), F(2, 3))),  # a single act
+        line_menu((F(1), F(0)), (F(1), F(0)), (F(0), F(1))),  # duplicate acts
+        line_menu((F(0), F(1)), (F(1, 2), F(3, 2)), (F(1), F(0))),  # parallel lines
+        line_menu((F(0), F(1)), (F(0), F(-1))),  # crossing at 0
+        line_menu((F(1), F(0)), (F(0), F(0))),  # crossing at 1
+        line_menu((F(1), F(0)), (F(1, 2), F(1, 2)), (F(0), F(1))),  # three through one point
+        line_menu((F(1), F(0)), (F(1, 4), F(1, 4)), (F(0), F(1)), (F(1, 2), F(1, 2))),
+        line_menu((F(0), F(0)), (F(0), F(0)), (F(0), F(0))),  # all tied
+    ]
+    rng = random.Random(23)
+    for _ in range(200):
+        menus.append(line_menu(*(
+            (F(rng.randint(-4, 4), 4), F(rng.randint(-4, 4), 4))
+            for _ in range(rng.randint(1, 6))
+        )))
+    return menus
+
+
 class TestMenuValueFunction:
     def test_envelope_of_lines_matches_the_generic_walk(self):
-        menus = [
-            line_menu((F(1, 3), F(2, 3))),  # a single act
-            line_menu((F(1), F(0)), (F(1), F(0)), (F(0), F(1))),  # duplicate acts
-            line_menu((F(0), F(1)), (F(1, 2), F(3, 2)), (F(1), F(0))),  # parallel lines
-            line_menu((F(0), F(1)), (F(0), F(-1))),  # crossing at 0
-            line_menu((F(1), F(0)), (F(0), F(0))),  # crossing at 1
-            line_menu((F(1), F(0)), (F(1, 2), F(1, 2)), (F(0), F(1))),  # three through one point
-            line_menu((F(1), F(0)), (F(1, 4), F(1, 4)), (F(0), F(1)), (F(1, 2), F(1, 2))),
-            line_menu((F(0), F(0)), (F(0), F(0)), (F(0), F(0))),  # all tied
-        ]
-        rng = random.Random(23)
-        for _ in range(200):
-            menus.append(line_menu(*(
-                (F(rng.randint(-4, 4), 4), F(rng.randint(-4, 4), 4))
-                for _ in range(rng.randint(1, 6))
-            )))
-        for menu in menus:
+        for menu in line_menus():
             assert menu_value_function(menu) == generic_upper_envelope(menu), menu
 
+    def test_envelopes_of_lines_match_the_brute_force_oracle(self):
+        for menu in line_menus():
+            lines = [act_payoff_function(a.u0, a.u1) for a in menu.acts]
+            assert_pointwise_envelope(menu_value_function(menu), lines, max)
+            assert_pointwise_envelope(lower_envelope(lines), lines, min)
 
 
 class TestEnvelope:

@@ -3,9 +3,10 @@
 The gap function has an independent oracle here: direct midpoint-rule
 integration of the two step CDFs over the partition induced by their
 atoms, which is exact for piecewise-constant integrands and shares no
-code with the hinge-sum implementation.
+code with the swept implementation (``revealed.cdf_integrals``).
 """
 
+import contextlib
 import random
 from fractions import Fraction as F
 
@@ -26,6 +27,7 @@ from infocost import (
     mpc_gap,
     positive_gap_intervals,
     prior_cdf,
+    revealed,
     revealed_summary,
     utility,
 )
@@ -268,6 +270,41 @@ class TestZeroIntervals:
             partitional.add(expected)
         assert 0 < rejected < 150
         assert partitional == {True, False}
+
+
+class TestGapTable:
+    def test_every_table_read_matches_the_gap_oracle(self, monkeypatch):
+        """Every gap table that ``is_mpc``, ``binding_set`` and
+        ``positive_gap_intervals`` read holds the oracle gap at each of its
+        points, which are 0, 1, both supports and the extra states, in
+        increasing order. The pairs are seeded garblings, spreads and
+        unrelated pairs; some states sit exactly on an atom."""
+        real = revealed._gap_table
+        tables = []
+
+        def recorded(f0, f, extra=()):
+            table = real(f0, f, extra)
+            tables.append((f0, f, tuple(extra), table))
+            return table
+
+        monkeypatch.setattr(revealed, "_gap_table", recorded)
+        rng = random.Random(61)
+        for trial in range(120):
+            source = random_cdf(rng)
+            garbled = _random_revealed(rng, source)
+            f0, f = [(source, garbled), (garbled, source), (source, random_cdf(rng))][trial % 3]
+            on_atoms = rng.sample([*f0.support, *f.support], 2)
+            states = sorted({F(0), F(1), *on_atoms, *(F(rng.randint(0, 12), 12) for _ in range(3))})
+            is_mpc(f0, f)
+            with contextlib.suppress(ValueError):
+                binding_set(f0, f, StateSpace(states=tuple(states)))
+            with contextlib.suppress(ValueError):
+                positive_gap_intervals(f0, f)
+        assert len(tables) == 360
+        for f0, f, extra, table in tables:
+            assert list(table) == sorted({F(0), F(1), *f0.support, *f.support, *extra})
+            for z, gap in table.items():
+                assert gap == gap_oracle(f0, f, z)
 
 
 class TestMonotonePartitional:
