@@ -67,7 +67,6 @@ from .revealed import (
     binding_set,
     is_monotone_partitional,
     is_mpc,
-    mpc_gap,
     positive_gap_intervals,
     prior_cdf,
     revealed_summary,

@@ -207,8 +207,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     problem = io.parse_forward_problem(_load_json(args.path))
     if args.grid_add:
         problem = ForwardProblem.build(
-            problem.prior, problem.menu, problem.cost,
-            extra=problem.grid, uniform_points=args.grid_add,
+            problem.prior, problem.menu, problem.cost, uniform_points=args.grid_add
         )
     solution = solve_forward(problem)
     report: dict[str, Any] = {
@@ -285,6 +284,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    """A nonnegative integer option value; argparse reports anything else
+    as a usage error, exit 2."""
+    with contextlib.suppress(ValueError):
+        if int(text) >= 0:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infocost",
@@ -316,14 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figures-csv", help="directory for figure CSV files")
 
     p = add("solve", cmd_solve, "solve a forward information-acquisition problem")
-    p.add_argument("--refine", type=int, default=0,
+    p.add_argument("--refine", type=_count, default=0,
                    help="also report the oracle value at this resolution")
-    p.add_argument("--grid-add", type=int, default=0,
+    p.add_argument("--grid-add", type=_count, default=0,
                    help="add this many uniform grid points (stress test)")
     p.add_argument("--figures-csv", help="directory for figure CSV files")
 
     p = add("concavity", cmd_concavity, "search for a concave rationalizing cost")
-    p.add_argument("--budget", type=int, default=10_000,
+    p.add_argument("--budget", type=_count, default=10_000,
                    help="maximum number of programs solved, prefix and full")
 
     add("generate", cmd_generate, "generate a dataset from a cost and menus")

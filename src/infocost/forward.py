@@ -5,7 +5,9 @@ derivative) over Bayes-feasible distributions of posterior means reduces
 to a finite linear program once every function kink and every prior atom
 sits on the grid: the contraction gap is then piecewise linear with kinks
 only at grid points, so checking it on the grid decides it everywhere.
-Row k of that program integrates the price basis function of grid point k
+``ForwardProblem`` adds those points to whatever grid it is given, so
+every problem's grid program is exact by construction. Row k of that
+program integrates the price basis function of grid point k
 (``recovery.hinge``), so its LP dual (``lp.dual``) is the program over
 grid-kinked convex price functions, exact for the same reason, and the
 optimal duals of any solve of it are the multipliers of a price function
@@ -50,7 +52,7 @@ reaches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
@@ -65,35 +67,29 @@ class ForwardProblem:
     """Maximize the integral of ``objective`` over the contractions of
     ``prior`` supported on ``grid``.
 
-    ``objective`` is the menu's indirect utility plus the cost derivative,
-    and ``prior_cdf`` is the prior as a distribution. Each is built once,
-    when the problem is made, unless the caller passes it (``build`` passes
-    the ones whose points it put on the grid); ``solve_forward``,
-    ``oracle_value`` and ``generate_dataset`` read them.
+    The grid program is exact by construction: ``grid`` is the given
+    points completed with 0, 1, the prior mean, the prior's support and
+    every breakpoint of ``objective``, the menu's indirect utility plus
+    the cost derivative. The objective and ``prior_cdf``, the prior as a
+    distribution, are built once, here, and are not fields, so no caller
+    can pass ones that disagree with ``menu``, ``cost`` and ``prior``;
+    ``solve_forward``, ``oracle_value`` and ``generate_dataset`` read them.
     """
 
     prior: Prior
     menu: Menu
     cost: PiecewiseScalarFunction
-    grid: tuple[Fraction, ...]
-    objective: PiecewiseScalarFunction = field(  # type: ignore[assignment]
-        default=None, compare=False, repr=False, kw_only=True
-    )
-    prior_cdf: DiscreteCDF = field(  # type: ignore[assignment]
-        default=None, compare=False, repr=False, kw_only=True
-    )
+    grid: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "grid", sorted_points(self.grid))
-        if self.prior_cdf is None:
-            object.__setattr__(self, "prior_cdf", prior_cdf(self.prior))
-        need = {Fraction(0), Fraction(1), *self.prior_cdf.support}
-        if not need <= set(self.grid):
-            raise ValueError("grid must contain 0, 1, and every prior support point")
-        if self.objective is None:
-            object.__setattr__(
-                self, "objective", menu_value_function(self.menu) + self.cost
-            )
+        objective = menu_value_function(self.menu) + self.cost
+        cdf = prior_cdf(self.prior)
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "prior_cdf", cdf)
+        object.__setattr__(self, "grid", sorted_points((
+            Fraction(0), Fraction(1), self.prior.mean, *cdf.support,
+            *objective.breakpoints, *self.grid,
+        )))
 
     @classmethod
     def build(
@@ -101,27 +97,12 @@ class ForwardProblem:
         prior: Prior,
         menu: Menu,
         cost: PiecewiseScalarFunction,
-        extra: tuple[Fraction, ...] = (),
         uniform_points: int = 0,
     ) -> "ForwardProblem":
-        """Assemble the canonical grid: prior support, the objective's
-        breakpoints (those of the menu's indirect utility and of the cost),
-        the prior mean, plus any extra or uniform points. The objective and
-        the prior's distribution are built here, once, and handed to the
-        problem."""
-        objective = menu_value_function(menu) + cost
-        cdf = prior_cdf(prior)
-        pts = {Fraction(0), Fraction(1), prior.mean}
-        pts.update(cdf.support)
-        pts.update(objective.breakpoints)
-        pts.update(extra)
-        if uniform_points > 0:
-            for j in range(uniform_points + 1):
-                pts.add(Fraction(j, uniform_points))
-        return cls(
-            prior=prior, menu=menu, cost=cost, grid=sorted_points(pts),
-            objective=objective, prior_cdf=cdf,
-        )
+        """The problem with the points j / ``uniform_points`` added to its
+        grid (none when ``uniform_points`` is 0)."""
+        steps = range(uniform_points + 1) if uniform_points > 0 else ()
+        return cls(prior, menu, cost, tuple(Fraction(j, uniform_points) for j in steps))
 
 
 @dataclass(frozen=True)
@@ -134,9 +115,10 @@ class ForwardSolution:
     objective: PiecewiseScalarFunction
 
 
-def _grid_lp(problem: ForwardProblem, grid, objective: PiecewiseScalarFunction):
+def _grid_lp(problem: ForwardProblem, grid):
     """Primal program: maximize sum V(g) f(g) over grid contractions,
-    where V is ``objective`` and ``grid`` is increasing from 0 to 1.
+    where V is the problem's objective and ``grid``, increasing from 0 to
+    1, contains the problem's grid.
 
     Row k integrates the price basis function of ``grid[k]``
     (``recovery.hinge``) against f and bounds it by the prior's integral;
@@ -165,7 +147,7 @@ def _grid_lp(problem: ForwardProblem, grid, objective: PiecewiseScalarFunction):
         num_vars=len(grid),
         nonnegative=(True,) * len(grid),
         constraints=tuple(cons),
-        objective=tuple(enumerate(objective.values_at(grid))),
+        objective=tuple(enumerate(problem.objective.values_at(grid))),
         sense=lp.MAX,
     )
 
@@ -261,7 +243,7 @@ def _least_informative(problem: ForwardProblem):
     of the posterior means, and the first solve's outcome, whose duals
     certify ``f`` as they do every optimum."""
     grid = list(problem.grid)
-    program = _grid_lp(problem, grid, problem.objective)
+    program = _grid_lp(problem, grid)
     z0 = problem.prior.mean
     f, first = _lexicographic(
         program, tuple((j, (g - z0) * (g - z0)) for j, g in enumerate(grid))
@@ -325,7 +307,7 @@ def oracle_value(problem: ForwardProblem, resolution: int) -> Fraction:
     for j in range(resolution):
         pts.add(Fraction(j, resolution - 1))
     grid = sorted_points(pts)
-    program = _grid_lp(problem, grid, problem.objective)
+    program = _grid_lp(problem, grid)
     outcome = lp.solve(program)
     if outcome.status != lp.OPTIMAL:
         raise RuntimeError(f"oracle program unexpectedly {outcome.status}")
@@ -414,7 +396,7 @@ def generate_dataset(
     zero = Fraction(0)
     nstates = len(prior.state_space.states)
     for menu in menus:
-        problem = ForwardProblem.build(prior, menu, cost)
+        problem = ForwardProblem(prior, menu, cost)
         grid, program, f, first = _least_informative(problem)
         _certified_price(problem, program, f, dict(zip(grid, first.duals)))
         dist, assignments = _served(menu, grid, f)

@@ -68,6 +68,8 @@ def _parse_act(obj: Mapping[str, Any], states: Sequence[Fraction]) -> Act:
     act_id = str(obj["id"])
     if "payoffs" in obj:
         table = [scalar_in(v) for v in obj["payoffs"]]
+        if not table:
+            raise InputError(f"act {act_id!r}: empty payoff table")
         if len(table) != len(states):
             raise InputError(f"act {act_id!r}: payoff table length mismatch")
         u0, u1 = table[0], table[-1]
@@ -223,7 +225,7 @@ def parse_forward_problem(doc: Mapping[str, Any]) -> ForwardProblem:
     problems = [*prior.state_space.problems(), *prior.problems()]
     if problems:
         raise InputError("forward problem is invalid: " + "; ".join(problems))
-    return ForwardProblem.build(prior, menu, cost)
+    return ForwardProblem(prior, menu, cost)
 
 
 @_document("generation spec")

@@ -10,9 +10,9 @@ evaluations at the kinks (``_gap_table``). ``positive_gap_intervals``,
 raise ``ValueError`` on any other.
 
 The integral of one CDF at increasing points is one sweep over its atoms
-(``cdf_integrals``). The gap table is the difference of two sweeps,
-``mpc_gap`` is the sweep at one point, and the forward grid program reads
-its right-hand sides from the prior's sweep.
+(``cdf_integrals``). The gap table is the difference of two sweeps, and
+the forward grid program reads its right-hand sides from the prior's
+sweep.
 
 An observation's revealed statistics come from one pass over its choice
 data: each act's joint mass with every state gives both its probability
@@ -109,11 +109,6 @@ def cdf_integrals(cdf: DiscreteCDF, points) -> list[Fraction]:
             below += 1
         out.append(g * mass - moment)
     return out
-
-
-def mpc_gap(prior_cdf: DiscreteCDF, f: DiscreteCDF, z: Fraction) -> Fraction:
-    """Integral of (prior CDF - f CDF) from 0 to ``z``, exactly."""
-    return cdf_integrals(prior_cdf, (z,))[0] - cdf_integrals(f, (z,))[0]
 
 
 def _gap_table(

@@ -215,9 +215,7 @@ def test_criterion_4_roundtrip_property_suite():
         assert verify_rationalization(dataset, recovered, prices).all_ok, trial
         for obs in dataset.observations:
             summary = revealed_summary(obs)
-            problem = ForwardProblem.build(
-                prior, obs.menu, recovered, extra=summary.cdf.support
-            )
+            problem = ForwardProblem(prior, obs.menu, recovered, summary.cdf.support)
             solution = solve_forward(problem)
             attained = sum(
                 p * (indirect_utility(obs.menu, z) + recovered(z))
@@ -391,9 +389,7 @@ def test_criterion_8_equivalence_coverage():
         # distribution solves its own forward problem
         for obs in dataset.observations:
             summary = revealed_summary(obs)
-            problem = ForwardProblem.build(
-                prior, obs.menu, recovered, extra=summary.cdf.support
-            )
+            problem = ForwardProblem(prior, obs.menu, recovered, summary.cdf.support)
             assert solve_forward(problem).value == sum(
                 p * (indirect_utility(obs.menu, z) + recovered(z))
                 for z, p in summary.cdf.atoms

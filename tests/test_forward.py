@@ -133,14 +133,43 @@ class TestGrid:
         for z in [F(0), F(1, 3), F(2, 3), F(1), F(1, 5), F(1, 4), F(3, 4), F(1, 2)]:
             assert z in problem.grid
 
-    def test_missing_support_point_rejected(self, three_act_menu, four_state_uniform_prior):
-        with pytest.raises(ValueError):
-            ForwardProblem(
-                prior=four_state_uniform_prior,
-                menu=three_act_menu,
-                cost=ZERO_COST,
-                grid=(F(0), F(1, 2), F(1)),
-            )
+    def test_missing_support_points_are_completed(self, three_act_menu, four_state_uniform_prior):
+        """A grid without the prior's interior atoms gets them, and the
+        problem then solves as the one ``build`` makes."""
+        given = (F(0), F(1, 2), F(1))
+        problem = ForwardProblem(four_state_uniform_prior, three_act_menu, ZERO_COST, given)
+        built = ForwardProblem.build(four_state_uniform_prior, three_act_menu, ZERO_COST)
+        assert {F(1, 3), F(2, 3)} <= set(problem.grid)
+        assert problem == built and problem.grid == built.grid
+        assert solve_forward(problem) == solve_forward(built)
+
+    def test_a_grid_without_the_objectives_kinks_is_completed(self):
+        """On the bundled problem the grid 0, 1/3, 2/3, 1 misses the cost's
+        kinks and the menu's, and its program alone has the optimum
+        -335/144; completed, it solves to the true optimum 1/6."""
+        spec = resources.files("infocost.fixtures").joinpath("example3_forward.json")
+        parsed = io.parse_forward_problem(json.loads(spec.read_text()))
+        problem = ForwardProblem(
+            parsed.prior, parsed.menu, parsed.cost, grid=(F(0), F(1, 3), F(2, 3), F(1))
+        )
+        assert problem.grid == parsed.grid
+        assert solve_forward(problem).value == F(1, 6)
+
+    def test_the_constructor_completes_the_grid_build_assembles(self):
+        """Without uniform points, ``build`` is the constructor; with them,
+        the grid is the set ``build`` always assembled. Completing a grid
+        again leaves it as it is."""
+        for prior, menu, cost, points in forward_cases():
+            made = ForwardProblem(prior, menu, cost)
+            built = ForwardProblem.build(prior, menu, cost)
+            assert made == built and made.grid == built.grid
+            problem = ForwardProblem.build(prior, menu, cost, uniform_points=points)
+            expected = {F(0), F(1), prior.mean, *prior_cdf(prior).support}
+            expected |= set((recovery.menu_value_function(menu) + cost).breakpoints)
+            expected |= {F(j, points) for j in range(points + 1)} if points else set()
+            assert problem.grid == tuple(sorted(expected))
+            again = ForwardProblem(prior, menu, cost, problem.grid)
+            assert again.grid == problem.grid and again == problem
 
 
 class TestSolveForward:
@@ -250,7 +279,7 @@ class TestOptimalFaceTieBreak:
             sol = solve_forward(problem)
 
             grid = list(problem.grid)
-            program = forward._grid_lp(problem, grid, sol.objective)
+            program = forward._grid_lp(problem, grid)
             z0 = prior.mean
             best, f = pinned_lexicographic(
                 program, tuple((j, (g - z0) ** 2) for j, g in enumerate(grid))
@@ -353,23 +382,30 @@ class TestGenerateCertificate:
         assert captured.err == f"verification error: forward {message}\n"
 
 
+def forward_cases():
+    """(prior, menu, cost, uniform points) of the four bundled forward
+    problems, with none, and of 40 seeded S4-6/K3 draws, with 24 to 60."""
+    fixtures = resources.files("infocost.fixtures")
+    for name in ("example2_forward.json", "example2_twopoint_forward.json",
+                 "example3_concavified_forward.json", "example3_forward.json"):
+        problem = io.parse_forward_problem(json.loads(fixtures.joinpath(name).read_text()))
+        yield problem.prior, problem.menu, problem.cost, 0
+    rng = random.Random(14)
+    for trial in range(40):
+        yield (
+            random_prior(rng, rng.randint(4, 6)), random_menu(rng, "m", 3),
+            (concave_cost if trial % 2 else dip_cost)(rng), rng.randint(24, 60),
+        )
+
+
 class TestWarmDual:
     """The dual's first solve starts from the basis complementary to the
     program's optimal one. That skips its phase one and must change no
     output: a cold dual gives the same solution."""
 
     def problems(self):
-        fixtures = resources.files("infocost.fixtures")
-        for name in ("example2_forward.json", "example2_twopoint_forward.json",
-                     "example3_concavified_forward.json", "example3_forward.json"):
-            yield io.parse_forward_problem(json.loads(fixtures.joinpath(name).read_text()))
-        rng = random.Random(14)
-        for trial in range(40):
-            yield ForwardProblem.build(
-                random_prior(rng, rng.randint(4, 6)), random_menu(rng, "m", 3),
-                (concave_cost if trial % 2 else dip_cost)(rng),
-                uniform_points=rng.randint(24, 60),
-            )
+        for prior, menu, cost, points in forward_cases():
+            yield ForwardProblem.build(prior, menu, cost, uniform_points=points)
 
     def test_warm_and_cold_duals_give_one_solution(self, monkeypatch):
         problems = list(self.problems())
@@ -393,6 +429,16 @@ class TestWarmDual:
         for problem, solution in zip(problems, warm):
             assert solve_forward(problem) == solution
         assert len(installs) == len(problems)
+
+    def test_the_warm_duals_first_solve_returns_the_programs_optimum(self):
+        """Started from the complementary basis, the dual's first solve
+        has as its duals exactly the program's optimum: it adds nothing
+        that the program's solve did not already give."""
+        for problem in self.problems():
+            program = forward._grid_lp(problem, list(problem.grid))
+            first = lp.solve(program)
+            dual = lp.solve(lp.dual(program), basis=lp.dual_basis(program, first))
+            assert dual.duals == first.x
 
 
 def hinge_grid_lp(problem: ForwardProblem, grid, objective) -> lp.LinearProgram:
@@ -435,7 +481,7 @@ class TestGridProgram:
             objective = recovery.menu_value_function(problem.menu) + problem.cost
             assert problem.objective == objective
             grid = list(problem.grid)
-            assert forward._grid_lp(problem, grid, objective) == hinge_grid_lp(problem, grid, objective)
+            assert forward._grid_lp(problem, grid) == hinge_grid_lp(problem, grid, objective)
 
 
 class TestObjectiveBuiltOnce:
@@ -525,7 +571,7 @@ class TestGridProgramAgainstHighs:
         )
         sol = solve_forward(problem)
         assert len(sol.distribution.atoms) > 1
-        program = forward._grid_lp(problem, problem.grid, sol.objective)
+        program = forward._grid_lp(problem, problem.grid)
         a_eq, b_eq, a_ub, b_ub = [], [], [], []
         for con in program.constraints:
             row = [0.0] * program.num_vars

@@ -347,6 +347,44 @@ class TestCliExitCodes:
         out = json.loads(capsys.readouterr().out)
         assert out["status"] == "budget_exceeded"
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("concavity", "example3_dataset.json", "--budget", "-1"), "--budget"),
+            (("solve", "example3_forward.json", "--grid-add", "-4"), "--grid-add"),
+            (("solve", "example3_forward.json", "--refine", "-16"), "--refine"),
+        ],
+        ids=["budget", "grid-add", "refine"],
+    )
+    def test_negative_count_is_usage_error(self, capsys, argv, option):
+        """A negative budget, grid addition or resolution is an input
+        error, exit 2, reported on one line after the usage."""
+        command, name, flag, value = argv
+        with pytest.raises(SystemExit) as info:
+            run_cli(command, fixture_path(name), flag, value)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"infocost {command}: error: argument {option}: "
+            f"expected a nonnegative integer, got '{value}'"
+        )
+        assert "Traceback" not in captured.err
+
+    def test_empty_payoff_table_is_input_error(self, tmp_path, capsys):
+        doc = {
+            "states": [],
+            "priors": {"p": []},
+            "menus": {"m": [{"id": "a", "payoffs": []}]},
+            "observations": [{"prior_ref": "p", "menu_ref": "m", "sigma": [[]]}],
+        }
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("validate", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: act 'a': empty payoff table\n"
+
     def test_concavity_certifies_single_observation(self, capsys):
         assert run_cli("concavity", fixture_path("example3_dataset.json")) == 0
         out = json.loads(capsys.readouterr().out)

@@ -24,7 +24,6 @@ from infocost import (
     binding_set,
     is_monotone_partitional,
     is_mpc,
-    mpc_gap,
     positive_gap_intervals,
     prior_cdf,
     revealed,
@@ -108,32 +107,45 @@ def test_messages_render_scalars_as_p_over_q(make, message):
     assert "Fraction(" not in str(info.value)
 
 
+def swept_gaps(f0: DiscreteCDF, f: DiscreteCDF, points) -> list[F]:
+    """The gap at each of the increasing ``points``: the difference of
+    one ``cdf_integrals`` sweep of each CDF, as ``_gap_table`` takes it."""
+    sweeps = zip(revealed.cdf_integrals(f0, points), revealed.cdf_integrals(f, points))
+    return [a - b for a, b in sweeps]
+
+
 class TestMpcGap:
+    """The contraction gap as the difference of two CDF-integral sweeps."""
+
     def test_identical_cdfs_zero_everywhere(self):
         rng = random.Random(3)
         for _ in range(10):
             f0 = random_cdf(rng)
-            for z in [F(0), F(1, 3), F(1, 2), F(1)]:
-                assert mpc_gap(f0, f0, z) == 0
+            assert swept_gaps(f0, f0, [F(0), F(1, 3), F(1, 2), F(1)]) == [0] * 4
 
     def test_point_at_mean_closes_at_one(self):
         f0 = DiscreteCDF(atoms=((F(0), F(1, 2)), (F(1), F(1, 2))))
         f = DiscreteCDF.point(F(1, 2))
-        assert mpc_gap(f0, f, F(1)) == 0
+        assert swept_gaps(f0, f, [F(1)]) == [0]
 
     def test_pooling_example_values(self, four_state_uniform_prior):
         f0 = prior_cdf(four_state_uniform_prior)
         f = DiscreteCDF(atoms=((F(1, 6), F(1, 2)), (F(5, 6), F(1, 2))))
-        assert mpc_gap(f0, f, F(1, 6)) == F(1, 24)
-        assert mpc_gap(f0, f, F(1, 3)) == 0
+        assert swept_gaps(f0, f, [F(1, 6), F(1, 3)]) == [F(1, 24), 0]
 
     def test_against_midpoint_oracle(self):
+        """At one point, and along an increasing list of points that
+        holds every atom of both CDFs."""
         rng = random.Random(17)
         for _ in range(40):
             f0 = random_cdf(rng)
             f = random_cdf(rng)
             z = F(rng.randint(0, 16), 16)
-            assert mpc_gap(f0, f, z) == gap_oracle(f0, f, z)
+            assert swept_gaps(f0, f, [z]) == [gap_oracle(f0, f, z)]
+            points = sorted(
+                {F(rng.randint(0, 16), 16) for _ in range(6)} | set(f0.support) | set(f.support)
+            )
+            assert swept_gaps(f0, f, points) == [gap_oracle(f0, f, z) for z in points]
 
     def test_bayes_plausible_gap_closes(self):
         # equal means force a zero at both ends regardless of shape
@@ -141,8 +153,7 @@ class TestMpcGap:
         for _ in range(20):
             f0 = random_cdf(rng)
             f = DiscreteCDF.point(f0.mean)
-            assert mpc_gap(f0, f, F(0)) == 0
-            assert mpc_gap(f0, f, F(1)) == 0
+            assert swept_gaps(f0, f, [F(0), F(1)]) == [0, 0]
 
 
 class TestIsMpc:
