@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import lp, numeric
-from .model import Dataset, utility
+from .model import Dataset, Menu, Prior, utility
 from .recovery import price_terms
-from .revealed import RevealedSummary, binding_set, prior_cdf, revealed_summary
+from .revealed import RevealedSummary, _scaled, binding_set, prior_cdf, revealed_summary
 
 RowKey = tuple[int, int, int, int]  # (obs_a, obs_b, act_a, act_b) indices
 ColKey = tuple[int, Fraction]  # (obs, binding point)
@@ -69,11 +69,13 @@ class FarkasSystem:
 
     One row per ordered pair of distinct observations and per chosen act;
     one column per binding point of each observation's revealed
-    distribution. Columns at 0 and 1 carry free multipliers, the interior
-    ones are sign-constrained. A row's left-hand side is the act's
-    probability times the difference of the two observations' prices at
-    the act's revealed mean, so its sparse ``terms`` are
-    ``recovery.price_terms`` of the first minus those of the second, as
+    distribution, observation by observation (``own_columns`` is one
+    observation's slice). Columns at 0 and 1 carry free multipliers, the
+    interior ones are sign-constrained. A row's left-hand side is the
+    act's probability times the difference of the two observations'
+    prices at the act's revealed mean, so its sparse ``terms`` are
+    ``recovery.price_terms`` of the first observation's slice weighted by
+    the probability and of the second's weighted by its negation, as
     (column, coefficient) pairs in column order. Every deviation act of
     the second observation's menu gives the same left-hand side, so only
     the tightest one is kept: the act with the highest utility at the
@@ -89,6 +91,10 @@ class FarkasSystem:
     binding_sets: tuple[tuple[Fraction, ...], ...]
     summaries: tuple[RevealedSummary, ...]
 
+    def own_columns(self, oi: int) -> tuple[tuple[int, Fraction], ...]:
+        """Observation ``oi``'s (column index, binding point) pairs."""
+        return _own_columns(self.binding_sets, oi)
+
     def to_linear_program(self) -> lp.LinearProgram:
         return lp.LinearProgram(
             num_vars=len(self.columns),
@@ -100,45 +106,84 @@ class FarkasSystem:
         )
 
 
+def _own_columns(
+    bindings: tuple[tuple[Fraction, ...], ...], oi: int
+) -> tuple[tuple[int, Fraction], ...]:
+    """The columns of observation ``oi``: they follow those of every
+    earlier observation, one per binding point."""
+    start = sum(len(zs) for zs in bindings[:oi])
+    return tuple(enumerate(bindings[oi], start))
+
+
+def _act_lines(menu: Menu) -> tuple[int, list[tuple[int, int]]]:
+    """The menu's acts as lines (u0, u1 - u0) of integers over one common
+    denominator, which is returned first."""
+    den, nums = _scaled([u for act in menu.acts for u in (act.u0, act.u1)])
+    return den, [(u0, u1 - u0) for u0, u1 in zip(nums[::2], nums[1::2])]
+
+
+def _best_deviation(
+    lines: tuple[int, list[tuple[int, int]]], x: Fraction
+) -> tuple[int, int, int]:
+    """The best act at ``x`` among ``_act_lines``, lowest index on ties:
+    its index and its utility as a numerator and a denominator. The acts
+    are compared by the integer numerators of u0 + x (u1 - u0)."""
+    den, pairs = lines
+    xn, xd = x.numerator, x.denominator
+    values = [u0 * xd + xn * slope for u0, slope in pairs]
+    best = max(values)
+    return values.index(best), best, den * xd
+
+
 def build_farkas_system(dataset: Dataset) -> FarkasSystem:
     """Assemble the multiplier system from revealed statistics.
 
     Each observation contributes its own binding set, computed against its
     own prior, so single- and multi-prior datasets go through the same
-    construction.
+    construction; the prior's distribution is built once per distinct
+    prior. Each chosen act's probability, mean, payoff and own price terms
+    are built once and shared by its rows against every other
+    observation, whose slice of the columns alone gives the other terms.
     """
-    summaries = tuple(revealed_summary(obs) for obs in dataset.observations)
+    observations = dataset.observations
+    summaries = tuple(revealed_summary(obs) for obs in observations)
+    priors: list[Prior] = []
+    for obs in observations:
+        if obs.prior not in priors:
+            priors.append(obs.prior)
+    cdfs = [prior_cdf(prior) for prior in priors]
     bindings = tuple(
-        binding_set(prior_cdf(obs.prior), summaries[oi].cdf, dataset.state_space)
-        for oi, obs in enumerate(dataset.observations)
+        binding_set(cdfs[priors.index(obs.prior)], summ.cdf, dataset.state_space)
+        for obs, summ in zip(observations, summaries)
     )
     columns = tuple((oi, z) for oi, zs in enumerate(bindings) for z in zs)
+    slices = [_own_columns(bindings, oi) for oi in range(len(observations))]
+    lines = [_act_lines(obs.menu) for obs in observations]
 
     rows: list[RowKey] = []
     terms: list[tuple[tuple[int, Fraction], ...]] = []
     rhs: list[Fraction] = []
-    n = len(dataset.observations)
-    for oa in range(n):
-        menu_a = dataset.observations[oa].menu
-        summ = summaries[oa]
-        for ob in range(n):
+    for oa, (obs_a, summ) in enumerate(zip(observations, summaries)):
+        chosen = [
+            (ai, prob, mean, utility(act, mean), price_terms(slices[oa], mean, prob))
+            for ai, (act, prob, mean) in enumerate(
+                zip(obs_a.menu.acts, summ.act_probabilities, summ.act_means)
+            )
+            if prob > 0
+        ]
+        for ob in range(len(observations)):
             if ob == oa:
                 continue
-            menu_b = dataset.observations[ob].menu
-            for ai, act_a in enumerate(menu_a.acts):
-                prob = summ.act_probabilities[ai]
-                if prob <= 0:
-                    continue
-                mean = summ.act_means[ai]
-                row = {j: prob * v for j, v in price_terms(columns, oa, mean).items()}
-                row.update(
-                    (j, -prob * v) for j, v in price_terms(columns, ob, mean).items()
-                )
-                deviations = [utility(act_b, mean) for act_b in menu_b.acts]
-                best = max(deviations)
-                rows.append((oa, ob, ai, deviations.index(best)))
-                terms.append(tuple(sorted(row.items())))
-                rhs.append((utility(act_a, mean) - best) * prob)
+            for ai, prob, mean, payoff, own in chosen:
+                other = price_terms(slices[ob], mean, -prob)
+                bi, best, den = _best_deviation(lines[ob], mean)
+                rows.append((oa, ob, ai, bi))
+                terms.append(own + other if oa < ob else other + own)
+                # (payoff - best / den) * prob, as one fraction
+                rhs.append(Fraction(
+                    (payoff.numerator * den - best * payoff.denominator) * prob.numerator,
+                    payoff.denominator * den * prob.denominator,
+                ))
     return FarkasSystem(
         rows=tuple(rows),
         columns=columns,

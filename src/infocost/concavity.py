@@ -76,13 +76,13 @@ def _state_rows(
     if (gen, z) in system.columns:
         col = system.columns.index((gen, z))
         rows.append(lp.constraint({col: Fraction(1)}, lp.EQ, Fraction(0)))
-    gen_terms = price_terms(system.columns, gen, z)
+    gen_terms = price_terms(system.own_columns(gen), z)
     gen_phi = indirect_utility(dataset.observations[gen].menu, z)
+    minus = Fraction(-1)
     for oi, obs in enumerate(dataset.observations):
         if oi == gen:
             continue
-        coeffs = dict(gen_terms)
-        coeffs.update((j, -v) for j, v in price_terms(system.columns, oi, z).items())
+        coeffs = dict(gen_terms + price_terms(system.own_columns(oi), z, minus))
         rows.append(lp.constraint(coeffs, lp.LE, gen_phi - indirect_utility(obs.menu, z)))
     return tuple(rows)
 

@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import lp
+from . import lp, numeric
 from .model import SDSC, Dataset, Menu, Observation, Prior, utility
 from .piecewise import PiecewiseScalarFunction, sorted_points
 from .recovery import menu_value_function, price_function
@@ -74,6 +74,8 @@ class ForwardProblem:
     distribution, are built once, here, and are not fields, so no caller
     can pass ones that disagree with ``menu``, ``cost`` and ``prior``;
     ``solve_forward``, ``oracle_value`` and ``generate_dataset`` read them.
+    A given grid point that is not a ``Fraction`` raises ``TypeError``,
+    and one outside [0, 1] raises ``ValueError``.
     """
 
     prior: Prior
@@ -82,13 +84,19 @@ class ForwardProblem:
     grid: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
+        given = tuple(self.grid)
+        for z in given:
+            if not isinstance(z, Fraction):
+                raise TypeError(f"grid point {z!r} is a {type(z).__name__}, not a Fraction")
+            if z < 0 or z > 1:
+                raise ValueError(f"grid point {numeric.format_scalar(z)} outside [0, 1]")
         objective = menu_value_function(self.menu) + self.cost
         cdf = prior_cdf(self.prior)
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "prior_cdf", cdf)
         object.__setattr__(self, "grid", sorted_points((
             Fraction(0), Fraction(1), self.prior.mean, *cdf.support,
-            *objective.breakpoints, *self.grid,
+            *objective.breakpoints, *given,
         )))
 
     @classmethod

@@ -2,10 +2,14 @@
 
 A price function is a convex function of the posterior mean, written in
 one basis: an intercept at 0 plus a hinge ``max(z - x, 0)`` at every other
-binding point ``z``. ``hinge`` and ``price_terms`` are the only
-definition of that basis; the cycle rows and the concavity generator
-rows are built from them, and the forward grid program writes the same
-hinge values straight from its sorted grid (``forward._grid_lp``). A feasible
+binding point ``z``. ``hinge`` is the pointwise definition of that
+basis and ``price_terms`` its one sparse form, which the tests check
+against it: it reads one observation's own slice of a system's columns,
+(column index, binding point) pairs, and scales the basis values by a
+weight in integers. The cycle rows, the concavity generator rows and
+``price_function`` are built from ``price_terms``, and the forward grid
+program writes the same hinge values straight from its sorted grid
+(``forward._grid_lp``). A feasible
 multiplier vector gives one price function per observation; the cost
 derivative is the pointwise minimum of (price - act payoff) over every
 observation and act. That minimum and a menu's indirect utility are both
@@ -65,22 +69,27 @@ def hinge(z: Fraction, x: Fraction) -> Fraction:
 
 
 def price_terms(
-    columns: Sequence[ColKey], obs_index: int, x: Fraction
-) -> dict[int, Fraction]:
-    """Sparse coefficients of one observation's price at ``x``.
+    columns: Sequence[tuple[int, Fraction]], x: Fraction, weight: Fraction = _ONE
+) -> tuple[tuple[int, Fraction], ...]:
+    """Sparse coefficients of ``weight`` times one observation's price at ``x``.
 
-    Column ``j`` of ``columns`` is a (observation, binding point) key; the
-    price at ``x`` is the sum of ``coefficient * multiplier`` over the
-    returned entries, which are the nonzero basis values of that
-    observation's columns.
+    ``columns`` is that observation's own slice of a system's columns:
+    (column index, binding point) pairs, in column order. The price at
+    ``x`` is the sum of ``coefficient * multiplier`` over the returned
+    (column, coefficient) pairs, which are ``weight`` times the nonzero
+    basis values (``hinge``) in the slice's order. Each hinge value is
+    compared and scaled in integers and built as one exact fraction.
     """
-    terms = {}
-    for j, (oi, z) in enumerate(columns):
-        if oi == obs_index:
-            h = hinge(z, x)
-            if h:
-                terms[j] = h
-    return terms
+    xn, xd = x.numerator, x.denominator
+    wn, wd = weight.numerator, weight.denominator
+    terms = []
+    for j, z in columns:
+        zn, zd = z.numerator, z.denominator
+        if zn == 0:
+            terms.append((j, weight))
+        elif zn * xd > xn * zd:
+            terms.append((j, Fraction(wn * (zn * xd - xn * zd), wd * zd * xd)))
+    return tuple(terms)
 
 
 def price_function(
@@ -92,16 +101,15 @@ def price_function(
     binding point, weighted by its multiplier (see ``hinge``), so
     nonnegative interior multipliers make the slopes nondecreasing.
     """
-    own = {key: v for key, v in multipliers.items() if key[0] == obs_index}
+    own = [(z, v) for (oi, z), v in multipliers.items() if oi == obs_index]
     if not own:
         return PiecewiseScalarFunction.constant(_ZERO)
-    columns = tuple(own)
-    values = tuple(own.values())
-    xs = sorted({_ZERO, _ONE, *(z for _, z in columns)})
+    columns = tuple(enumerate(z for z, _ in own))
+    xs = sorted({_ZERO, _ONE, *(z for z, _ in own)})
     points = []
     for x in xs:
-        terms = price_terms(columns, obs_index, x)
-        points.append((x, sum((c * values[j] for j, c in terms.items()), _ZERO)))
+        terms = price_terms(columns, x)
+        points.append((x, sum((c * own[j][1] for j, c in terms), _ZERO)))
     return PiecewiseScalarFunction.from_points(points)
 
 

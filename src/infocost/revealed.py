@@ -9,14 +9,19 @@ evaluations at the kinks (``_gap_table``). ``positive_gap_intervals``,
 ``binding_set`` and ``is_monotone_partitional`` require an MPC pair and
 raise ``ValueError`` on any other.
 
-The integral of one CDF at increasing points is one sweep over its atoms
-(``cdf_integrals``). The gap table is the difference of two sweeps, and
-the forward grid program reads its right-hand sides from the prior's
-sweep.
+Integrals of step CDFs are one integer sweep (``_integral_sweep``):
+locations go over one common denominator and masses over another, and
+each result is built once, as one exact fraction. ``cdf_integrals``
+sweeps one CDF at increasing points, and the forward grid program reads
+its right-hand sides from the prior's sweep. The gap table merges the
+points of both supports as integers and sweeps the prior's atoms
+against the candidate's negated ones.
 
 An observation's revealed statistics come from one pass over its choice
 data: each act's joint mass with every state gives both its probability
-and its posterior mean. Everything in this module is a pure function
+and its posterior mean. The masses are integers over one common scale,
+so they are summed in integers, and each reported probability and mean
+is one exact fraction. Everything in this module is a pure function
 over immutable inputs; nothing is cached, so each caller that needs a
 summary computes its own.
 """
@@ -25,9 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import numeric
 from .model import Observation, Prior, StateSpace
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -80,10 +89,6 @@ class DiscreteCDF:
     def support(self) -> tuple[Fraction, ...]:
         return tuple(z for z, _ in self.atoms)
 
-    def value_at(self, z: Fraction) -> Fraction:
-        """CDF value P(X <= z)."""
-        return sum(p for loc, p in self.atoms if loc <= z)
-
 
 def prior_cdf(prior: Prior) -> DiscreteCDF:
     """The prior as a distribution: an atom at each state of positive
@@ -91,36 +96,63 @@ def prior_cdf(prior: Prior) -> DiscreteCDF:
     return DiscreteCDF.from_pairs(zip(prior.state_space.states, prior.weights))
 
 
-def cdf_integrals(cdf: DiscreteCDF, points) -> list[Fraction]:
-    """Integral of ``cdf``'s CDF from 0 to each of the increasing ``points``.
+def _scaled(values) -> tuple[int, list[int]]:
+    """A common denominator of the rationals ``values``, and each value's
+    numerator over it."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
-    At g it is g * (mass below g) - (first moment below g), and both sums
-    are swept up with g, so the points and the atoms are walked once.
+
+def _integral_sweep(keys, atoms, scale: int) -> list[Fraction]:
+    """The integral of a signed step CDF from 0 to each of the increasing
+    integer ``keys``, each over ``scale``.
+
+    ``atoms`` are (location, mass) integer pairs in increasing location,
+    on the keys' scale. At g the integral is g * (mass below g) -
+    (first moment below g), and both sums are swept up with g, so the
+    keys and the atoms are walked once.
     """
-    atoms = cdf.atoms
     out = []
-    mass = moment = Fraction(0)
-    below = 0
-    for g in points:
+    mass = moment = below = 0
+    for g in keys:
         while below < len(atoms) and atoms[below][0] < g:
             s, w = atoms[below]
             mass += w
             moment += w * s
             below += 1
-        out.append(g * mass - moment)
+        out.append(Fraction(g * mass - moment, scale))
     return out
+
+
+def cdf_integrals(cdf: DiscreteCDF, points) -> list[Fraction]:
+    """Integral of ``cdf``'s CDF from 0 to each of the increasing ``points``:
+    one integer sweep (``_integral_sweep``), the points and atom locations
+    over one common denominator and the masses over another."""
+    z_den, keys = _scaled([*points, *cdf.support])
+    m_den, masses = _scaled([p for _, p in cdf.atoms])
+    k = len(keys) - len(masses)
+    return _integral_sweep(keys[:k], list(zip(keys[k:], masses)), z_den * m_den)
 
 
 def _gap_table(
     prior_cdf: DiscreteCDF, f: DiscreteCDF, extra=()
 ) -> dict[Fraction, Fraction]:
-    """The gap at 0, 1, both supports and ``extra``, in increasing order:
-    the difference of the two distributions' ``cdf_integrals`` sweeps."""
-    points = sorted({Fraction(0), Fraction(1), *prior_cdf.support, *f.support, *extra})
-    return {
-        z: a - b
-        for z, a, b in zip(points, cdf_integrals(prior_cdf, points), cdf_integrals(f, points))
-    }
+    """The gap at 0, 1, both supports and ``extra``, in increasing order.
+
+    Every point and atom is put over common denominators, so the points
+    are merged and ordered as integers, and the gap is one integer sweep
+    over the prior's atoms and the negated atoms of ``f``.
+    """
+    points = [_ZERO, _ONE, *extra, *prior_cdf.support, *f.support]
+    z_den, keys = _scaled(points)
+    m_den, masses = _scaled([p for _, p in prior_cdf.atoms + f.atoms])
+    n0 = len(prior_cdf.atoms)
+    signed = masses[:n0] + [-m for m in masses[n0:]]
+    atoms = sorted(zip(keys[len(points) - len(signed):], signed))
+    at = dict(zip(keys, points))
+    order = sorted(at)
+    gaps = _integral_sweep(order, atoms, z_den * m_den)
+    return {at[key]: gap for key, gap in zip(order, gaps)}
 
 
 def _contracts(gaps: dict[Fraction, Fraction]) -> bool:
@@ -205,23 +237,34 @@ def revealed_summary(obs: Observation) -> RevealedSummary:
     An act's joint mass at state z is sigma(act | z) * prior(z); its
     probability is the total mass and its mean the mass-weighted average
     state. An act never chosen reveals nothing, so it is assigned the
-    prior mean.
+    prior mean. The states, the prior weights and the choice
+    probabilities are each put over one common denominator, so every
+    mass is an integer over one scale and every sum is an integer sum;
+    each reported number is then built once, as one exact fraction.
     """
-    states = obs.prior.state_space.states
-    probs: list[Fraction] = []
+    z_den, zs = _scaled(obs.prior.state_space.states)
+    w_den, ws = _scaled(obs.prior.weights)
+    p_den = lcm(*(p.denominator for row in obs.sdsc.rows for p in row))
+    scale = p_den * w_den
+    prior_mean = Fraction(sum(z * w for z, w in zip(zs, ws)), z_den * w_den)
+    totals: list[int] = []
     means: list[Fraction] = []
     for row in obs.sdsc.rows:
-        masses = [p * w for p, w in zip(row, obs.prior.weights)]
-        prob = sum(masses)
-        probs.append(prob)
-        if prob == 0:
-            means.append(obs.prior.mean)
+        masses = [p.numerator * (p_den // p.denominator) * w for p, w in zip(row, ws)]
+        total = sum(masses)
+        totals.append(total)
+        if total == 0:
+            means.append(prior_mean)
         else:
-            means.append(sum(z * m for z, m in zip(states, masses)) / prob)
+            means.append(Fraction(sum(z * m for z, m in zip(zs, masses)), z_den * total))
+    pooled: dict[Fraction, int] = {}
+    for mean, total in zip(means, totals):
+        if total > 0:
+            pooled[mean] = pooled.get(mean, 0) + total
     return RevealedSummary(
         act_means=tuple(means),
-        act_probabilities=tuple(probs),
-        cdf=DiscreteCDF.from_pairs(
-            (mean, prob) for mean, prob in zip(means, probs) if prob > 0
+        act_probabilities=tuple(Fraction(t, scale) for t in totals),
+        cdf=DiscreteCDF(
+            atoms=tuple((z, Fraction(t, scale)) for z, t in sorted(pooled.items()))
         ),
     )

@@ -1,18 +1,22 @@
 """Action-switch and posterior-mean-cycle checks with their certificates."""
 
+import importlib.util
 import json
 import random
-from dataclasses import replace
+import sys
+from dataclasses import fields, replace
 from fractions import Fraction as F
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from infocost import io, lp
+from infocost import axioms, io, lp
 from infocost import (
     Act,
     Dataset,
+    DiscreteCDF,
+    FarkasSystem,
     Menu,
     Observation,
     PiecewiseScalarFunction,
@@ -28,8 +32,9 @@ from infocost import (
     utility,
 )
 from infocost.axioms import _alternative_program
-from infocost.revealed import binding_set, prior_cdf, revealed_summary
+from infocost.revealed import RevealedSummary, binding_set, prior_cdf, revealed_summary
 from test_acceptance import _swap_fixture
+from test_revealed import _bayes_reference
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -567,3 +572,206 @@ class TestReducedSystemEquivalence:
             lam = [verdict.multipliers[key] for key in columns]
             assert lp.satisfies(full, lam)
             assert sum(lam[j] for j in interior) == best.objective_value
+
+
+def reference_summary(obs):
+    """An observation's revealed statistics by Bayes' rule, Fraction by
+    Fraction (``test_revealed._bayes_reference``)."""
+    means, probs, atoms = _bayes_reference(
+        obs.prior.state_space.states, obs.prior.weights, obs.sdsc.rows
+    )
+    return RevealedSummary(act_means=means, act_probabilities=probs, cdf=DiscreteCDF(atoms=atoms))
+
+
+def reference_binding_set(prior, f, states):
+    """The states where the running integral of (prior CDF - f's CDF)
+    vanishes, each integral summed atom by atom."""
+
+    def gap(z):
+        below = sum((z - s) * w for s, w in zip(prior.state_space.states, prior.weights) if s < z)
+        return below - sum((z - s) * p for s, p in f.atoms if s < z)
+
+    return tuple(z for z in states if gap(z) == 0)
+
+
+def reference_farkas_system(dataset):
+    """The cycle system assembled Fraction by Fraction, row by row: each
+    price term scans every column, and each deviation act's utility is
+    evaluated as an exact fraction."""
+    summaries = tuple(reference_summary(obs) for obs in dataset.observations)
+    bindings = tuple(
+        reference_binding_set(obs.prior, summaries[oi].cdf, dataset.state_space.states)
+        for oi, obs in enumerate(dataset.observations)
+    )
+    columns = tuple((oi, z) for oi, zs in enumerate(bindings) for z in zs)
+
+    def price_terms(obs_index, x):
+        terms = {}
+        for j, (oi, z) in enumerate(columns):
+            h = F(1) if z == 0 else max(z - x, F(0))
+            if oi == obs_index and h:
+                terms[j] = h
+        return terms
+
+    rows, terms, rhs = [], [], []
+    n = len(dataset.observations)
+    for oa in range(n):
+        menu_a = dataset.observations[oa].menu
+        summ = summaries[oa]
+        for ob in range(n):
+            if ob == oa:
+                continue
+            menu_b = dataset.observations[ob].menu
+            for ai, act_a in enumerate(menu_a.acts):
+                prob = summ.act_probabilities[ai]
+                if prob <= 0:
+                    continue
+                mean = summ.act_means[ai]
+                row = {j: prob * v for j, v in price_terms(oa, mean).items()}
+                row.update((j, -prob * v) for j, v in price_terms(ob, mean).items())
+                deviations = [utility(act_b, mean) for act_b in menu_b.acts]
+                best = max(deviations)
+                rows.append((oa, ob, ai, deviations.index(best)))
+                terms.append(tuple(sorted(row.items())))
+                rhs.append((utility(act_a, mean) - best) * prob)
+    return FarkasSystem(
+        rows=tuple(rows),
+        columns=columns,
+        terms=tuple(terms),
+        rhs=tuple(rhs),
+        free_columns=tuple(z == 0 or z == 1 for _, z in columns),
+        binding_sets=bindings,
+        summaries=summaries,
+    )
+
+
+def tied_deviations_dataset():
+    """Two observations under two priors whose revealed means (1/6, 1/2,
+    5/6) fall where acts of the other menu tie: duplicate lines (q, q2 and
+    b, b2) and lines crossing at 1/2 (all of t0; a, b, c and b2 of t1)."""
+    space = StateSpace(states=(F(0), F(1, 3), F(2, 3), F(1)))
+    even = Prior(state_space=space, weights=(F(1, 4),) * 4)
+    peaked = Prior(state_space=space, weights=(F(1, 6), F(1, 3), F(1, 3), F(1, 6)))
+    t0 = Menu(id="t0", acts=(Act("p", F(0), F(1)), Act("q", F(1), F(0)), Act("q2", F(1), F(0))))
+    t1 = Menu(id="t1", acts=(
+        Act("a", F(0), F(1)), Act("b", F(1), F(0)), Act("c", F(1, 2), F(1, 2)),
+        Act("b2", F(1), F(0)),
+    ))
+    half, zero = F(1, 2), F(0)
+    sdsc0 = SDSC(rows=((half,) * 4, (half, half, zero, zero), (zero, zero, half, half)))
+    sdsc1 = SDSC(rows=(
+        (zero, zero, half, F(1)), (F(1), half, zero, zero), (zero, half, half, zero),
+        (zero,) * 4,
+    ))
+    return Dataset(state_space=space, observations=(
+        Observation(prior=even, menu=t0, sdsc=sdsc0),
+        Observation(prior=peaked, menu=t1, sdsc=sdsc1),
+    ))
+
+
+def two_prior_dataset():
+    """One menu played optimally under two priors for one concave cost."""
+    space = StateSpace(states=(F(0), F(1, 2), F(1)))
+    p1 = Prior(state_space=space, weights=(F(1, 3), F(1, 3), F(1, 3)))
+    p2 = Prior(state_space=space, weights=(F(1, 2), F(1, 4), F(1, 4)))
+    menu = Menu(id="m", acts=(Act("a", F(1, 2), F(0)), Act("b", F(0), F(1, 2))))
+    cost = PiecewiseScalarFunction.from_points(
+        [(F(0), F(-1, 4)), (F(1, 2), F(0)), (F(1), F(-1, 4))]
+    )
+    observations = (
+        generate_dataset(p1, [menu], cost).observations
+        + generate_dataset(p2, [menu], cost).observations
+    )
+    return Dataset(state_space=space, observations=observations)
+
+
+def catalog_datasets():
+    """Every ``cycle`` and ``concavity`` entry of the benchmark catalog, as
+    the benchmark's generators build it from the entry's seed."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("catalog_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    catalog = workloads.load_catalog()
+    make = {"cycle": workloads.cycle_dataset, "concavity": workloads.concavity_dataset}
+    return [
+        (f"{name}/{cls}/{entry['seed']}", make[name](workloads.CLASSES[name][cls], entry["seed"]))
+        for name in make
+        for cls, entries in catalog[name].items()
+        for entry in entries
+    ]
+
+
+def reference_cases():
+    fixtures = resources.files("infocost.fixtures")
+    cases = catalog_datasets()
+    cases += [
+        (path.name, io.parse_dataset(json.loads(path.read_text())))
+        for path in sorted(GOLDEN.glob("generated_s*.json"))
+    ]
+    cases += [
+        (name, io.parse_dataset(json.loads(fixtures.joinpath(name).read_text())))
+        for name in ("example3_dataset.json", "nipmc_violation.json")
+    ]
+    rng = random.Random(29)
+    cases += [(f"generated/{i}", random_generated_dataset(rng)) for i in range(6)]
+    cases += [(f"swap/{i}", _swap_fixture(*p)) for i, p in enumerate(SWAP_PARAMS)]
+    cases += [("two priors", two_prior_dataset()), ("tied deviations", tied_deviations_dataset())]
+    return cases
+
+
+class TestAssemblyAgainstReference:
+    """``build_farkas_system`` builds, field by field, the system that the
+    Fraction-by-Fraction reference assembly builds."""
+
+    def test_every_field_matches_the_reference(self):
+        cases = reference_cases()
+        sizes = {len(ds.observations) for _, ds in cases}
+        assert 1 in sizes and max(sizes) >= 8
+        for name, ds in cases:
+            got, want = build_farkas_system(ds), reference_farkas_system(ds)
+            for field in fields(FarkasSystem):
+                assert getattr(got, field.name) == getattr(want, field.name), (name, field.name)
+            assert got == want
+
+    def test_ties_go_to_the_lowest_index(self):
+        """Every row of the tied dataset whose deviation acts tie keeps the
+        first of them, and there are such rows against both menus."""
+        ds = tied_deviations_dataset()
+        system = build_farkas_system(ds)
+        tied = set()
+        for oa, ob, ai, bi in system.rows:
+            mean = system.summaries[oa].act_means[ai]
+            values = [utility(act, mean) for act in ds.observations[ob].menu.acts]
+            best = [k for k, v in enumerate(values) if v == max(values)]
+            assert bi == best[0]
+            if len(best) > 1:
+                tied.add(ob)
+        assert tied == {0, 1}
+
+    def test_one_prior_distribution_per_distinct_prior(self, monkeypatch):
+        """One assembly builds one ``prior_cdf`` per distinct prior, equal
+        priors held in distinct objects included, and one
+        ``revealed_summary`` per observation."""
+        built, summarized = [], []
+        real_cdf, real_summary = axioms.prior_cdf, axioms.revealed_summary
+
+        def counted_cdf(prior):
+            built.append(prior)
+            return real_cdf(prior)
+
+        def counted_summary(obs):
+            summarized.append(obs)
+            return real_summary(obs)
+
+        monkeypatch.setattr(axioms, "prior_cdf", counted_cdf)
+        monkeypatch.setattr(axioms, "revealed_summary", counted_summary)
+        ds = two_prior_dataset()
+        first, second = ds.observations
+        copy = replace(first, prior=Prior(first.prior.state_space, tuple(first.prior.weights)))
+        assert copy.prior == first.prior and copy.prior is not first.prior
+        ds = replace(ds, observations=(first, second, copy, second))
+        build_farkas_system(ds)
+        assert built == [first.prior, second.prior]
+        assert summarized == list(ds.observations)

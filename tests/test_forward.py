@@ -171,6 +171,22 @@ class TestGrid:
             again = ForwardProblem(prior, menu, cost, problem.grid)
             assert again.grid == problem.grid and again == problem
 
+    @pytest.mark.parametrize("point, text", [(F(3, 2), "3/2"), (F(-1, 4), "-1/4")])
+    def test_a_point_outside_the_unit_interval_is_refused_when_made(self, point, text):
+        """On the bundled problem a grid point outside [0, 1] raises when the
+        problem is made, naming the point as p/q, not later in a solve."""
+        spec = resources.files("infocost.fixtures").joinpath("example3_forward.json")
+        parsed = io.parse_forward_problem(json.loads(spec.read_text()))
+        with pytest.raises(ValueError, match=f"grid point {text} outside"):
+            ForwardProblem(parsed.prior, parsed.menu, parsed.cost, (F(1, 3), point))
+
+    @pytest.mark.parametrize("point", [0.3, 1, "1/2"])
+    def test_a_point_that_is_not_a_fraction_is_refused_when_made(self, point):
+        spec = resources.files("infocost.fixtures").joinpath("example3_forward.json")
+        parsed = io.parse_forward_problem(json.loads(spec.read_text()))
+        with pytest.raises(TypeError, match="not a Fraction"):
+            ForwardProblem(parsed.prior, parsed.menu, parsed.cost, (point,))
+
 
 class TestSolveForward:
     def test_free_information_full_revelation(self):

@@ -25,7 +25,7 @@ from infocost import (
     variance_cost,
     verify_rationalization,
 )
-from infocost.recovery import act_payoff_function, menu_value_function
+from infocost.recovery import act_payoff_function, hinge, menu_value_function, price_terms
 from test_piecewise import assert_pointwise_envelope
 
 
@@ -108,6 +108,29 @@ class TestEnvelope:
         assert [b(z) for z in (F(0), F(1, 4), F(1, 2), F(1))] == [
             F(5, 2), F(7, 4), F(1), F(1)
         ]
+
+
+class TestPriceTerms:
+    def test_weighted_hinges_pointwise(self):
+        """On seeded slices (a column offset, binding points with 0 and 1
+        among them) and at every binding point, between them and off them,
+        ``price_terms`` is ``weight`` times each nonzero ``hinge`` value, in
+        the slice's order; the default weight is 1."""
+        rng = random.Random(71)
+        for _ in range(150):
+            interior = {F(rng.randint(1, 23), rng.choice((24, 7, 1_000_003))) for _ in range(4)}
+            points = sorted({F(0), F(1), *interior})
+            columns = tuple(enumerate(points, rng.randint(0, 40)))
+            weight = rng.choice((F(1), F(-1), F(rng.randint(1, 99), rng.randint(1, 99)),
+                                 -F(rng.randint(1, 99), rng.randint(1, 99))))
+            xs = {*points, *(F(rng.randint(0, 60), 60) for _ in range(4))}
+            xs |= {(a + b) / 2 for a, b in zip(points, points[1:])}
+            for x in xs:
+                want = tuple((j, weight * hinge(z, x)) for j, z in columns if hinge(z, x))
+                assert price_terms(columns, x, weight) == want
+                assert price_terms(columns, x) == tuple(
+                    (j, hinge(z, x)) for j, z in columns if hinge(z, x)
+                )
 
 
 class TestRecoverCost:

@@ -32,13 +32,18 @@ from infocost import (
 )
 
 
+def cdf_value(cdf: DiscreteCDF, z: F) -> F:
+    """CDF value P(X <= z), summed atom by atom."""
+    return sum(p for loc, p in cdf.atoms if loc <= z)
+
+
 def gap_oracle(f0: DiscreteCDF, f: DiscreteCDF, z: F) -> F:
     """Midpoint-rule integral of (F0 - F) on [0, z]; exact for step CDFs."""
     cuts = sorted({F(0), z, *(x for x in f0.support if x < z), *(x for x in f.support if x < z)})
     total = F(0)
     for a, b in zip(cuts, cuts[1:]):
         mid = (a + b) / 2
-        total += (b - a) * (f0.value_at(mid) - f.value_at(mid))
+        total += (b - a) * (cdf_value(f0, mid) - cdf_value(f, mid))
     return total
 
 
@@ -385,6 +390,45 @@ class TestRevealedSummary:
             assert summary.cdf.atoms == atoms
             zero_prob += 0 in probs
             zero_weight += 0 in obs.prior.weights
+        assert zero_prob and zero_weight
+
+    def test_matches_the_reference_on_awkward_denominators(self):
+        """States such as 1/3 and 2/7 and ones over large primes, weights
+        and choice probabilities over large denominators, zero-weight
+        states and never-chosen acts (which reveal the prior mean): the
+        integer sums give exactly the Fraction-by-Fraction reference."""
+        rng = random.Random(67)
+        big = (1_000_003, 2**61 - 1, 10**30 + 57)
+        zero_prob = zero_weight = 0
+        for _ in range(60):
+            interior = {F(1, 3), F(2, 7), *(F(rng.randint(1, p - 1), p) for p in rng.sample(big, 2))}
+            states = [F(0), *sorted(interior), F(1)]
+            weights = [
+                F(rng.randint(1, 10**12), rng.choice(big))
+                if i in (0, len(states) - 1) or rng.random() < 0.7 else F(0)
+                for i in range(len(states))
+            ]
+            weights = [w / sum(weights) for w in weights]
+            nacts = rng.randint(2, 4)
+            unchosen = rng.randrange(nacts) if rng.random() < 0.5 else None
+            columns = []
+            for w in weights:
+                live = [a for a in range(nacts) if w == 0 or a != unchosen]
+                shares = [F(rng.randint(1, 10**9), rng.choice(big)) if a in live else F(0)
+                          for a in range(nacts)]
+                columns.append([v / sum(shares) for v in shares])
+            rows = tuple(tuple(col[a] for col in columns) for a in range(nacts))
+            space = StateSpace(states=tuple(states))
+            prior = Prior(state_space=space, weights=tuple(weights))
+            menu = Menu(id="m", acts=tuple(Act(f"a{k}", F(0), F(0)) for k in range(nacts)))
+            summary = revealed_summary(Observation(prior=prior, menu=menu, sdsc=SDSC(rows=rows)))
+            means, probs, atoms = _bayes_reference(states, weights, rows)
+            assert summary.act_means == means
+            assert summary.act_probabilities == probs
+            assert summary.cdf.atoms == atoms
+            assert all(m == prior.mean for m, p in zip(means, probs) if p == 0)
+            zero_prob += 0 in probs
+            zero_weight += 0 in weights
         assert zero_prob and zero_weight
 
     def test_perfect_separation(self):
