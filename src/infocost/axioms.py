@@ -10,6 +10,7 @@ pairs that spell out a payoff-improving reallocation of posterior means,
 and otherwise the optimal duals are the multipliers that later build the
 cost derivative and price functions. Both are verified here by direct
 multiplication before being reported.
+Acts are compared by their menu (``Menu.values_at``, ``Menu.best_act``).
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import lp, numeric
-from .model import Dataset, Menu, Prior, utility
+from .model import Dataset, Prior
 from .recovery import price_terms
-from .revealed import RevealedSummary, _scaled, binding_set, prior_cdf, revealed_summary
+from .revealed import RevealedSummary, binding_set, prior_cdf, revealed_summary
 
 RowKey = tuple[int, int, int, int]  # (obs_a, obs_b, act_a, act_b) indices
 ColKey = tuple[int, Fraction]  # (obs, binding point)
@@ -41,25 +42,21 @@ class NiasReport:
 
 
 def check_nias(dataset: Dataset) -> NiasReport:
-    """Every chosen act must be optimal at its own revealed mean."""
+    """Every chosen act must be optimal at its own revealed mean: each act
+    of higher utility there (``Menu.values_at``) is a violation, with the
+    difference of the two utilities as its gain."""
     violations: list[NiasViolation] = []
     for oi, obs in enumerate(dataset.observations):
         summary = revealed_summary(obs)
-        for ai, act in enumerate(obs.menu.acts):
-            if summary.act_probabilities[ai] <= 0:
-                continue
-            mean = summary.act_means[ai]
-            base = utility(act, mean)
-            for alt in obs.menu.acts:
-                if alt.id == act.id:
-                    continue
-                gain = utility(alt, mean) - base
-                if gain > 0:
-                    violations.append(
-                        NiasViolation(
-                            observation=oi, chosen=act.id, better=alt.id, gain=gain
-                        )
-                    )
+        acts = obs.menu.acts
+        for ai, (prob, mean) in enumerate(zip(summary.act_probabilities, summary.act_means)):
+            if prob > 0:
+                den, values = obs.menu.values_at(mean)
+                violations += [
+                    NiasViolation(oi, acts[ai].id, acts[bi].id, Fraction(v - values[ai], den))
+                    for bi, v in enumerate(values)
+                    if v > values[ai]
+                ]
     return NiasReport(passed=not violations, violations=tuple(violations))
 
 
@@ -78,9 +75,9 @@ class FarkasSystem:
     the probability and of the second's weighted by its negation, as
     (column, coefficient) pairs in column order. Every deviation act of
     the second observation's menu gives the same left-hand side, so only
-    the tightest one is kept: the act with the highest utility at the
-    revealed mean (lowest index on ties). Its index is the last entry of
-    the row key.
+    the tightest one is kept: that menu's best act at the revealed mean
+    (``Menu.best_act``, lowest index on ties). Its index is the last
+    entry of the row key.
     """
 
     rows: tuple[RowKey, ...]
@@ -115,26 +112,6 @@ def _own_columns(
     return tuple(enumerate(bindings[oi], start))
 
 
-def _act_lines(menu: Menu) -> tuple[int, list[tuple[int, int]]]:
-    """The menu's acts as lines (u0, u1 - u0) of integers over one common
-    denominator, which is returned first."""
-    den, nums = _scaled([u for act in menu.acts for u in (act.u0, act.u1)])
-    return den, [(u0, u1 - u0) for u0, u1 in zip(nums[::2], nums[1::2])]
-
-
-def _best_deviation(
-    lines: tuple[int, list[tuple[int, int]]], x: Fraction
-) -> tuple[int, int, int]:
-    """The best act at ``x`` among ``_act_lines``, lowest index on ties:
-    its index and its utility as a numerator and a denominator. The acts
-    are compared by the integer numerators of u0 + x (u1 - u0)."""
-    den, pairs = lines
-    xn, xd = x.numerator, x.denominator
-    values = [u0 * xd + xn * slope for u0, slope in pairs]
-    best = max(values)
-    return values.index(best), best, den * xd
-
-
 def build_farkas_system(dataset: Dataset) -> FarkasSystem:
     """Assemble the multiplier system from revealed statistics.
 
@@ -158,31 +135,28 @@ def build_farkas_system(dataset: Dataset) -> FarkasSystem:
     )
     columns = tuple((oi, z) for oi, zs in enumerate(bindings) for z in zs)
     slices = [_own_columns(bindings, oi) for oi in range(len(observations))]
-    lines = [_act_lines(obs.menu) for obs in observations]
 
     rows: list[RowKey] = []
     terms: list[tuple[tuple[int, Fraction], ...]] = []
     rhs: list[Fraction] = []
     for oa, (obs_a, summ) in enumerate(zip(observations, summaries)):
         chosen = [
-            (ai, prob, mean, utility(act, mean), price_terms(slices[oa], mean, prob))
-            for ai, (act, prob, mean) in enumerate(
-                zip(obs_a.menu.acts, summ.act_probabilities, summ.act_means)
-            )
+            (ai, prob, mean, obs_a.menu.values_at(mean), price_terms(slices[oa], mean, prob))
+            for ai, (prob, mean) in enumerate(zip(summ.act_probabilities, summ.act_means))
             if prob > 0
         ]
-        for ob in range(len(observations)):
+        for ob, obs_b in enumerate(observations):
             if ob == oa:
                 continue
-            for ai, prob, mean, payoff, own in chosen:
+            for ai, prob, mean, (pay_den, pays), own in chosen:
                 other = price_terms(slices[ob], mean, -prob)
-                bi, best, den = _best_deviation(lines[ob], mean)
+                bi, best, den = obs_b.menu.best_act(mean)
                 rows.append((oa, ob, ai, bi))
                 terms.append(own + other if oa < ob else other + own)
-                # (payoff - best / den) * prob, as one fraction
+                # (payoff - best) * prob, as one fraction
                 rhs.append(Fraction(
-                    (payoff.numerator * den - best * payoff.denominator) * prob.numerator,
-                    payoff.denominator * den * prob.denominator,
+                    (pays[ai] * den - best * pay_den) * prob.numerator,
+                    pay_den * den * prob.denominator,
                 ))
     return FarkasSystem(
         rows=tuple(rows),

@@ -25,7 +25,7 @@ from .concavity import BUDGET_EXCEEDED, CERTIFIED, certify_concave
 from .forward import ForwardProblem, generate_dataset, oracle_value, solve_forward
 from .lp import LPResourceError, to_lp_text
 from .model import validate_dataset
-from .recovery import _cost_from_prices, price_function, verify_rationalization
+from .recovery import cost_from_prices, price_function, verify_rationalization
 from .revealed import revealed_summary
 
 EXIT_OK = 0
@@ -160,7 +160,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
         price_function(verdict.multipliers, oi)
         for oi in range(len(dataset.observations))
     ]
-    cost = _cost_from_prices(dataset, prices)
+    cost = cost_from_prices(dataset, prices)
     audit = verify_rationalization(dataset, cost, prices)
     report = {
         "command": "recover",

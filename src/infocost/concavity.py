@@ -28,7 +28,7 @@ from .axioms import FarkasSystem, build_farkas_system
 from .model import Dataset, indirect_utility
 from .piecewise import PiecewiseScalarFunction
 from .recovery import (
-    _cost_from_prices,
+    cost_from_prices,
     price_function,
     price_terms,
     verify_rationalization,
@@ -149,7 +149,7 @@ def certify_concave(dataset: Dataset, budget: int = 10_000) -> ConcavityVerdict:
             assert outcome.x is not None
             multipliers = dict(zip(system.columns, outcome.x))
             prices = [price_function(multipliers, oi) for oi in range(n)]
-            cost = _cost_from_prices(dataset, prices)
+            cost = cost_from_prices(dataset, prices)
             if not is_concave(cost):
                 raise RuntimeError("certified multipliers produced a non-concave cost")
             if not verify_rationalization(dataset, cost, prices).all_ok:

@@ -41,7 +41,7 @@ Three tie-breaks narrow down the reported optimum:
 * among optimal distributions, minimum variance (the least informative
   optimum, matching how pooled solutions are conventionally reported);
 * among optimal price functions, minimum total interior kink mass;
-* among optimal acts at a support point, lowest menu index.
+* among optimal acts at a support point, lowest menu index (``Menu.best_act``).
 
 The minimum variance and the minimum kink mass are unique values, but
 the optima attaining them need not be unique: two prices can share the
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp, numeric
-from .model import SDSC, Dataset, Menu, Observation, Prior, utility
+from .model import SDSC, Dataset, Menu, Observation, Prior
 from .piecewise import PiecewiseScalarFunction, sorted_points
 from .recovery import menu_value_function, price_function
 from .revealed import DiscreteCDF, cdf_integrals, prior_cdf
@@ -259,11 +259,11 @@ def _least_informative(problem: ForwardProblem):
     return grid, program, f, first
 
 
-def _served(menu: Menu, grid, f) -> tuple[DiscreteCDF, tuple[str, ...]]:
-    """The distribution ``f`` on ``grid`` and the best act at each of its
-    support points."""
+def _served(menu: Menu, grid, f) -> tuple[DiscreteCDF, tuple[int, ...]]:
+    """The distribution ``f`` on ``grid`` and the index of the best act at
+    each of its support points."""
     dist = DiscreteCDF.from_pairs((g, f[j]) for j, g in enumerate(grid) if f[j] > 0)
-    return dist, tuple(_best_act(menu, z) for z in dist.support)
+    return dist, tuple(menu.best_act(z)[0] for z in dist.support)
 
 
 def solve_forward(problem: ForwardProblem) -> ForwardSolution:
@@ -283,20 +283,15 @@ def solve_forward(problem: ForwardProblem) -> ForwardSolution:
     )
     multipliers = dict(zip(grid, y))
     price, value = _certified_price(problem, program, f, multipliers)
-    dist, assignments = _served(problem.menu, grid, f)
+    dist, served = _served(problem.menu, grid, f)
     return ForwardSolution(
         distribution=dist,
         value=value,
         price=price,
         multipliers=multipliers,
-        assignments=assignments,
+        assignments=tuple(problem.menu.acts[ai].id for ai in served),
         objective=problem.objective,
     )
-
-
-def _best_act(menu: Menu, z: Fraction) -> str:
-    """Id of the best act at ``z``; ``max`` keeps the first, lowest index."""
-    return max(menu.acts, key=lambda act: utility(act, z)).id
 
 
 def oracle_value(problem: ForwardProblem, resolution: int) -> Fraction:
@@ -389,9 +384,9 @@ def generate_dataset(
     the distribution ``solve_forward`` reports, and certified by the first
     solve's own duals (``_certified_price``); the flattest price, which
     the data does not show, is never solved for. Every support point of
-    the optimum is served by its best act (lowest index on ties), and a
-    transportation witness converts the distribution into per-state choice
-    probabilities through Bayes' rule.
+    the optimum, and each state of prior weight 0, is served by its best act
+    (``Menu.best_act``), and a transportation witness converts the
+    distribution into per-state choice probabilities through Bayes' rule.
 
     Choice data reveals one mean per act. When the optimum sends two
     support points to one act, the data shows their pooled mean, a
@@ -407,18 +402,17 @@ def generate_dataset(
         problem = ForwardProblem(prior, menu, cost)
         grid, program, f, first = _least_informative(problem)
         _certified_price(problem, program, f, dict(zip(grid, first.duals)))
-        dist, assignments = _served(menu, grid, f)
+        dist, served = _served(menu, grid, f)
         plan = _decompose(prior, dist)
         rows = [[zero] * nstates for _ in menu.acts]
-        for (zi, ai), mass in plan.items():
+        for (zi, atom), mass in plan.items():
             if mass == 0:
                 continue
-            act_row = menu.act_index(assignments[ai])
-            rows[act_row][zi] += mass / prior.weights[zi]
+            rows[served[atom]][zi] += mass / prior.weights[zi]
         for zi, (z, w) in enumerate(zip(prior.state_space.states, prior.weights)):
             if w > 0:
                 continue
-            rows[menu.act_index(_best_act(menu, z))][zi] = Fraction(1)
+            rows[menu.best_act(z)[0]][zi] = Fraction(1)
         observations.append(
             Observation(
                 prior=prior,

@@ -51,7 +51,7 @@ def _document(what: str):
 
 
 def scalar_out(x: Fraction) -> dict[str, Any]:
-    return {"exact": numeric.format_scalar(x), "approx": float(x)}
+    return {"exact": numeric.format_scalar(x), "approx": numeric.approx(x)}
 
 
 def scalar_in(obj: Any) -> Fraction:
@@ -274,7 +274,7 @@ def figure_series(fn: PiecewiseScalarFunction, name: str) -> dict[str, Any]:
     xs.append(fn.breakpoints[-1])
     return {
         "name": name,
-        "points": [[float(x), float(y)] for x, y in zip(xs, fn.values_at(xs))],
+        "points": [[numeric.approx(v) for v in p] for p in zip(xs, fn.values_at(xs))],
     }
 
 

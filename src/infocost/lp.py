@@ -58,6 +58,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from . import numeric
+
 LE = "<="
 EQ = "="
 GE = ">="
@@ -251,11 +253,6 @@ def dual_basis(program: LinearProgram, outcome: LPOutcome) -> Basis:
     )
 
 
-def _row_scale(values: Iterable[Fraction]) -> int:
-    """Positive multiplier turning the row into integers."""
-    return math.lcm(*(v.denominator for v in values))
-
-
 def _eliminate(row: dict[int, int], prow: dict[int, int], pc: int) -> dict[int, int]:
     """``row * piv - f * prow`` with ``piv = prow[pc] > 0`` and ``f = row[pc]``,
     divided by the gcd of its values.
@@ -350,11 +347,11 @@ class _Tableau:
         self.row_scale = []
         rows = []
         for con, sc, flip, unit in zip(cons, slack_col, self.flip, self.basis):
-            scale = _row_scale([v for _, v in con.terms] + [con.rhs])
+            scale, nums = numeric.scaled([*(v for _, v in con.terms), con.rhs])
             self.row_scale.append(scale)
             row: dict[int, int] = {}
-            for j, v in con.terms:
-                sv = flip * v.numerator * (scale // v.denominator)
+            for (j, _), num in zip(con.terms, nums):
+                sv = flip * num
                 pos, neg = self.var_cols[j]
                 row[pos] = row.get(pos, 0) + sv
                 if neg is not None:
@@ -362,7 +359,7 @@ class _Tableau:
             if sc >= 0:
                 row[sc] = flip if con.relation == LE else -flip
             row[unit] = 1
-            row[rhs] = flip * con.rhs.numerator * (scale // con.rhs.denominator)
+            row[rhs] = flip * nums[-1]
             rows.append({j: v for j, v in row.items() if v})
         self.rows = rows
         self.obj = {self.scale: 1}
@@ -571,11 +568,11 @@ def solve(
         tab.drive_out_artificials()
         return LPOutcome(status=FEASIBLE, x=tab.structural_solution(), basis=tab.final_basis())
 
-    obj_scale = _row_scale(v for _, v in lp.objective)
+    obj_scale, obj_nums = numeric.scaled([v for _, v in lp.objective])
     sign = 1 if lp.sense == MIN else -1
     costs: dict[int, int] = {}
-    for j, v in lp.objective:
-        sv = sign * v.numerator * (obj_scale // v.denominator)
+    for (j, _), num in zip(lp.objective, obj_nums):
+        sv = sign * num
         pos, neg = tab.var_cols[j]
         costs[pos] = costs.get(pos, 0) + sv
         if neg is not None:
@@ -606,12 +603,12 @@ def to_lp_text(lp: LinearProgram, name: str = "program") -> str:
     """
 
     def num(x: Fraction) -> str:
-        return repr(float(x))
+        return repr(numeric.approx(x))
 
     def side(terms: Iterable[tuple[int, Fraction]]) -> str:
         parts = []
         for j, v in terms:
-            fv = float(v)
+            fv = numeric.approx(v)
             op = "+" if fv >= 0 else "-"
             parts.append(f"{op} {repr(abs(fv))} x{j}")
         return " ".join(parts) if parts else "0 x0"

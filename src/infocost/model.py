@@ -1,10 +1,11 @@
 """Domain types for states, priors, acts, menus, and choice data.
 
 Construction performs only structural checks (things that would break
-indexing). Semantic invariants, probability sums, prior support at the
-endpoints, dimension agreement, are collected by :func:`validate_dataset`
-into a report so a CLI can name every problem instead of dying on the
-first one. Pipeline operations assume a dataset that validates cleanly.
+indexing, or a menu's act lines). Semantic invariants, probability sums,
+prior support at the endpoints, dimension agreement, are collected by
+:func:`validate_dataset` into a report so a CLI can name every problem
+instead of dying on the first one. Pipeline operations assume a dataset
+that validates cleanly.
 
 All types are immutable after construction and safe to share across
 concurrent tasks.
@@ -40,6 +41,11 @@ def utility(act: Act, z: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class Menu:
+    """Acts offered together. Their payoffs go over one common denominator
+    when the menu is made, so ``values_at`` and ``best_act`` compare the
+    acts' lines in integers. A payoff that is not a ``Fraction`` or an
+    ``int`` raises ``TypeError``."""
+
     id: str
     acts: tuple[Act, ...]
 
@@ -50,17 +56,35 @@ class Menu:
         ids = [a.id for a in self.acts]
         if len(set(ids)) != len(ids):
             raise ValueError(f"menu {self.id!r} has duplicate act ids")
+        payoffs = [u for act in self.acts for u in (act.u0, act.u1)]
+        for u in payoffs:
+            if type(u) not in (Fraction, int):
+                raise TypeError(f"payoff {u!r} is a {type(u).__name__}, not a Fraction or an int")
+        den, nums = numeric.scaled(payoffs)
+        lines = tuple((u0, u1 - u0) for u0, u1 in zip(nums[::2], nums[1::2]))
+        object.__setattr__(self, "_lines", (den, lines))
 
-    def act_index(self, act_id: str) -> int:
-        for i, act in enumerate(self.acts):
-            if act.id == act_id:
-                return i
-        raise KeyError(f"act {act_id!r} not in menu {self.id!r}")
+    def values_at(self, z: Fraction) -> tuple[int, list[int]]:
+        """Every act's utility at posterior mean ``z`` in [0, 1], as one
+        positive denominator and the acts' integer numerators over it."""
+        zn, zd = z.numerator, z.denominator
+        if not 0 <= zn <= zd:
+            raise ValueError(f"posterior mean {numeric.format_scalar(z)} outside [0, 1]")
+        den, lines = self._lines
+        return den * zd, [u0 * zd + zn * slope for u0, slope in lines]
+
+    def best_act(self, z: Fraction) -> tuple[int, int, int]:
+        """The act of highest utility at ``z``, lowest index on ties: its
+        index, and its utility as a numerator and a denominator."""
+        den, values = self.values_at(z)
+        best = max(values)
+        return values.index(best), best, den
 
 
 def indirect_utility(menu: Menu, z: Fraction) -> Fraction:
     """Best payoff available from ``menu`` at posterior mean ``z``."""
-    return max(utility(act, z) for act in menu.acts)
+    _, num, den = menu.best_act(z)
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ Exactness makes every equality and sign test a plain comparison, which
 the feasibility machinery depends on. ``scalar`` turns a value read from
 input into a ``Fraction`` (``io.scalar_in`` is its one caller), and
 ``format_scalar`` renders a ``Fraction`` as text, in reports and in
-every message that names a scalar.
+every message that names a scalar, and ``approx`` as the float shown
+next to it. ``scaled`` puts rationals over one common denominator, for
+the integer sums and comparisons of the revealed statistics, a menu's
+act lines and every LP tableau row.
 """
 
 from __future__ import annotations
@@ -37,6 +40,23 @@ def scalar(value: object) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"scalar {value!r} has a zero denominator") from None
     raise TypeError(f"cannot coerce {type(value).__name__} to a scalar")
+
+
+def scaled(values) -> tuple[int, list[int]]:
+    """The least common denominator of the rationals ``values`` (1 when
+    there are none), and each value's numerator over it."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def approx(x: Fraction) -> float:
+    """The float nearest ``x``, shown next to the exact value in reports
+    and LP dumps; a ``ValueError`` outside float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        order = math.floor(math.log10(abs(x.numerator)) - math.log10(x.denominator))
+        raise ValueError(f"a value of order 10^{order} lies outside float range") from None
 
 
 def format_scalar(x: Fraction) -> str:

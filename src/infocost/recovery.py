@@ -11,10 +11,10 @@ weight in integers. The cycle rows, the concavity generator rows and
 program writes the same hinge values straight from its sorted grid
 (``forward._grid_lp``). A feasible
 multiplier vector gives one price function per observation; the cost
-derivative is the pointwise minimum of (price - act payoff) over every
-observation and act. That minimum and a menu's indirect utility are both
-built by the one envelope walk, ``piecewise.line_envelope``: the first
-through ``lower_envelope``, the second on the negated act lines. The
+derivative is the pointwise minimum over observations of (price - menu
+value). That minimum and a menu's value are both built by the one
+envelope walk, ``piecewise.line_envelope``: the first through
+``lower_envelope``, the second on the negated act lines. The
 auditor re-derives every optimality condition from the raw dataset,
 never trusting construction state, so it doubles as an independent
 oracle in tests.
@@ -39,10 +39,6 @@ ColKey = tuple[int, Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def act_payoff_function(u0: Fraction, u1: Fraction) -> PiecewiseScalarFunction:
-    return PiecewiseScalarFunction.affine(u1 - u0, u0)
 
 
 def menu_value_function(menu) -> PiecewiseScalarFunction:
@@ -116,28 +112,24 @@ def price_function(
 def recover_cost(
     dataset: Dataset, multipliers: Mapping[ColKey, Fraction]
 ) -> PiecewiseScalarFunction:
-    """Pointwise minimum of (price - payoff) over observations and acts.
-
-    The result is piecewise linear on the union of all price
-    breakpoints and pairwise crossing points; it need not be concave.
+    """The minimum over observations of price minus menu value, so of
+    (price - payoff) over observations and acts. It is piecewise linear
+    and need not be concave.
     """
-    return _cost_from_prices(
+    return cost_from_prices(
         dataset,
         [price_function(multipliers, oi) for oi in range(len(dataset.observations))],
     )
 
 
-def _cost_from_prices(
+def cost_from_prices(
     dataset: Dataset, prices: Sequence[PiecewiseScalarFunction]
 ) -> PiecewiseScalarFunction:
     """``recover_cost`` from the price functions already built, one per observation."""
-    return lower_envelope(
-        [
-            price - act_payoff_function(act.u0, act.u1)
-            for obs, price in zip(dataset.observations, prices)
-            for act in obs.menu.acts
-        ]
-    )
+    return lower_envelope([
+        price - menu_value_function(obs.menu)
+        for obs, price in zip(dataset.observations, prices)
+    ])
 
 
 def variance_cost(kappa: Fraction, z0: Fraction) -> PiecewiseScalarFunction:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import numeric
 from .model import Observation, Prior, StateSpace
@@ -96,13 +95,6 @@ def prior_cdf(prior: Prior) -> DiscreteCDF:
     return DiscreteCDF.from_pairs(zip(prior.state_space.states, prior.weights))
 
 
-def _scaled(values) -> tuple[int, list[int]]:
-    """A common denominator of the rationals ``values``, and each value's
-    numerator over it."""
-    den = lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
-
-
 def _integral_sweep(keys, atoms, scale: int) -> list[Fraction]:
     """The integral of a signed step CDF from 0 to each of the increasing
     integer ``keys``, each over ``scale``.
@@ -128,8 +120,8 @@ def cdf_integrals(cdf: DiscreteCDF, points) -> list[Fraction]:
     """Integral of ``cdf``'s CDF from 0 to each of the increasing ``points``:
     one integer sweep (``_integral_sweep``), the points and atom locations
     over one common denominator and the masses over another."""
-    z_den, keys = _scaled([*points, *cdf.support])
-    m_den, masses = _scaled([p for _, p in cdf.atoms])
+    z_den, keys = numeric.scaled([*points, *cdf.support])
+    m_den, masses = numeric.scaled([p for _, p in cdf.atoms])
     k = len(keys) - len(masses)
     return _integral_sweep(keys[:k], list(zip(keys[k:], masses)), z_den * m_den)
 
@@ -144,8 +136,8 @@ def _gap_table(
     over the prior's atoms and the negated atoms of ``f``.
     """
     points = [_ZERO, _ONE, *extra, *prior_cdf.support, *f.support]
-    z_den, keys = _scaled(points)
-    m_den, masses = _scaled([p for _, p in prior_cdf.atoms + f.atoms])
+    z_den, keys = numeric.scaled(points)
+    m_den, masses = numeric.scaled([p for _, p in prior_cdf.atoms + f.atoms])
     n0 = len(prior_cdf.atoms)
     signed = masses[:n0] + [-m for m in masses[n0:]]
     atoms = sorted(zip(keys[len(points) - len(signed):], signed))
@@ -242,15 +234,16 @@ def revealed_summary(obs: Observation) -> RevealedSummary:
     mass is an integer over one scale and every sum is an integer sum;
     each reported number is then built once, as one exact fraction.
     """
-    z_den, zs = _scaled(obs.prior.state_space.states)
-    w_den, ws = _scaled(obs.prior.weights)
-    p_den = lcm(*(p.denominator for row in obs.sdsc.rows for p in row))
+    z_den, zs = numeric.scaled(obs.prior.state_space.states)
+    w_den, ws = numeric.scaled(obs.prior.weights)
+    p_den, ps = numeric.scaled([p for row in obs.sdsc.rows for p in row])
+    flat = iter(ps)
     scale = p_den * w_den
     prior_mean = Fraction(sum(z * w for z, w in zip(zs, ws)), z_den * w_den)
     totals: list[int] = []
     means: list[Fraction] = []
     for row in obs.sdsc.rows:
-        masses = [p.numerator * (p_den // p.denominator) * w for p, w in zip(row, ws)]
+        masses = [p * w for p, w in zip([next(flat) for _ in row], ws)]
         total = sum(masses)
         totals.append(total)
         if total == 0:

@@ -109,6 +109,43 @@ class TestNias:
     def test_swap_dataset_passes_nias(self, swap_violation_dataset):
         assert check_nias(swap_violation_dataset).passed
 
+    def test_each_gain_is_the_difference_of_the_two_utilities(self):
+        """On seeded choice data over menus with duplicate acts, the
+        violations are, in order, every (chosen, better) pair of a chosen
+        act and an act of higher utility at its revealed mean, and each
+        gain is utility(better) - utility(chosen) there."""
+        rng = random.Random(53)
+        space = StateSpace(states=(F(0), F(1, 3), F(2, 3), F(1)))
+        prior = Prior(state_space=space, weights=(F(1, 6), F(1, 3), F(1, 4), F(1, 4)))
+        found = 0
+        for _ in range(60):
+            acts = [
+                Act(f"a{j}", F(rng.randint(-4, 4), 4), F(rng.randint(-4, 4), 4))
+                for j in range(rng.randint(1, 3))
+            ]
+            twin = rng.choice(acts)
+            acts.append(Act("twin", twin.u0, twin.u1))
+            menu = Menu(id="m", acts=tuple(acts))
+            columns = []
+            for _ in space.states:
+                cuts = sorted(F(rng.randint(0, 3), 3) for _ in acts[1:])
+                columns.append([b - a for a, b in zip([F(0), *cuts], [*cuts, F(1)])])
+            sdsc = SDSC(rows=tuple(tuple(col[ai] for col in columns) for ai in range(len(acts))))
+            obs = Observation(prior=prior, menu=menu, sdsc=sdsc)
+            summary = revealed_summary(obs)
+            expected = [
+                (act.id, alt.id, utility(alt, mean) - utility(act, mean))
+                for act, prob, mean in zip(acts, summary.act_probabilities, summary.act_means)
+                if prob > 0
+                for alt in acts
+                if utility(alt, mean) > utility(act, mean)
+            ]
+            report = check_nias(Dataset(state_space=space, observations=(obs,)))
+            assert [(v.chosen, v.better, v.gain) for v in report.violations] == expected
+            assert report.passed == (not expected)
+            found += len(expected)
+        assert found >= 30
+
 
 class TestFarkasSystem:
     def test_single_observation_has_no_rows(self, three_act_dataset):
@@ -572,6 +609,57 @@ class TestReducedSystemEquivalence:
             lam = [verdict.multipliers[key] for key in columns]
             assert lp.satisfies(full, lam)
             assert sum(lam[j] for j in interior) == best.objective_value
+
+
+class TestCycleAxiomAgainstHighs:
+    """HiGHS, in floats, decides the cycle system as ``check_nipmc`` does,
+    and on passing data finds the flattest interior mass it reports."""
+
+    @staticmethod
+    def highs(system, interior_cost):
+        """``linprog`` over A lam <= b, free at 0 and 1 and nonnegative
+        inside, minimizing ``interior_cost`` times the interior mass."""
+        from scipy.optimize import linprog
+
+        a_ub = []
+        for row in system.terms:
+            dense = [0.0] * len(system.columns)
+            for j, v in row:
+                dense[j] = float(v)
+            a_ub.append(dense)
+        free = system.free_columns
+        return linprog(
+            [0.0 if f else interior_cost for f in free],
+            A_ub=a_ub,
+            b_ub=[float(b) for b in system.rhs],
+            bounds=[(None, None) if f else (0, None) for f in free],
+            method="highs",
+        )
+
+    def test_verdict_and_flattest_mass_match_highs(self):
+        pytest.importorskip("scipy")
+        rng = random.Random(29)
+        batch = [random_generated_dataset(rng) for _ in range(8)]
+        batch += [_swap_fixture(*p) for p in SWAP_PARAMS]
+        verdicts, masses = [], []
+        for ds in batch:
+            verdict = check_nipmc(ds, flattest=True)
+            system = verdict.system
+            assert system.rows
+            ref = self.highs(system, 0.0)
+            assert ref.status in (0, 2), ref.message
+            assert verdict.passed == (ref.status == 0)
+            verdicts.append(verdict.passed)
+            if verdict.passed:
+                mass = sum(
+                    v for (_, z), v in verdict.multipliers.items() if 0 < z < 1
+                )
+                ref = self.highs(system, 1.0)
+                assert ref.status == 0, ref.message
+                assert ref.fun == pytest.approx(float(mass), rel=1e-9, abs=1e-9)
+                masses.append(mass)
+        assert verdicts == [True] * 8 + [False] * len(SWAP_PARAMS)
+        assert any(masses)  # some passing data needs interior mass
 
 
 def reference_summary(obs):

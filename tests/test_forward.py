@@ -33,6 +33,7 @@ from infocost import (
     recover_cost,
     revealed_summary,
     solve_forward,
+    utility,
     validate_dataset,
     variance_cost,
     verify_rationalization,
@@ -502,7 +503,8 @@ class TestGridProgram:
 
 class TestObjectiveBuiltOnce:
     """A forward problem's objective is built when the problem is made and
-    read by every solve; the auditor builds its own target per observation."""
+    read by every solve; the recovered cost and the auditor each build
+    their own menu value per observation."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -540,7 +542,7 @@ class TestObjectiveBuiltOnce:
         assert verdict.passed
         prices = [price_function(verdict.multipliers, oi) for oi in range(len(menus))]
         verify_rationalization(dataset, recover_cost(dataset, verdict.multipliers), prices)
-        assert builds == menus
+        assert builds == menus + menus  # one for the cost, then one for the audit
 
 
 class TestPriorCdfBuiltOnce:
@@ -710,13 +712,16 @@ def generated_from_solve_forward(prior, menus, cost) -> Dataset:
     observations = []
     for menu in menus:
         sol = solve_forward(ForwardProblem.build(prior, menu, cost))
+        index = {act.id: ai for ai, act in enumerate(menu.acts)}
         rows = [[F(0)] * len(prior.weights) for _ in menu.acts]
         for (zi, ai), mass in forward._decompose(prior, sol.distribution).items():
             if mass:
-                rows[menu.act_index(sol.assignments[ai])][zi] += mass / prior.weights[zi]
+                rows[index[sol.assignments[ai]]][zi] += mass / prior.weights[zi]
         for zi, (z, w) in enumerate(zip(prior.state_space.states, prior.weights)):
             if w == 0:
-                rows[menu.act_index(forward._best_act(menu, z))][zi] = F(1)
+                # the first act of highest utility; ``max`` keeps the first
+                best = max(menu.acts, key=lambda act: utility(act, z))
+                rows[index[best.id]][zi] = F(1)
         observations.append(
             Observation(prior=prior, menu=menu, sdsc=SDSC(rows=tuple(map(tuple, rows))))
         )
@@ -857,6 +862,29 @@ class TestGenerateDataset:
         assert not verdict.passed
         beta = [verdict.certificate.get(key, F(0)) for key in verdict.system.rows]
         assert lp.verify_certificate(verdict.system.to_linear_program(), beta)
+
+    def test_every_dip_cost_failure_has_a_pooled_act(self):
+        """Data generated under a dip cost that fails ``check`` always has
+        a menu whose forward optimum serves two support points by one act:
+        the garbling is the only way generated data fails. Each draw takes
+        a fresh seeded generator, drawing the prior, the cost and the
+        menus in turn, as the benchmark's concavity datasets do."""
+        failed = 0
+        for seed in range(80):
+            for n_states in (4, 5):
+                rng = random.Random(seed)
+                prior, cost = random_prior(rng, n_states), dip_cost(rng)
+                menus = [random_menu(rng, f"m{i}", 3) for i in range(3)]
+                ds = generate_dataset(prior, menus, cost)
+                if check_nias(ds).passed and check_nipmc(ds).passed:
+                    continue
+                failed += 1
+                served = [
+                    solve_forward(ForwardProblem(prior, menu, cost)).assignments
+                    for menu in menus
+                ]
+                assert any(len(set(acts)) < len(acts) for acts in served), (seed, n_states)
+        assert failed >= 1
 
     def test_concave_cost_data_passes_both_axioms_and_the_audit(self):
         """A concave cost derivative makes pooling same-act posteriors weakly

@@ -481,6 +481,37 @@ class TestCliExitCodes:
         assert "repeated breakpoint 1/6" in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "fixture, argv, place, value",
+        [
+            ("example3_dataset.json", ["check"], ("menus", "A", 0, "u0"), "1e400"),
+            ("example3_dataset.json", ["check", "--dump-lp", "cycle.lp"],
+             ("menus", "A", 0, "u0"), "1e400"),
+            ("example3_forward.json", ["solve"], ("cost", "breakpoints", 2, 1), "-1e400"),
+        ],
+        ids=["check", "check-dump-lp", "solve"],
+    )
+    def test_value_outside_float_range_is_input_error(
+        self, tmp_path, capsys, fixture, argv, place, value
+    ):
+        """A value that a report's decimal approximation cannot carry exits
+        2 with one stderr line and no report."""
+        doc = json.loads(Path(fixture_path(fixture)).read_text())
+        *path, last = place
+        node = doc
+        for key in path:
+            node = node[key]
+        node[last] = value
+        spec = tmp_path / "doc.json"
+        spec.write_text(json.dumps(doc))
+        argv = [str(tmp_path / a) if a.endswith(".lp") else a for a in argv]
+        assert run_cli(argv[0], str(spec), *argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+        assert "outside float range" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_solve_accepts_a_forward_prior_without_endpoint_mass(self, tmp_path, capsys):
         doc = json.loads(Path(fixture_path("example3_forward.json")).read_text())
         doc["prior"] = ["0", "1/2", "1/2", "0"]

@@ -1000,3 +1000,20 @@ def test_lp_text_dump_round_readable():
     assert "Subject To" in text
     assert "x1 free" in text
     assert text.endswith("End\n")
+
+
+@pytest.mark.parametrize("where", ["coefficient", "rhs"])
+def test_lp_text_dump_refuses_a_value_outside_float_range(where):
+    """A coefficient or right-hand side beyond float range raises
+    ``ValueError``, which the CLI reports as an input error."""
+    huge = F(10) ** 400
+    program = LinearProgram(
+        num_vars=1,
+        nonnegative=(True,),
+        constraints=(
+            constraint({0: huge if where == "coefficient" else F(1)}, LE,
+                       huge if where == "rhs" else F(1)),
+        ),
+    )
+    with pytest.raises(ValueError, match="10\\^400 lies outside float range"):
+        to_lp_text(program)

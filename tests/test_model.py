@@ -92,6 +92,75 @@ class TestMenuConstruction:
         assert len(menu.acts) == 2
 
 
+    @pytest.mark.parametrize("bad", [0.5, "1/2", True, None])
+    def test_payoff_that_is_not_a_fraction_or_int_raises_type_error(self, bad):
+        with pytest.raises(TypeError, match="not a Fraction or an int"):
+            Menu(id="m", acts=(Act("x", F(1), F(0)), Act("y", F(0), bad)))
+
+    def test_int_payoffs_accepted(self):
+        menu = Menu(id="m", acts=(Act("x", 1, 0), Act("y", F(1, 2), 2)))
+        assert indirect_utility(menu, F(1, 3)) == F(1)
+
+
+def tied_menus() -> list[tuple[Menu, list[F]]]:
+    """Seeded menus with the points to ask them at: every menu has a
+    duplicate act line, and every point is one where two of its lines
+    cross, so the best act is tied at many of them."""
+    rng = random.Random(17)
+    cases = []
+    for _ in range(150):
+        lines = [
+            (F(rng.randint(-6, 6), rng.randint(1, 3)), F(rng.randint(-6, 6), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        lines.insert(rng.randint(0, len(lines)), rng.choice(lines))
+        menu = Menu(id="m", acts=tuple(Act(f"a{j}", u0, u1) for j, (u0, u1) in enumerate(lines)))
+        crossings = {F(0), F(1), F(rng.randint(0, 12), 12)}
+        for a0, a1 in lines:
+            for b0, b1 in lines:
+                slope = (a1 - a0) - (b1 - b0)
+                if slope and 0 <= (b0 - a0) / slope <= 1:
+                    crossings.add((b0 - a0) / slope)
+        cases.append((menu, sorted(crossings)))
+    return cases
+
+
+class TestMenuComparesActs:
+    """``Menu.values_at`` and ``Menu.best_act`` against a brute force over
+    ``utility``."""
+
+    def test_values_at_is_every_utility_over_one_denominator(self):
+        for menu, points in tied_menus():
+            for z in points:
+                den, values = menu.values_at(z)
+                assert den > 0
+                assert [F(v, den) for v in values] == [utility(a, z) for a in menu.acts]
+
+    def test_best_act_is_the_first_of_highest_utility(self):
+        ties = 0
+        for menu, points in tied_menus():
+            for z in points:
+                utilities = [utility(a, z) for a in menu.acts]
+                best = max(utilities)
+                ai, num, den = menu.best_act(z)
+                assert ai == utilities.index(best)
+                assert F(num, den) == best
+                ties += utilities.count(best) > 1
+        assert ties >= 100
+
+    def test_indirect_utility_is_the_highest_utility(self):
+        for menu, points in tied_menus():
+            for z in points:
+                assert indirect_utility(menu, z) == max(utility(a, z) for a in menu.acts)
+
+    def test_mean_outside_the_unit_interval_raises(self, three_act_menu):
+        for z in (F(-1, 10), F(3, 2)):
+            with pytest.raises(ValueError, match="outside"):
+                three_act_menu.values_at(z)
+            with pytest.raises(ValueError, match="outside"):
+                indirect_utility(three_act_menu, z)
+
+
 class TestValidation:
     def test_well_formed_dataset(self, three_act_dataset):
         report = validate_dataset(three_act_dataset)

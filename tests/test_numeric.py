@@ -49,3 +49,20 @@ def test_exact_comparisons_in_rational_mode():
 def test_zero_denominator_raises_value_error_naming_the_text():
     with pytest.raises(ValueError, match="'1/0'"):
         numeric.scalar("1/0")
+
+
+def test_approx_is_the_nearest_float():
+    assert numeric.approx(F(1, 3)) == 1 / 3
+    assert numeric.approx(F(-7, 2)) == -3.5
+    assert numeric.approx(F(1, 10**400)) == 0.0
+
+
+def test_approx_outside_float_range_raises_value_error():
+    for x in (F(10) ** 400, -F(10) ** 400, F(10**5000, 3)):
+        with pytest.raises(ValueError, match="outside float range"):
+            numeric.approx(x)
+
+
+def test_scaled_puts_values_over_their_least_common_denominator():
+    assert numeric.scaled([F(1, 4), F(-1, 6), 2]) == (12, [3, -2, 24])
+    assert numeric.scaled([]) == (1, [])

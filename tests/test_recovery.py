@@ -25,8 +25,17 @@ from infocost import (
     variance_cost,
     verify_rationalization,
 )
-from infocost.recovery import act_payoff_function, hinge, menu_value_function, price_terms
+from infocost.axioms import build_farkas_system
+from infocost.recovery import hinge, menu_value_function, price_terms
+from test_axioms import SWAP_PARAMS, random_generated_dataset
+from test_acceptance import _swap_fixture
 from test_piecewise import assert_pointwise_envelope
+
+
+def act_payoff_function(u0: F, u1: F) -> PiecewiseScalarFunction:
+    """An act's payoff as a function of the posterior mean: the reference
+    line for the envelopes below."""
+    return PiecewiseScalarFunction.affine(u1 - u0, u0)
 
 
 def generic_upper_envelope(menu: Menu) -> PiecewiseScalarFunction:
@@ -180,6 +189,28 @@ class TestRecoverCost:
         for k in range(25):
             z = F(k, 24)
             assert price(z) >= max(utility(a, z) for a in menu.acts) + cost(z)
+
+
+    def test_equals_the_envelope_over_every_act(self):
+        """The minimum over observations of price minus menu value is the
+        minimum over every observation and act of price minus payoff, the
+        same function with the same breakpoints, for any multipliers."""
+        rng = random.Random(43)
+        batch = [random_generated_dataset(rng) for _ in range(8)]
+        batch += [_swap_fixture(*p) for p in SWAP_PARAMS]
+        for ds in batch:
+            columns = build_farkas_system(ds).columns
+            for _ in range(3):
+                lam = {
+                    (oi, z): F(rng.randint(0 if 0 < z < 1 else -6, 6), rng.randint(1, 4))
+                    for oi, z in columns
+                }
+                reference = lower_envelope([
+                    price_function(lam, oi) - act_payoff_function(a.u0, a.u1)
+                    for oi, obs in enumerate(ds.observations)
+                    for a in obs.menu.acts
+                ])
+                assert recover_cost(ds, lam) == reference
 
 
 class TestVarianceCost:
