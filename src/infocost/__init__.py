@@ -42,6 +42,7 @@ from .model import (
     SDSC,
     Act,
     Dataset,
+    DiscreteCDF,
     Menu,
     Observation,
     Prior,
@@ -62,7 +63,6 @@ from .recovery import (
     verify_rationalization,
 )
 from .revealed import (
-    DiscreteCDF,
     RevealedSummary,
     binding_set,
     is_monotone_partitional,

@@ -19,9 +19,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import lp, numeric
-from .model import Dataset, Prior
+from .model import Dataset
 from .recovery import price_terms
-from .revealed import RevealedSummary, binding_set, prior_cdf, revealed_summary
+from .revealed import RevealedSummary, binding_set, revealed_summary
 
 RowKey = tuple[int, int, int, int]  # (obs_a, obs_b, act_a, act_b) indices
 ColKey = tuple[int, Fraction]  # (obs, binding point)
@@ -116,21 +116,16 @@ def build_farkas_system(dataset: Dataset) -> FarkasSystem:
     """Assemble the multiplier system from revealed statistics.
 
     Each observation contributes its own binding set, computed against its
-    own prior, so single- and multi-prior datasets go through the same
-    construction; the prior's distribution is built once per distinct
-    prior. Each chosen act's probability, mean, payoff and own price terms
-    are built once and shared by its rows against every other
-    observation, whose slice of the columns alone gives the other terms.
+    own prior's distribution (``Prior.distribution``), so single- and
+    multi-prior datasets go through the same construction. Each chosen
+    act's probability, mean, payoff and own price terms are built once and
+    shared by its rows against every other observation, whose slice of
+    the columns alone gives the other terms.
     """
     observations = dataset.observations
     summaries = tuple(revealed_summary(obs) for obs in observations)
-    priors: list[Prior] = []
-    for obs in observations:
-        if obs.prior not in priors:
-            priors.append(obs.prior)
-    cdfs = [prior_cdf(prior) for prior in priors]
     bindings = tuple(
-        binding_set(cdfs[priors.index(obs.prior)], summ.cdf, dataset.state_space)
+        binding_set(obs.prior.distribution, summ.cdf, dataset.state_space)
         for obs, summ in zip(observations, summaries)
     )
     columns = tuple((oi, z) for oi, zs in enumerate(bindings) for z in zs)

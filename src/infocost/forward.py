@@ -6,7 +6,8 @@ to a finite linear program once every function kink and every prior atom
 sits on the grid: the contraction gap is then piecewise linear with kinks
 only at grid points, so checking it on the grid decides it everywhere.
 ``ForwardProblem`` adds those points to whatever grid it is given, so
-every problem's grid program is exact by construction. Row k of that
+every grid program (``_grid_lp``, of a problem's own grid) is exact by
+construction, ``oracle_value``'s refinement included. Row k of that
 program integrates the price basis function of grid point k
 (``recovery.hinge``), so its LP dual (``lp.dual``) is the program over
 grid-kinked convex price functions, exact for the same reason, and the
@@ -56,10 +57,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp, numeric
-from .model import SDSC, Dataset, Menu, Observation, Prior
+from .model import SDSC, Dataset, DiscreteCDF, Menu, Observation, Prior
 from .piecewise import PiecewiseScalarFunction, sorted_points
-from .recovery import menu_value_function, price_function
-from .revealed import DiscreteCDF, cdf_integrals, prior_cdf
+from .recovery import price_function
+from .revealed import cdf_integrals
 
 
 @dataclass(frozen=True)
@@ -69,11 +70,9 @@ class ForwardProblem:
 
     The grid program is exact by construction: ``grid`` is the given
     points completed with 0, 1, the prior mean, the prior's support and
-    every breakpoint of ``objective``, the menu's indirect utility plus
-    the cost derivative. The objective and ``prior_cdf``, the prior as a
-    distribution, are built once, here, and are not fields, so no caller
-    can pass ones that disagree with ``menu``, ``cost`` and ``prior``;
-    ``solve_forward``, ``oracle_value`` and ``generate_dataset`` read them.
+    every breakpoint of ``objective``, ``Menu.value`` plus the cost
+    derivative. The objective is built once, here, and is not a field,
+    so no caller can pass one that disagrees with ``menu`` and ``cost``.
     A given grid point that is not a ``Fraction`` raises ``TypeError``,
     and one outside [0, 1] raises ``ValueError``.
     """
@@ -88,14 +87,12 @@ class ForwardProblem:
         for z in given:
             if not isinstance(z, Fraction):
                 raise TypeError(f"grid point {z!r} is a {type(z).__name__}, not a Fraction")
-            if z < 0 or z > 1:
+            if not 0 <= z.numerator <= z.denominator:
                 raise ValueError(f"grid point {numeric.format_scalar(z)} outside [0, 1]")
-        objective = menu_value_function(self.menu) + self.cost
-        cdf = prior_cdf(self.prior)
+        objective = self.menu.value + self.cost
         object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "prior_cdf", cdf)
         object.__setattr__(self, "grid", sorted_points((
-            Fraction(0), Fraction(1), self.prior.mean, *cdf.support,
+            Fraction(0), Fraction(1), self.prior.mean, *self.prior.distribution.support,
             *objective.breakpoints, *given,
         )))
 
@@ -123,10 +120,9 @@ class ForwardSolution:
     objective: PiecewiseScalarFunction
 
 
-def _grid_lp(problem: ForwardProblem, grid):
-    """Primal program: maximize sum V(g) f(g) over grid contractions,
-    where V is the problem's objective and ``grid``, increasing from 0 to
-    1, contains the problem's grid.
+def _grid_lp(problem: ForwardProblem) -> lp.LinearProgram:
+    """Primal program: maximize sum V(g) f(g) over contractions of the
+    prior on the problem's ``grid``, where V is the problem's objective.
 
     Row k integrates the price basis function of ``grid[k]``
     (``recovery.hinge``) against f and bounds it by the prior's integral;
@@ -139,8 +135,9 @@ def _grid_lp(problem: ForwardProblem, grid):
     interior row is the contraction constraint at that grid point. The
     objective is evaluated at the grid in one sweep.
     """
+    grid = problem.grid
     one = Fraction(1)
-    rhs = cdf_integrals(problem.prior_cdf, grid)
+    rhs = cdf_integrals(problem.prior.distribution, grid)
     cons = [lp.Constraint(tuple((j, one) for j in range(len(grid))), lp.EQ, one)]
     for k in range(1, len(grid)):
         g = grid[k]
@@ -221,8 +218,8 @@ def _lexicographic(
 def _certified_price(problem: ForwardProblem, program: lp.LinearProgram, f, multipliers):
     """Price of grid multipliers and the value it certifies for ``f``.
 
-    ``program`` is the grid program of ``problem`` on the grid that keys
-    ``multipliers``. Raises unless ``f`` satisfies ``program`` (it is a
+    ``program`` is the grid program of ``problem``, and ``multipliers``
+    one per grid point. Raises unless ``f`` satisfies ``program`` (it is a
     grid contraction of the prior), the price is convex and at least the
     objective at every grid point, and the integrals of the price against
     ``f`` and against the prior and of the objective against ``f`` are one
@@ -230,16 +227,17 @@ def _certified_price(problem: ForwardProblem, program: lp.LinearProgram, f, mult
     """
     if not lp.satisfies(program, f):
         raise RuntimeError("forward optimum is not a contraction of the prior")
-    price = price_function({(0, z): v for z, v in multipliers.items() if v}, 0)
+    grid = problem.grid
+    price = price_function({(0, z): v for z, v in zip(grid, multipliers) if v}, 0)
     slopes = price.slopes()
     if any(s > t for s, t in zip(slopes, slopes[1:])):
         raise RuntimeError("forward price is not convex")
-    at_grid = price.values_at(list(multipliers))
+    at_grid = price.values_at(grid)
     if any(at_grid[j] < v for j, v in program.objective):
         raise RuntimeError("forward price fails to majorize the objective on the grid")
     value = sum(f[j] * v for j, v in program.objective)
     on_f = sum(f[j] * p for j, p in enumerate(at_grid))
-    atoms = problem.prior_cdf.atoms
+    atoms = problem.prior.distribution.atoms
     on_prior = sum(w * p for (_, w), p in zip(atoms, price.values_at([z for z, _ in atoms])))
     if not value == on_f == on_prior:
         raise RuntimeError("forward price integrals disagree with the objective")
@@ -247,23 +245,22 @@ def _certified_price(problem: ForwardProblem, program: lp.LinearProgram, f, mult
 
 
 def _least_informative(problem: ForwardProblem):
-    """The grid, the grid program, its optimum ``f`` of minimum variance
-    of the posterior means, and the first solve's outcome, whose duals
-    certify ``f`` as they do every optimum."""
-    grid = list(problem.grid)
-    program = _grid_lp(problem, grid)
+    """The grid program, its optimum ``f`` of minimum variance of the
+    posterior means, and the first solve's outcome, whose duals certify
+    ``f`` as they do every optimum."""
+    program = _grid_lp(problem)
     z0 = problem.prior.mean
     f, first = _lexicographic(
-        program, tuple((j, (g - z0) * (g - z0)) for j, g in enumerate(grid))
+        program, tuple((j, (g - z0) * (g - z0)) for j, g in enumerate(problem.grid))
     )
-    return grid, program, f, first
+    return program, f, first
 
 
-def _served(menu: Menu, grid, f) -> tuple[DiscreteCDF, tuple[int, ...]]:
-    """The distribution ``f`` on ``grid`` and the index of the best act at
-    each of its support points."""
-    dist = DiscreteCDF.from_pairs((g, f[j]) for j, g in enumerate(grid) if f[j] > 0)
-    return dist, tuple(menu.best_act(z)[0] for z in dist.support)
+def _served(problem: ForwardProblem, f) -> tuple[DiscreteCDF, tuple[int, ...]]:
+    """The distribution ``f`` on the problem's grid and the index of the
+    menu's best act at each of its support points."""
+    dist = DiscreteCDF.from_pairs((g, f[j]) for j, g in enumerate(problem.grid) if f[j] > 0)
+    return dist, tuple(problem.menu.best_act(z)[0] for z in dist.support)
 
 
 def solve_forward(problem: ForwardProblem) -> ForwardSolution:
@@ -271,7 +268,7 @@ def solve_forward(problem: ForwardProblem) -> ForwardSolution:
 
     Raises unless ``_certified_price`` proves the distribution optimal.
     """
-    grid, program, f, first = _least_informative(problem)
+    program, f, first = _least_informative(problem)
     # flattest optimal price: variable k of the dual multiplies grid point
     # k's price basis function; minimize the total interior mass, starting
     # from the basis complementary to the program's optimal one
@@ -281,41 +278,41 @@ def solve_forward(problem: ForwardProblem) -> ForwardSolution:
         tuple((k, Fraction(1)) for k, nonneg in enumerate(dual.nonnegative) if nonneg),
         lp.dual_basis(program, first),
     )
-    multipliers = dict(zip(grid, y))
-    price, value = _certified_price(problem, program, f, multipliers)
-    dist, served = _served(problem.menu, grid, f)
+    price, value = _certified_price(problem, program, f, y)
+    dist, served = _served(problem, f)
     return ForwardSolution(
         distribution=dist,
         value=value,
         price=price,
-        multipliers=multipliers,
+        multipliers=dict(zip(problem.grid, y)),
         assignments=tuple(problem.menu.acts[ai].id for ai in served),
         objective=problem.objective,
     )
 
 
 def oracle_value(problem: ForwardProblem, resolution: int) -> Fraction:
-    """Re-solve on a uniform refinement merged into the problem grid.
+    """Re-solve the problem with ``resolution`` uniform points added to its grid.
 
     Refining can only enlarge the feasible support, so the value is
     nondecreasing in ``resolution``; for piecewise-linear objectives it is
     constant, which the acceptance suite exploits as a self-check. The
     value is certified like ``solve_forward``'s (``_certified_price``), by
     the price whose multipliers are the program's duals, row k going with
-    grid point k.
+    grid point k. A ``resolution`` below the grid size raises ``ValueError``.
     """
-    if resolution < len(problem.grid):
-        raise ValueError("resolution must be at least the grid size")
-    pts = set(problem.grid)
-    for j in range(resolution):
-        pts.add(Fraction(j, resolution - 1))
-    grid = sorted_points(pts)
-    program = _grid_lp(problem, grid)
+    size = len(problem.grid)
+    if resolution < size:
+        raise ValueError(f"resolution {resolution} is below the grid size, {size} points")
+    refined = ForwardProblem(
+        problem.prior, problem.menu, problem.cost,
+        problem.grid + tuple(Fraction(j, resolution - 1) for j in range(resolution)),
+    )
+    program = _grid_lp(refined)
     outcome = lp.solve(program)
     if outcome.status != lp.OPTIMAL:
         raise RuntimeError(f"oracle program unexpectedly {outcome.status}")
     assert outcome.x is not None and outcome.duals is not None
-    return _certified_price(problem, program, outcome.x, dict(zip(grid, outcome.duals)))[1]
+    return _certified_price(refined, program, outcome.x, outcome.duals)[1]
 
 
 def _decompose(prior: Prior, dist: DiscreteCDF):
@@ -400,9 +397,9 @@ def generate_dataset(
     nstates = len(prior.state_space.states)
     for menu in menus:
         problem = ForwardProblem(prior, menu, cost)
-        grid, program, f, first = _least_informative(problem)
-        _certified_price(problem, program, f, dict(zip(grid, first.duals)))
-        dist, served = _served(menu, grid, f)
+        program, f, first = _least_informative(problem)
+        _certified_price(problem, program, f, first.duals)
+        dist, served = _served(problem, f)
         plan = _decompose(prior, dist)
         rows = [[zero] * nstates for _ in menu.acts]
         for (zi, atom), mass in plan.items():

@@ -8,15 +8,21 @@ instead of dying on the first one. Pipeline operations assume a dataset
 that validates cleanly.
 
 All types are immutable after construction and safe to share across
-concurrent tasks.
+concurrent tasks. ``Menu.value`` and ``Prior.distribution`` are built on
+first use and kept, not as fields (two tasks may each build one, equally).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import numeric
+from .piecewise import PiecewiseScalarFunction, line_envelope
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -42,9 +48,9 @@ def utility(act: Act, z: Fraction) -> Fraction:
 @dataclass(frozen=True)
 class Menu:
     """Acts offered together. Their payoffs go over one common denominator
-    when the menu is made, so ``values_at`` and ``best_act`` compare the
-    acts' lines in integers. A payoff that is not a ``Fraction`` or an
-    ``int`` raises ``TypeError``."""
+    when the menu is made, so ``values_at``, ``best_act`` and ``value``
+    compare the acts' lines in integers. A payoff that is not a
+    ``Fraction`` or an ``int`` raises ``TypeError``."""
 
     id: str
     acts: tuple[Act, ...]
@@ -80,11 +86,72 @@ class Menu:
         best = max(values)
         return values.index(best), best, den
 
+    @cached_property
+    def value(self) -> PiecewiseScalarFunction:
+        """The indirect utility: the upper envelope of the act lines, the
+        ``line_envelope`` of their negated integer lines, so every crossing
+        is one exact ``Fraction``."""
+        den, lines = self._lines
+        pieces = line_envelope([(-slope, -u0) for u0, slope in lines], _ZERO, _ONE)
+        coefficients = [(_ZERO, Fraction(-m, den), Fraction(-c, den)) for _, (m, c) in pieces]
+        return PiecewiseScalarFunction((*(x for x, _ in pieces), _ONE), coefficients)
+
 
 def indirect_utility(menu: Menu, z: Fraction) -> Fraction:
     """Best payoff available from ``menu`` at posterior mean ``z``."""
     _, num, den = menu.best_act(z)
     return Fraction(num, den)
+
+
+@dataclass(frozen=True)
+class DiscreteCDF:
+    """Finite-support distribution on [0, 1] as (location, mass) atoms."""
+
+    atoms: tuple[tuple[Fraction, Fraction], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "atoms", tuple((z, p) for z, p in self.atoms))
+        if not self.atoms:
+            raise ValueError("distribution needs at least one atom")
+        for z, p in self.atoms:
+            if z < 0 or z > 1:
+                raise ValueError(f"atom location {numeric.format_scalar(z)} outside [0, 1]")
+            if p <= 0:
+                raise ValueError(
+                    f"atom at {numeric.format_scalar(z)} has non-positive mass "
+                    f"{numeric.format_scalar(p)}"
+                )
+        for (a, _), (b, _) in zip(self.atoms, self.atoms[1:]):
+            if a >= b:
+                raise ValueError("atom locations must be strictly increasing")
+        total = sum(p for _, p in self.atoms)
+        if total != 1:
+            raise ValueError(f"masses sum to {numeric.format_scalar(total)}, not 1")
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "DiscreteCDF":
+        """Build from unsorted pairs, merging equal locations, dropping zeros."""
+        merged: list[list[Fraction]] = []
+        for z, p in sorted(pairs, key=lambda t: t[0]):
+            if p == 0:
+                continue
+            if merged and merged[-1][0] == z:
+                merged[-1][1] += p
+            else:
+                merged.append([z, p])
+        return cls(atoms=tuple((z, p) for z, p in merged))
+
+    @classmethod
+    def point(cls, z: Fraction) -> "DiscreteCDF":
+        return cls(atoms=((z, Fraction(1)),))
+
+    @property
+    def mean(self) -> Fraction:
+        return sum(z * p for z, p in self.atoms)
+
+    @property
+    def support(self) -> tuple[Fraction, ...]:
+        return tuple(z for z, _ in self.atoms)
 
 
 @dataclass(frozen=True)
@@ -125,6 +192,12 @@ class Prior:
     @property
     def mean(self) -> Fraction:
         return sum(z * w for z, w in zip(self.state_space.states, self.weights))
+
+    @cached_property
+    def distribution(self) -> DiscreteCDF:
+        """An atom at each state of positive weight. A negative weight raises
+        ``ValueError`` here, naming its state, not when the prior is made."""
+        return DiscreteCDF.from_pairs(zip(self.state_space.states, self.weights))
 
     def problems(self) -> list[str]:
         out: list[str] = []

@@ -14,6 +14,8 @@ act lines and every LP tableau row.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 
 
@@ -22,7 +24,10 @@ def scalar(value: object) -> Fraction:
 
     Accepts ints, ``"p/q"`` strings, decimal strings, floats, and
     Fractions. Floats are converted through their shortest repr, so a
-    JSON literal ``0.49`` becomes exactly 49/100.
+    JSON literal ``0.49`` becomes exactly 49/100. A string whose value
+    needs more digits than the interpreter converts between integers and
+    text (``sys.get_int_max_str_digits()``; none when it is 0) raises
+    ``ValueError``, naming it, since it could be neither read nor shown.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a scalar")
@@ -35,11 +40,28 @@ def scalar(value: object) -> Fraction:
             raise ValueError(f"non-finite scalar: {value!r}")
         return Fraction(str(value))
     if isinstance(value, str):
+        limit = sys.get_int_max_str_digits()
+        # with no exponent, neither term of the value has more digits than the text
+        long = limit and (len(value) > limit or "e" in value or "E" in value)
+        if long and re.search(rf"\d{{{limit + 1}}}", value):
+            raise _too_many_digits(value, limit)
         try:
-            return Fraction(value)
+            x = Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"scalar {value!r} has a zero denominator") from None
+        big = max(abs(x.numerator), x.denominator) if long else 0
+        if big.bit_length() > 3 * limit and big >= 10**limit:  # 2**(3 limit) < 10**limit
+            raise _too_many_digits(value, limit)
+        return x
     raise TypeError(f"cannot coerce {type(value).__name__} to a scalar")
+
+
+def _too_many_digits(text: str, limit: int) -> ValueError:
+    shown = text if len(text) <= 24 else text[:20] + "..."
+    return ValueError(
+        f"scalar {shown!r} has more than {limit} digits, the interpreter's limit "
+        "for integer text (sys.get_int_max_str_digits)"
+    )
 
 
 def scaled(values) -> tuple[int, list[int]]:

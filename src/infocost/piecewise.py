@@ -9,8 +9,12 @@ Every envelope is built by one walk, ``line_envelope``: the lower
 envelope of lines over an interval, found crossing by crossing from its
 left end. ``lower_envelope`` runs it on each interval of the merged
 breakpoint grid of affine-segmented functions, and a menu's indirect
-utility (``recovery.menu_value_function``) is the walk over the negated
-act lines on [0, 1].
+utility (``model.Menu.value``) is the walk over the negated integer act
+lines on [0, 1].
+
+Breakpoints and coefficients are ``Fraction``s or ``int``s; a float
+raises ``TypeError``. ``from_points`` and ``line_envelope`` divide in
+``Fraction`` whatever mix of the two they are given, so no float arises.
 
 Functions are evaluated at many points by one sweep: ``values_at`` walks
 a sorted list of points and the breakpoints together, and ``__add__``
@@ -27,6 +31,7 @@ from typing import Collection, Iterable, Sequence
 
 from . import numeric
 
+_EXACT = (Fraction, int)
 Coeffs = tuple[Fraction, Fraction, Fraction]
 Line = tuple[Fraction, Fraction]  # (slope, value at 0)
 
@@ -44,6 +49,9 @@ class PiecewiseScalarFunction:
             self, "coefficients", tuple(tuple(c) for c in self.coefficients)
         )
         xs = self.breakpoints
+        for v in (*xs, *(c for seg in self.coefficients for c in seg)):
+            if type(v) not in _EXACT:
+                raise TypeError(f"{v!r} is a {type(v).__name__}, not a Fraction or an int")
         if len(xs) < 2:
             raise ValueError("need at least two breakpoints")
         if xs[0] != 0 or xs[-1] != 1:
@@ -88,7 +96,7 @@ class PiecewiseScalarFunction:
         for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
             if x1 == x2:
                 raise ValueError(f"repeated breakpoint {numeric.format_scalar(x1)}")
-            slope = (y2 - y1) / (x2 - x1)
+            slope = Fraction(y2 - y1, x2 - x1)
             coeffs.append((zero, slope, y1 - slope * x1))
         return cls(breakpoints=xs, coefficients=tuple(coeffs))
 
@@ -208,11 +216,16 @@ def _check_domain(z: Fraction) -> None:
 
 
 def sorted_points(points: Iterable[Fraction]) -> tuple[Fraction, ...]:
-    """The distinct values of ``points`` in increasing order."""
+    """The distinct values of ``points`` in increasing order, the first
+    given of equal ones, ordered as integers over one common denominator."""
+    points = list(points)
+    _, keys = numeric.scaled(points)
     out: list[Fraction] = []
-    for p in sorted(points):
-        if not out or out[-1] != p:
-            out.append(p)
+    last = None
+    for key, i in sorted(zip(keys, range(len(points)))):
+        if key != last:
+            out.append(points[i])
+            last = key
     return tuple(out)
 
 
@@ -234,7 +247,7 @@ def line_envelope(
         m, c = min(lines, key=lambda line: (line[1], line[0]))
     pieces = [(x1, (m, c))]
     while True:
-        crossings = [((c2 - c) / (m - m2), m2, c2) for m2, c2 in lines if m2 < m]
+        crossings = [(Fraction(c2 - c, m - m2), m2, c2) for m2, c2 in lines if m2 < m]
         if not crossings:
             return pieces
         t, m, c = min(crossings)

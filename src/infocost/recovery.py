@@ -12,12 +12,11 @@ program writes the same hinge values straight from its sorted grid
 (``forward._grid_lp``). A feasible
 multiplier vector gives one price function per observation; the cost
 derivative is the pointwise minimum over observations of (price - menu
-value). That minimum and a menu's value are both built by the one
-envelope walk, ``piecewise.line_envelope``: the first through
-``lower_envelope``, the second on the negated act lines. The
-auditor re-derives every optimality condition from the raw dataset,
-never trusting construction state, so it doubles as an independent
-oracle in tests.
+value), built by ``lower_envelope`` from each menu's own value
+(``Menu.value``). The auditor re-derives every optimality condition from
+the raw dataset, the menus' values and the priors' distributions, never
+trusting the multipliers or other construction state, so it doubles as
+an independent oracle in tests.
 """
 
 from __future__ import annotations
@@ -26,29 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .model import Dataset, Prior, utility
-from .piecewise import PiecewiseScalarFunction, line_envelope, lower_envelope
-from .revealed import (
-    DiscreteCDF,
-    positive_gap_intervals,
-    prior_cdf,
-    revealed_summary,
-)
+from .model import Dataset, DiscreteCDF, utility
+from .piecewise import PiecewiseScalarFunction, lower_envelope
+from .revealed import positive_gap_intervals, revealed_summary
 
 ColKey = tuple[int, Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def menu_value_function(menu) -> PiecewiseScalarFunction:
-    """Indirect utility of a menu: the upper envelope of its act lines,
-    walked as the lower envelope of their negations (``line_envelope``)."""
-    pieces = line_envelope([(a.u0 - a.u1, -a.u0) for a in menu.acts], _ZERO, _ONE)
-    return PiecewiseScalarFunction(
-        breakpoints=(*(x for x, _ in pieces), _ONE),
-        coefficients=tuple((_ZERO, -m, -c) for _, (m, c) in pieces),
-    )
 
 
 def hinge(z: Fraction, x: Fraction) -> Fraction:
@@ -127,7 +111,7 @@ def cost_from_prices(
 ) -> PiecewiseScalarFunction:
     """``recover_cost`` from the price functions already built, one per observation."""
     return lower_envelope([
-        price - menu_value_function(obs.menu)
+        price - obs.menu.value
         for obs, price in zip(dataset.observations, prices)
     ])
 
@@ -182,7 +166,7 @@ class RationalizationReport:
 
 
 def _audit_observation(
-    obs, prior: Prior, cost: PiecewiseScalarFunction, price: PiecewiseScalarFunction
+    obs, cost: PiecewiseScalarFunction, price: PiecewiseScalarFunction
 ) -> ObservationAudit:
     slopes = price.slopes()
     convexity_slack = min(
@@ -191,7 +175,7 @@ def _audit_observation(
     )
     price_convex = convexity_slack >= 0
 
-    target = menu_value_function(obs.menu) + cost
+    target = obs.menu.value + cost
     majorization_slack = (price - target).minimum()
     price_majorizes = majorization_slack >= 0
 
@@ -206,7 +190,7 @@ def _audit_observation(
     contact_at_revealed = contact_slack == 0
 
     affine_slack = _ZERO
-    f0 = prior_cdf(prior)
+    f0 = obs.prior.distribution
     for lo, hi in positive_gap_intervals(f0, summary.cdf):
         seen: list[Fraction] = []
         for i, (x1, x2) in enumerate(
@@ -254,7 +238,7 @@ def verify_rationalization(
     if len(prices) != len(dataset.observations):
         raise ValueError("one price function per observation required")
     audits = tuple(
-        _audit_observation(obs, obs.prior, cost, prices[oi])
+        _audit_observation(obs, cost, prices[oi])
         for oi, obs in enumerate(dataset.observations)
     )
     return RationalizationReport(audits=audits)

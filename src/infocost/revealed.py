@@ -23,7 +23,7 @@ and its posterior mean. The masses are integers over one common scale,
 so they are summed in integers, and each reported probability and mean
 is one exact fraction. Everything in this module is a pure function
 over immutable inputs; nothing is cached, so each caller that needs a
-summary computes its own.
+summary computes its own; the prior keeps its own distribution.
 """
 
 from __future__ import annotations
@@ -32,67 +32,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import numeric
-from .model import Observation, Prior, StateSpace
+from .model import DiscreteCDF, Observation, Prior, StateSpace
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class DiscreteCDF:
-    """Finite-support distribution on [0, 1] as (location, mass) atoms."""
-
-    atoms: tuple[tuple[Fraction, Fraction], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", tuple((z, p) for z, p in self.atoms))
-        if not self.atoms:
-            raise ValueError("distribution needs at least one atom")
-        for z, p in self.atoms:
-            if z < 0 or z > 1:
-                raise ValueError(f"atom location {numeric.format_scalar(z)} outside [0, 1]")
-            if p <= 0:
-                raise ValueError(
-                    f"atom at {numeric.format_scalar(z)} has non-positive mass "
-                    f"{numeric.format_scalar(p)}"
-                )
-        for (a, _), (b, _) in zip(self.atoms, self.atoms[1:]):
-            if a >= b:
-                raise ValueError("atom locations must be strictly increasing")
-        total = sum(p for _, p in self.atoms)
-        if total != 1:
-            raise ValueError(f"masses sum to {numeric.format_scalar(total)}, not 1")
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "DiscreteCDF":
-        """Build from unsorted pairs, merging equal locations, dropping zeros."""
-        merged: list[list[Fraction]] = []
-        for z, p in sorted(pairs, key=lambda t: t[0]):
-            if p == 0:
-                continue
-            if merged and merged[-1][0] == z:
-                merged[-1][1] += p
-            else:
-                merged.append([z, p])
-        return cls(atoms=tuple((z, p) for z, p in merged))
-
-    @classmethod
-    def point(cls, z: Fraction) -> "DiscreteCDF":
-        return cls(atoms=((z, Fraction(1)),))
-
-    @property
-    def mean(self) -> Fraction:
-        return sum(z * p for z, p in self.atoms)
-
-    @property
-    def support(self) -> tuple[Fraction, ...]:
-        return tuple(z for z, _ in self.atoms)
-
-
 def prior_cdf(prior: Prior) -> DiscreteCDF:
-    """The prior as a distribution: an atom at each state of positive
-    weight. A negative weight raises ``ValueError``, naming its state."""
-    return DiscreteCDF.from_pairs(zip(prior.state_space.states, prior.weights))
+    """The prior as a distribution: its own, ``Prior.distribution``."""
+    return prior.distribution
 
 
 def _integral_sweep(keys, atoms, scale: int) -> list[Fraction]:

@@ -1,5 +1,7 @@
-"""Shared fixtures: the running three-act example and its variants."""
+"""Shared fixtures: the running three-act example and its variants, and a
+counter of derived-object builds."""
 
+import functools
 from fractions import Fraction as F
 
 import pytest
@@ -84,3 +86,25 @@ def swap_violation_dataset() -> Dataset:
             Observation(prior=prior, menu=flat, sdsc=full),
         ),
     )
+
+
+@pytest.fixture
+def count_builds(monkeypatch):
+    """``count_builds(cls, name)`` swaps a counting copy of the cached
+    property ``cls.name`` in for the test and returns the list of objects
+    it is built for, in order."""
+
+    def count(cls, name: str) -> list:
+        real = getattr(cls, name).func
+        built = []
+
+        def counted(obj):
+            built.append(obj)
+            return real(obj)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
+        return built
+
+    return count

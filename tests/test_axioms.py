@@ -838,22 +838,19 @@ class TestAssemblyAgainstReference:
                 tied.add(ob)
         assert tied == {0, 1}
 
-    def test_one_prior_distribution_per_distinct_prior(self, monkeypatch):
-        """One assembly builds one ``prior_cdf`` per distinct prior, equal
-        priors held in distinct objects included, and one
-        ``revealed_summary`` per observation."""
-        built, summarized = [], []
-        real_cdf, real_summary = axioms.prior_cdf, axioms.revealed_summary
-
-        def counted_cdf(prior):
-            built.append(prior)
-            return real_cdf(prior)
+    def test_one_prior_distribution_per_prior_object(self, monkeypatch, count_builds):
+        """One assembly builds one ``Prior.distribution`` per prior object,
+        an equal prior held in a distinct object included, and one
+        ``revealed_summary`` per observation; a second assembly builds no
+        distribution."""
+        summarized = []
+        real_summary = axioms.revealed_summary
 
         def counted_summary(obs):
             summarized.append(obs)
             return real_summary(obs)
 
-        monkeypatch.setattr(axioms, "prior_cdf", counted_cdf)
+        built = count_builds(Prior, "distribution")
         monkeypatch.setattr(axioms, "revealed_summary", counted_summary)
         ds = two_prior_dataset()
         first, second = ds.observations
@@ -861,5 +858,7 @@ class TestAssemblyAgainstReference:
         assert copy.prior == first.prior and copy.prior is not first.prior
         ds = replace(ds, observations=(first, second, copy, second))
         build_farkas_system(ds)
-        assert built == [first.prior, second.prior]
+        assert [id(p) for p in built] == [id(first.prior), id(second.prior), id(copy.prior)]
         assert summarized == list(ds.observations)
+        build_farkas_system(ds)
+        assert len(built) == 3

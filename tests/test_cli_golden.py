@@ -19,18 +19,25 @@ drawn once with ``test_forward``'s ``random_prior(rng, 5)``, then
 The expected digests are in ``tests/golden/cli.json``. After a change
 that is meant to alter CLI output, regenerate them with
 ``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff.
+
+A second pivot rule, Bland's rule on the reversed column order, tells
+the outputs that any optimal vertex must give (verdicts, exit codes,
+the action-switch report, the least interior mass, the forward and
+oracle values, the concavity status and assignment) from those that are
+whichever vertex the pivots reach: the first must not move under it.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from infocost import cli
+from infocost import cli, lp
 
 GOLDEN = Path(__file__).parent / "golden"
 DIGESTS = GOLDEN / "cli.json"
@@ -112,6 +119,85 @@ def test_cli_output_is_unchanged(case):
 
 def test_every_case_has_a_digest():
     assert sorted(json.loads(DIGESTS.read_text())) == sorted(CASES)
+
+
+def _reversed_bland(self, banned: set[int]) -> str:
+    """``lp._Tableau.run_simplex`` with the columns in reverse order: the
+    entering column is the last one of negative reduced cost, and a tie in
+    the ratio test goes to the row whose basic column is last. Bland's
+    rule under any fixed column order cannot cycle."""
+    ncols, rhs = self.ncols, self.rhs
+    while True:
+        pc = max(
+            (j for j, v in self.obj.items() if v < 0 and j < ncols and j not in banned),
+            default=-1,
+        )
+        if pc < 0:
+            return lp.OPTIMAL
+        pr = -1
+        best_rhs = best_piv = 0
+        for r, row in enumerate(self.rows):
+            a = row.get(pc, 0)
+            if a <= 0:
+                continue
+            b = row.get(rhs, 0)
+            left, right = b * best_piv, best_rhs * a
+            if pr < 0 or left < right or (left == right and self.basis[r] > self.basis[pr]):
+                pr, best_rhs, best_piv = r, b, a
+        if pr < 0:
+            return lp.UNBOUNDED
+        self.pivot(pr, pc)
+
+
+def _interior_mass(multipliers) -> Fraction:
+    return sum(
+        (Fraction(m["value"]["exact"]) for m in multipliers
+         if Fraction(m["z"]["exact"]) not in (0, 1)),
+        Fraction(0),
+    )
+
+
+def _rule_free(argv: tuple[str, ...], code: int, out: str) -> dict:
+    """The parts of a run's result that every optimal vertex gives."""
+    facts: dict = {"exit": code}
+    if not out:
+        return facts
+    report = json.loads(out)
+    command, flattest = argv[0], "--flattest" in argv
+    if command == "check":
+        facts["nias"] = report["nias"]
+        facts["passed"] = report["nipmc"].get("passed")
+        if flattest and "multipliers" in report["nipmc"]:
+            facts["interior_mass"] = _interior_mass(report["nipmc"]["multipliers"])
+    elif command == "recover":
+        facts["all_ok"] = report["rationalization"]["all_ok"]
+        facts["interior_mass"] = _interior_mass(report["multipliers"])
+    elif command == "solve":
+        facts["value"] = report["value"]
+        facts["oracle"] = report["oracle"]["value"]
+    elif command == "concavity":
+        facts["status"] = report["status"]
+        facts["assignment"] = report.get("assignment")
+    return facts
+
+
+RULE_CASES = [
+    case for case, (command, *flags) in CASES.items()
+    if command in ("check", "solve", "concavity")
+    or (command == "recover" and "--flattest" in flags)
+]
+
+
+def test_reversed_bland_rule_moves_no_rule_free_output(monkeypatch):
+    """Under Bland's rule on the reversed column order, every ``check``,
+    ``check --flattest``, ``recover --flattest``, ``solve --refine 16``
+    and ``concavity`` case keeps its exit code and its rule-free outputs;
+    some reports do move, at the vertices the rule picks."""
+    assert len(RULE_CASES) == 51
+    default = {case: _rule_free(CASES[case], *_run(CASES[case])[:2]) for case in RULE_CASES}
+    monkeypatch.setattr(lp._Tableau, "run_simplex", _reversed_bland)
+    for case in RULE_CASES:
+        assert _rule_free(CASES[case], *_run(CASES[case])[:2]) == default[case], case
 
 
 if __name__ == "__main__":

@@ -3,13 +3,13 @@
 import json
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction as F
 from importlib import resources
 
 import pytest
 
-from infocost import cli, forward, io, lp, recovery, revealed
+from infocost import cli, forward, io, lp, model, recovery
 from infocost import (
     Act,
     Dataset,
@@ -21,6 +21,7 @@ from infocost import (
     Prior,
     SDSC,
     StateSpace,
+    certify_concave,
     check_nias,
     check_nipmc,
     generate_dataset,
@@ -33,6 +34,7 @@ from infocost import (
     recover_cost,
     revealed_summary,
     solve_forward,
+    upper_envelope,
     utility,
     validate_dataset,
     variance_cost,
@@ -40,6 +42,14 @@ from infocost import (
 )
 
 ZERO_COST = PiecewiseScalarFunction.constant(F(0))
+
+
+def reference_value(menu: Menu) -> PiecewiseScalarFunction:
+    """The menu's indirect utility as the generic ``upper_envelope`` of its
+    act payoff functions: the reference for ``Menu.value``."""
+    return upper_envelope(
+        [PiecewiseScalarFunction.affine(a.u1 - a.u0, a.u0) for a in menu.acts]
+    )
 
 
 def random_prior(rng: random.Random, n_states: int) -> Prior:
@@ -166,7 +176,7 @@ class TestGrid:
             assert made == built and made.grid == built.grid
             problem = ForwardProblem.build(prior, menu, cost, uniform_points=points)
             expected = {F(0), F(1), prior.mean, *prior_cdf(prior).support}
-            expected |= set((recovery.menu_value_function(menu) + cost).breakpoints)
+            expected |= set((reference_value(menu) + cost).breakpoints)
             expected |= {F(j, points) for j in range(points + 1)} if points else set()
             assert problem.grid == tuple(sorted(expected))
             again = ForwardProblem(prior, menu, cost, problem.grid)
@@ -296,7 +306,7 @@ class TestOptimalFaceTieBreak:
             sol = solve_forward(problem)
 
             grid = list(problem.grid)
-            program = forward._grid_lp(problem, grid)
+            program = forward._grid_lp(problem)
             z0 = prior.mean
             best, f = pinned_lexicographic(
                 program, tuple((j, (g - z0) ** 2) for j, g in enumerate(grid))
@@ -452,17 +462,19 @@ class TestWarmDual:
         has as its duals exactly the program's optimum: it adds nothing
         that the program's solve did not already give."""
         for problem in self.problems():
-            program = forward._grid_lp(problem, list(problem.grid))
+            program = forward._grid_lp(problem)
             first = lp.solve(program)
             dual = lp.solve(lp.dual(program), basis=lp.dual_basis(program, first))
             assert dual.duals == first.x
 
 
-def hinge_grid_lp(problem: ForwardProblem, grid, objective) -> lp.LinearProgram:
-    """The grid program built by evaluating the price basis at every (row,
-    point) pair and letting ``lp.constraint`` drop the zeros, with the
-    objective called at each point: the reference for ``forward._grid_lp``."""
-    support = prior_cdf(problem.prior).atoms
+def hinge_grid_lp(problem: ForwardProblem, objective) -> lp.LinearProgram:
+    """The program on the problem's grid built by evaluating the price basis
+    at every (row, point) pair and letting ``lp.constraint`` drop the
+    zeros, with the objective called at each point and the prior read
+    from its weights: the reference for ``forward._grid_lp``."""
+    grid = problem.grid
+    support = list(zip(problem.prior.state_space.states, problem.prior.weights))
     cons = [
         lp.constraint(
             {j: recovery.hinge(gp, g) for j, g in enumerate(grid)},
@@ -495,82 +507,68 @@ class TestGridProgram:
                 uniform_points=rng.randint(8, 30),
             ))
         for problem in problems:
-            objective = recovery.menu_value_function(problem.menu) + problem.cost
+            objective = reference_value(problem.menu) + problem.cost
             assert problem.objective == objective
-            grid = list(problem.grid)
-            assert forward._grid_lp(problem, grid) == hinge_grid_lp(problem, grid, objective)
+            assert forward._grid_lp(problem) == hinge_grid_lp(problem, objective)
 
 
 class TestObjectiveBuiltOnce:
-    """A forward problem's objective is built when the problem is made and
-    read by every solve; the recovered cost and the auditor each build
-    their own menu value per observation."""
+    """A menu's value is built once, on first use, and kept by the menu:
+    every forward problem, solve, refinement, recovered cost and audit
+    that reads it afterwards reads that one."""
 
     @pytest.fixture
-    def builds(self, monkeypatch):
-        menus = []
-        real = recovery.menu_value_function
-
-        def counted(menu):
-            menus.append(menu)
-            return real(menu)
-
-        monkeypatch.setattr(forward, "menu_value_function", counted)
-        monkeypatch.setattr(recovery, "menu_value_function", counted)
-        return menus
+    def builds(self, count_builds):
+        return count_builds(model.Menu, "value")
 
     def test_solves_read_the_problems_objective(self, builds):
         rng = random.Random(5)
         prior, menu, cost = random_prior(rng, 5), random_menu(rng, "m", 3), concave_cost(rng)
+        assert builds == []
         problem = ForwardProblem.build(prior, menu, cost, uniform_points=12)
         direct = ForwardProblem(prior=prior, menu=menu, cost=cost, grid=problem.grid)
-        assert builds == [menu, menu]
+        assert builds == [menu]
         assert direct == problem and direct.objective == problem.objective
+        assert problem.objective == reference_value(menu) + cost
         for made in (problem, direct):
             solve_forward(made)
             oracle_value(made, 2 * len(made.grid))
-        assert builds == [menu, menu]
+        assert builds == [menu]
 
-    def test_generation_builds_one_per_menu_and_the_audit_one_per_observation(self, builds):
+    def test_generation_and_the_audit_build_one_per_menu(self, builds):
         rng = random.Random(6)
         prior, cost = random_prior(rng, 5), concave_cost(rng)
         menus = [random_menu(rng, f"m{i}", 3) for i in range(3)]
         dataset = generate_dataset(prior, menus, cost)
         assert builds == menus
-        builds.clear()
         verdict = check_nipmc(dataset, flattest=True)
         assert verdict.passed
         prices = [price_function(verdict.multipliers, oi) for oi in range(len(menus))]
         verify_rationalization(dataset, recover_cost(dataset, verdict.multipliers), prices)
-        assert builds == menus + menus  # one for the cost, then one for the audit
+        assert builds == menus
 
 
 class TestPriorCdfBuiltOnce:
-    def test_one_per_problem(self, monkeypatch):
-        """A forward problem's prior distribution is built when the problem
-        is made and read by every solve and certificate."""
-        priors = []
-        real = revealed.prior_cdf
-
-        def counted(prior):
-            priors.append(prior)
-            return real(prior)
-
-        monkeypatch.setattr(forward, "prior_cdf", counted)
-        monkeypatch.setattr(revealed, "prior_cdf", counted)
+    def test_one_per_problem(self, count_builds):
+        """A prior's distribution is built once, on first use, and kept by
+        the prior: every forward problem, solve, certificate and generated
+        menu on that prior reads that one, and ``prior_cdf`` returns it."""
+        priors = count_builds(model.Prior, "distribution")
         rng = random.Random(5)
         prior, cost = random_prior(rng, 5), concave_cost(rng)
         menus = [random_menu(rng, f"m{i}", 3) for i in range(3)]
+        assert priors == []
         problem = ForwardProblem.build(prior, menus[0], cost, uniform_points=12)
         direct = ForwardProblem(prior=prior, menu=menus[0], cost=cost, grid=problem.grid)
-        assert priors == [prior, prior]
-        assert direct.prior_cdf == problem.prior_cdf == real(prior)
+        assert priors == [prior]
+        assert not hasattr(problem, "prior_cdf")
+        assert prior_cdf(prior) is prior.distribution
+        assert prior.distribution.atoms == tuple(zip(prior.state_space.states, prior.weights))
         for made in (problem, direct):
             solve_forward(made)
             oracle_value(made, 2 * len(made.grid))
-        assert priors == [prior, prior]
         generate_dataset(prior, menus, cost)
-        assert priors == [prior] * (2 + len(menus))
+        assert priors == [prior]
 
 
 class TestGridProgramAgainstHighs:
@@ -589,7 +587,7 @@ class TestGridProgramAgainstHighs:
         )
         sol = solve_forward(problem)
         assert len(sol.distribution.atoms) > 1
-        program = forward._grid_lp(problem, problem.grid)
+        program = forward._grid_lp(problem)
         a_eq, b_eq, a_ub, b_ub = [], [], [], []
         for con in program.constraints:
             row = [0.0] * program.num_vars
@@ -704,6 +702,102 @@ class TestOracle:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"verification error: forward {message}\n"
+
+
+def floats_in(value) -> list[float]:
+    """Every float inside ``value``, through dataclass fields, tuples,
+    lists and dict keys and values."""
+    if isinstance(value, float):
+        return [value]
+    if is_dataclass(value):
+        value = [getattr(value, f.name) for f in fields(value)]
+    elif isinstance(value, dict):
+        value = list(value.items())
+    if isinstance(value, (tuple, list)):
+        return [x for v in value for x in floats_in(v)]
+    return []
+
+
+class TestIntInputs:
+    """Every integral value given as an ``int`` gives the results of the
+    same value given as a ``Fraction``, with no float in them."""
+
+    @staticmethod
+    def twin(x):
+        return int(x) if x.denominator == 1 else x
+
+    def inputs(self, seed: int, as_int: bool):
+        """Seeded prior (one interior state of weight 0), integer payoffs and
+        a concave cost with integral ends; ``as_int`` gives every integral
+        value as an ``int``."""
+        t = self.twin if as_int else (lambda x: x)
+        rng = random.Random(seed)
+        states = (F(0), F(rng.randint(1, 5), 12), F(rng.randint(7, 11), 12), F(1))
+        weights = [F(rng.randint(1, 4)) for _ in states]
+        weights[rng.randint(1, 2)] = F(0)
+        prior = Prior(
+            StateSpace(tuple(t(z) for z in states)),
+            tuple(t(w / sum(weights)) for w in weights),
+        )
+        menus = [
+            Menu(f"m{i}", tuple(
+                Act(f"m{i}a{j}", t(F(rng.randint(-3, 3))), t(F(rng.randint(-3, 3))))
+                for j in range(rng.randint(2, 3))
+            ))
+            for i in range(3)
+        ]
+        kink = F(rng.randint(1, 11), 12)
+        end = F(rng.randint(-2, 2))
+        cost = PiecewiseScalarFunction.from_points(
+            [(t(F(0)), t(end)), (kink, end + kink * rng.randint(1, 3)), (t(F(1)), t(end))]
+        )
+        return prior, menus, cost
+
+    def results(self, prior, menus, cost) -> list:
+        out = []
+        for menu in menus:
+            problem = ForwardProblem.build(prior, menu, cost, uniform_points=6)
+            out += [problem.grid, problem.objective, solve_forward(problem)]
+            out.append(oracle_value(problem, len(problem.grid) + 5))
+        dataset = generate_dataset(prior, menus, cost)
+        out.append(dataset)
+        for flattest in (False, True):
+            verdict = check_nipmc(dataset, flattest=flattest)
+            out.append(verdict)
+            if verdict.passed:
+                cost_back = recover_cost(dataset, verdict.multipliers)
+                prices = [price_function(verdict.multipliers, oi) for oi in range(len(menus))]
+                out += [cost_back, verify_rationalization(dataset, cost_back, prices)]
+        out.append(certify_concave(dataset, budget=200))
+        return out
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_int_twins_give_equal_results_and_no_float(self, seed):
+        exact = self.results(*self.inputs(seed, as_int=False))
+        twin_inputs = self.inputs(seed, as_int=True)
+        prior, menus, _ = twin_inputs
+        assert any(type(u) is int for menu in menus for a in menu.acts for u in (a.u0, a.u1))
+        assert type(prior.state_space.states[0]) is int
+        twin = self.results(*twin_inputs)
+        assert twin == exact
+        assert floats_in(twin) == []
+
+    def test_the_menu_of_the_report_solves_and_recovers_exactly(self):
+        """A menu of ``int`` payoffs, whose value kinks at 2/3, and a cost
+        from ``int`` points: the menu's value and every recovered
+        breakpoint are exact."""
+        menu = Menu("m", (Act("a", 2, -1), Act("b", 0, 0)))
+        assert menu.value.breakpoints == (0, F(2, 3), 1)
+        cost = PiecewiseScalarFunction.from_points([(0, 0), (1, -1)])
+        assert cost.coefficients == ((0, -1, 0),)
+        assert floats_in(cost) == floats_in(menu.value) == []
+        prior = Prior(StateSpace((F(0), F(1, 2), F(1))), (F(1, 4), F(1, 2), F(1, 4)))
+        solve_forward(ForwardProblem(prior, menu, cost))
+        dataset = generate_dataset(prior, [menu, Menu("n", (Act("c", 1, 1),))], cost)
+        verdict = check_nipmc(dataset)
+        recovered = recover_cost(dataset, verdict.multipliers)
+        assert floats_in(recovered) == []
+        assert all(type(x) in (F, int) for x in recovered.breakpoints)
 
 
 def generated_from_solve_forward(prior, menus, cost) -> Dataset:

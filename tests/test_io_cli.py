@@ -1,6 +1,7 @@
 """File formats and the command-line surface, including exit codes."""
 
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from importlib import resources
@@ -511,6 +512,43 @@ class TestCliExitCodes:
         assert captured.err.startswith("input error: ")
         assert "outside float range" in captured.err
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit set")
+    @pytest.mark.parametrize(
+        "value, shown",
+        [("1e5000", "'1e5000'"), ("0." + "1" * 4401, "'0.111111111111111111...'")],
+        ids=["exponent", "decimal-places"],
+    )
+    def test_value_beyond_the_digit_limit_is_input_error(self, tmp_path, capsys, value, shown):
+        """A payoff whose digits exceed the interpreter's integer-text limit
+        exits 2 with one stderr line naming the value, truncated, and the
+        limit."""
+        doc = json.loads(Path(fixture_path("example3_dataset.json")).read_text())
+        doc["menus"]["A"][0]["u0"] = value
+        spec = tmp_path / "doc.json"
+        spec.write_text(json.dumps(doc))
+        assert run_cli("check", str(spec)) == 2
+        captured = capsys.readouterr()
+        limit = sys.get_int_max_str_digits()
+        assert captured.out == ""
+        assert captured.err == (
+            f"input error: scalar {shown} has more than {limit} digits, the interpreter's "
+            "limit for integer text (sys.get_int_max_str_digits)\n"
+        )
+
+    def test_refine_below_the_grid_size_names_both_numbers(self, capsys):
+        """``--refine`` below the size of the completed grid exits 2 naming
+        the resolution and the grid size, which the user cannot see."""
+        path = fixture_path("example3_forward.json")
+        problem = io.parse_forward_problem(json.loads(Path(path).read_text()))
+        size = len(problem.grid)
+        assert run_cli("solve", path, "--refine", str(size - 1)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"input error: resolution {size - 1} is below the grid size, {size} points\n"
+        )
+        assert run_cli("solve", path, "--refine", str(size)) == 0
 
     def test_solve_accepts_a_forward_prior_without_endpoint_mass(self, tmp_path, capsys):
         doc = json.loads(Path(fixture_path("example3_forward.json")).read_text())

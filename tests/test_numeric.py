@@ -1,5 +1,6 @@
 """Scalar coercion and exact rendering."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +26,31 @@ def test_rational_rejects_non_finite():
         numeric.scalar(float("nan"))
     with pytest.raises(ValueError):
         numeric.scalar(float("inf"))
+
+
+@pytest.mark.parametrize("text", ["1e11", "-1e-11", "12345678901", "0.00000000001"])
+def test_a_value_beyond_the_digit_limit_is_refused(monkeypatch, text):
+    """Under a limit of 10 digits, each of these needs 11 and is refused
+    with a message naming it and the limit; the process-wide limit is
+    only read."""
+    monkeypatch.setattr(numeric.sys, "get_int_max_str_digits", lambda: 10)
+    with pytest.raises(ValueError, match=f"scalar '{text}' has more than 10 digits"):
+        numeric.scalar(text)
+    assert numeric.scalar("9999999999") == 9999999999
+    assert numeric.scalar("1e-9") == F(1, 10**9)
+
+
+def test_no_digit_limit_refuses_nothing(monkeypatch):
+    monkeypatch.setattr(numeric.sys, "get_int_max_str_digits", lambda: 0)
+    assert numeric.scalar("1e5000") == 10**5000
+    assert numeric.scalar("-1e-5000") == F(-1, 10**5000)
+
+
+def test_a_long_value_is_truncated_in_the_message(monkeypatch):
+    monkeypatch.setattr(numeric.sys, "get_int_max_str_digits", lambda: 10)
+    shown = re.escape("'0." + "1" * 18 + "...'")
+    with pytest.raises(ValueError, match=f"^scalar {shown} has more than 10 digits"):
+        numeric.scalar("0." + "1" * 40)
 
 
 def test_bool_is_not_a_scalar():

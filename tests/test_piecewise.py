@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from infocost import PiecewiseScalarFunction, lower_envelope, upper_envelope
+from infocost.piecewise import line_envelope
 
 
 def random_affine_pwl(rng: random.Random) -> PiecewiseScalarFunction:
@@ -128,6 +129,32 @@ class TestConstruction:
             PiecewiseScalarFunction.from_points(
                 [(F(0), F(0)), (F(1, 2), F(1)), (F(1, 2), F(2)), (F(1), F(0))]
             )
+
+    def test_from_points_and_line_envelope_divide_in_fractions(self):
+        """Any mix of ``int`` and ``Fraction`` points or lines gives the
+        same exact function or envelope as all-``Fraction`` ones."""
+        for points in ([(0, 0), (1, -1)], [(0, F(1, 3)), (F(1, 3), 2), (1, 0)],
+                       [(F(0), 1), (F(2, 3), F(0)), (1, 3)]):
+            fn = PiecewiseScalarFunction.from_points(points)
+            exact = PiecewiseScalarFunction.from_points([(F(x), F(y)) for x, y in points])
+            assert fn == exact
+            assert all(type(v) in (F, int) for seg in fn.coefficients for v in seg)
+        lines = [(4, -2), (0, -1), (-4, 2)]
+        pieces = line_envelope(lines, F(0), F(1))
+        assert pieces == line_envelope([(F(m), F(c)) for m, c in lines], F(0), F(1))
+        assert [x for x, _ in pieces] == [0, F(1, 4), F(3, 4)]
+        assert [type(x) for x, _ in pieces] == [F, F, F]
+
+    @pytest.mark.parametrize("breakpoints, coefficients", [
+        ((F(0), 1.0), ((F(0), F(0), F(0)),)),
+        ((F(0), F(1)), ((F(0), 0.5, F(0)),)),
+        ((F(0), F(1)), ((F(0), F(0), True),)),
+    ])
+    def test_a_float_or_bool_breakpoint_or_coefficient_raises(self, breakpoints, coefficients):
+        with pytest.raises(TypeError, match="not a Fraction or an int"):
+            PiecewiseScalarFunction(breakpoints, coefficients)
+        with pytest.raises(TypeError):
+            PiecewiseScalarFunction.from_points([(F(0), 0.5), (F(1), F(0))])
 
     def test_from_points_interpolates(self):
         fn = PiecewiseScalarFunction.from_points(

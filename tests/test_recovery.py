@@ -26,7 +26,7 @@ from infocost import (
     verify_rationalization,
 )
 from infocost.axioms import build_farkas_system
-from infocost.recovery import hinge, menu_value_function, price_terms
+from infocost.recovery import hinge, price_terms
 from test_axioms import SWAP_PARAMS, random_generated_dataset
 from test_acceptance import _swap_fixture
 from test_piecewise import assert_pointwise_envelope
@@ -72,12 +72,12 @@ def line_menus() -> list[Menu]:
 class TestMenuValueFunction:
     def test_envelope_of_lines_matches_the_generic_walk(self):
         for menu in line_menus():
-            assert menu_value_function(menu) == generic_upper_envelope(menu), menu
+            assert menu.value == generic_upper_envelope(menu), menu
 
     def test_envelopes_of_lines_match_the_brute_force_oracle(self):
         for menu in line_menus():
             lines = [act_payoff_function(a.u0, a.u1) for a in menu.acts]
-            assert_pointwise_envelope(menu_value_function(menu), lines, max)
+            assert_pointwise_envelope(menu.value, lines, max)
             assert_pointwise_envelope(lower_envelope(lines), lines, min)
 
 
