@@ -46,6 +46,7 @@ from .model import (
     Menu,
     Observation,
     Prior,
+    RevealedSummary,
     StateSpace,
     ValidationReport,
     indirect_utility,
@@ -63,7 +64,6 @@ from .recovery import (
     verify_rationalization,
 )
 from .revealed import (
-    RevealedSummary,
     binding_set,
     is_monotone_partitional,
     is_mpc,

@@ -5,11 +5,13 @@ multipliers indexed by (binding point, observation), with one row per
 ordered pair of observations and chosen act; each row is a difference of
 two price functions in the basis of ``recovery.price_terms``. The system
 is solved on its short side, as its LP dual (``lp.dual``) over
-nonnegative row weights: a negative optimum yields weights on ordered act
-pairs that spell out a payoff-improving reallocation of posterior means,
-and otherwise the optimal duals are the multipliers that later build the
-cost derivative and price functions. Both are verified here by direct
-multiplication before being reported.
+nonnegative row weights: the dual of minimizing the multipliers'
+interior mass is bounded exactly when the system is feasible, and its
+optimal duals are then the multipliers of least interior mass that later
+build the cost derivative and price functions. Otherwise the normalized
+dual's negative optimum yields weights on ordered act pairs that spell
+out a payoff-improving reallocation of posterior means. Both are
+verified here by direct multiplication before being reported.
 Acts are compared by their menu (``Menu.values_at``, ``Menu.best_act``).
 """
 
@@ -19,9 +21,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import lp, numeric
-from .model import Dataset
+from .model import Dataset, RevealedSummary
 from .recovery import price_terms
-from .revealed import RevealedSummary, binding_set, revealed_summary
+from .revealed import binding_set
 
 RowKey = tuple[int, int, int, int]  # (obs_a, obs_b, act_a, act_b) indices
 ColKey = tuple[int, Fraction]  # (obs, binding point)
@@ -47,7 +49,7 @@ def check_nias(dataset: Dataset) -> NiasReport:
     difference of the two utilities as its gain."""
     violations: list[NiasViolation] = []
     for oi, obs in enumerate(dataset.observations):
-        summary = revealed_summary(obs)
+        summary = obs.summary
         acts = obs.menu.acts
         for ai, (prob, mean) in enumerate(zip(summary.act_probabilities, summary.act_means)):
             if prob > 0:
@@ -123,7 +125,7 @@ def build_farkas_system(dataset: Dataset) -> FarkasSystem:
     the columns alone gives the other terms.
     """
     observations = dataset.observations
-    summaries = tuple(revealed_summary(obs) for obs in observations)
+    summaries = tuple(obs.summary for obs in observations)
     bindings = tuple(
         binding_set(obs.prior.distribution, summ.cdf, dataset.state_space)
         for obs, summ in zip(observations, summaries)
@@ -220,42 +222,34 @@ def _flattest_multipliers(
 def check_nipmc(dataset: Dataset, *, flattest: bool = False) -> NipmcVerdict:
     """Decide the posterior-mean-cycle axiom via the multiplier system.
 
-    Assumes the action-switch axiom already passed. The system A lam <= b
-    is feasible exactly when min b . beta over the normalized alternative
-    is zero; a negative optimum's beta is the violation certificate, and
-    otherwise the duals of the alternative's column rows are multipliers.
-
-    With ``flattest`` the multipliers additionally have minimal total
-    interior mass: they are the duals of the alternative with interior
-    rows relaxed to >= -1 and no normalization, which is solved first.
-    beta = 0 is feasible there, so it is unbounded exactly when the system
-    is infeasible, and only then is the normalized alternative solved for
-    the certificate: one program when the data passes, two when it fails.
-    That objective prices only interior columns, so the free multipliers
-    at 0 and 1, and interior ones wherever the minimum is not unique, are
-    whichever optimal vertex the simplex reaches.
+    Assumes the action-switch axiom already passed. The multipliers
+    reported have minimal total interior mass: they are the duals of the
+    relaxed alternative, the dual of "maximize minus the interior mass
+    subject to A lam <= b" (interior rows >= -1, no normalization), which
+    is solved first. beta = 0 is feasible there, so it is unbounded
+    exactly when the system is infeasible, and only then is the
+    normalized alternative (``sum(beta) <= 1``) solved: its negative
+    optimum's beta is the violation certificate. So passing data costs
+    one program and failing data two. That objective prices only
+    interior columns, so the free multipliers at 0 and 1, and interior
+    ones wherever the minimum is not unique, are whichever optimal vertex
+    the simplex reaches. ``flattest`` is accepted and ignored: every
+    check reports these multipliers.
     """
     system = build_farkas_system(dataset)
     program = system.to_linear_program()
-    n = len(system.columns)
-    lam: tuple[Fraction, ...] | None = (Fraction(0),) * n
+    lam: tuple[Fraction, ...] | None = (Fraction(0),) * len(system.columns)
     if system.rows:
-        lam = _flattest_multipliers(program, system.free_columns) if flattest else None
-        if lam is None:
-            outcome = lp.solve(_alternative_program(program, Fraction(0), True))
-            if outcome.status != lp.OPTIMAL:
-                raise RuntimeError("cycle alternative has no optimum")
-            assert outcome.x is not None and outcome.duals is not None
-            if outcome.objective_value < 0:
-                if not lp.verify_certificate(program, outcome.x):
-                    raise RuntimeError(
-                        "infeasibility certificate failed direct verification"
-                    )
-                cert = dict(zip(system.rows, outcome.x))
-                return NipmcVerdict(passed=False, system=system, certificate=cert)
-            if flattest:
-                raise RuntimeError("flattest-multiplier selection failed")
-            lam = outcome.duals[:n]
+        lam = _flattest_multipliers(program, system.free_columns)
+    if lam is None:
+        outcome = lp.solve(_alternative_program(program, Fraction(0), True))
+        if outcome.status != lp.OPTIMAL or not outcome.objective_value < 0:
+            raise RuntimeError("relaxed cycle alternative unbounded, but no certificate found")
+        assert outcome.x is not None
+        if not lp.verify_certificate(program, outcome.x):
+            raise RuntimeError("infeasibility certificate failed direct verification")
+        cert = dict(zip(system.rows, outcome.x))
+        return NipmcVerdict(passed=False, system=system, certificate=cert)
     if not lp.satisfies(program, lam):
         raise RuntimeError("multipliers failed direct verification")
     return NipmcVerdict(

@@ -26,7 +26,6 @@ from .forward import ForwardProblem, generate_dataset, oracle_value, solve_forwa
 from .lp import LPResourceError, to_lp_text
 from .model import validate_dataset
 from .recovery import cost_from_prices, price_function, verify_rationalization
-from .revealed import revealed_summary
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -46,6 +45,10 @@ def _load_json(path: str) -> Any:
         raise io.InputError(
             f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from None
+    except RecursionError:
+        raise io.InputError(f"{path}: JSON nested too deeply to parse") from None
+    except ValueError as err:  # a number beyond the interpreter's digit limit
+        raise io.InputError(f"{path}: {err}") from None
 
 
 def _emit(report: dict[str, Any], output: str | None) -> None:
@@ -112,7 +115,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         report["nipmc"] = {"skipped": "action-switch violations found"}
         _emit(report, args.output)
         return EXIT_REJECTED
-    verdict = check_nipmc(dataset, flattest=args.flattest)
+    verdict = check_nipmc(dataset)
     if args.dump_lp:
         Path(args.dump_lp).write_text(
             to_lp_text(verdict.system.to_linear_program(), name="cycle-feasibility")
@@ -150,7 +153,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
         print("dataset violates the action-switch axiom; run 'check' for details",
               file=sys.stderr)
         return EXIT_REJECTED
-    verdict = check_nipmc(dataset, flattest=args.flattest)
+    verdict = check_nipmc(dataset)
     if not verdict.passed:
         print("dataset violates the posterior-mean-cycle axiom; run 'check' for details",
               file=sys.stderr)
@@ -209,6 +212,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         problem = ForwardProblem.build(
             problem.prior, problem.menu, problem.cost, uniform_points=args.grid_add
         )
+    # first, so that a resolution below the grid size fails before any solve
+    value = oracle_value(problem, args.refine) if args.refine else None
     solution = solve_forward(problem)
     report: dict[str, Any] = {
         "command": "solve",
@@ -225,8 +230,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         ],
     }
     agrees = True
-    if args.refine:
-        value = oracle_value(problem, args.refine)
+    if value is not None:
         report["oracle"] = {
             "resolution": args.refine,
             "value": io.scalar_out(value),
@@ -277,7 +281,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     dataset = generate_dataset(prior, menus, cost)
     doc = io.dataset_out(dataset)
     doc["revealed_means"] = [
-        [io.scalar_out(m) for m in revealed_summary(obs).act_means]
+        [io.scalar_out(m) for m in obs.summary.act_means]
         for obs in dataset.observations
     ]
     _emit(doc, args.output)
@@ -315,12 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("check", cmd_check, "run both rationalizability axioms")
     p.add_argument("--flattest", action="store_true",
-                   help="multipliers with minimal interior mass")
+                   help="no effect: the multipliers always have minimal interior mass")
     p.add_argument("--dump-lp", help="write the feasibility program in LP format")
 
     p = add("recover", cmd_recover, "construct the cost and price functions")
     p.add_argument("--flattest", action="store_true",
-                   help="multipliers with minimal interior mass")
+                   help="no effect: the multipliers always have minimal interior mass")
     p.add_argument("--figures-csv", help="directory for figure CSV files")
 
     p = add("solve", cmd_solve, "solve a forward information-acquisition problem")

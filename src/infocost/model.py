@@ -8,8 +8,9 @@ instead of dying on the first one. Pipeline operations assume a dataset
 that validates cleanly.
 
 All types are immutable after construction and safe to share across
-concurrent tasks. ``Menu.value`` and ``Prior.distribution`` are built on
-first use and kept, not as fields (two tasks may each build one, equally).
+concurrent tasks. ``Menu.value``, ``Prior.distribution`` and
+``Observation.summary`` are built on first use and kept, not as fields
+(two tasks may each build one, equally).
 """
 
 from __future__ import annotations
@@ -241,12 +242,61 @@ class SDSC:
 
 
 @dataclass(frozen=True)
+class RevealedSummary:
+    """Per-act revealed means and probabilities, and the revealed CDF."""
+
+    act_means: tuple[Fraction, ...]
+    act_probabilities: tuple[Fraction, ...]
+    cdf: DiscreteCDF
+
+
+@dataclass(frozen=True)
 class Observation:
     """One decision problem: a prior, a menu, and the observed choice data."""
 
     prior: Prior
     menu: Menu
     sdsc: SDSC
+
+    @cached_property
+    def summary(self) -> RevealedSummary:
+        """Each act's probability and Bayes posterior mean, in one pass per act.
+
+        An act's joint mass at state z is sigma(act | z) * prior(z); its
+        probability is the total mass and its mean the mass-weighted average
+        state. An act never chosen reveals nothing, so it is assigned the
+        prior mean. The states, the prior weights and the choice
+        probabilities are each put over one common denominator, so every
+        mass is an integer over one scale and every sum is an integer sum;
+        each reported number is then built once, as one exact fraction.
+        """
+        z_den, zs = numeric.scaled(self.prior.state_space.states)
+        w_den, ws = numeric.scaled(self.prior.weights)
+        p_den, ps = numeric.scaled([p for row in self.sdsc.rows for p in row])
+        flat = iter(ps)
+        scale = p_den * w_den
+        prior_mean = Fraction(sum(z * w for z, w in zip(zs, ws)), z_den * w_den)
+        totals: list[int] = []
+        means: list[Fraction] = []
+        for row in self.sdsc.rows:
+            masses = [p * w for p, w in zip([next(flat) for _ in row], ws)]
+            total = sum(masses)
+            totals.append(total)
+            if total == 0:
+                means.append(prior_mean)
+            else:
+                means.append(Fraction(sum(z * m for z, m in zip(zs, masses)), z_den * total))
+        pooled: dict[Fraction, int] = {}
+        for mean, total in zip(means, totals):
+            if total > 0:
+                pooled[mean] = pooled.get(mean, 0) + total
+        return RevealedSummary(
+            act_means=tuple(means),
+            act_probabilities=tuple(Fraction(t, scale) for t in totals),
+            cdf=DiscreteCDF(
+                atoms=tuple((z, Fraction(t, scale)) for z, t in sorted(pooled.items()))
+            ),
+        )
 
 
 @dataclass(frozen=True)

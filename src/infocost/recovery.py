@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 from .model import Dataset, DiscreteCDF, utility
 from .piecewise import PiecewiseScalarFunction, lower_envelope
-from .revealed import positive_gap_intervals, revealed_summary
+from .revealed import positive_gap_intervals
 
 ColKey = tuple[int, Fraction]
 
@@ -179,7 +179,7 @@ def _audit_observation(
     majorization_slack = (price - target).minimum()
     price_majorizes = majorization_slack >= 0
 
-    summary = revealed_summary(obs)
+    summary = obs.summary
     contact_slack = _ZERO
     for ai, act in enumerate(obs.menu.acts):
         if summary.act_probabilities[ai] <= 0:

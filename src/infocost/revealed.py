@@ -17,22 +17,18 @@ its right-hand sides from the prior's sweep. The gap table merges the
 points of both supports as integers and sweeps the prior's atoms
 against the candidate's negated ones.
 
-An observation's revealed statistics come from one pass over its choice
-data: each act's joint mass with every state gives both its probability
-and its posterior mean. The masses are integers over one common scale,
-so they are summed in integers, and each reported probability and mean
-is one exact fraction. Everything in this module is a pure function
-over immutable inputs; nothing is cached, so each caller that needs a
-summary computes its own; the prior keeps its own distribution.
+Everything in this module is a pure function over immutable inputs;
+nothing is cached here. The prior keeps its own distribution
+(``Prior.distribution``) and an observation its revealed statistics
+(``Observation.summary``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import numeric
-from .model import DiscreteCDF, Observation, Prior, StateSpace
+from .model import DiscreteCDF, Observation, Prior, RevealedSummary, StateSpace
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -162,50 +158,6 @@ def is_monotone_partitional(prior_cdf: DiscreteCDF, f: DiscreteCDF) -> bool:
     return all(any(z1 <= z <= z2 for z in zeros) for z1, z2 in zip(supp, supp[1:]))
 
 
-@dataclass(frozen=True)
-class RevealedSummary:
-    """Per-act revealed means and probabilities, and the revealed CDF."""
-
-    act_means: tuple[Fraction, ...]
-    act_probabilities: tuple[Fraction, ...]
-    cdf: DiscreteCDF
-
-
 def revealed_summary(obs: Observation) -> RevealedSummary:
-    """Each act's probability and Bayes posterior mean, in one pass per act.
-
-    An act's joint mass at state z is sigma(act | z) * prior(z); its
-    probability is the total mass and its mean the mass-weighted average
-    state. An act never chosen reveals nothing, so it is assigned the
-    prior mean. The states, the prior weights and the choice
-    probabilities are each put over one common denominator, so every
-    mass is an integer over one scale and every sum is an integer sum;
-    each reported number is then built once, as one exact fraction.
-    """
-    z_den, zs = numeric.scaled(obs.prior.state_space.states)
-    w_den, ws = numeric.scaled(obs.prior.weights)
-    p_den, ps = numeric.scaled([p for row in obs.sdsc.rows for p in row])
-    flat = iter(ps)
-    scale = p_den * w_den
-    prior_mean = Fraction(sum(z * w for z, w in zip(zs, ws)), z_den * w_den)
-    totals: list[int] = []
-    means: list[Fraction] = []
-    for row in obs.sdsc.rows:
-        masses = [p * w for p, w in zip([next(flat) for _ in row], ws)]
-        total = sum(masses)
-        totals.append(total)
-        if total == 0:
-            means.append(prior_mean)
-        else:
-            means.append(Fraction(sum(z * m for z, m in zip(zs, masses)), z_den * total))
-    pooled: dict[Fraction, int] = {}
-    for mean, total in zip(means, totals):
-        if total > 0:
-            pooled[mean] = pooled.get(mean, 0) + total
-    return RevealedSummary(
-        act_means=tuple(means),
-        act_probabilities=tuple(Fraction(t, scale) for t in totals),
-        cdf=DiscreteCDF(
-            atoms=tuple((z, Fraction(t, scale)) for z, t in sorted(pooled.items()))
-        ),
-    )
+    """The observation's revealed statistics: its own, ``Observation.summary``."""
+    return obs.summary

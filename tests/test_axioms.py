@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from infocost import axioms, io, lp
+from infocost import io, lp
 from infocost import (
     Act,
     Dataset,
@@ -46,14 +46,16 @@ def singleton_observation(prior, act=None, label="solo"):
 
 
 def forged_flattest_solve(ds):
-    """``lp.solve`` with the answer to ``check_nipmc(ds, flattest=True)``'s
-    program forged: beta = 0, the plain (not flattest) multipliers as
-    duals, and an objective value of minus their interior mass, which
-    beta = 0 does not attain. Returns the forgery and that mass."""
+    """``lp.solve`` with the answer to ``check_nipmc(ds)``'s relaxed
+    alternative forged: beta = 0, feasible multipliers that need not be
+    the flattest (the normalized alternative's duals) as duals, and an
+    objective value of minus their interior mass, which beta = 0 does not
+    attain. Returns the forgery and that mass."""
     system = build_farkas_system(ds)
-    relaxed = _alternative_program(system.to_linear_program(), F(-1), False)
-    plain = check_nipmc(ds).multipliers
-    duals = tuple(plain[c] for c in system.columns)
+    program = system.to_linear_program()
+    relaxed = _alternative_program(program, F(-1), False)
+    duals = lp.solve(_alternative_program(program, F(0), True)).duals[: len(system.columns)]
+    assert lp.satisfies(program, duals)
     mass = sum(v for v, free in zip(duals, system.free_columns) if not free)
     real_solve = lp.solve
 
@@ -295,6 +297,8 @@ class TestNipmc:
 
         def corrupted(program, **kwargs):
             outcome = real_solve(program, **kwargs)
+            if outcome.status != lp.OPTIMAL:
+                return outcome
             beta = list(outcome.x)
             i = next(i for i, y in enumerate(beta) if y != 0)
             beta[i] = -beta[i]
@@ -323,7 +327,7 @@ class TestNipmc:
 
     def test_flattest_optimality_is_rechecked(self, monkeypatch):
         ds = example3_twice()
-        assert check_nipmc(ds, flattest=True).passed
+        assert check_nipmc(ds).passed
         relaxed = _alternative_program(
             build_farkas_system(ds).to_linear_program(), F(-1), False
         )
@@ -339,7 +343,7 @@ class TestNipmc:
 
         monkeypatch.setattr(lp, "solve", relaxed_value_off)
         with pytest.raises(RuntimeError, match="duality check"):
-            check_nipmc(ds, flattest=True)
+            check_nipmc(ds)
         assert corrupted
 
     def test_flattest_value_is_recomputed_from_beta(self, monkeypatch):
@@ -348,12 +352,11 @@ class TestNipmc:
         ds = io.parse_dataset(json.loads((GOLDEN / "generated_s0.json").read_text()))
         forged, mass = forged_flattest_solve(ds)
         assert mass > sum(
-            v for (_, z), v in check_nipmc(ds, flattest=True).multipliers.items()
-            if 0 < z < 1
+            v for (_, z), v in check_nipmc(ds).multipliers.items() if 0 < z < 1
         )
         monkeypatch.setattr(lp, "solve", forged)
         with pytest.raises(RuntimeError, match="duality check"):
-            check_nipmc(ds, flattest=True)
+            check_nipmc(ds)
 
     def test_flattest_solves_one_program_on_passing_data(self, monkeypatch):
         real_solve = lp.solve
@@ -364,14 +367,13 @@ class TestNipmc:
             return real_solve(program, **kwargs)
 
         monkeypatch.setattr(lp, "solve", counted)
-        verdict = check_nipmc(example3_twice(), flattest=True)
+        verdict = check_nipmc(example3_twice())
         assert verdict.passed
         assert len(calls) == 1
 
     def test_flattest_on_failing_data_solves_two_programs(
         self, swap_violation_dataset, monkeypatch
     ):
-        plain = check_nipmc(swap_violation_dataset)
         real_solve = lp.solve
         outcomes = []
 
@@ -380,14 +382,40 @@ class TestNipmc:
             return outcomes[-1]
 
         monkeypatch.setattr(lp, "solve", counted)
-        verdict = check_nipmc(swap_violation_dataset, flattest=True)
+        verdict = check_nipmc(swap_violation_dataset)
         assert not verdict.passed
         assert [o.status for o in outcomes] == [lp.UNBOUNDED, lp.OPTIMAL]
-        assert verdict.certificate == plain.certificate
+        assert verdict.certificate
+
+    def test_relaxed_alternative_forged_unbounded_is_rejected(self, monkeypatch):
+        """On passing data, a relaxed alternative reported unbounded sends
+        the check to the normalized alternative, whose optimum is 0: with
+        no certificate there, the check raises instead of reporting."""
+        ds = example3_twice()
+        relaxed = _alternative_program(
+            build_farkas_system(ds).to_linear_program(), F(-1), False
+        )
+        real_solve = lp.solve
+
+        def forged(program, **kwargs):
+            if program == relaxed:
+                return lp.LPOutcome(status=lp.UNBOUNDED)
+            return real_solve(program, **kwargs)
+
+        monkeypatch.setattr(lp, "solve", forged)
+        with pytest.raises(RuntimeError, match="no certificate"):
+            check_nipmc(ds)
+
+    def test_flattest_keyword_changes_nothing(self):
+        """Every check reports the least-interior-mass multipliers, so
+        ``flattest=True`` gives the same verdict on the golden datasets,
+        the benchmark's catalog and seeded generated data."""
+        for name, ds in reference_cases():
+            assert check_nipmc(ds) == check_nipmc(ds, flattest=True), name
 
     def test_flattest_multipliers_deterministic(self, three_act_dataset):
-        a = check_nipmc(three_act_dataset, flattest=True)
-        b = check_nipmc(three_act_dataset, flattest=True)
+        a = check_nipmc(three_act_dataset)
+        b = check_nipmc(three_act_dataset)
         assert a.multipliers == b.multipliers
 
     def test_payoff_rescaling_preserves_the_verdict(self, swap_violation_dataset):
@@ -600,7 +628,7 @@ class TestReducedSystemEquivalence:
 
     def test_flattest_mass_matches_the_full_minimum(self, batch):
         for ds in batch:
-            verdict = check_nipmc(ds, flattest=True)
+            verdict = check_nipmc(ds)
             if not verdict.passed:
                 continue
             keys, columns, full = full_cycle_program(ds)
@@ -643,7 +671,7 @@ class TestCycleAxiomAgainstHighs:
         batch += [_swap_fixture(*p) for p in SWAP_PARAMS]
         verdicts, masses = [], []
         for ds in batch:
-            verdict = check_nipmc(ds, flattest=True)
+            verdict = check_nipmc(ds)
             system = verdict.system
             assert system.rows
             ref = self.highs(system, 0.0)
@@ -651,12 +679,13 @@ class TestCycleAxiomAgainstHighs:
             assert verdict.passed == (ref.status == 0)
             verdicts.append(verdict.passed)
             if verdict.passed:
-                mass = sum(
-                    v for (_, z), v in verdict.multipliers.items() if 0 < z < 1
-                )
                 ref = self.highs(system, 1.0)
                 assert ref.status == 0, ref.message
-                assert ref.fun == pytest.approx(float(mass), rel=1e-9, abs=1e-9)
+                for checked in (verdict, check_nipmc(ds, flattest=True)):
+                    mass = sum(
+                        v for (_, z), v in checked.multipliers.items() if 0 < z < 1
+                    )
+                    assert ref.fun == pytest.approx(float(mass), rel=1e-9, abs=1e-9)
                 masses.append(mass)
         assert verdicts == [True] * 8 + [False] * len(SWAP_PARAMS)
         assert any(masses)  # some passing data needs interior mass
@@ -838,20 +867,13 @@ class TestAssemblyAgainstReference:
                 tied.add(ob)
         assert tied == {0, 1}
 
-    def test_one_prior_distribution_per_prior_object(self, monkeypatch, count_builds):
+    def test_one_prior_distribution_per_prior_object(self, count_builds):
         """One assembly builds one ``Prior.distribution`` per prior object,
         an equal prior held in a distinct object included, and one
-        ``revealed_summary`` per observation; a second assembly builds no
-        distribution."""
-        summarized = []
-        real_summary = axioms.revealed_summary
-
-        def counted_summary(obs):
-            summarized.append(obs)
-            return real_summary(obs)
-
+        ``Observation.summary`` per observation object, a repeated one
+        counted once; a second assembly builds neither."""
         built = count_builds(Prior, "distribution")
-        monkeypatch.setattr(axioms, "revealed_summary", counted_summary)
+        summarized = count_builds(Observation, "summary")
         ds = two_prior_dataset()
         first, second = ds.observations
         copy = replace(first, prior=Prior(first.prior.state_space, tuple(first.prior.weights)))
@@ -859,6 +881,6 @@ class TestAssemblyAgainstReference:
         ds = replace(ds, observations=(first, second, copy, second))
         build_farkas_system(ds)
         assert [id(p) for p in built] == [id(first.prior), id(second.prior), id(copy.prior)]
-        assert summarized == list(ds.observations)
+        assert [id(o) for o in summarized] == [id(first), id(second), id(copy)]
         build_farkas_system(ds)
-        assert len(built) == 3
+        assert (len(built), len(summarized)) == (3, 3)

@@ -18,7 +18,8 @@ drawn once with ``test_forward``'s ``random_prior(rng, 5)``, then
 
 The expected digests are in ``tests/golden/cli.json``. After a change
 that is meant to alter CLI output, regenerate them with
-``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff.
+``PYTHONPATH=src python tests/test_cli_golden.py``, which prints each
+case whose record changed, old -> new, and review those cases.
 
 A second pivot rule, Bland's rule on the reversed column order, tells
 the outputs that any optimal vertex must give (verdicts, exit codes,
@@ -163,11 +164,11 @@ def _rule_free(argv: tuple[str, ...], code: int, out: str) -> dict:
     if not out:
         return facts
     report = json.loads(out)
-    command, flattest = argv[0], "--flattest" in argv
+    command = argv[0]
     if command == "check":
         facts["nias"] = report["nias"]
         facts["passed"] = report["nipmc"].get("passed")
-        if flattest and "multipliers" in report["nipmc"]:
+        if "multipliers" in report["nipmc"]:
             facts["interior_mass"] = _interior_mass(report["nipmc"]["multipliers"])
     elif command == "recover":
         facts["all_ok"] = report["rationalization"]["all_ok"]
@@ -182,18 +183,19 @@ def _rule_free(argv: tuple[str, ...], code: int, out: str) -> dict:
 
 
 RULE_CASES = [
-    case for case, (command, *flags) in CASES.items()
-    if command in ("check", "solve", "concavity")
-    or (command == "recover" and "--flattest" in flags)
+    case for case, (command, *_) in CASES.items()
+    if command in ("check", "recover", "solve", "concavity")
 ]
 
 
 def test_reversed_bland_rule_moves_no_rule_free_output(monkeypatch):
-    """Under Bland's rule on the reversed column order, every ``check``,
-    ``check --flattest``, ``recover --flattest``, ``solve --refine 16``
-    and ``concavity`` case keeps its exit code and its rule-free outputs;
-    some reports do move, at the vertices the rule picks."""
-    assert len(RULE_CASES) == 51
+    """Under Bland's rule on the reversed column order, every ``check``
+    and ``recover`` case, with and without ``--flattest``, every ``solve
+    --refine 16`` and every ``concavity`` case keeps its exit code and its
+    rule-free outputs, the least interior mass of every passing ``check``
+    and ``recover`` among them; some reports do move, at the vertices the
+    rule picks."""
+    assert len(RULE_CASES) == 62
     default = {case: _rule_free(CASES[case], *_run(CASES[case])[:2]) for case in RULE_CASES}
     monkeypatch.setattr(lp._Tableau, "run_simplex", _reversed_bland)
     for case in RULE_CASES:
@@ -201,6 +203,12 @@ def test_reversed_bland_rule_moves_no_rule_free_output(monkeypatch):
 
 
 if __name__ == "__main__":
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     digests = {case: _record(*_run(argv)) for case, argv in CASES.items()}
+    for case in sorted(old.keys() | digests.keys()):
+        before, after = old.get(case, {}), digests.get(case, {})
+        for field in ("exit", "stdout", "stderr"):
+            if before.get(field) != after.get(field):
+                print(f"{case}: {field} {before.get(field)} -> {after.get(field)}")
     DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {DIGESTS}")

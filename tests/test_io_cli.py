@@ -227,6 +227,8 @@ class TestCliExitCodes:
 
         def corrupted(program, **kwargs):
             outcome = real_solve(program, **kwargs)
+            if outcome.status != lp.OPTIMAL:
+                return outcome
             beta = list(outcome.x)
             i = next(i for i, w in enumerate(beta) if w != 0)
             beta[i] = -beta[i]
@@ -536,6 +538,33 @@ class TestCliExitCodes:
             "limit for integer text (sys.get_int_max_str_digits)\n"
         )
 
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit set")
+    def test_json_number_beyond_the_digit_limit_is_input_error(self, tmp_path, capsys):
+        """A bare JSON number with more digits than the interpreter's limit
+        fails inside the JSON decoder: exit 2 with one stderr line that
+        names the file."""
+        doc = json.loads(Path(fixture_path("example3_dataset.json")).read_text())
+        doc["menus"]["A"][0]["u0"] = 0
+        spec = tmp_path / "doc.json"
+        digits = "1" + "0" * sys.get_int_max_str_digits()
+        spec.write_text(json.dumps(doc).replace('"u0": 0', f'"u0": {digits}', 1))
+        assert run_cli("check", str(spec)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: {spec}: ")
+        assert "digits" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
+        """200,000 nested arrays exhaust the decoder's recursion: exit 2
+        naming the file, not a verification error."""
+        spec = tmp_path / "deep.json"
+        spec.write_text("[" * 200_000)
+        assert run_cli("check", str(spec)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {spec}: JSON nested too deeply to parse\n"
+
     def test_refine_below_the_grid_size_names_both_numbers(self, capsys):
         """``--refine`` below the size of the completed grid exits 2 naming
         the resolution and the grid size, which the user cannot see."""
@@ -549,6 +578,20 @@ class TestCliExitCodes:
             f"input error: resolution {size - 1} is below the grid size, {size} points\n"
         )
         assert run_cli("solve", path, "--refine", str(size)) == 0
+
+    def test_refine_below_the_grid_size_solves_nothing(self, monkeypatch, capsys):
+        """The resolution is refused before the problem is solved."""
+        real_solve = lp.solve
+        calls = []
+
+        def counted(program, **kwargs):
+            calls.append(program)
+            return real_solve(program, **kwargs)
+
+        monkeypatch.setattr(lp, "solve", counted)
+        assert run_cli("solve", fixture_path("example3_forward.json"), "--refine", "2") == 2
+        assert "below the grid size" in capsys.readouterr().err
+        assert calls == []
 
     def test_solve_accepts_a_forward_prior_without_endpoint_mass(self, tmp_path, capsys):
         doc = json.loads(Path(fixture_path("example3_forward.json")).read_text())
