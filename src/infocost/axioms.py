@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from . import lp, numeric
 from .model import Dataset, RevealedSummary
@@ -95,6 +96,12 @@ class FarkasSystem:
         return _own_columns(self.binding_sets, oi)
 
     def to_linear_program(self) -> lp.LinearProgram:
+        """The system as one program, built on the first call and shared
+        by every later one, so its rows are scaled to integers once."""
+        return self._program
+
+    @cached_property
+    def _program(self) -> lp.LinearProgram:
         return lp.LinearProgram(
             num_vars=len(self.columns),
             nonnegative=tuple(not f for f in self.free_columns),

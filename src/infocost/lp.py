@@ -17,6 +17,21 @@ slack columns, and rows that still lack a unit column get artificials;
 phase one minimizes the artificial mass and, when that minimum is
 positive, its multipliers are the infeasibility certificate.
 
+Each row is put over integers once: ``Constraint.scaled``, built on
+first use and kept on the row, is the lcm of the row's denominators and
+its numerators over it. Its three readers are the tableau, which takes
+its rows from it, and the two exact re-checks, ``satisfies`` and
+``verify_certificate``, which compare integer sums against it. Programs
+that share ``Constraint`` objects (the prefix programs of a concavity
+search, the cycle system's one program) share that work.
+
+A row's scale is part of the pivot path, so no caller row is rescaled
+to suit the kernel. A row's artificial column is 1 in the row's integer
+units, so phase one weighs rows by their scale: writing the forward grid
+program over its grid's common denominator kept every golden CLI output,
+but on 1 of 44 forward problems the cold dual then reached a different
+flattest price than the warm one (same value and distribution).
+
 Certificate orientation, for a program with rows ``a_i . x  rel_i  b_i``
 and per-variable sign constraints: the returned ``y`` satisfies
 
@@ -56,6 +71,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import numeric
@@ -91,6 +107,13 @@ class Constraint:
         if self.relation not in (LE, EQ, GE):
             raise ValueError(f"unknown relation {self.relation!r}")
         object.__setattr__(self, "terms", tuple(self.terms))
+
+    @cached_property
+    def scaled(self) -> tuple[int, list[int]]:
+        """The row in integers, built on first use: the lcm of the
+        denominators of its coefficients and right-hand side, and each
+        one's numerator over it, the right-hand side's last."""
+        return numeric.scaled([*(v for _, v in self.terms), self.rhs])
 
 
 def constraint(
@@ -149,29 +172,33 @@ class Basis:
     slacks: tuple[int, ...] = ()
 
 
-def _row_value(con: Constraint, x: Sequence[Fraction]) -> Fraction:
-    return sum((v * x[j] for j, v in con.terms if x[j]), start=_ZERO)
-
-
 def satisfies(lp: LinearProgram, x: Sequence[Fraction]) -> bool:
-    """Exact feasibility of a point."""
-    for j in range(lp.num_vars):
-        if lp.nonnegative[j] and x[j] < 0:
-            return False
+    """Exact feasibility of a point, one coordinate per variable.
+
+    ``x`` is put over one common denominator, so each row is an integer
+    dot product of its scaled form with those numerators, compared with
+    its right-hand side's numerator times that denominator.
+    """
+    if len(x) != lp.num_vars:
+        return False
+    den, nums = numeric.scaled(x)
+    if any(n < 0 for n, nonneg in zip(nums, lp.nonnegative) if nonneg):
+        return False
     for con in lp.constraints:
-        lhs = _row_value(con, x)
-        ok = {
-            LE: lhs <= con.rhs,
-            EQ: lhs == con.rhs,
-            GE: lhs >= con.rhs,
-        }[con.relation]
-        if not ok:
+        _, row = con.scaled
+        gap = sum(a * nums[j] for (j, _), a in zip(con.terms, row)) - row[-1] * den
+        # lhs above rhs holds only for >=, below only for <=
+        if gap and con.relation != (GE if gap > 0 else LE):
             return False
     return True
 
 
 def verify_certificate(lp: LinearProgram, y: Sequence[Fraction]) -> bool:
-    """Check the Farkas conditions for ``y`` by direct multiplication."""
+    """Check the Farkas conditions for ``y`` by direct multiplication, in
+    integers: the nonzero multipliers over one common denominator, each
+    row's scaled form weighted by the lcm of the used rows' scales over
+    its own, so every column combination and ``b . y`` is an integer sum
+    with the sign of its rational value."""
     if len(y) != len(lp.constraints):
         return False
     for yi, con in zip(y, lp.constraints):
@@ -180,17 +207,23 @@ def verify_certificate(lp: LinearProgram, y: Sequence[Fraction]) -> bool:
         if con.relation == GE and yi > 0:
             return False
     used = [(yi, con) for yi, con in zip(y, lp.constraints) if yi]
-    combo: dict[int, Fraction] = {}
-    for yi, con in used:
-        for j, v in con.terms:
-            combo[j] = combo.get(j, _ZERO) + yi * v
+    _, nums = numeric.scaled([yi for yi, _ in used])
+    common = math.lcm(*(con.scaled[0] for _, con in used))
+    combo: dict[int, int] = {}
+    gain = 0
+    for (_, con), num in zip(used, nums):
+        scale, row = con.scaled
+        w = num * (common // scale)
+        for (j, _), a in zip(con.terms, row):
+            combo[j] = combo.get(j, 0) + w * a
+        gain += w * row[-1]
     for j, s in combo.items():
         if lp.nonnegative[j]:
             if s < 0:
                 return False
         elif s != 0:
             return False
-    return sum((yi * con.rhs for yi, con in used), start=_ZERO) < 0
+    return gain < 0
 
 
 def dual(program: LinearProgram) -> LinearProgram:
@@ -343,11 +376,11 @@ class _Tableau:
         self.scale = ncols + 1
 
         # Each row in integers: the caller's row times its scale (the lcm
-        # of its denominators) and its flip.
+        # of its denominators, ``Constraint.scaled``) and its flip.
         self.row_scale = []
         rows = []
         for con, sc, flip, unit in zip(cons, slack_col, self.flip, self.basis):
-            scale, nums = numeric.scaled([*(v for _, v in con.terms), con.rhs])
+            scale, nums = con.scaled
             self.row_scale.append(scale)
             row: dict[int, int] = {}
             for (j, _), num in zip(con.terms, nums):

@@ -292,6 +292,23 @@ class TestNipmc:
         # strict improvement
         assert sum(b * r for b, r in zip(vec, system.rhs)) < 0
 
+    def test_one_program_per_system(self, swap_violation_dataset, count_builds):
+        """``to_linear_program`` gives one program per system, so the check
+        and the explanation verify the certificate on the same rows, and
+        each row object is scaled to integers once."""
+        built = count_builds(lp.Constraint, "scaled")
+        verdict = check_nipmc(swap_violation_dataset)
+        program = verdict.system.to_linear_program()
+        assert program is verdict.system.to_linear_program()
+        assert explain_violation(verdict, swap_violation_dataset)
+        ids = [id(con) for con in built]
+        assert len(ids) == len(set(ids))
+        weighted = [
+            con for con, key in zip(program.constraints, verdict.system.rows)
+            if verdict.certificate[key]
+        ]
+        assert weighted and {id(con) for con in weighted} <= set(ids)
+
     def test_corrupted_certificate_is_rejected(self, swap_violation_dataset, monkeypatch):
         real_solve = lp.solve
 

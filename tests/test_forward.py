@@ -984,7 +984,7 @@ class TestGenerateDataset:
         """A concave cost derivative makes pooling same-act posteriors weakly
         better, so generated data is optimal and rationalizable."""
         rng = random.Random(31)
-        for trial in range(30):
+        for trial in range(100):
             prior = random_prior(rng, 4)
             menus = [random_menu(rng, f"m{i}", 3) for i in range(3)]
             ds = generate_dataset(prior, menus, concave_cost(rng))

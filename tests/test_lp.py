@@ -14,7 +14,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from infocost import ForwardProblem, lp, solve_forward
+from infocost import (
+    ForwardProblem,
+    certify_concave,
+    check_nipmc,
+    explain_violation,
+    lp,
+    numeric,
+    solve_forward,
+)
 from infocost.lp import (
     LE,
     EQ,
@@ -33,6 +41,8 @@ from infocost.lp import (
     to_lp_text,
     verify_certificate,
 )
+from test_axioms import catalog_datasets
+from test_cli_golden import CASES, _run
 
 
 def gaussian_solve(rows, rhs):
@@ -61,6 +71,47 @@ def dense_rows(program: LinearProgram):
             row[j] += v
         rows.append((row, con.relation, con.rhs))
     return rows
+
+
+def reference_satisfies(program: LinearProgram, x) -> bool:
+    """Feasibility of a point by ``Fraction`` sums, row by row; a point
+    that does not have one coordinate per variable is infeasible."""
+    if len(x) != program.num_vars:
+        return False
+    for j in range(program.num_vars):
+        if program.nonnegative[j] and x[j] < 0:
+            return False
+    for con in program.constraints:
+        lhs = sum((v * x[j] for j, v in con.terms if x[j]), start=F(0))
+        ok = {LE: lhs <= con.rhs, EQ: lhs == con.rhs, GE: lhs >= con.rhs}[con.relation]
+        if not ok:
+            return False
+    return True
+
+
+def reference_verify_certificate(program: LinearProgram, y) -> bool:
+    """The Farkas conditions for ``y`` by ``Fraction`` sums: one sign-right
+    multiplier per row, a combination of the rows that is 0 on every free
+    column and nonnegative on every other, and ``b . y < 0``."""
+    if len(y) != len(program.constraints):
+        return False
+    for yi, con in zip(y, program.constraints):
+        if con.relation == LE and yi < 0:
+            return False
+        if con.relation == GE and yi > 0:
+            return False
+    used = [(yi, con) for yi, con in zip(y, program.constraints) if yi]
+    combo = {}
+    for yi, con in used:
+        for j, v in con.terms:
+            combo[j] = combo.get(j, F(0)) + yi * v
+    for j, total in combo.items():
+        if program.nonnegative[j]:
+            if total < 0:
+                return False
+        elif total != 0:
+            return False
+    return sum((yi * con.rhs for yi, con in used), start=F(0)) < 0
 
 
 def vertex_oracle(program: LinearProgram):
@@ -569,6 +620,20 @@ class TestEliminationPath:
         assert len(phases) == 7
         assert sum(map(len, phases)) > 60
 
+    def test_cached_row_forms_build_the_fresh_rows(self):
+        """A tableau built from rows whose integer forms an earlier solve
+        cached holds the integers of one built from fresh copies of them."""
+        rng = random.Random(311)
+        for _ in range(120):
+            program = rng.choice([TestAgainstHighs(), TestDuals()]).random_program(rng)
+            solve(program)
+            fresh = replace(program, constraints=tuple(replace(con) for con in program.constraints))
+            assert all("scaled" in vars(con) for con in program.constraints)
+            assert not any("scaled" in vars(con) for con in fresh.constraints)
+            cached = lp._Tableau(program, lp.DEFAULT_PIVOT_LIMIT)
+            built = lp._Tableau(fresh, lp.DEFAULT_PIVOT_LIMIT)
+            assert (cached.rows, cached.row_scale) == (built.rows, built.row_scale)
+
 
 class TestRowFormat:
     """After every pivot each row stores nonzeros only, with its basic
@@ -804,6 +869,156 @@ class TestCertificateStructure:
         out = solve(program)
         doubled = tuple(2 * v for v in out.certificate)
         assert verify_certificate(program, doubled)
+
+
+def pipeline_rechecks():
+    """The (program, point) and (program, certificate) pairs of every
+    golden CLI case and every ``cycle`` and ``concavity`` entry of the
+    benchmark catalog: each point and certificate an ``lp.solve`` returns,
+    and the arguments of each re-check the pipelines make, once each."""
+    points, certificates = {}, {}
+    real_solve, real_satisfies, real_verify = lp.solve, lp.satisfies, lp.verify_certificate
+
+    def recorded_solve(program, **kwargs):
+        out = real_solve(program, **kwargs)
+        if out.x is not None:
+            points[id(program), out.x] = program, out.x
+        if out.certificate is not None:
+            certificates[id(program), out.certificate] = program, out.certificate
+        return out
+
+    def recorded_satisfies(program, x):
+        points[id(program), tuple(x)] = program, tuple(x)
+        return real_satisfies(program, x)
+
+    def recorded_verify(program, y):
+        certificates[id(program), tuple(y)] = program, tuple(y)
+        return real_verify(program, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "solve", recorded_solve)
+        mp.setattr(lp, "satisfies", recorded_satisfies)
+        mp.setattr(lp, "verify_certificate", recorded_verify)
+        for argv in CASES.values():
+            _run(argv)
+        for name, ds in catalog_datasets():
+            if name.startswith("concavity/"):
+                certify_concave(ds)
+                continue
+            verdict = check_nipmc(ds)
+            if not verdict.passed:
+                explain_violation(verdict, ds)
+    return list(points.values()), list(certificates.values())
+
+
+def point_mutants(x, rng):
+    """``x`` with one seeded coordinate moved by plus and by minus one
+    over the common denominator of ``x``."""
+    den = math.lcm(*(v.denominator for v in x))
+    k = rng.randrange(len(x))
+    return [x[:k] + (x[k] + step,) + x[k + 1:] for step in (F(1, den), F(-1, den))]
+
+
+def certificate_mutants(y, rng):
+    """``y`` with one seeded nonzero entry negated, and with it set to 0."""
+    k = rng.choice([i for i, v in enumerate(y) if v])
+    return [y[:k] + (value,) + y[k + 1:] for value in (-y[k], F(0))]
+
+
+class TestIntegerRechecks:
+    """``satisfies`` and ``verify_certificate`` work in integers, from each
+    row's one scaled form, and give the ``Fraction`` oracles' answers."""
+
+    def program(self):
+        return LinearProgram(
+            num_vars=2,
+            nonnegative=(True, True),
+            constraints=(constraint({0: F(1), 1: F(1)}, LE, F(1)),),
+        )
+
+    def test_a_point_with_an_extra_coordinate_is_infeasible(self):
+        assert satisfies(self.program(), (F(0), F(0)))
+        assert not satisfies(self.program(), (F(0), F(0), F(5)))
+
+    def test_a_point_missing_a_coordinate_is_infeasible(self):
+        assert not satisfies(self.program(), (F(0),))
+
+    def test_rechecks_agree_with_the_fraction_oracles(self):
+        """On every point and certificate of the golden and catalog solves,
+        and on seeded mutants of each: a coordinate moved by one over the
+        point's denominator, a certificate entry negated or zeroed, and
+        one coordinate or entry too many or too few."""
+        points, certificates = pipeline_rechecks()
+        assert len(points) > 300 and len(certificates) > 300
+        rng = random.Random(601)
+        seen = set()
+        for program, x in points:
+            assert satisfies(program, x) and reference_satisfies(program, x)
+            for moved in point_mutants(x, rng):
+                got = satisfies(program, moved)
+                assert got == reference_satisfies(program, moved)
+                seen.add(("point", got))
+            for wrong in (x + (F(0),), x[:-1]):
+                assert not satisfies(program, wrong)
+        for program, y in certificates:
+            assert verify_certificate(program, y) and reference_verify_certificate(program, y)
+            for changed in certificate_mutants(y, rng):
+                got = verify_certificate(program, changed)
+                assert got == reference_verify_certificate(program, changed)
+                seen.add(("certificate", got))
+            for wrong in (y + (F(0),), y[:-1]):
+                assert not verify_certificate(program, wrong)
+        assert {("point", True), ("point", False), ("certificate", False)} <= seen
+        rows = {id(con): con for program, _ in points + certificates for con in program.constraints}
+        for con in rows.values():
+            assert con.scaled == numeric.scaled([*(v for _, v in con.terms), con.rhs])
+
+    def test_random_programs_agree_with_the_fraction_oracles(self):
+        """Fractional rows, free variables and all three relations, with a
+        seeded random point beside each returned one."""
+        rng = random.Random(607)
+        statuses = set()
+        for _ in range(200):
+            program = TestDuals().random_program(rng)
+            program = replace(program, sense=rng.choice([program.sense, None]))
+            out = solve(program)
+            statuses.add(out.status)
+            if out.certificate is not None:
+                assert verify_certificate(program, out.certificate)
+                for changed in certificate_mutants(out.certificate, rng):
+                    assert verify_certificate(program, changed) == reference_verify_certificate(
+                        program, changed
+                    )
+            if out.x is not None:
+                for x in (out.x, *point_mutants(out.x, rng)):
+                    assert satisfies(program, x) == reference_satisfies(program, x)
+            x = tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(program.num_vars))
+            assert satisfies(program, x) == reference_satisfies(program, x)
+        assert statuses == {OPTIMAL, INFEASIBLE, lp.FEASIBLE}
+
+    def test_each_row_is_scaled_once_per_concavity_search(self, count_builds):
+        """Every prefix program shares the rows of the base system and of
+        the row blocks before it, and each row object builds its integer
+        form once, for the tableau and the certificate checks alike."""
+        built = count_builds(lp.Constraint, "scaled")
+        programs = []
+        real_solve = lp.solve
+
+        def recorded(program, **kwargs):
+            programs.append(program)
+            return real_solve(program, **kwargs)
+
+        cases = dict(catalog_datasets())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp, "solve", recorded)
+            for name in ("concavity/certified", "concavity/undetermined"):
+                ds = next(ds for key, ds in cases.items() if key.startswith(name))
+                del programs[:], built[:]
+                verdict = certify_concave(ds)
+                assert len(programs) == verdict.programs_solved > 10
+                rows = {id(con) for program in programs for con in program.constraints}
+                assert sorted(map(id, built)) == sorted(rows)
+                assert len(rows) < sum(len(program.constraints) for program in programs) / 2
 
 
 
