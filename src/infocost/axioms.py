@@ -5,13 +5,14 @@ multipliers indexed by (binding point, observation), with one row per
 ordered pair of observations and chosen act; each row is a difference of
 two price functions in the basis of ``recovery.price_terms``. The system
 is solved on its short side, as its LP dual (``lp.dual``) over
-nonnegative row weights: the dual of minimizing the multipliers'
-interior mass is bounded exactly when the system is feasible, and its
-optimal duals are then the multipliers of least interior mass that later
-build the cost derivative and price functions. Otherwise the normalized
-dual's negative optimum yields weights on ordered act pairs that spell
-out a payoff-improving reallocation of posterior means. Both are
-verified here by direct multiplication before being reported.
+nonnegative row weights, and every check costs that one program. The
+dual of minimizing the multipliers' interior mass is bounded exactly
+when the system is feasible, and its optimal duals are then the
+multipliers of least interior mass that later build the cost derivative
+and price functions. Otherwise its improving ray, scaled to sum 1,
+gives weights on ordered act pairs that spell out a payoff-improving
+reallocation of posterior means. Both are verified here by direct
+multiplication before being reported.
 Acts are compared by their menu (``Menu.values_at``, ``Menu.best_act``).
 """
 
@@ -181,82 +182,53 @@ class NipmcVerdict:
     certificate: dict[RowKey, Fraction] | None = None
 
 
-def _alternative_program(
-    program: lp.LinearProgram, interior_floor: Fraction, normalized: bool
-) -> lp.LinearProgram:
-    """The dual of max ``interior_floor`` * (interior mass) over the
-    system ``program``: min b . beta over beta >= 0 with A^T beta = 0 on
-    free columns and >= ``interior_floor`` on interior ones. With
-    ``normalized`` the row sum(beta) <= 1 is appended, which bounds it."""
-    alternative = lp.dual(
-        replace(
-            program,
-            objective=tuple(
-                (j, interior_floor) for j, nonneg in enumerate(program.nonnegative) if nonneg
-            ),
-            sense=lp.MAX,
-        )
-    )
-    if not normalized:
-        return alternative
-    one = Fraction(1)
-    total = lp.constraint({i: one for i in range(alternative.num_vars)}, lp.LE, one)
-    return replace(alternative, constraints=alternative.constraints + (total,))
-
-
-def _flattest_multipliers(
-    program: lp.LinearProgram, free_columns: tuple[bool, ...]
-) -> tuple[Fraction, ...] | None:
-    """Multipliers of ``program`` with minimal interior mass, or None when
-    the relaxed alternative is unbounded, which is exactly when
-    ``program`` is infeasible (beta = 0 is always feasible there)."""
-    relaxed = _alternative_program(program, Fraction(-1), False)
-    outcome = lp.solve(relaxed)
-    if outcome.status == lp.UNBOUNDED:
-        return None
-    if outcome.status != lp.OPTIMAL:
-        raise RuntimeError("flattest-multiplier selection failed")
-    assert outcome.x is not None and outcome.duals is not None
-    # weak duality: a feasible beta of value -mass proves the minimum; the
-    # value is b . beta of the beta checked, not the solver's report
-    mass = sum(v for v, f in zip(outcome.duals, free_columns) if not f)
-    value = sum(v * outcome.x[i] for i, v in relaxed.objective)
-    if not -mass == value == outcome.objective_value or not lp.satisfies(relaxed, outcome.x):
-        raise RuntimeError("flattest multipliers failed the duality check")
-    return outcome.duals
+def _alternative_program(program: lp.LinearProgram) -> lp.LinearProgram:
+    """The relaxed alternative: the dual of max minus the interior mass
+    over the system ``program``, min b . beta over beta >= 0 with
+    A^T beta = 0 on free columns and >= -1 on interior ones."""
+    interior = tuple((j, Fraction(-1)) for j, nonneg in enumerate(program.nonnegative) if nonneg)
+    return lp.dual(replace(program, objective=interior, sense=lp.MAX))
 
 
 def check_nipmc(dataset: Dataset, *, flattest: bool = False) -> NipmcVerdict:
-    """Decide the posterior-mean-cycle axiom via the multiplier system.
+    """Decide the posterior-mean-cycle axiom with one program, the relaxed
+    alternative, assuming the action-switch axiom passed.
 
-    Assumes the action-switch axiom already passed. The multipliers
-    reported have minimal total interior mass: they are the duals of the
-    relaxed alternative, the dual of "maximize minus the interior mass
-    subject to A lam <= b" (interior rows >= -1, no normalization), which
-    is solved first. beta = 0 is feasible there, so it is unbounded
-    exactly when the system is infeasible, and only then is the
-    normalized alternative (``sum(beta) <= 1``) solved: its negative
-    optimum's beta is the violation certificate. So passing data costs
-    one program and failing data two. That objective prices only
-    interior columns, so the free multipliers at 0 and 1, and interior
-    ones wherever the minimum is not unique, are whichever optimal vertex
-    the simplex reaches. ``flattest`` is accepted and ignored: every
-    check reports these multipliers.
+    beta = 0 is feasible there, so it has an optimum exactly when the
+    system is feasible: its duals are then the multipliers of least
+    interior mass, proved minimal by its value recomputed as b . beta
+    from a beta checked feasible. Otherwise its improving ray
+    (``LPOutcome.ray``), scaled to sum 1, is the violation certificate.
+    The objective prices only interior columns, so the free multipliers
+    at 0 and 1, interior ones the minimum leaves tied, and the
+    certificate are whichever vertex or ray the simplex reaches.
+    ``flattest`` is accepted and ignored.
     """
     system = build_farkas_system(dataset)
     program = system.to_linear_program()
-    lam: tuple[Fraction, ...] | None = (Fraction(0),) * len(system.columns)
+    lam = (Fraction(0),) * len(system.columns)
     if system.rows:
-        lam = _flattest_multipliers(program, system.free_columns)
-    if lam is None:
-        outcome = lp.solve(_alternative_program(program, Fraction(0), True))
-        if outcome.status != lp.OPTIMAL or not outcome.objective_value < 0:
-            raise RuntimeError("relaxed cycle alternative unbounded, but no certificate found")
-        assert outcome.x is not None
-        if not lp.verify_certificate(program, outcome.x):
-            raise RuntimeError("infeasibility certificate failed direct verification")
-        cert = dict(zip(system.rows, outcome.x))
-        return NipmcVerdict(passed=False, system=system, certificate=cert)
+        relaxed = _alternative_program(program)
+        outcome = lp.solve(relaxed)
+        if outcome.status == lp.UNBOUNDED:
+            total = sum(outcome.ray or ())
+            if not total > 0:
+                raise RuntimeError("relaxed cycle alternative unbounded, but no certificate found")
+            beta = tuple(v / total for v in outcome.ray)
+            if not lp.verify_certificate(program, beta):
+                raise RuntimeError("infeasibility certificate failed direct verification")
+            cert = dict(zip(system.rows, beta))
+            return NipmcVerdict(passed=False, system=system, certificate=cert)
+        if outcome.status != lp.OPTIMAL:
+            raise RuntimeError("flattest-multiplier selection failed")
+        assert outcome.x is not None and outcome.duals is not None
+        lam = outcome.duals
+        # weak duality: a feasible beta of value -mass proves the minimum;
+        # the value is b . beta of the beta checked, not the solver's report
+        mass = sum(v for v, f in zip(lam, system.free_columns) if not f)
+        value = sum(v * outcome.x[i] for i, v in relaxed.objective)
+        if not -mass == value == outcome.objective_value or not lp.satisfies(relaxed, outcome.x):
+            raise RuntimeError("flattest multipliers failed the duality check")
     if not lp.satisfies(program, lam):
         raise RuntimeError("multipliers failed direct verification")
     return NipmcVerdict(

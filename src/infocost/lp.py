@@ -41,6 +41,16 @@ and per-variable sign constraints: the returned ``y`` satisfies
 
 Any such ``y`` proves infeasibility by aggregating the rows.
 
+An unbounded program carries the improving ray ``d`` where the simplex
+stopped, one entry per variable (a free variable's negative part
+subtracted): the first non-artificial column of negative reduced cost
+with no positive entry is 1, each basic column is minus that column's
+entry over its own in its row, the rest 0. ``d`` keeps every sign
+constraint, ``a_i . d`` is ``<= 0`` on ``<=`` rows, ``>= 0`` on ``>=``
+rows and 0 on ``=`` rows, and the objective strictly improves along it.
+So a ray of an unbounded ``dual(program)``, whatever the objective of
+``program``, is a certificate for ``program``.
+
 Optimal programs also carry exact duals ``y``, one per caller row, with
 ``y . b`` equal to the optimal value; ``y_i`` is the rate at which the
 optimum moves with ``b_i``. For ``min c . x``:
@@ -158,6 +168,7 @@ class LPOutcome:
     certificate: tuple[Fraction, ...] | None = None
     duals: tuple[Fraction, ...] | None = None
     basis: Basis | None = None
+    ray: tuple[Fraction, ...] | None = None  # UNBOUNDED only, see module docstring
 
 
 @dataclass(frozen=True)
@@ -450,6 +461,20 @@ class _Tableau:
                 return UNBOUNDED
             self.pivot(pr, pc)
 
+    def improving_ray(self) -> tuple[Fraction, ...]:
+        """The improving ray of an unbounded objective in the caller's
+        variables (see the module docstring)."""
+        pc = min(
+            j for j, v in self.obj.items()
+            if v < 0 and j < self.ncols and j not in self.artificial
+            and all(row.get(j, 0) <= 0 for row in self.rows)
+        )
+        d = {pc: Fraction(1)}
+        for row, b in zip(self.rows, self.basis):
+            if pc in row:
+                d[b] = Fraction(-row[pc], row[b])
+        return tuple(d.get(pos, _ZERO) - d.get(neg, _ZERO) for pos, neg in self.var_cols)
+
     def install(self, basis: Basis) -> bool:
         """Pivot ``basis`` in, slack columns first (each is a unit column
         of its own row until a variable is pivoted in); False when it names
@@ -615,7 +640,7 @@ def solve(
     tab.drive_out_artificials(priced=warm)
     status = tab.run_simplex(banned=tab.artificial)
     if status == UNBOUNDED:
-        return LPOutcome(status=UNBOUNDED)
+        return LPOutcome(status=UNBOUNDED, ray=tab.improving_ray())
     return LPOutcome(
         status=OPTIMAL,
         x=tab.structural_solution(),

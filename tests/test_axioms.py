@@ -48,13 +48,17 @@ def singleton_observation(prior, act=None, label="solo"):
 def forged_flattest_solve(ds):
     """``lp.solve`` with the answer to ``check_nipmc(ds)``'s relaxed
     alternative forged: beta = 0, feasible multipliers that need not be
-    the flattest (the normalized alternative's duals) as duals, and an
-    objective value of minus their interior mass, which beta = 0 does not
-    attain. Returns the forgery and that mass."""
+    the flattest as duals, and an objective value of minus their interior
+    mass, which beta = 0 does not attain. The multipliers are the duals
+    of the alternative with interior rows >= 0 and sum(beta) <= 1, which
+    prices no mass. Returns the forgery and that mass."""
     system = build_farkas_system(ds)
     program = system.to_linear_program()
-    relaxed = _alternative_program(program, F(-1), False)
-    duals = lp.solve(_alternative_program(program, F(0), True)).duals[: len(system.columns)]
+    relaxed = _alternative_program(program)
+    plain = lp.dual(replace(program, sense=lp.MAX))
+    total = lp.constraint(dict.fromkeys(range(plain.num_vars), F(1)), lp.LE, F(1))
+    normalized = replace(plain, constraints=plain.constraints + (total,))
+    duals = lp.solve(normalized).duals[: len(system.columns)]
     assert lp.satisfies(program, duals)
     mass = sum(v for v, free in zip(duals, system.free_columns) if not free)
     real_solve = lp.solve
@@ -70,6 +74,42 @@ def forged_flattest_solve(ds):
         )
 
     return forged, mass
+
+
+def negated_least_entry(ray):
+    """``ray`` with its least nonzero entry negated. The cycle rays here
+    have more than one positive entry, so the sum stays positive and the
+    scaled ray is a corrupted certificate, not a refused one; a one-entry
+    ray negated sums below 0, and dividing by that sum gives it back."""
+    i = min((i for i, v in enumerate(ray) if v), key=lambda i: ray[i])
+    return ray[:i] + (-ray[i],) + ray[i + 1:]
+
+
+def zeroed(ray):
+    return tuple(F(0) for _ in ray)
+
+
+def negated(ray):
+    return tuple(-v for v in ray)
+
+
+def forged_ray_solve(ds, corrupt):
+    """``lp.solve`` with the ray of ``check_nipmc(ds)``'s relaxed
+    alternative, which must be unbounded, replaced by ``corrupt(ray)``.
+    Returns the forgery, the forged ray and the cycle system's program."""
+    program = build_farkas_system(ds).to_linear_program()
+    relaxed = _alternative_program(program)
+    real_solve = lp.solve
+    outcome = real_solve(relaxed)
+    assert outcome.status == lp.UNBOUNDED
+    ray = corrupt(outcome.ray)
+
+    def forged(program, **kwargs):
+        if program != relaxed:
+            return real_solve(program, **kwargs)
+        return replace(outcome, ray=ray)
+
+    return forged, ray, program
 
 
 def example3_twice():
@@ -310,19 +350,23 @@ class TestNipmc:
         assert weighted and {id(con) for con in weighted} <= set(ids)
 
     def test_corrupted_certificate_is_rejected(self, swap_violation_dataset, monkeypatch):
-        real_solve = lp.solve
-
-        def corrupted(program, **kwargs):
-            outcome = real_solve(program, **kwargs)
-            if outcome.status != lp.OPTIMAL:
-                return outcome
-            beta = list(outcome.x)
-            i = next(i for i, y in enumerate(beta) if y != 0)
-            beta[i] = -beta[i]
-            return replace(outcome, x=tuple(beta))
-
-        monkeypatch.setattr(lp, "solve", corrupted)
+        forged, ray, program = forged_ray_solve(swap_violation_dataset, negated_least_entry)
+        assert sum(ray) > 0
+        assert not lp.verify_certificate(program, [v / sum(ray) for v in ray])
+        monkeypatch.setattr(lp, "solve", forged)
         with pytest.raises(RuntimeError, match="direct verification"):
+            check_nipmc(swap_violation_dataset)
+
+    @pytest.mark.parametrize("corrupt, sign", [(zeroed, 0), (negated, -1)])
+    def test_ray_without_positive_sum_is_rejected(
+        self, swap_violation_dataset, monkeypatch, corrupt, sign
+    ):
+        """A ray that sums to 0 or below cannot be scaled to a certificate:
+        the check raises, rather than dividing by its sum."""
+        forged, ray, _ = forged_ray_solve(swap_violation_dataset, corrupt)
+        assert (sum(ray) > 0) - (sum(ray) < 0) == sign
+        monkeypatch.setattr(lp, "solve", forged)
+        with pytest.raises(RuntimeError, match="no certificate"):
             check_nipmc(swap_violation_dataset)
 
     def test_corrupted_multipliers_are_rejected(self, monkeypatch):
@@ -345,9 +389,7 @@ class TestNipmc:
     def test_flattest_optimality_is_rechecked(self, monkeypatch):
         ds = example3_twice()
         assert check_nipmc(ds).passed
-        relaxed = _alternative_program(
-            build_farkas_system(ds).to_linear_program(), F(-1), False
-        )
+        relaxed = _alternative_program(build_farkas_system(ds).to_linear_program())
         real_solve = lp.solve
         corrupted = []
 
@@ -375,7 +417,10 @@ class TestNipmc:
         with pytest.raises(RuntimeError, match="duality check"):
             check_nipmc(ds)
 
-    def test_flattest_solves_one_program_on_passing_data(self, monkeypatch):
+    def test_every_check_solves_one_program(self, monkeypatch):
+        """On every reference case with cycle rows, passing or failing, a
+        check solves exactly one program, and each failing case carries a
+        certificate that verifies."""
         real_solve = lp.solve
         calls = []
 
@@ -384,34 +429,26 @@ class TestNipmc:
             return real_solve(program, **kwargs)
 
         monkeypatch.setattr(lp, "solve", counted)
-        verdict = check_nipmc(example3_twice())
-        assert verdict.passed
-        assert len(calls) == 1
-
-    def test_flattest_on_failing_data_solves_two_programs(
-        self, swap_violation_dataset, monkeypatch
-    ):
-        real_solve = lp.solve
-        outcomes = []
-
-        def counted(program, **kwargs):
-            outcomes.append(real_solve(program, **kwargs))
-            return outcomes[-1]
-
-        monkeypatch.setattr(lp, "solve", counted)
-        verdict = check_nipmc(swap_violation_dataset)
-        assert not verdict.passed
-        assert [o.status for o in outcomes] == [lp.UNBOUNDED, lp.OPTIMAL]
-        assert verdict.certificate
+        verdicts = {True: 0, False: 0}
+        for name, ds in reference_cases():
+            calls.clear()
+            verdict = check_nipmc(ds)
+            if not verdict.system.rows:
+                continue
+            assert len(calls) == 1, name
+            verdicts[verdict.passed] += 1
+            if not verdict.passed:
+                beta = [verdict.certificate[key] for key in verdict.system.rows]
+                assert sum(beta) == 1, name
+                assert lp.verify_certificate(verdict.system.to_linear_program(), beta), name
+        assert min(verdicts.values()) > 0
 
     def test_relaxed_alternative_forged_unbounded_is_rejected(self, monkeypatch):
-        """On passing data, a relaxed alternative reported unbounded sends
-        the check to the normalized alternative, whose optimum is 0: with
-        no certificate there, the check raises instead of reporting."""
+        """On passing data, a relaxed alternative reported unbounded with
+        no ray leaves no certificate: the check raises instead of
+        reporting."""
         ds = example3_twice()
-        relaxed = _alternative_program(
-            build_farkas_system(ds).to_linear_program(), F(-1), False
-        )
+        relaxed = _alternative_program(build_farkas_system(ds).to_linear_program())
         real_solve = lp.solve
 
         def forged(program, **kwargs):

@@ -14,7 +14,13 @@ from infocost.io import InputError
 from infocost.model import validate_dataset
 from infocost.piecewise import PiecewiseScalarFunction
 from infocost.recovery import RationalizationReport, verify_rationalization
-from test_axioms import forged_flattest_solve
+from test_axioms import (
+    forged_flattest_solve,
+    forged_ray_solve,
+    negated,
+    negated_least_entry,
+    zeroed,
+)
 
 
 def fixture_path(name: str) -> str:
@@ -223,19 +229,24 @@ class TestCliExitCodes:
         assert "rationalization audit failed" in captured.err
 
     def test_failed_recheck_is_exit_1_without_traceback(self, monkeypatch, capsys):
-        real_solve = lp.solve
+        self.assert_forged_ray_is_exit_1(negated_least_entry, monkeypatch, capsys)
 
-        def corrupted(program, **kwargs):
-            outcome = real_solve(program, **kwargs)
-            if outcome.status != lp.OPTIMAL:
-                return outcome
-            beta = list(outcome.x)
-            i = next(i for i, w in enumerate(beta) if w != 0)
-            beta[i] = -beta[i]
-            return replace(outcome, x=tuple(beta))
+    @pytest.mark.parametrize("corrupt", [zeroed, negated])
+    def test_ray_without_positive_sum_is_exit_1(self, monkeypatch, capsys, corrupt):
+        self.assert_forged_ray_is_exit_1(corrupt, monkeypatch, capsys)
 
-        monkeypatch.setattr(lp, "solve", corrupted)
-        assert run_cli("check", fixture_path("nipmc_violation.json")) == 1
+    @staticmethod
+    def assert_forged_ray_is_exit_1(corrupt, monkeypatch, capsys):
+        """A corrupted violation ray, one that fails verification once
+        scaled or one that cannot be scaled, exits 1 with one line."""
+        path = fixture_path("nipmc_violation.json")
+        forged, ray, program = forged_ray_solve(
+            io.parse_dataset(json.loads(Path(path).read_text())), corrupt
+        )
+        if sum(ray) > 0:
+            assert not lp.verify_certificate(program, [v / sum(ray) for v in ray])
+        monkeypatch.setattr(lp, "solve", forged)
+        assert run_cli("check", path) == 1
         err = capsys.readouterr().err
         assert err.startswith("verification error: ")
         assert err.count("\n") == 1

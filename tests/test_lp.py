@@ -73,6 +73,23 @@ def dense_rows(program: LinearProgram):
     return rows
 
 
+def is_improving_ray(program: LinearProgram, d) -> bool:
+    """The ray conditions by ``Fraction`` sums: one entry per variable,
+    the sign constraints, ``a . d`` at most 0 on ``<=`` rows, 0 on ``=``
+    rows and at least 0 on ``>=`` rows, and a strictly better objective
+    along ``d``."""
+    if len(d) != program.num_vars:
+        return False
+    if any(v < 0 for v, nonneg in zip(d, program.nonnegative) if nonneg):
+        return False
+    for row, rel, _ in dense_rows(program):
+        s = sum(a * v for a, v in zip(row, d))
+        if {LE: s > 0, EQ: s != 0, GE: s < 0}[rel]:
+            return False
+    gain = sum(v * d[j] for j, v in program.objective)
+    return gain > 0 if program.sense == lp.MAX else gain < 0
+
+
 def reference_satisfies(program: LinearProgram, x) -> bool:
     """Feasibility of a point by ``Fraction`` sums, row by row; a point
     that does not have one coordinate per variable is infeasible."""
@@ -475,6 +492,12 @@ class TestAgainstHighs:
                 assert float(out.objective_value) == pytest.approx(sign * ref.fun, rel=1e-7, abs=1e-7)
             elif out.status == INFEASIBLE:
                 assert verify_certificate(program, out.certificate)
+            else:
+                assert is_improving_ray(program, out.ray)
+                # the check has teeth: the ray with its first nonzero negated fails it
+                j = next(j for j, v in enumerate(out.ray) if v)
+                mutant = out.ray[:j] + (-out.ray[j],) + out.ray[j + 1:]
+                assert not is_improving_ray(program, mutant)
             statuses.append(out.status)
         assert min(statuses.count(s) for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) >= 5
 
