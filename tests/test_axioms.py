@@ -417,6 +417,19 @@ class TestNipmc:
         with pytest.raises(RuntimeError, match="duality check"):
             check_nipmc(ds)
 
+    def test_flattest_solves_one_program_on_passing_data(self, monkeypatch):
+        real_solve = lp.solve
+        calls = []
+
+        def counted(program, **kwargs):
+            calls.append(program)
+            return real_solve(program, **kwargs)
+
+        monkeypatch.setattr(lp, "solve", counted)
+        verdict = check_nipmc(example3_twice())
+        assert verdict.passed
+        assert len(calls) == 1
+
     def test_every_check_solves_one_program(self, monkeypatch):
         """On every reference case with cycle rows, passing or failing, a
         check solves exactly one program, and each failing case carries a
