@@ -98,16 +98,6 @@ def _prefix_program(
     )
 
 
-def _assignment_program(
-    dataset: Dataset, system: FarkasSystem, assignment: tuple[int, ...]
-) -> lp.LinearProgram:
-    """Base system plus the row block of every state's generator."""
-    return _prefix_program(
-        system.to_linear_program(),
-        [_state_rows(dataset, system, zi, gen) for zi, gen in enumerate(assignment)],
-    )
-
-
 def certify_concave(dataset: Dataset, budget: int = 10_000) -> ConcavityVerdict:
     """Search generator assignments for a concave rationalizing cost.
 

@@ -34,8 +34,9 @@ so f is optimal and p touches V on its support.
 dual: the first solve's own optimal duals are the multipliers of a price
 that certifies every point of that solve's optimal face, by complementary
 slackness, and the same check proves their optimum. So
-``generate_dataset`` makes two solves, the program and its tie-break, and
-``oracle_value`` makes one, with no tie-break.
+``generate_dataset`` makes two solves, the program and its tie-break (its
+transport witness takes none, ``_decompose``), and ``oracle_value`` makes
+one, with no tie-break.
 
 Three tie-breaks narrow down the reported optimum:
 
@@ -315,58 +316,72 @@ def oracle_value(problem: ForwardProblem, resolution: int) -> Fraction:
     return _certified_price(refined, program, outcome.x, outcome.duals)[1]
 
 
-def _decompose(prior: Prior, dist: DiscreteCDF):
-    """Transportation witness moving prior mass onto posterior means.
-
-    Row sums match the prior, column sums match the target, and each
-    column's barycenter is its location; feasibility is exactly the
-    contraction property. Any witness satisfies Bayes consistency.
+def _shadow(states, left, location: Fraction, mass: Fraction):
+    """The shadow of an atom of ``mass`` at ``location`` in the mass
+    ``left`` on ``states``, as ``{state index: mass}``, or None if there
+    is none: the one block of ``left`` that is contiguous in state order
+    (states with nothing left skipped) with the atom's mass and mean. A
+    block from state i to j > i takes all of every state between them,
+    so its mass and first moment fix its parts at i and j; it is the
+    shadow when both are positive and within what is left there.
     """
-    states = [
-        (zi, z, w)
-        for zi, (z, w) in enumerate(
-            zip(prior.state_space.states, prior.weights)
-        )
-        if w > 0
-    ]
-    atoms = dist.atoms
-    ns, na = len(states), len(atoms)
+    live = [s for s, w in enumerate(left) if w > 0]
+    for n, i in enumerate(live):
+        if states[i] >= location:  # no block from here on has a lower mean
+            return {i: mass} if states[i] == location and left[i] >= mass else None
+        full = moment = Fraction(0)
+        for k, j in enumerate(live[n + 1:], n + 1):
+            at_i = (states[j] * (mass - full) - mass * location + moment) / (states[j] - states[i])
+            at_j = mass - full - at_i
+            if 0 < at_i <= left[i] and 0 < at_j <= left[j]:
+                return {i: at_i, **{s: left[s] for s in live[n + 1:k]}, j: at_j}
+            full, moment = full + left[j], moment + states[j] * left[j]
+            if full >= mass:
+                break
+    return None
 
-    def var(si: int, ai: int) -> int:
-        return si * na + ai
 
-    cons = []
-    one = Fraction(1)
-    for si, (_, _, w) in enumerate(states):
-        cons.append(
-            lp.constraint({var(si, ai): one for ai in range(na)}, lp.EQ, w)
-        )
-    for ai, (g, p) in enumerate(atoms):
-        cons.append(
-            lp.constraint({var(si, ai): one for si in range(ns)}, lp.EQ, p)
-        )
-        cons.append(
-            lp.constraint(
-                {var(si, ai): states[si][1] for si in range(ns)},
-                lp.EQ,
-                g * p,
-            )
-        )
-    program = lp.LinearProgram(
-        num_vars=ns * na,
-        nonnegative=(True,) * (ns * na),
-        constraints=tuple(cons),
-    )
-    outcome = lp.solve(program)
-    if outcome.status != lp.FEASIBLE:
-        raise RuntimeError("transportation decomposition infeasible for a contraction")
-    assert outcome.x is not None
-    if not lp.satisfies(program, outcome.x):
-        raise RuntimeError("transportation witness failed direct verification")
+def _left_curtain(prior: Prior, dist: DiscreteCDF):
+    """The left-curtain coupling: ``dist``'s atoms from left to right,
+    each sent its shadow in the prior mass the atoms before it left."""
+    left = list(prior.weights)
     plan = {}
-    for si, (zi, _, _) in enumerate(states):
-        for ai in range(na):
-            plan[(zi, ai)] = outcome.x[var(si, ai)]
+    for ai, (location, mass) in enumerate(dist.atoms):
+        block = _shadow(prior.state_space.states, left, location, mass)
+        if block is None:
+            raise RuntimeError("transportation decomposition infeasible for a contraction")
+        for zi, share in block.items():
+            left[zi] -= share
+            plan[zi, ai] = share
+    return plan
+
+
+def _decompose(prior: Prior, dist: DiscreteCDF):
+    """Transportation witness moving prior mass onto posterior means, as
+    ``{(state index, atom index): mass}`` over its positive entries.
+
+    It exists exactly when ``dist`` is a contraction of the prior
+    (Strassen 1965), and any witness makes the data Bayes consistent. The
+    one reported is the left-curtain coupling (``_left_curtain``;
+    Beiglböck & Juillet 2016), the unique left-monotone one. It is
+    re-checked from its entries alone: all are nonnegative, each state's
+    row sums to its prior weight, and each atom's column sums to its mass
+    with first moment mass times location.
+    """
+    plan = _left_curtain(prior, dist)
+    states, zero, atoms = prior.state_space.states, Fraction(0), dist.atoms
+    rows, columns, moments = [zero] * len(states), [zero] * len(atoms), [zero] * len(atoms)
+    for (zi, ai), mass in plan.items():
+        rows[zi] += mass
+        columns[ai] += mass
+        moments[ai] += states[zi] * mass
+    if (
+        any(mass < 0 for mass in plan.values())
+        or rows != list(prior.weights)
+        or columns != [p for _, p in atoms]
+        or moments != [z * p for z, p in atoms]
+    ):
+        raise RuntimeError("transportation witness failed direct verification")
     return plan
 
 
@@ -382,8 +397,9 @@ def generate_dataset(
     solve's own duals (``_certified_price``); the flattest price, which
     the data does not show, is never solved for. Every support point of
     the optimum, and each state of prior weight 0, is served by its best act
-    (``Menu.best_act``), and a transportation witness converts the
-    distribution into per-state choice probabilities through Bayes' rule.
+    (``Menu.best_act``), and the left-curtain coupling of the prior and
+    the distribution (``_decompose``), built and re-checked without an LP,
+    converts it into per-state choice probabilities through Bayes' rule.
 
     Choice data reveals one mean per act. When the optimum sends two
     support points to one act, the data shows their pooled mean, a
@@ -400,23 +416,12 @@ def generate_dataset(
         program, f, first = _least_informative(problem)
         _certified_price(problem, program, f, first.duals)
         dist, served = _served(problem, f)
-        plan = _decompose(prior, dist)
         rows = [[zero] * nstates for _ in menu.acts]
-        for (zi, atom), mass in plan.items():
-            if mass == 0:
-                continue
+        for (zi, atom), mass in _decompose(prior, dist).items():
             rows[served[atom]][zi] += mass / prior.weights[zi]
         for zi, (z, w) in enumerate(zip(prior.state_space.states, prior.weights)):
-            if w > 0:
-                continue
-            rows[menu.best_act(z)[0]][zi] = Fraction(1)
-        observations.append(
-            Observation(
-                prior=prior,
-                menu=menu,
-                sdsc=SDSC(rows=tuple(tuple(r) for r in rows)),
-            )
-        )
-    return Dataset(
-        state_space=prior.state_space, observations=tuple(observations)
-    )
+            if w == 0:
+                rows[menu.best_act(z)[0]][zi] = Fraction(1)
+        sdsc = SDSC(rows=tuple(tuple(r) for r in rows))
+        observations.append(Observation(prior=prior, menu=menu, sdsc=sdsc))
+    return Dataset(state_space=prior.state_space, observations=tuple(observations))

@@ -195,9 +195,11 @@ def parse_cost(doc: Mapping[str, Any], z0: Fraction) -> PiecewiseScalarFunction:
     raise InputError("cost needs 'breakpoints' or 'variance_kappa'")
 
 
-def _prior_menus_cost(doc: Mapping[str, Any], what: str, parse_menus):
+def _prior_menus_cost(doc: Mapping[str, Any], what: str, parse_menus, *rules):
     """Prior, ``parse_menus(states)`` and cost of a forward problem or a
-    generation spec, with errors named after ``what``."""
+    generation spec, with errors named after ``what``. The states, the
+    prior and each of ``rules`` (a prior's problems) are checked before
+    the cost is parsed, since a variance cost reads the prior mean."""
     try:
         states = tuple(scalar_in(z) for z in doc["states"])
         prior = Prior(
@@ -210,21 +212,22 @@ def _prior_menus_cost(doc: Mapping[str, Any], what: str, parse_menus):
     cost_doc = doc.get("cost")
     if not isinstance(cost_doc, Mapping):
         raise InputError(f"{what} needs a 'cost' object")
+    problems = [*prior.state_space.problems(), *prior.problems()]
+    problems += [problem for rule in rules for problem in rule(prior)]
+    if problems:
+        raise InputError(f"{what} is invalid: " + "; ".join(problems))
     return prior, menus, parse_cost(cost_doc, prior.mean)
 
 
 @_document("forward problem")
 def parse_forward_problem(doc: Mapping[str, Any]) -> ForwardProblem:
+    # unlike a generation spec's, a forward prior may leave an endpoint
+    # state without mass
     prior, menu, cost = _prior_menus_cost(
         doc,
         "forward problem",
         lambda states: _parse_menu(str(doc.get("menu_id", "menu")), doc["menu"], states),
     )
-    # unlike a generation spec's, a forward prior may leave an endpoint
-    # state without mass
-    problems = [*prior.state_space.problems(), *prior.problems()]
-    if problems:
-        raise InputError("forward problem is invalid: " + "; ".join(problems))
     return ForwardProblem(prior, menu, cost)
 
 
@@ -236,17 +239,9 @@ def parse_generation_spec(doc: Mapping[str, Any]):
             raise InputError("generation spec needs a nonempty 'menus' mapping")
         return [_parse_menu(name, acts, states) for name, acts in menus_doc.items()]
 
-    prior, menus, cost = _prior_menus_cost(doc, "generation spec", parse_menus)
     # the generated dataset carries these states and prior, so a spec that
-    # ``validate`` would reject is rejected here
-    problems = [
-        *prior.state_space.problems(),
-        *prior.problems(),
-        *endpoint_mass_problems(prior),
-    ]
-    if problems:
-        raise InputError("generation spec is invalid: " + "; ".join(problems))
-    return prior, menus, cost
+    # ``validate`` would reject is rejected
+    return _prior_menus_cost(doc, "generation spec", parse_menus, endpoint_mass_problems)
 
 
 def function_out(fn: PiecewiseScalarFunction) -> dict[str, Any]:

@@ -21,15 +21,19 @@ from infocost import (
     variance_cost,
     verify_rationalization,
 )
-from infocost import cli, io, lp
+from infocost import cli, concavity, io, lp
 from infocost.axioms import build_farkas_system
-from infocost.concavity import (
-    BUDGET_EXCEEDED,
-    CERTIFIED,
-    UNDETERMINED,
-    _assignment_program,
-)
+from infocost.concavity import BUDGET_EXCEEDED, CERTIFIED, UNDETERMINED
 from infocost.model import indirect_utility
+
+
+def assignment_program(ds, system, assignment) -> lp.LinearProgram:
+    """The search's program of a full assignment: the base system plus
+    the row block of every state's generator."""
+    return concavity._prefix_program(
+        system.to_linear_program(),
+        [concavity._state_rows(ds, system, zi, gen) for zi, gen in enumerate(assignment)],
+    )
 
 
 class TestIsConcave:
@@ -115,17 +119,11 @@ class TestCertifyConcave:
     def test_batch_of_assignment_programs_agrees_with_the_search(self):
         """Solving all assignment programs in one batch finds a feasible one
         exactly when the search certifies."""
-        import itertools
-
-        from infocost import lp
-        from infocost.axioms import build_farkas_system
-        from infocost.concavity import _assignment_program
-
         ds = two_menu_concave_dataset()
         system = build_farkas_system(ds)
         n = len(ds.observations)
         programs = [
-            _assignment_program(ds, system, assignment)
+            assignment_program(ds, system, assignment)
             for assignment in itertools.product(
                 range(n), repeat=len(ds.state_space.states)
             )
@@ -147,7 +145,7 @@ class TestCertifyConcave:
         n = len(ds.observations)
         rng = random.Random(41)
         for assignment in itertools.product(range(n), repeat=len(ds.state_space.states)):
-            program = _assignment_program(ds, system, assignment)
+            program = assignment_program(ds, system, assignment)
             lam = {key: F(rng.randint(-6, 6), rng.randint(1, 4)) for key in system.columns}
             values = [lam[key] for key in system.columns]
             rows = iter(program.constraints[base:])
@@ -219,7 +217,7 @@ def exhaustive_search(ds):
     system = build_farkas_system(ds)
     n = len(ds.observations)
     for assignment in itertools.product(range(n), repeat=len(ds.state_space.states)):
-        outcome = lp.solve(_assignment_program(ds, system, assignment))
+        outcome = lp.solve(assignment_program(ds, system, assignment))
         if outcome.status == lp.FEASIBLE:
             return CERTIFIED, assignment, dict(zip(system.columns, outcome.x))
     return UNDETERMINED, None, None

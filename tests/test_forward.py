@@ -6,6 +6,7 @@ from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction as F
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -838,6 +839,204 @@ def generation_cases():
     yield bundled_generation_spec()[1]
 
 
+def golden_generation_specs():
+    """(prior, menus, cost) of the generation specs under ``tests/golden``."""
+    for path in sorted((Path(__file__).parent / "golden").glob("generate_*.json")):
+        yield io.parse_generation_spec(json.loads(path.read_text()))
+
+
+def transport_program(prior: Prior, dist: DiscreteCDF) -> lp.LinearProgram:
+    """The transport program whose vertex was the witness before the
+    left-curtain coupling: a column per (state of positive weight, atom),
+    row-major; each state's row sums to its weight, and each atom's
+    column sums to its mass with first moment mass times location. Its
+    feasible points are exactly the martingale couplings."""
+    live = [zi for zi, w in enumerate(prior.weights) if w > 0]
+    states, na = prior.state_space.states, len(dist.atoms)
+    cons = [
+        lp.constraint({si * na + ai: F(1) for ai in range(na)}, lp.EQ, prior.weights[zi])
+        for si, zi in enumerate(live)
+    ]
+    for ai, (g, p) in enumerate(dist.atoms):
+        cons.append(lp.constraint({si * na + ai: F(1) for si in range(len(live))}, lp.EQ, p))
+        cons.append(
+            lp.constraint({si * na + ai: states[zi] for si, zi in enumerate(live)}, lp.EQ, g * p)
+        )
+    return lp.LinearProgram(
+        num_vars=len(live) * na, nonnegative=(True,) * (len(live) * na), constraints=tuple(cons)
+    )
+
+
+def transport_columns(prior: Prior, dist: DiscreteCDF) -> list[tuple[int, int]]:
+    """The (state index, atom index) of each column of ``transport_program``."""
+    live = [zi for zi, w in enumerate(prior.weights) if w > 0]
+    return [(zi, ai) for zi in live for ai in range(len(dist.atoms))]
+
+
+def transport_vertex(prior: Prior, dist: DiscreteCDF) -> dict:
+    """The vertex of ``transport_program`` that the simplex reaches, as a
+    plan of its positive entries: the witness of the earlier generator."""
+    program = transport_program(prior, dist)
+    outcome = lp.solve(program)
+    assert outcome.status == lp.FEASIBLE and lp.satisfies(program, outcome.x)
+    return {key: m for key, m in zip(transport_columns(prior, dist), outcome.x) if m}
+
+
+def is_left_monotone(plan) -> bool:
+    """No atoms x < x' and states y1 < y2 < y3 such that x has mass on y1
+    and y3 and x' has mass on y2 (atoms and states indexed in order)."""
+    support: dict[int, set[int]] = {}
+    for (zi, ai), mass in plan.items():
+        if mass:
+            support.setdefault(ai, set()).add(zi)
+    return not any(
+        min(ys) < y < max(ys)
+        for ai, ys in support.items()
+        for aj, others in support.items()
+        if aj > ai
+        for y in others
+    )
+
+
+def right_curtain(prior: Prior, dist: DiscreteCDF) -> dict:
+    """The right-curtain coupling, which takes the atoms from the right:
+    the left-curtain coupling of the mirrored problem (every state and
+    location z read as 1 - z), mapped back."""
+    ns, na = len(prior.weights), len(dist.atoms)
+    mirror = Prior(
+        StateSpace(tuple(1 - z for z in reversed(prior.state_space.states))),
+        tuple(reversed(prior.weights)),
+    )
+    mirrored = DiscreteCDF(tuple((1 - z, p) for z, p in reversed(dist.atoms)))
+    return {
+        (ns - 1 - zi, na - 1 - ai): mass
+        for (zi, ai), mass in forward._left_curtain(mirror, mirrored).items()
+    }
+
+
+def shifted_shadow_end(prior: Prior, dist: DiscreteCDF, plan: dict) -> dict | None:
+    """``plan`` with the highest state of the first atom's shadow that
+    does not reach the last state moved one state up; None when every
+    shadow reaches it."""
+    for ai in range(len(dist.atoms)):
+        top = max(zi for zi, aj in plan if aj == ai)
+        if top + 1 < len(prior.weights):
+            mutant = dict(plan)
+            mutant[(top + 1, ai)] = mutant.get((top + 1, ai), F(0)) + mutant.pop((top, ai))
+            return mutant
+    return None
+
+
+def dropped_partial_end(prior: Prior, dist: DiscreteCDF, plan: dict) -> dict | None:
+    """``plan`` without the first end of a shadow that takes only part of
+    its state's mass; None when no shadow has such an end."""
+    for ai in range(len(dist.atoms)):
+        shadow = [zi for zi, aj in plan if aj == ai]
+        for zi in sorted({min(shadow), max(shadow)}):
+            if plan[(zi, ai)] < prior.weights[zi]:
+                return {key: m for key, m in plan.items() if key != (zi, ai)}
+    return None
+
+
+@pytest.fixture(scope="module")
+def couplings():
+    """(prior, distribution, plan) of every menu that ``generate_dataset``
+    couples over ``generation_cases()`` and the golden specs."""
+    seen = []
+    real = forward._decompose
+
+    def recorded(prior, dist):
+        plan = real(prior, dist)
+        seen.append((prior, dist, plan))
+        return plan
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forward, "_decompose", recorded)
+        for case in (*generation_cases(), *golden_generation_specs()):
+            generate_dataset(*case)
+    return seen
+
+
+class TestLeftCurtain:
+    """The transport witness is the left-curtain coupling (Beiglböck &
+    Juillet 2016), checked against the transport program it replaced."""
+
+    def test_every_coupling_satisfies_the_transport_program(self, couplings):
+        assert len(couplings) == 3 * 66 + 1 + 3 * 4
+        for prior, dist, plan in couplings:
+            columns = transport_columns(prior, dist)
+            assert set(plan) <= set(columns)
+            x = [plan.get(key, F(0)) for key in columns]
+            assert lp.satisfies(transport_program(prior, dist), x)
+
+    def test_every_coupling_is_left_monotone(self, couplings):
+        assert all(is_left_monotone(plan) for _, _, plan in couplings)
+
+    def test_a_transport_vertex_is_left_monotone_only_where_it_is_the_coupling(
+        self, couplings
+    ):
+        """The left-curtain coupling is the only left-monotone martingale
+        coupling, so left monotonicity tells it from the other witnesses."""
+        differ = 0
+        for prior, dist, plan in couplings:
+            vertex = transport_vertex(prior, dist)
+            assert is_left_monotone(vertex) == (vertex == plan)
+            differ += vertex != plan
+        assert differ >= 50
+
+    @pytest.mark.parametrize("mutant", [shifted_shadow_end, dropped_partial_end])
+    def test_a_broken_shadow_fails_the_recheck(self, couplings, monkeypatch, mutant):
+        broken = 0
+        for prior, dist, plan in couplings:
+            bad = mutant(prior, dist, plan)
+            if bad is None:
+                continue
+            broken += 1
+            monkeypatch.setattr(forward, "_left_curtain", lambda prior, dist: bad)
+            with pytest.raises(RuntimeError, match="failed direct verification"):
+                forward._decompose(prior, dist)
+        assert broken >= 100
+
+    def test_the_right_curtain_passes_the_recheck_but_is_not_left_monotone(
+        self, couplings, monkeypatch
+    ):
+        """Taking the atoms from the right gives another valid witness,
+        the right-curtain coupling. The re-check accepts it; only left
+        monotonicity rejects it where it differs from the left curtain."""
+        differ = 0
+        for prior, dist, plan in couplings:
+            mirrored = right_curtain(prior, dist)
+            with monkeypatch.context() as patch:
+                patch.setattr(forward, "_left_curtain", lambda prior, dist: mirrored)
+                assert forward._decompose(prior, dist) == mirrored
+            assert is_left_monotone(mirrored) == (mirrored == plan)
+            differ += mirrored != plan
+        assert differ >= 50
+
+    def test_a_missing_shadow_is_reported(self, four_state_uniform_prior):
+        """A distribution more spread out than the prior has no coupling."""
+        spread = DiscreteCDF(((F(0), F(1, 2)), (F(1), F(1, 2))))
+        with pytest.raises(RuntimeError, match="infeasible for a contraction"):
+            forward._decompose(four_state_uniform_prior, spread)
+
+    def test_revealed_summaries_equal_those_of_the_transport_vertex(self, monkeypatch):
+        """The coupling moves some choice probabilities but no revealed
+        summary, so nothing read from generated data can move."""
+        cases = [*generation_cases(), *golden_generation_specs()]
+        coupled = [generate_dataset(*case) for case in cases]
+        monkeypatch.setattr(forward, "_decompose", transport_vertex)
+        moved = 0
+        for case, ds in zip(cases, coupled):
+            reference = generate_dataset(*case)
+            moved += ds != reference
+            for obs, ref in zip(ds.observations, reference.observations):
+                a, b = revealed_summary(obs), revealed_summary(ref)
+                assert (a.act_means, a.act_probabilities, a.cdf) == (
+                    b.act_means, b.act_probabilities, b.cdf
+                )
+        assert moved >= 1
+
+
 class TestGenerateDataset:
     def test_matches_the_data_of_solve_forward(self):
         """The flattest price is never shown in the data, so stopping
@@ -849,10 +1048,11 @@ class TestGenerateDataset:
                 prior, menus, cost
             ), n
 
-    def test_solves_the_program_its_face_and_the_witness_only(self, monkeypatch):
-        """Per menu: the first solve, its tie-break on the optimal face and
-        the transport witness; no dual. ``solve_forward`` still makes four
-        solves, two of them on the dual."""
+    def test_solves_the_program_and_its_face_only(self, monkeypatch):
+        """Per menu: the first solve and its tie-break on the optimal face;
+        no dual, and no program for the transport witness, which is the
+        left-curtain coupling. ``solve_forward`` still makes four solves,
+        two of them on the dual."""
         counts = Counter()
         for name in ("solve", "dual", "dual_basis"):
             def counted(*args, _real=getattr(lp, name), _name=name, **kwargs):
@@ -862,7 +1062,7 @@ class TestGenerateDataset:
             monkeypatch.setattr(lp, name, counted)
         prior, menus, cost = pooled_act_case()
         generate_dataset(prior, menus, cost)
-        assert counts == {"solve": 3 * len(menus)}
+        assert counts == {"solve": 2 * len(menus)}
         counts.clear()
         solve_forward(ForwardProblem.build(prior, menus[0], cost))
         assert counts == {"solve": 4, "dual": 1, "dual_basis": 1}
@@ -1018,16 +1218,13 @@ class TestGenerateDataset:
     def test_corrupted_transport_witness_is_rejected(
         self, three_act_menu, four_state_uniform_prior, steep_pooling_cost, monkeypatch, capsys
     ):
-        real_solve = lp.solve
+        real_curtain = forward._left_curtain
 
-        def shifted(program, **kwargs):
-            outcome = real_solve(program, **kwargs)
-            if outcome.status != lp.FEASIBLE:
-                return outcome
-            return replace(outcome, x=tuple(v + 1 for v in outcome.x))
+        def shifted(prior, dist):
+            return {key: mass + 1 for key, mass in real_curtain(prior, dist).items()}
 
-        monkeypatch.setattr(lp, "solve", shifted)
-        with pytest.raises(RuntimeError):
+        monkeypatch.setattr(forward, "_left_curtain", shifted)
+        with pytest.raises(RuntimeError, match="failed direct verification"):
             generate_dataset(four_state_uniform_prior, [three_act_menu], steep_pooling_cost)
         spec = resources.files("infocost.fixtures").joinpath("example3_generate.json")
         assert cli.main(["generate", str(spec)]) == 1

@@ -22,6 +22,9 @@ from test_axioms import (
     zeroed,
 )
 
+# a cost whose parsing reads the prior mean
+VARIANCE_COST = {"variance_kappa": "1"}
+
 
 def fixture_path(name: str) -> str:
     return str(resources.files("infocost.fixtures").joinpath(name))
@@ -420,19 +423,33 @@ class TestCliExitCodes:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "field, value, problem",
+        "changes, problem",
         [
-            ("states", ["0", "2/3", "1/3", "1"], "states not strictly increasing at 2/3, 1/3"),
-            ("prior", ["0", "1/2", "1/4", "1/4"], "prior must put mass on state 0"),
-            ("prior", ["1/4", "1/2", "1/4", "0"], "prior must put mass on state 1"),
+            ({"states": ["0", "2/3", "1/3", "1"]}, "states not strictly increasing at 2/3, 1/3"),
+            ({"prior": ["0", "1/2", "1/4", "1/4"]}, "prior must put mass on state 0"),
+            ({"prior": ["1/4", "1/2", "1/4", "0"]}, "prior must put mass on state 1"),
+            (
+                {"states": ["0", "1/2", "1"], "prior": ["1", "0"], "cost": VARIANCE_COST},
+                "prior has 2 weights for 3 states",
+            ),
+            (
+                {"prior": ["1/2", "-1", "0", "3/2"], "cost": VARIANCE_COST},
+                "prior weight at state 1/3 is negative",
+            ),
         ],
-        ids=["unsorted-states", "no-mass-at-0", "no-mass-at-1"],
+        ids=[
+            "unsorted-states", "no-mass-at-0", "no-mass-at-1",
+            "variance-cost-two-weights-for-three-states", "variance-cost-negative-weight",
+        ],
     )
     def test_generate_rejects_a_spec_validate_would_reject(
-        self, tmp_path, capsys, field, value, problem
+        self, tmp_path, capsys, changes, problem
     ):
+        """The states and the prior are checked before the cost is parsed:
+        a variance cost reads the prior mean, which a misshapen prior
+        leaves outside (0, 1)."""
         doc = json.loads(Path(fixture_path("example3_generate.json")).read_text())
-        doc[field] = value
+        doc.update(changes)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
         assert run_cli("generate", str(spec)) == 2
@@ -441,19 +458,33 @@ class TestCliExitCodes:
         assert captured.err == f"input error: generation spec is invalid: {problem}\n"
 
     @pytest.mark.parametrize(
-        "field, value, problem",
+        "changes, problem",
         [
-            ("prior", ["1/2", "1/2"], "prior has 2 weights for 4 states"),
-            ("states", ["0", "1/3", "1/3", "1"], "states not strictly increasing at 1/3, 1/3"),
-            ("prior", ["1/2", "-1/4", "1/2", "1/4"], "prior weight at state 1/3 is negative"),
+            ({"prior": ["1/2", "1/2"]}, "prior has 2 weights for 4 states"),
+            (
+                {"states": ["0", "1/3", "1/3", "1"]},
+                "states not strictly increasing at 1/3, 1/3",
+            ),
+            ({"prior": ["1/2", "-1/4", "1/2", "1/4"]}, "prior weight at state 1/3 is negative"),
+            (
+                {"states": ["0", "1/2", "1"], "prior": ["1", "0"], "cost": VARIANCE_COST},
+                "prior has 2 weights for 3 states",
+            ),
+            (
+                {"prior": ["3/2", "-1/2", "0", "0"], "cost": VARIANCE_COST},
+                "prior weight at state 1/3 is negative",
+            ),
         ],
-        ids=["two-weights-for-four-states", "repeated-state", "negative-weight"],
+        ids=[
+            "two-weights-for-four-states", "repeated-state", "negative-weight",
+            "variance-cost-two-weights-for-three-states", "variance-cost-negative-weight",
+        ],
     )
     def test_solve_rejects_a_malformed_forward_problem(
-        self, tmp_path, capsys, field, value, problem
+        self, tmp_path, capsys, changes, problem
     ):
         doc = json.loads(Path(fixture_path("example3_forward.json")).read_text())
-        doc[field] = value
+        doc.update(changes)
         spec = tmp_path / "forward.json"
         spec.write_text(json.dumps(doc))
         assert run_cli("solve", str(spec)) == 2
