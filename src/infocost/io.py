@@ -188,8 +188,7 @@ def dataset_out(dataset: Dataset) -> dict[str, Any]:
 
 def parse_cost(doc: Mapping[str, Any], z0: Fraction) -> PiecewiseScalarFunction:
     if "breakpoints" in doc:
-        points = [(scalar_in(x), scalar_in(y)) for x, y in doc["breakpoints"]]
-        return PiecewiseScalarFunction.from_points(points)
+        return PiecewiseScalarFunction.from_points(_points(doc["breakpoints"], "cost"))
     if "variance_kappa" in doc:
         return variance_cost(scalar_in(doc["variance_kappa"]), z0)
     raise InputError("cost needs 'breakpoints' or 'variance_kappa'")
@@ -256,8 +255,18 @@ def function_out(fn: PiecewiseScalarFunction) -> dict[str, Any]:
 
 @_document("function")
 def function_in(doc: Mapping[str, Any]) -> PiecewiseScalarFunction:
-    points = [(scalar_in(x), scalar_in(y)) for x, y in doc["breakpoints"]]
-    return PiecewiseScalarFunction.from_points(points)
+    return PiecewiseScalarFunction.from_points(_points(doc["breakpoints"], "function"))
+
+
+def _points(rows: Sequence[Any], what: str) -> list[tuple[Fraction, Fraction]]:
+    """The (x, y) pairs of a ``breakpoints`` array; a row that is not a
+    pair raises ``InputError``, naming ``what`` and the row's index."""
+    points = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != 2:
+            raise InputError(f"{what} breakpoint {i} is not an [x, y] pair")
+        points.append((scalar_in(row[0]), scalar_in(row[1])))
+    return points
 
 
 def figure_series(fn: PiecewiseScalarFunction, name: str) -> dict[str, Any]:

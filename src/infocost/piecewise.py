@@ -16,10 +16,19 @@ Breakpoints and coefficients are ``Fraction``s or ``int``s; a float
 raises ``TypeError``. ``from_points`` and ``line_envelope`` divide in
 ``Fraction`` whatever mix of the two they are given, so no float arises.
 
+A value is built from integers: ``_eval`` takes the numerators and
+denominators of ``a``, ``b``, ``c`` and the point ``z``, computes ``(a z
++ b) z + c`` as one integer numerator over one positive integer
+denominator, and ``__call__``, ``values_at`` and ``breakpoint_values``
+make one ``Fraction`` of that pair. The continuity check compares the
+two sides of a breakpoint by cross-multiplying their pairs, and makes no
+``Fraction``; ``minimum_of_sum`` compares its candidates the same way and
+makes one ``Fraction``, of the least.
+
 Functions are evaluated at many points by one sweep: ``values_at`` walks
-a sorted list of points and the breakpoints together, and ``__add__``
-and ``lower_envelope`` walk every operand's breakpoints in step, so none
-of them searches for a segment per point.
+a sorted list of points and the breakpoints together, and ``__add__``,
+``lower_envelope`` and ``minimum_of_sum`` walk every operand's
+breakpoints in step, so none of them searches for a segment per point.
 """
 
 from __future__ import annotations
@@ -56,15 +65,18 @@ class PiecewiseScalarFunction:
             raise ValueError("need at least two breakpoints")
         if xs[0] != 0 or xs[-1] != 1:
             raise ValueError("domain must be exactly [0, 1]")
-        for a, b in zip(xs, xs[1:]):
-            if a >= b:
+        ratios = [(x.numerator, x.denominator) for x in xs]
+        for (an, ad), (bn, bd) in zip(ratios, ratios[1:]):
+            if an * bd >= bn * ad:
                 raise ValueError("breakpoints must be strictly increasing")
-        if len(self.coefficients) != len(xs) - 1:
+        coeffs = self.coefficients
+        if len(coeffs) != len(xs) - 1:
             raise ValueError("need one coefficient triple per segment")
         for i in range(1, len(xs) - 1):
-            left = _eval(self.coefficients[i - 1], xs[i])
-            right = _eval(self.coefficients[i], xs[i])
-            if left != right:
+            zn, zd = ratios[i]
+            ln, ld = _eval(coeffs[i - 1], zn, zd)
+            rn, rd = _eval(coeffs[i], zn, zd)
+            if ln * rd != rn * ld:
                 raise ValueError(f"discontinuity at breakpoint {numeric.format_scalar(xs[i])}")
 
     # -- constructors ---------------------------------------------------
@@ -107,8 +119,8 @@ class PiecewiseScalarFunction:
         return min(max(i, 0), len(self.coefficients) - 1)
 
     def __call__(self, z: Fraction) -> Fraction:
-        _check_domain(z)
-        return _eval(self.coefficients[self.segment_index(z)], z)
+        zn, zd = _ratio(z)
+        return Fraction(*_eval(self.coefficients[self.segment_index(z)], zn, zd))
 
     def values_at(self, xs: Sequence[Fraction]) -> list[Fraction]:
         """The values at the nondecreasing points ``xs``, in one sweep.
@@ -120,19 +132,21 @@ class PiecewiseScalarFunction:
         out: list[Fraction] = []
         if not xs:
             return out
-        _check_domain(xs[0])
-        _check_domain(xs[-1])
-        bps, coeffs = self.breakpoints, self.coefficients
-        last = len(coeffs) - 1
+        _ratio(xs[0])
+        _ratio(xs[-1])
+        bps = [(x.numerator, x.denominator) for x in self.breakpoints[1:-1]]
+        coeffs = self.coefficients
         i = 0
-        prev = xs[0]
+        pn, pd = 0, 1
         for x in xs:
-            if x < prev:
+            xn, xd = x.numerator, x.denominator
+            if xn * pd < pn * xd:
                 raise ValueError("points must be nondecreasing")
-            prev = x
-            while i < last and bps[i + 1] <= x:
+            pn, pd = xn, xd
+            # bps[i] is where segment i ends and segment i + 1 starts
+            while i < len(bps) and bps[i][0] * xd <= xn * bps[i][1]:
                 i += 1
-            out.append(_eval(coeffs[i], x))
+            out.append(Fraction(*_eval(coeffs[i], xn, xd)))
         return out
 
     def breakpoint_values(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -148,21 +162,9 @@ class PiecewiseScalarFunction:
         return tuple(b for _, b, _ in self.coefficients)
 
     def minimum(self) -> Fraction:
-        """The exact minimum over [0, 1].
-
-        It is attained at a breakpoint or, on a segment with ``a > 0``, at
-        the stationary point ``-b / 2a`` when that lies inside the segment.
-        """
-        bps = self.breakpoints
-        values = [_eval(self.coefficients[-1], bps[-1])]
-        for x1, x2, seg in zip(bps, bps[1:], self.coefficients):
-            values.append(_eval(seg, x1))
-            a, b, _ = seg
-            if a > 0:
-                x = -b / (2 * a)
-                if x1 < x < x2:
-                    values.append(_eval(seg, x))
-        return min(values)
+        """The exact minimum over [0, 1]: ``minimum_of_sum`` of this
+        function alone."""
+        return minimum_of_sum(((1, self),))
 
     def derivative_at(self, seg_index: int, z: Fraction) -> Fraction:
         a, b, _ = self.coefficients[seg_index]
@@ -205,14 +207,78 @@ class PiecewiseScalarFunction:
     __rmul__ = __mul__
 
 
-def _eval(coeffs: Coeffs, z: Fraction) -> Fraction:
+def _eval(coeffs: Coeffs, zn: int, zd: int) -> tuple[int, int]:
+    """``a z^2 + b z + c`` at ``z = zn / zd`` (``zd > 0``), as an integer
+    numerator over a positive integer denominator, not reduced: the
+    Horner form ``(a z + b) z + c`` over ``ad bd cd zd^2``, or over
+    ``bd cd zd`` when ``a`` is 0."""
     a, b, c = coeffs
-    return (a * z + b) * z + c
+    bn, bd, cn, cd = b.numerator, b.denominator, c.numerator, c.denominator
+    an = a.numerator
+    if not an:
+        return bn * zn * cd + cn * bd * zd, bd * cd * zd
+    ad = a.denominator
+    linear = an * zn * bd + bn * ad * zd  # (a z + b) ad bd zd
+    return linear * zn * cd + cn * ad * bd * zd * zd, ad * bd * cd * zd * zd
 
 
-def _check_domain(z: Fraction) -> None:
-    if z < 0 or z > 1:
+def _combine(weights: Sequence[int], ratios: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of ``k n / d`` over the weights ``k`` and the integer
+    ratios ``(n, d)``, ``d > 0``, as one such ratio."""
+    num, den = 0, 1
+    for k, (n, d) in zip(weights, ratios):
+        num, den = num * d + k * n * den, den * d
+    return num, den
+
+
+def minimum_of_sum(terms: Sequence[tuple[int, PiecewiseScalarFunction]]) -> Fraction:
+    """The exact minimum over [0, 1] of ``sum(k * f for k, f in terms)``,
+    for integer weights ``k``, in one merge sweep over the breakpoints of
+    every ``f``, as ``lower_envelope`` walks them, without building the sum.
+
+    The sum is one quadratic on each merged interval, so its minimum is
+    attained at a merged breakpoint or, on an interval where the sum's
+    leading coefficient is positive, at its stationary point ``-b / 2a``
+    when that lies strictly inside. Every candidate value is an integer
+    ratio from ``_eval``, compared with the least so far by
+    cross-multiplication, and one ``Fraction`` is built at the end.
+    """
+    weights = [k for k, _ in terms]
+    fns = [f for _, f in terms]
+    xs = sorted_points(x for f in fns for x in f.breakpoints)
+    at = [0] * len(fns)
+    candidates = []  # (each term's segment, numerator, denominator) of a point
+    for x1, x2 in zip(xs, xs[1:]):
+        segs = []
+        for k, f in enumerate(fns):
+            if f.breakpoints[at[k] + 1] <= x1:
+                at[k] += 1
+            segs.append(f.coefficients[at[k]])
+        xn, xd = x1.numerator, x1.denominator
+        candidates.append((segs, xn, xd))
+        if any(a for a, _, _ in segs):
+            an, ad = _combine(weights, ((a.numerator, a.denominator) for a, _, _ in segs))
+            if an > 0:
+                bn, bd = _combine(weights, ((b.numerator, b.denominator) for _, b, _ in segs))
+                sn, sd = -bn * ad, 2 * an * bd  # -b / 2a, over a positive denominator
+                if xn * sd < sn * xd and sn * x2.denominator < x2.numerator * sd:
+                    candidates.append((segs, sn, sd))
+    candidates.append((segs, 1, 1))  # the right end, on every last segment
+    best = None
+    for segs, zn, zd in candidates:
+        n, d = _combine(weights, (_eval(seg, zn, zd) for seg in segs))
+        if best is None or n * best[1] < best[0] * d:
+            best = n, d
+    return Fraction(*best)
+
+
+def _ratio(z: Fraction) -> tuple[int, int]:
+    """``z`` as its numerator and positive denominator; a ``ValueError``
+    outside [0, 1]."""
+    zn, zd = z.numerator, z.denominator
+    if zn < 0 or zn > zd:
         raise ValueError(f"argument {numeric.format_scalar(z)} outside [0, 1]")
+    return zn, zd
 
 
 def sorted_points(points: Iterable[Fraction]) -> tuple[Fraction, ...]:

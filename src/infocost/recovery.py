@@ -17,6 +17,14 @@ value), built by ``lower_envelope`` from each menu's own value
 the raw dataset, the menus' values and the priors' distributions, never
 trusting the multipliers or other construction state, so it doubles as
 an independent oracle in tests.
+
+The audit works by sweeps and builds no function. The majorization gap
+``price - (value + cost)`` is minimized by one merge over the three
+functions' breakpoints (``piecewise.minimum_of_sum``), the stationary
+point of a convex quadratic piece included. The price and the cost are
+read at the chosen acts' revealed means, sorted, and the price at each
+distribution's atoms by ``values_at`` sweeps, and the price's segments
+are merged once with the positive-gap intervals for the affine check.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .model import Dataset, DiscreteCDF, utility
-from .piecewise import PiecewiseScalarFunction, lower_envelope
+from .piecewise import PiecewiseScalarFunction, lower_envelope, minimum_of_sum
 from .revealed import positive_gap_intervals
 
 ColKey = tuple[int, Fraction]
@@ -175,35 +183,41 @@ def _audit_observation(
     )
     price_convex = convexity_slack >= 0
 
-    target = obs.menu.value + cost
-    majorization_slack = (price - target).minimum()
+    majorization_slack = minimum_of_sum(((1, price), (-1, obs.menu.value), (-1, cost)))
     price_majorizes = majorization_slack >= 0
 
     summary = obs.summary
-    contact_slack = _ZERO
-    for ai, act in enumerate(obs.menu.acts):
-        if summary.act_probabilities[ai] <= 0:
-            continue
-        mean = summary.act_means[ai]
-        dev = price(mean) - utility(act, mean) - cost(mean)
-        contact_slack = max(contact_slack, abs(dev))
+    chosen = sorted(
+        (ai for ai, p in enumerate(summary.act_probabilities) if p > 0),
+        key=summary.act_means.__getitem__,
+    )
+    means = [summary.act_means[ai] for ai in chosen]
+    deviations = [
+        p - utility(obs.menu.acts[ai], z) - c
+        for ai, z, p, c in zip(chosen, means, price.values_at(means), cost.values_at(means))
+    ]
+    contact_slack = max(map(abs, deviations), default=_ZERO)
     contact_at_revealed = contact_slack == 0
 
     affine_slack = _ZERO
     f0 = obs.prior.distribution
+    bps = price.breakpoints
+    i = 0
     for lo, hi in positive_gap_intervals(f0, summary.cdf):
-        seen: list[Fraction] = []
-        for i, (x1, x2) in enumerate(
-            zip(price.breakpoints, price.breakpoints[1:])
-        ):
-            if max(x1, lo) < min(x2, hi):
-                seen.append(slopes[i])
-        if seen:
-            affine_slack = max(affine_slack, max(seen) - min(seen))
+        # the segments meeting (lo, hi) run from the one holding lo to the
+        # last one starting before hi; the intervals come sorted, so i
+        # never moves back
+        while bps[i + 1] <= lo:
+            i += 1
+        j = i + 1
+        while bps[j] < hi:
+            j += 1
+        seen = slopes[i:j]
+        affine_slack = max(affine_slack, max(seen) - min(seen))
     affine_off_binding = affine_slack == 0
 
-    lhs = sum(p * price(z) for z, p in summary.cdf.atoms)
-    rhs = sum(w * price(z) for z, w in f0.atoms)
+    lhs = _integral(price, summary.cdf)
+    rhs = _integral(price, f0)
     integral_slack = abs(lhs - rhs)
     integral_match = integral_slack == 0
 
@@ -219,6 +233,12 @@ def _audit_observation(
         affine_slack=affine_slack,
         integral_slack=integral_slack,
     )
+
+
+def _integral(price: PiecewiseScalarFunction, f: DiscreteCDF) -> Fraction:
+    """The integral of ``price`` against ``f``, its atoms in one sweep."""
+    values = price.values_at(f.support)
+    return sum((p * v for (_, p), v in zip(f.atoms, values)), _ZERO)
 
 
 def verify_rationalization(

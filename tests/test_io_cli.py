@@ -527,6 +527,23 @@ class TestCliExitCodes:
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "command, fixture",
+        [("solve", "example3_forward.json"), ("generate", "example3_generate.json")],
+    )
+    def test_malformed_cost_breakpoint_is_named(self, tmp_path, capsys, command, fixture):
+        """A cost breakpoint that is not an [x, y] pair exits 2 with one
+        stderr line naming it, whether it has too many values or too few."""
+        for row in (["1/6", "1", "0"], ["1/6"], "1/6"):
+            doc = json.loads(Path(fixture_path(fixture)).read_text())
+            doc["cost"]["breakpoints"].insert(2, row)
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc))
+            assert run_cli(command, str(path)) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "input error: cost breakpoint 2 is not an [x, y] pair\n"
+
+    @pytest.mark.parametrize(
         "fixture, argv, place, value",
         [
             ("example3_dataset.json", ["check"], ("menus", "A", 0, "u0"), "1e400"),

@@ -276,3 +276,168 @@ class TestEnvelopes:
         line = PiecewiseScalarFunction.affine(F(0), F(0))
         with pytest.raises(ValueError):
             lower_envelope([quad, line])
+
+
+def reference_eval(coeffs, z):
+    """A segment's value Fraction by Fraction, in the Horner form the
+    package first used: the reference for its integer evaluation."""
+    a, b, c = coeffs
+    return (a * z + b) * z + c
+
+
+def reference_value(fn: PiecewiseScalarFunction, z):
+    return reference_eval(fn.coefficients[fn.segment_index(z)], z)
+
+
+def reference_minimum(fn: PiecewiseScalarFunction):
+    """The least ``reference_eval`` value at a breakpoint or at the
+    stationary point of a convex segment inside its interval."""
+    bps = fn.breakpoints
+    values = [reference_eval(fn.coefficients[-1], bps[-1])]
+    for x1, x2, seg in zip(bps, bps[1:], fn.coefficients):
+        values.append(reference_eval(seg, x1))
+        a, b, _ = seg
+        if a > 0:
+            x = F(-b) / (2 * a)
+            if x1 < x < x2:
+                values.append(reference_eval(seg, x))
+    return min(values)
+
+
+def exact(rng: random.Random, v):
+    """``v`` as an ``int`` when it is integral and the draw says so."""
+    return v.numerator if v.denominator == 1 and rng.random() < 0.5 else v
+
+
+def random_mixed_pwl(rng: random.Random) -> PiecewiseScalarFunction:
+    """A continuous function of one to four segments, some quadratic, its
+    breakpoints and coefficients a mix of ``int`` and ``Fraction``: each
+    segment after the first meets its left neighbour's value."""
+    den = rng.choice((1, 2, 3, 6, 7, 12))
+    interior = sorted({F(rng.randint(1, 23), 24) for _ in range(rng.randint(0, 3))})
+    xs = [exact(rng, F(0)), *interior, exact(rng, F(1))]
+    coeffs = []
+    for x in xs[:-1]:
+        a = F(rng.randint(-6, 6), den) if rng.random() < 0.4 else F(0)
+        b = F(rng.randint(-12, 12), den)
+        if coeffs:
+            c = reference_eval(coeffs[-1], x) - a * x * x - b * x
+        else:
+            c = F(rng.randint(-12, 12), den)
+        coeffs.append(tuple(exact(rng, v) for v in (a, b, c)))
+    return PiecewiseScalarFunction(tuple(xs), tuple(coeffs))
+
+
+def probe_points(rng: random.Random, *fns) -> list:
+    """Every breakpoint of ``fns``, both ends as ``int`` and ``Fraction``,
+    and interior points, sorted."""
+    points = [0, F(0), 1, F(1), *(x for f in fns for x in f.breakpoints)]
+    points += [F(rng.randint(1, 59), 60) for _ in range(8)]
+    return sorted(points)
+
+
+def no_float(value) -> bool:
+    """``value`` holds no float, however nested in tuples, lists or functions."""
+    if isinstance(value, PiecewiseScalarFunction):
+        return no_float((value.breakpoints, value.coefficients))
+    if isinstance(value, (tuple, list)):
+        return all(no_float(v) for v in value)
+    return type(value) in (F, int)
+
+
+class TestIntegerEvaluation:
+    """Every value is built from the integer numerators and denominators of
+    the coefficients and the point; ``reference_eval`` is the Fraction-by-
+    Fraction reference it must equal."""
+
+    def functions(self, seed: int, count: int = 120) -> list[PiecewiseScalarFunction]:
+        rng = random.Random(seed)
+        fns = [random_mixed_pwl(rng) for _ in range(count)]
+        fns += [random_affine_pwl(rng) for _ in range(20)]
+        fns += [random_quadratic_pwl(rng) for _ in range(20)]
+        fns.append(PiecewiseScalarFunction((0, 1), ((1, -1, 0),)))
+        assert any(isinstance(v, int) for f in fns for seg in f.coefficients for v in seg)
+        assert any(not f.is_affine for f in fns) and any(f.is_affine for f in fns)
+        return fns
+
+    def test_values_equal_the_reference(self):
+        rng = random.Random(71)
+        for fn in self.functions(71):
+            points = probe_points(rng, fn)
+            want = [reference_value(fn, z) for z in points]
+            assert [fn(z) for z in points] == want
+            assert fn.values_at(points) == want
+            assert fn.breakpoint_values() == tuple(
+                (x, reference_value(fn, x)) for x in fn.breakpoints
+            )
+            assert fn.minimum() == reference_minimum(fn)
+
+    def test_algebra_equals_the_reference(self):
+        rng = random.Random(73)
+        fns = self.functions(73, count=60)
+        for f, g in zip(fns, reversed(fns)):
+            k = rng.choice((2, -3, F(5, 7), F(-1, 2)))
+            points = probe_points(rng, f, g)
+            for got, want in (
+                (f + g, lambda z: reference_value(f, z) + reference_value(g, z)),
+                (f - g, lambda z: reference_value(f, z) - reference_value(g, z)),
+                (f * k, lambda z: k * reference_value(f, z)),
+                (k * f, lambda z: k * reference_value(f, z)),
+            ):
+                assert got.values_at(points) == [want(z) for z in points]
+                assert got.minimum() == reference_minimum(got)
+
+    def test_continuity_check_rejects_exactly_the_discontinuous(self):
+        """A coefficient moved by one over its denominator (or a ``1/7``
+        that cannot cancel) is rejected exactly when the reference values
+        of two neighbouring segments then differ at their breakpoint."""
+        rng = random.Random(79)
+        rejected = kept = 0
+        for fn in self.functions(79):
+            for _ in range(3):
+                coeffs = [list(seg) for seg in fn.coefficients]
+                i, j = rng.randrange(len(coeffs)), rng.randrange(3)
+                v = coeffs[i][j]
+                step = F(1, F(v).denominator)
+                coeffs[i][j] = v + rng.choice((step, -step, F(1, 7)))
+                if rng.random() < 0.3:  # the same move on the next segment too
+                    if i + 1 < len(coeffs):
+                        coeffs[i + 1][j] += coeffs[i][j] - v
+                coeffs = tuple(tuple(seg) for seg in coeffs)
+                xs = fn.breakpoints
+                broken = any(
+                    reference_eval(coeffs[m - 1], xs[m]) != reference_eval(coeffs[m], xs[m])
+                    for m in range(1, len(xs) - 1)
+                )
+                if broken:
+                    rejected += 1
+                    with pytest.raises(ValueError, match="discontinuity at breakpoint"):
+                        PiecewiseScalarFunction(xs, coeffs)
+                else:
+                    kept += 1
+                    assert PiecewiseScalarFunction(xs, coeffs).coefficients == coeffs
+        assert rejected > 100 and kept > 50
+
+    def test_no_public_method_returns_a_float(self):
+        """Any mix of ``int`` and ``Fraction`` breakpoints, coefficients,
+        points and factors gives results with no float in them."""
+        fn = PiecewiseScalarFunction((0, 1), ((1, -1, 0),))
+        assert fn.minimum() == F(-1, 4) and type(fn.minimum()) is F
+        assert (fn * 2).minimum() == F(-1, 2) and type((fn * 2).minimum()) is F
+        rng = random.Random(83)
+        fns = self.functions(83, count=60)
+        for f, g in zip(fns, fns[1:]):
+            points = probe_points(rng, f)
+            k = rng.choice((2, -1, F(3, 2)))
+            results = [
+                [f(z) for z in points],
+                f.values_at(points),
+                f.minimum(),
+                f.breakpoint_values(),
+                [f.derivative_at(i, z) for i, z in enumerate(f.breakpoints[:-1])],
+                [f.derivative_at(0, z) for z in (0, 1, F(1, 2))],
+                f + g, f - g, f * k, k * f, -f,
+            ]
+            if f.is_affine:
+                results.append(f.slopes())
+            assert no_float(results), f

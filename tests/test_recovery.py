@@ -1,6 +1,8 @@
 """Envelope construction, cost recovery, and the independent auditor."""
 
+import json
 import random
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +18,9 @@ from infocost import (
     SDSC,
     StateSpace,
     check_nipmc,
+    generate_dataset,
     information_cost,
+    io,
     lower_envelope,
     price_function,
     recover_cost,
@@ -26,10 +30,11 @@ from infocost import (
     verify_rationalization,
 )
 from infocost.axioms import build_farkas_system
-from infocost.recovery import hinge, price_terms
-from test_axioms import SWAP_PARAMS, random_generated_dataset
+from infocost.recovery import ObservationAudit, _audit_observation, hinge, price_terms
+from infocost.revealed import positive_gap_intervals
+from test_axioms import GOLDEN, SWAP_PARAMS, random_generated_dataset, reference_cases
 from test_acceptance import _swap_fixture
-from test_piecewise import assert_pointwise_envelope
+from test_piecewise import assert_pointwise_envelope, random_affine_pwl
 
 
 def act_payoff_function(u0: F, u1: F) -> PiecewiseScalarFunction:
@@ -334,3 +339,132 @@ class TestAuditor:
         audit = report.audits[0]
         assert not audit.integral_match
         assert audit.integral_slack == abs(F(1, 24) - F(1, 16))
+
+
+def reference_audit(obs, cost, price) -> ObservationAudit:
+    """One observation's audit as first written, building ``price - (value
+    + cost)`` whole for its minimum and evaluating point by point: the
+    reference for the swept ``_audit_observation``."""
+    zero = F(0)
+    slopes = price.slopes()
+    convexity_slack = min(
+        (b - a for a, b in zip(slopes, slopes[1:])),
+        default=zero,
+    )
+    price_convex = convexity_slack >= 0
+
+    target = obs.menu.value + cost
+    majorization_slack = (price - target).minimum()
+    price_majorizes = majorization_slack >= 0
+
+    summary = obs.summary
+    contact_slack = zero
+    for ai, act in enumerate(obs.menu.acts):
+        if summary.act_probabilities[ai] <= 0:
+            continue
+        mean = summary.act_means[ai]
+        dev = price(mean) - utility(act, mean) - cost(mean)
+        contact_slack = max(contact_slack, abs(dev))
+    contact_at_revealed = contact_slack == 0
+
+    affine_slack = zero
+    f0 = obs.prior.distribution
+    for lo, hi in positive_gap_intervals(f0, summary.cdf):
+        seen: list[F] = []
+        for i, (x1, x2) in enumerate(
+            zip(price.breakpoints, price.breakpoints[1:])
+        ):
+            if max(x1, lo) < min(x2, hi):
+                seen.append(slopes[i])
+        if seen:
+            affine_slack = max(affine_slack, max(seen) - min(seen))
+    affine_off_binding = affine_slack == 0
+
+    lhs = sum(p * price(z) for z, p in summary.cdf.atoms)
+    rhs = sum(w * price(z) for z, w in f0.atoms)
+    integral_slack = abs(lhs - rhs)
+    integral_match = integral_slack == 0
+
+    return ObservationAudit(
+        price_convex=price_convex,
+        price_majorizes=price_majorizes,
+        contact_at_revealed=contact_at_revealed,
+        affine_off_binding=affine_off_binding,
+        integral_match=integral_match,
+        convexity_slack=convexity_slack,
+        majorization_slack=majorization_slack,
+        contact_slack=contact_slack,
+        affine_slack=affine_slack,
+        integral_slack=integral_slack,
+    )
+
+
+def quadratic_dip_dataset() -> Dataset:
+    """One observation, one act paying 0, full revelation on two states:
+    ``TestAuditor.test_dip_between_breakpoints_is_caught``'s data."""
+    space = StateSpace(states=(F(0), F(1)))
+    prior = Prior(state_space=space, weights=(F(1, 2), F(1, 2)))
+    menu = Menu(id="m", acts=(Act("a", F(0), F(0)),))
+    obs = Observation(prior=prior, menu=menu, sdsc=SDSC(rows=((F(1), F(1)),)))
+    return Dataset(state_space=space, observations=(obs,))
+
+
+def audit_cases():
+    """``reference_cases()`` (the benchmark catalog's cycle and concavity
+    entries, the golden datasets, the fixtures and seeded draws), the data
+    generated from the golden generation specs, and the quadratic dip."""
+    cases = reference_cases()
+    for path in sorted(GOLDEN.glob("generate_*.json")):
+        prior, menus, cost = io.parse_generation_spec(json.loads(path.read_text()))
+        cases.append((path.name, generate_dataset(prior, menus, cost)))
+    cases.append(("quadratic dip", quadratic_dip_dataset()))
+    return cases
+
+
+def audit_candidates(ds: Dataset, rng: random.Random):
+    """(cost, prices) pairs to audit ``ds`` against: when the cycle axiom
+    holds, the recovered construction, and it again under a variance cost
+    added to the cost; for every dataset, a random piecewise-affine cost
+    with prices of menu value + cost + a random kinked function, and that
+    again under a variance cost. The variance costs put the gap's minimum
+    inside a segment, at a stationary point."""
+    def variance():
+        return variance_cost(F(rng.randint(1, 8), 4), F(rng.randint(1, 11), 12))
+
+    verdict = check_nipmc(ds)
+    if verdict.passed:
+        cost = recover_cost(ds, verdict.multipliers)
+        prices = [price_function(verdict.multipliers, oi) for oi in range(len(ds.observations))]
+        yield cost, prices
+        yield cost + variance(), prices
+    cost = random_affine_pwl(rng)
+    prices = [obs.menu.value + cost + random_affine_pwl(rng) for obs in ds.observations]
+    yield cost, prices
+    yield cost + variance(), prices
+    if len(ds.observations) == 1:  # the flat price of the dip test
+        yield variance_cost(F(1), F(1, 2)), [PiecewiseScalarFunction.constant(F(-1, 4))]
+
+
+class TestSweptAudit:
+    """The audit sweeps (one merge for the majorization minimum, sorted
+    ``values_at`` sweeps, one merge with the gap intervals) and must equal
+    ``reference_audit`` field by field."""
+
+    def test_every_field_matches_the_reference(self):
+        rng = random.Random(89)
+        audited = inside = 0
+        for name, ds in audit_cases():
+            for cost, prices in audit_candidates(ds, rng):
+                for oi, (obs, price) in enumerate(zip(ds.observations, prices)):
+                    got = _audit_observation(obs, cost, price)
+                    want = reference_audit(obs, cost, price)
+                    for field in fields(ObservationAudit):
+                        assert getattr(got, field.name) == getattr(want, field.name), (
+                            name, oi, field.name
+                        )
+                    audited += 1
+                    inside += not cost.is_affine and want.majorization_slack < min(
+                        v for _, v in (price - obs.menu.value - cost).breakpoint_values()
+                    )
+        assert audited > 600
+        assert inside > 50  # minima strictly inside a segment are covered
