@@ -5,12 +5,15 @@ functions, indirect utilities, and their sums and envelopes. Segments are
 quadratic ``a z^2 + b z + c`` with ``a = 0`` for the affine case; the only
 quadratic producer is the posterior-variance cost.
 
-Every envelope is built by one walk, ``line_envelope``: the lower
-envelope of lines over an interval, found crossing by crossing from its
-left end. ``lower_envelope`` runs it on each interval of the merged
-breakpoint grid of affine-segmented functions, and a menu's indirect
-utility (``model.Menu.value``) is the walk over the negated integer act
-lines on [0, 1].
+Every operation on several functions reads one walk, ``_merged``: the
+intervals of their merged breakpoint grid from left to right, with each
+function's segment on each. ``+``, ``-`` and unary ``-`` are one
+integer-weighted sum over it (``_weighted_sum``), ``minimum_of_sum``
+minimizes such a sum on it without building it, and ``lower_envelope``
+runs ``line_envelope`` on each of its intervals: the lower envelope of
+lines over an interval, found crossing by crossing from its left end. A
+menu's indirect utility (``model.Menu.value``) is ``line_envelope`` over
+the negated integer act lines on [0, 1].
 
 Breakpoints and coefficients are ``Fraction``s or ``int``s; a float
 raises ``TypeError``. ``from_points`` and ``line_envelope`` divide in
@@ -19,24 +22,23 @@ raises ``TypeError``. ``from_points`` and ``line_envelope`` divide in
 A value is built from integers: ``_eval`` takes the numerators and
 denominators of ``a``, ``b``, ``c`` and the point ``z``, computes ``(a z
 + b) z + c`` as one integer numerator over one positive integer
-denominator, and ``__call__``, ``values_at`` and ``breakpoint_values``
-make one ``Fraction`` of that pair. The continuity check compares the
-two sides of a breakpoint by cross-multiplying their pairs, and makes no
-``Fraction``; ``minimum_of_sum`` compares its candidates the same way and
-makes one ``Fraction``, of the least.
+denominator, and ``values_at`` makes one ``Fraction`` of that pair. A sum's
+coefficients are likewise one ``Fraction`` each of an integer ratio
+(``_combine``). The continuity check compares the two sides of a
+breakpoint by cross-multiplying their pairs, and makes no ``Fraction``;
+``minimum_of_sum`` compares its candidates the same way and makes one
+``Fraction``, of the least.
 
-Functions are evaluated at many points by one sweep: ``values_at`` walks
-a sorted list of points and the breakpoints together, and ``__add__``,
-``lower_envelope`` and ``minimum_of_sum`` walk every operand's
-breakpoints in step, so none of them searches for a segment per point.
+Points are evaluated by one sweep: ``values_at`` walks a sorted list of
+points and the breakpoints together, and a single point ``f(z)`` is that
+sweep over ``(z,)``, so no segment is ever searched for.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from . import numeric
 
@@ -114,20 +116,13 @@ class PiecewiseScalarFunction:
 
     # -- evaluation -----------------------------------------------------
 
-    def segment_index(self, z: Fraction) -> int:
-        i = bisect_right(self.breakpoints, z) - 1
-        return min(max(i, 0), len(self.coefficients) - 1)
-
     def __call__(self, z: Fraction) -> Fraction:
-        zn, zd = _ratio(z)
-        return Fraction(*_eval(self.coefficients[self.segment_index(z)], zn, zd))
+        return self.values_at((z,))[0]
 
     def values_at(self, xs: Sequence[Fraction]) -> list[Fraction]:
-        """The values at the nondecreasing points ``xs``, in one sweep.
-
-        Equal to ``[self(x) for x in xs]``, raising the same way on a
-        point outside [0, 1]; at a breakpoint the segment to its right is
-        used, as in ``segment_index``.
+        """The values at the nondecreasing points ``xs``, in one sweep; a
+        ``ValueError`` at a point outside [0, 1]. At a breakpoint the
+        segment to its right is used.
         """
         out: list[Fraction] = []
         if not xs:
@@ -173,30 +168,13 @@ class PiecewiseScalarFunction:
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other: "PiecewiseScalarFunction") -> "PiecewiseScalarFunction":
-        """Sum on the merged breakpoints: both breakpoint lists are walked in
-        step, and each merged interval adds the two segments covering it."""
-        xa, ca = self.breakpoints, self.coefficients
-        xb, cb = other.breakpoints, other.coefficients
-        xs = [xa[0]]
-        coeffs = []
-        i = j = 0
-        # Both lists end at 1, so both indices run off their ends together.
-        while i < len(ca):
-            (a1, b1, c1), (a2, b2, c2) = ca[i], cb[j]
-            coeffs.append((a1 + a2, b1 + b2, c1 + c2))
-            na, nb = xa[i + 1], xb[j + 1]
-            xs.append(min(na, nb))
-            if na <= nb:
-                i += 1
-            if nb <= na:
-                j += 1
-        return PiecewiseScalarFunction(breakpoints=tuple(xs), coefficients=tuple(coeffs))
+        return _weighted_sum(((1, self), (1, other)))
 
     def __neg__(self) -> "PiecewiseScalarFunction":
-        return self * Fraction(-1)
+        return _weighted_sum(((-1, self),))
 
     def __sub__(self, other: "PiecewiseScalarFunction") -> "PiecewiseScalarFunction":
-        return self + (-other)
+        return _weighted_sum(((1, self), (-1, other)))
 
     def __mul__(self, k: Fraction) -> "PiecewiseScalarFunction":
         return PiecewiseScalarFunction(
@@ -231,10 +209,47 @@ def _combine(weights: Sequence[int], ratios: Iterable[tuple[int, int]]) -> tuple
     return num, den
 
 
+def _merged(
+    fns: Sequence[PiecewiseScalarFunction],
+) -> Iterator[tuple[Fraction, Fraction, list[Coeffs]]]:
+    """Each interval ``(x1, x2)`` of the merged breakpoint grid of ``fns``,
+    from left to right, with every function's segment on it, in order.
+
+    The grid is ``sorted_points`` of all the breakpoints, and each
+    function's segment is tracked in step with it, so no segment is
+    searched for. An empty ``fns`` raises ``ValueError``.
+    """
+    if not fns:
+        raise ValueError("need at least one function")
+    xs = sorted_points(x for f in fns for x in f.breakpoints)
+    at = [0] * len(fns)
+    for x1, x2 in zip(xs, xs[1:]):
+        for k, f in enumerate(fns):
+            if f.breakpoints[at[k] + 1] <= x1:
+                at[k] += 1
+        yield x1, x2, [f.coefficients[i] for f, i in zip(fns, at)]
+
+
+def _weighted_sum(terms: Sequence[tuple[int, PiecewiseScalarFunction]]) -> PiecewiseScalarFunction:
+    """``sum(k * f for k, f in terms)`` for integer weights ``k``, on the
+    merged grid: each coefficient is one ``Fraction`` of ``_combine``'s
+    integer ratio, so no operand is scaled or negated first."""
+    weights = [k for k, _ in terms]
+    xs: list[Fraction] = []
+    coeffs = []
+    for x1, x2, segs in _merged([f for _, f in terms]):
+        xs.append(x1)
+        coeffs.append(tuple(
+            Fraction(*_combine(weights, [v.as_integer_ratio() for v in column]))
+            for column in zip(*segs)
+        ))
+    return PiecewiseScalarFunction(breakpoints=(*xs, x2), coefficients=tuple(coeffs))
+
+
 def minimum_of_sum(terms: Sequence[tuple[int, PiecewiseScalarFunction]]) -> Fraction:
     """The exact minimum over [0, 1] of ``sum(k * f for k, f in terms)``,
-    for integer weights ``k``, in one merge sweep over the breakpoints of
-    every ``f``, as ``lower_envelope`` walks them, without building the sum.
+    for integer weights ``k``, in one walk of the merged breakpoint grid
+    (``_merged``), without building the sum.
 
     The sum is one quadratic on each merged interval, so its minimum is
     attained at a merged breakpoint or, on an interval where the sum's
@@ -244,16 +259,8 @@ def minimum_of_sum(terms: Sequence[tuple[int, PiecewiseScalarFunction]]) -> Frac
     cross-multiplication, and one ``Fraction`` is built at the end.
     """
     weights = [k for k, _ in terms]
-    fns = [f for _, f in terms]
-    xs = sorted_points(x for f in fns for x in f.breakpoints)
-    at = [0] * len(fns)
     candidates = []  # (each term's segment, numerator, denominator) of a point
-    for x1, x2 in zip(xs, xs[1:]):
-        segs = []
-        for k, f in enumerate(fns):
-            if f.breakpoints[at[k] + 1] <= x1:
-                at[k] += 1
-            segs.append(f.coefficients[at[k]])
+    for x1, x2, segs in _merged([f for _, f in terms]):
         xn, xd = x1.numerator, x1.denominator
         candidates.append((segs, xn, xd))
         if any(a for a, _, _ in segs):
@@ -307,10 +314,8 @@ def line_envelope(
     there the flattest line through the crossing takes over. Slopes
     strictly decrease along the walk, so it ends.
     """
-    if x1:
-        m, c = min(lines, key=lambda line: (line[0] * x1 + line[1], line[0]))
-    else:  # the usual start, 0, without multiplying by it
-        m, c = min(lines, key=lambda line: (line[1], line[0]))
+    xn, xd = x1.numerator, x1.denominator  # each line's value at x1, times xd
+    m, c = min(lines, key=lambda line: (line[0] * xn + line[1] * xd, line[0]))
     pieces = [(x1, (m, c))]
     while True:
         crossings = [(Fraction(c2 - c, m - m2), m2, c2) for m2, c2 in lines if m2 < m]
@@ -325,34 +330,24 @@ def line_envelope(
 def lower_envelope(fns: Sequence[PiecewiseScalarFunction]) -> PiecewiseScalarFunction:
     """Pointwise minimum of affine-segmented functions, exactly.
 
-    On each interval of the merged breakpoint grid every input is one
-    line, its segment there (each input's segment is tracked in step with
-    the grid, as in ``__add__``), so the envelope there is the
+    On each interval of the merged breakpoint grid (``_merged``) every
+    input is one line, its segment there, so the envelope there is the
     ``line_envelope`` of those lines. A piece on the same line as the one
-    before it extends that one, so every breakpoint is a kink.
+    before it extends that one, so every breakpoint is a kink. An empty
+    ``fns`` raises ``ValueError``.
     """
-    if not fns:
-        raise ValueError("need at least one function")
     if not all(f.is_affine for f in fns):
         raise ValueError("envelopes require affine segments")
-    xs = sorted_points(x for f in fns for x in f.breakpoints)
-    at = [0] * len(fns)
     starts: list[Fraction] = []
     lines: list[Line] = []
-    for x1, x2 in zip(xs, xs[1:]):
-        here = []
-        for k, f in enumerate(fns):
-            if f.breakpoints[at[k] + 1] <= x1:
-                at[k] += 1
-            _, b, c = f.coefficients[at[k]]
-            here.append((b, c))
-        for x, line in line_envelope(here, x1, x2):
+    for x1, x2, segs in _merged(fns):
+        for x, line in line_envelope([(b, c) for _, b, c in segs], x1, x2):
             if not lines or lines[-1] != line:
                 starts.append(x)
                 lines.append(line)
     zero = Fraction(0)
     return PiecewiseScalarFunction(
-        breakpoints=(*starts, xs[-1]),
+        breakpoints=(*starts, x2),
         coefficients=tuple((zero, m, c) for m, c in lines),
     )
 

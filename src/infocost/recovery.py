@@ -137,7 +137,7 @@ def information_cost(
     cost: PiecewiseScalarFunction, z0: Fraction, f: DiscreteCDF
 ) -> Fraction:
     """Separable cost of a distribution of posterior means: c(z0) - int c dF."""
-    return cost(z0) - sum(p * cost(z) for z, p in f.atoms)
+    return cost(z0) - _integral(cost, f)
 
 
 @dataclass(frozen=True)
@@ -235,9 +235,9 @@ def _audit_observation(
     )
 
 
-def _integral(price: PiecewiseScalarFunction, f: DiscreteCDF) -> Fraction:
-    """The integral of ``price`` against ``f``, its atoms in one sweep."""
-    values = price.values_at(f.support)
+def _integral(fn: PiecewiseScalarFunction, f: DiscreteCDF) -> Fraction:
+    """The integral of ``fn`` against ``f``, its atoms in one sweep."""
+    values = fn.values_at(f.support)
     return sum((p * v for (_, p), v in zip(f.atoms, values)), _ZERO)
 
 

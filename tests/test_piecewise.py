@@ -1,13 +1,14 @@
 """Piecewise function representation, algebra, and exact envelopes."""
 
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
 from infocost import PiecewiseScalarFunction, lower_envelope, upper_envelope
-from infocost.piecewise import line_envelope
+from infocost.piecewise import line_envelope, minimum_of_sum
 
 
 def random_affine_pwl(rng: random.Random) -> PiecewiseScalarFunction:
@@ -26,16 +27,23 @@ def random_quadratic_pwl(rng: random.Random) -> PiecewiseScalarFunction:
     return random_affine_pwl(rng) + quad
 
 
-def midpoint_sum(a: PiecewiseScalarFunction, b: PiecewiseScalarFunction) -> PiecewiseScalarFunction:
-    """The sum as built by finding each operand's segment at the midpoint of
-    every merged interval: the reference for ``__add__``'s merge walk."""
-    xs = sorted({*a.breakpoints, *b.breakpoints})
+def segment_at(fn: PiecewiseScalarFunction, z) -> tuple:
+    """The coefficients of ``fn``'s segment holding ``z``, the one to its
+    right at a breakpoint (the last one at 1), found by bisection: no code
+    shared with the package's sweeps."""
+    i = bisect_right(fn.breakpoints, z) - 1
+    return fn.coefficients[min(i, len(fn.coefficients) - 1)]
+
+
+def midpoint_sum(*terms) -> PiecewiseScalarFunction:
+    """``sum(k * f for k, f in terms)`` as built by finding each function's
+    segment at the midpoint of every merged interval: the reference for
+    the merge walk of ``+``, ``-`` and unary ``-``."""
+    xs = sorted({x for _, f in terms for x in f.breakpoints})
     coeffs = []
     for x1, x2 in zip(xs, xs[1:]):
-        mid = (x1 + x2) / 2
-        ca = a.coefficients[a.segment_index(mid)]
-        cb = b.coefficients[b.segment_index(mid)]
-        coeffs.append(tuple(p + q for p, q in zip(ca, cb)))
+        segs = [(k, segment_at(f, (x1 + x2) / 2)) for k, f in terms]
+        coeffs.append(tuple(sum(k * seg[j] for k, seg in segs) for j in range(3)))
     return PiecewiseScalarFunction(breakpoints=tuple(xs), coefficients=tuple(coeffs))
 
 
@@ -48,8 +56,7 @@ def envelope_probes(fns) -> list[F]:
     xs = sorted({x for f in fns for x in f.breakpoints})
     points = set(xs)
     for x1, x2 in zip(xs, xs[1:]):
-        mid = (x1 + x2) / 2
-        lines = {f.coefficients[f.segment_index(mid)][1:] for f in fns}
+        lines = {segment_at(f, (x1 + x2) / 2)[1:] for f in fns}
         for (m1, c1), (m2, c2) in combinations(lines, 2):
             if m1 != m2:
                 t = (c2 - c1) / (m1 - m2)
@@ -194,8 +201,33 @@ class TestAlgebra:
             make_b = random_quadratic_pwl if trial % 2 else random_affine_pwl
             pairs.append((make_a(rng), make_b(rng)))
         for a, b in pairs:
-            assert a + b == midpoint_sum(a, b)
-            assert b + a == midpoint_sum(b, a)
+            for got, want in (
+                (a + b, midpoint_sum((1, a), (1, b))),
+                (b + a, midpoint_sum((1, b), (1, a))),
+                (a - b, midpoint_sum((1, a), (-1, b))),
+                (-a, midpoint_sum((-1, a))),
+            ):
+                assert got.breakpoints == want.breakpoints
+                for seg, expected in zip(got.coefficients, want.coefficients, strict=True):
+                    assert seg == expected
+                    assert all(type(v) is F for v in seg)
+
+    def test_sum_difference_and_negation_build_one_function(self, monkeypatch):
+        """The weighted sum builds its result only: no negated operand."""
+        rng = random.Random(39)
+        f, g = random_quadratic_pwl(rng), random_affine_pwl(rng)
+        built = []
+        check = PiecewiseScalarFunction.__post_init__
+
+        def counted(fn):
+            built.append(fn)
+            check(fn)
+
+        monkeypatch.setattr(PiecewiseScalarFunction, "__post_init__", counted)
+        for operation in (lambda: f - g, lambda: f + g, lambda: -f):
+            result = operation()
+            assert built == [result]
+            built.clear()
 
 
 class TestQuadratic:
@@ -271,6 +303,13 @@ class TestEnvelopes:
         for z in [F(0), F(1, 4), F(1, 2), F(5, 8), F(3, 4), F(1)]:
             assert env(z) == min(f(z) for f in [a, b, c, d])
 
+    @pytest.mark.parametrize("call", [
+        lambda: minimum_of_sum(()), lambda: lower_envelope([]), lambda: upper_envelope([]),
+    ], ids=["minimum_of_sum", "lower_envelope", "upper_envelope"])
+    def test_no_function_is_a_value_error(self, call):
+        with pytest.raises(ValueError, match="need at least one function"):
+            call()
+
     def test_envelope_requires_affine_segments(self):
         quad = PiecewiseScalarFunction.quadratic(F(1), F(0), F(0))
         line = PiecewiseScalarFunction.affine(F(0), F(0))
@@ -286,7 +325,7 @@ def reference_eval(coeffs, z):
 
 
 def reference_value(fn: PiecewiseScalarFunction, z):
-    return reference_eval(fn.coefficients[fn.segment_index(z)], z)
+    return reference_eval(segment_at(fn, z), z)
 
 
 def reference_minimum(fn: PiecewiseScalarFunction):
