@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 
 from . import lp, numeric
-from .model import Dataset, RevealedSummary
+from .model import Dataset
 from .recovery import price_terms
 from .revealed import binding_set
 
@@ -68,49 +67,38 @@ def check_nias(dataset: Dataset) -> NiasReport:
 class FarkasSystem:
     """The inequality system deciding posterior-mean-cycle rationalizability.
 
-    One row per ordered pair of distinct observations and per chosen act;
-    one column per binding point of each observation's revealed
-    distribution, observation by observation (``own_columns`` is one
-    observation's slice). Columns at 0 and 1 carry free multipliers, the
-    interior ones are sign-constrained. A row's left-hand side is the
+    ``program`` is the system, its only copy: one ``<=`` row per ordered
+    pair of distinct observations and chosen act (its row key), and one
+    column per binding point of each observation's revealed distribution,
+    observation by observation (``own_columns`` is one observation's
+    slice). Columns at 0 and 1 carry free multipliers (``free_columns``),
+    the interior ones are sign-constrained. A row's left-hand side is the
     act's probability times the difference of the two observations'
-    prices at the act's revealed mean, so its sparse ``terms`` are
+    prices at the act's revealed mean, so its terms are
     ``recovery.price_terms`` of the first observation's slice weighted by
-    the probability and of the second's weighted by its negation, as
-    (column, coefficient) pairs in column order. Every deviation act of
-    the second observation's menu gives the same left-hand side, so only
-    the tightest one is kept: that menu's best act at the revealed mean
-    (``Menu.best_act``, lowest index on ties). Its index is the last
-    entry of the row key.
+    the probability and of the second's weighted by its negation, in
+    column order. Every deviation act of the second observation's menu
+    gives the same left-hand side, so only the tightest one is kept: that
+    menu's best act at the revealed mean (``Menu.best_act``, lowest index
+    on ties). Its index is the last entry of the row key.
     """
 
     rows: tuple[RowKey, ...]
     columns: tuple[ColKey, ...]
-    terms: tuple[tuple[tuple[int, Fraction], ...], ...]
-    rhs: tuple[Fraction, ...]
-    free_columns: tuple[bool, ...]
     binding_sets: tuple[tuple[Fraction, ...], ...]
-    summaries: tuple[RevealedSummary, ...]
+    program: lp.LinearProgram
+
+    @property
+    def free_columns(self) -> tuple[bool, ...]:
+        return tuple(not nonneg for nonneg in self.program.nonnegative)
 
     def own_columns(self, oi: int) -> tuple[tuple[int, Fraction], ...]:
         """Observation ``oi``'s (column index, binding point) pairs."""
         return _own_columns(self.binding_sets, oi)
 
     def to_linear_program(self) -> lp.LinearProgram:
-        """The system as one program, built on the first call and shared
-        by every later one, so its rows are scaled to integers once."""
-        return self._program
-
-    @cached_property
-    def _program(self) -> lp.LinearProgram:
-        return lp.LinearProgram(
-            num_vars=len(self.columns),
-            nonnegative=tuple(not f for f in self.free_columns),
-            constraints=tuple(
-                lp.Constraint(terms=row, relation=lp.LE, rhs=b)
-                for row, b in zip(self.terms, self.rhs)
-            ),
-        )
+        """``program``, under the name that callers outside the package use."""
+        return self.program
 
 
 def _own_columns(
@@ -142,8 +130,7 @@ def build_farkas_system(dataset: Dataset) -> FarkasSystem:
     slices = [_own_columns(bindings, oi) for oi in range(len(observations))]
 
     rows: list[RowKey] = []
-    terms: list[tuple[tuple[int, Fraction], ...]] = []
-    rhs: list[Fraction] = []
+    constraints: list[lp.Constraint] = []
     for oa, (obs_a, summ) in enumerate(zip(observations, summaries)):
         chosen = [
             (ai, prob, mean, obs_a.menu.values_at(mean), price_terms(slices[oa], mean, prob))
@@ -157,20 +144,22 @@ def build_farkas_system(dataset: Dataset) -> FarkasSystem:
                 other = price_terms(slices[ob], mean, -prob)
                 bi, best, den = obs_b.menu.best_act(mean)
                 rows.append((oa, ob, ai, bi))
-                terms.append(own + other if oa < ob else other + own)
                 # (payoff - best) * prob, as one fraction
-                rhs.append(Fraction(
+                rhs = Fraction(
                     (pays[ai] * den - best * pay_den) * prob.numerator,
                     pay_den * den * prob.denominator,
-                ))
+                )
+                terms = own + other if oa < ob else other + own
+                constraints.append(lp.Constraint(terms, lp.LE, rhs))
     return FarkasSystem(
         rows=tuple(rows),
         columns=columns,
-        terms=tuple(terms),
-        rhs=tuple(rhs),
-        free_columns=tuple(z == 0 or z == 1 for _, z in columns),
         binding_sets=bindings,
-        summaries=summaries,
+        program=lp.LinearProgram(
+            num_vars=len(columns),
+            nonnegative=tuple(0 < z < 1 for _, z in columns),
+            constraints=tuple(constraints),
+        ),
     )
 
 
@@ -205,7 +194,7 @@ def check_nipmc(dataset: Dataset, *, flattest: bool = False) -> NipmcVerdict:
     ``flattest`` is accepted and ignored.
     """
     system = build_farkas_system(dataset)
-    program = system.to_linear_program()
+    program = system.program
     lam = (Fraction(0),) * len(system.columns)
     if system.rows:
         relaxed = _alternative_program(program)
@@ -225,7 +214,7 @@ def check_nipmc(dataset: Dataset, *, flattest: bool = False) -> NipmcVerdict:
         lam = outcome.duals
         # weak duality: a feasible beta of value -mass proves the minimum;
         # the value is b . beta of the beta checked, not the solver's report
-        mass = sum(v for v, f in zip(lam, system.free_columns) if not f)
+        mass = sum(v for v, nonneg in zip(lam, program.nonnegative) if nonneg)
         value = sum(v * outcome.x[i] for i, v in relaxed.objective)
         if not -mass == value == outcome.objective_value or not lp.satisfies(relaxed, outcome.x):
             raise RuntimeError("flattest multipliers failed the duality check")
@@ -247,11 +236,11 @@ def explain_violation(verdict: NipmcVerdict, dataset: Dataset) -> str:
     beta = tuple(
         verdict.certificate.get(key, Fraction(0)) for key in system.rows
     )
-    if not lp.verify_certificate(system.to_linear_program(), beta):
+    if not lp.verify_certificate(system.program, beta):
         raise ValueError("certificate fails the reallocation conditions")
 
     gain = sum(
-        (b * r for b, r in zip(beta, system.rhs)), start=Fraction(0)
+        (b * con.rhs for b, con in zip(beta, system.program.constraints)), start=Fraction(0)
     )
     lines = [
         "improving posterior-mean reallocation found:",
@@ -262,7 +251,7 @@ def explain_violation(verdict: NipmcVerdict, dataset: Dataset) -> str:
         oa, ob, ai, bi = key
         menu_a = dataset.observations[oa].menu
         menu_b = dataset.observations[ob].menu
-        mean = system.summaries[oa].act_means[ai]
+        mean = dataset.observations[oa].summary.act_means[ai]
         lines.append(
             f"  weight {numeric.format_scalar(weight)}: observation {oa} "
             f"(menu {menu_a.id!r}) act {menu_a.acts[ai].id!r} at revealed mean "

@@ -118,7 +118,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     verdict = check_nipmc(dataset)
     if args.dump_lp:
         Path(args.dump_lp).write_text(
-            to_lp_text(verdict.system.to_linear_program(), name="cycle-feasibility")
+            to_lp_text(verdict.system.program, name="cycle-feasibility")
         )
     entry: dict[str, Any] = {"passed": verdict.passed}
     entry["binding_sets"] = [

@@ -19,9 +19,8 @@ the same first feasible assignment as solving all of them in order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
 
 from . import lp
 from .axioms import FarkasSystem, build_farkas_system
@@ -87,17 +86,6 @@ def _state_rows(
     return tuple(rows)
 
 
-def _prefix_program(
-    base: lp.LinearProgram, blocks: Sequence[tuple[lp.Constraint, ...]]
-) -> lp.LinearProgram:
-    """The base system followed by the given row blocks, in state order."""
-    return lp.LinearProgram(
-        num_vars=base.num_vars,
-        nonnegative=base.nonnegative,
-        constraints=base.constraints + tuple(itertools.chain.from_iterable(blocks)),
-    )
-
-
 def certify_concave(dataset: Dataset, budget: int = 10_000) -> ConcavityVerdict:
     """Search generator assignments for a concave rationalizing cost.
 
@@ -117,7 +105,7 @@ def certify_concave(dataset: Dataset, budget: int = 10_000) -> ConcavityVerdict:
     system = build_farkas_system(dataset)
     n = len(dataset.observations)
     nstates = len(dataset.state_space.states)
-    base = system.to_linear_program()
+    base = system.program
     blocks = [
         [_state_rows(dataset, system, zi, gen) for gen in range(n)]
         for zi in range(nstates)
@@ -129,7 +117,9 @@ def certify_concave(dataset: Dataset, budget: int = 10_000) -> ConcavityVerdict:
         if solved >= budget:
             return ConcavityVerdict(status=BUDGET_EXCEEDED, programs_solved=solved)
         chosen = [blocks[zi][gen] for zi, gen in enumerate(assignment[:depth])]
-        program = _prefix_program(base, chosen)
+        program = replace(
+            base, constraints=base.constraints + tuple(itertools.chain.from_iterable(chosen))
+        )
         outcome = lp.solve(program)
         solved += 1
         if outcome.status == lp.FEASIBLE:

@@ -167,30 +167,18 @@ def _lexicographic(
     solve's outcome, which starts from ``basis`` when that is given.
 
     The second solve runs on the optimal face, which complementary
-    slackness reads off the first solve's duals ``y``: a feasible point is
-    optimal exactly when it is 0 on every nonnegative column whose reduced
-    cost ``c_j - sum_i y_i a_ij`` is nonzero and meets every inequality
-    row with ``y_i != 0`` with equality. So those columns are dropped
-    (their values are 0), those rows become ``=``, and no row pins the
-    objective. The point is returned unchecked; ``_certified_price``
-    proves the forward optimum.
+    slackness reads off the first solve: only the columns it flags as of
+    zero reduced cost (``LPOutcome.zero_reduced``) are kept, every
+    inequality row with a nonzero dual ``y_i`` becomes ``=``, and no row
+    pins the objective. The point is returned unchecked;
+    ``_certified_price`` proves the forward optimum.
     """
     first = lp.solve(program, basis=basis)
     if first.status != lp.OPTIMAL:
         raise RuntimeError(f"forward program unexpectedly {first.status}")
-    y = first.duals
-    assert y is not None
-    reduced = [Fraction(0)] * program.num_vars
-    for j, v in program.objective:
-        reduced[j] += v
-    for yi, con in zip(y, program.constraints):
-        if yi:
-            for j, v in con.terms:
-                reduced[j] -= yi * v
-    keep = [
-        j for j in range(program.num_vars)
-        if not (program.nonnegative[j] and reduced[j])
-    ]
+    y, flags = first.duals, first.zero_reduced
+    assert y is not None and flags is not None
+    keep = [j for j, zero in enumerate(flags) if zero]
     column = {j: k for k, j in enumerate(keep)}
     face = lp.LinearProgram(
         num_vars=len(keep),

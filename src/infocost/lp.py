@@ -63,6 +63,15 @@ For ``max c . x`` every one of these signs flips. For a max program
 over ``<=`` and ``=`` rows those are exactly the constraints of
 ``dual(program)``, which callers solve instead of writing a dual out.
 
+Optimal programs also carry ``zero_reduced``, one flag per variable,
+true when ``c_j - sum_i y_i a_ij`` is 0: a column with no entry in the
+tableau's objective row, which holds a nonzero multiple of each reduced
+cost (``obj = c - wA``). It is always true for a free variable, whose
+two parts have opposite reduced costs, both nonnegative. The optimal
+face, where a tie-break runs, is the feasible points 0 on every
+unflagged variable and tight on every inequality row of nonzero dual.
+Flags, not ``Fraction``s: no caller reads a nonzero reduced cost.
+
 Optimal and feasible outcomes also carry their final ``Basis`` in the
 caller's terms: the basic variables, each with its part (-1 for the
 negative part of a free variable), and the rows whose slack is basic.
@@ -169,6 +178,7 @@ class LPOutcome:
     duals: tuple[Fraction, ...] | None = None
     basis: Basis | None = None
     ray: tuple[Fraction, ...] | None = None  # UNBOUNDED only, see module docstring
+    zero_reduced: tuple[bool, ...] | None = None  # OPTIMAL only, see module docstring
 
 
 @dataclass(frozen=True)
@@ -649,6 +659,7 @@ def solve(
         ),
         duals=tab.row_multipliers(phase_one=False, sign=sign, scale=obj_scale),
         basis=tab.final_basis(),
+        zero_reduced=tuple(pos not in tab.obj for pos, _ in tab.var_cols),
     )
 
 

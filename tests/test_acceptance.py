@@ -268,13 +268,14 @@ def test_criterion_5_violation_certificates():
         assert all(b >= 0 for b in beta)
         for j, free in enumerate(system.free_columns):
             combined = sum(
-                beta[i] * dict(system.terms[i]).get(j, 0) for i in range(len(beta))
+                beta[i] * dict(system.program.constraints[i].terms).get(j, 0)
+                for i in range(len(beta))
             )
             if free:
                 assert combined == 0
             else:
                 assert combined >= 0
-        assert sum(b * r for b, r in zip(beta, system.rhs)) < 0
+        assert sum(b * con.rhs for b, con in zip(beta, system.program.constraints)) < 0
     report(
         5,
         True,

@@ -226,15 +226,15 @@ class TestFarkasSystem:
         # row for (obs 0, obs 1, act L, act l); column (0, z*=0) entry +sigma(L)
         row_idx = system.rows.index((0, 1, 0, 0))
         col_idx = system.columns.index((0, F(0)))
-        assert dict(system.terms[row_idx])[col_idx] == F(1, 2)
+        assert dict(system.program.constraints[row_idx].terms)[col_idx] == F(1, 2)
         col_idx_b = system.columns.index((1, F(0)))
-        assert dict(system.terms[row_idx])[col_idx_b] == F(-1, 2)
+        assert dict(system.program.constraints[row_idx].terms)[col_idx_b] == F(-1, 2)
 
     def test_hinge_entries_respect_the_mean(self, swap_violation_dataset):
         system = build_farkas_system(swap_violation_dataset)
         row_idx = system.rows.index((0, 1, 0, 0))  # revealed mean 1/4
         col_one = system.columns.index((0, F(1)))
-        assert dict(system.terms[row_idx])[col_one] == (1 - F(1, 4)) * F(1, 2)
+        assert dict(system.program.constraints[row_idx].terms)[col_one] == (1 - F(1, 4)) * F(1, 2)
 
     def test_rows_are_price_differences_at_the_mean(self):
         """Row (oa, ob, ai, bi) times any lam is the act's probability times
@@ -247,13 +247,13 @@ class TestFarkasSystem:
             assert system.rows
             lam = {key: F(rng.randint(-6, 6), rng.randint(1, 4)) for key in system.columns}
             values = [lam[key] for key in system.columns]
-            for (oa, ob, ai, _), row in zip(system.rows, system.terms):
-                summary = system.summaries[oa]
+            for (oa, ob, ai, _), con in zip(system.rows, system.program.constraints):
+                summary = ds.observations[oa].summary
                 mean = summary.act_means[ai]
                 expected = summary.act_probabilities[ai] * (
                     price_function(lam, oa)(mean) - price_function(lam, ob)(mean)
                 )
-                assert sum(v * values[j] for j, v in row) == expected
+                assert sum(v * values[j] for j, v in con.terms) == expected
 
     def test_nias_equals_nonnegative_diagonal_surplus(self, swap_violation_dataset):
         """Rows with matching observations are omitted from the system; their
@@ -311,8 +311,8 @@ class TestNipmc:
         for free, value in zip(system.free_columns, lam):
             if not free:
                 assert value >= 0
-        for row, rhs in zip(system.terms, system.rhs):
-            assert sum(a * lam[j] for j, a in row) <= rhs
+        for con in system.program.constraints:
+            assert sum(a * lam[j] for j, a in con.terms) <= con.rhs
 
     def test_swap_dataset_fails_with_verified_certificate(self, swap_violation_dataset):
         verdict = check_nipmc(swap_violation_dataset)
@@ -324,13 +324,16 @@ class TestNipmc:
         # balanced at the free columns, nonnegative at interior ones
         vec = [beta[key] for key in system.rows]
         for j, free in enumerate(system.free_columns):
-            s = sum(vec[i] * dict(system.terms[i]).get(j, 0) for i in range(len(vec)))
+            s = sum(
+                vec[i] * dict(system.program.constraints[i].terms).get(j, 0)
+                for i in range(len(vec))
+            )
             if free:
                 assert s == 0
             else:
                 assert s >= 0
         # strict improvement
-        assert sum(b * r for b, r in zip(vec, system.rhs)) < 0
+        assert sum(b * con.rhs for b, con in zip(vec, system.program.constraints)) < 0
 
     def test_one_program_per_system(self, swap_violation_dataset, count_builds):
         """``to_linear_program`` gives one program per system, so the check
@@ -717,16 +720,16 @@ class TestCycleAxiomAgainstHighs:
         from scipy.optimize import linprog
 
         a_ub = []
-        for row in system.terms:
+        for con in system.program.constraints:
             dense = [0.0] * len(system.columns)
-            for j, v in row:
+            for j, v in con.terms:
                 dense[j] = float(v)
             a_ub.append(dense)
         free = system.free_columns
         return linprog(
             [0.0 if f else interior_cost for f in free],
             A_ub=a_ub,
-            b_ub=[float(b) for b in system.rhs],
+            b_ub=[float(con.rhs) for con in system.program.constraints],
             bounds=[(None, None) if f else (0, None) for f in free],
             method="highs",
         )
@@ -797,7 +800,7 @@ def reference_farkas_system(dataset):
                 terms[j] = h
         return terms
 
-    rows, terms, rhs = [], [], []
+    rows, constraints = [], []
     n = len(dataset.observations)
     for oa in range(n):
         menu_a = dataset.observations[oa].menu
@@ -816,16 +819,18 @@ def reference_farkas_system(dataset):
                 deviations = [utility(act_b, mean) for act_b in menu_b.acts]
                 best = max(deviations)
                 rows.append((oa, ob, ai, deviations.index(best)))
-                terms.append(tuple(sorted(row.items())))
-                rhs.append((utility(act_a, mean) - best) * prob)
+                constraints.append(lp.Constraint(
+                    tuple(sorted(row.items())), lp.LE, (utility(act_a, mean) - best) * prob
+                ))
     return FarkasSystem(
         rows=tuple(rows),
         columns=columns,
-        terms=tuple(terms),
-        rhs=tuple(rhs),
-        free_columns=tuple(z == 0 or z == 1 for _, z in columns),
         binding_sets=bindings,
-        summaries=summaries,
+        program=lp.LinearProgram(
+            num_vars=len(columns),
+            nonnegative=tuple(not (z == 0 or z == 1) for _, z in columns),
+            constraints=tuple(constraints),
+        ),
     )
 
 
@@ -926,7 +931,7 @@ class TestAssemblyAgainstReference:
         system = build_farkas_system(ds)
         tied = set()
         for oa, ob, ai, bi in system.rows:
-            mean = system.summaries[oa].act_means[ai]
+            mean = ds.observations[oa].summary.act_means[ai]
             values = [utility(act, mean) for act in ds.observations[ob].menu.acts]
             best = [k for k, v in enumerate(values) if v == max(values)]
             assert bi == best[0]

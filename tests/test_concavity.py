@@ -30,9 +30,10 @@ from infocost.model import indirect_utility
 def assignment_program(ds, system, assignment) -> lp.LinearProgram:
     """The search's program of a full assignment: the base system plus
     the row block of every state's generator."""
-    return concavity._prefix_program(
-        system.to_linear_program(),
-        [concavity._state_rows(ds, system, zi, gen) for zi, gen in enumerate(assignment)],
+    blocks = [concavity._state_rows(ds, system, zi, gen) for zi, gen in enumerate(assignment)]
+    return replace(
+        system.program,
+        constraints=system.program.constraints + tuple(itertools.chain.from_iterable(blocks)),
     )
 
 

@@ -322,17 +322,11 @@ class TestOptimalFaceTieBreak:
             mass = sum(v for z, v in sol.multipliers.items() if 0 < z < 1)
             assert mass == sum(y[k] for k, _ in interior), trial
 
-    @pytest.mark.parametrize(
-        "call, pick, message",
-        [
-            (0, 0, "tie-break program unexpectedly infeasible"),
-            (2, -1, "price integrals disagree with the objective"),
-        ],
-    )
-    def test_corrupted_first_duals_are_rejected(self, monkeypatch, capsys, call, pick, message):
-        """Zeroing one nonzero dual of the first primal (call 0) or dual
-        (call 2) solve moves the face off the optimum: either it is empty,
-        or its tie-break optimum fails the price certificate."""
+    @staticmethod
+    def assert_rejected(monkeypatch, capsys, call, corrupt, message):
+        """``corrupt`` applied to the outcome of solve number ``call`` of
+        ``example3_forward.json`` must end in a ``RuntimeError`` and, on
+        the command line, in exit 1 with one line on standard error."""
         spec = resources.files("infocost.fixtures").joinpath("example3_forward.json")
         problem = io.parse_forward_problem(json.loads(spec.read_text()))
         real_solve = lp.solve
@@ -341,11 +335,7 @@ class TestOptimalFaceTieBreak:
         def corrupted(program, **kwargs):
             outcome = real_solve(program, **kwargs)
             calls.append(program)
-            if len(calls) != call + 1:
-                return outcome
-            duals = list(outcome.duals)
-            duals[[i for i, v in enumerate(duals) if v][pick]] = F(0)
-            return replace(outcome, duals=tuple(duals))
+            return corrupt(outcome) if len(calls) == call + 1 else outcome
 
         monkeypatch.setattr(lp, "solve", corrupted)
         with pytest.raises(RuntimeError, match=message):
@@ -356,20 +346,62 @@ class TestOptimalFaceTieBreak:
         assert captured.out == ""
         assert captured.err == f"verification error: forward {message}\n"
 
+    @pytest.mark.parametrize(
+        "call, pick, message",
+        [
+            (2, -1, "price integrals disagree with the objective"),
+        ],
+    )
+    def test_corrupted_first_duals_are_rejected(self, monkeypatch, capsys, call, pick, message):
+        """Zeroing one nonzero dual of the dual's first solve (call 2)
+        turns one of the face's ``=`` rows back into an inequality, and
+        the tie-break optimum of that larger face fails the price
+        certificate."""
+
+        def corrupt(outcome):
+            duals = list(outcome.duals)
+            duals[[i for i, v in enumerate(duals) if v][pick]] = F(0)
+            return replace(outcome, duals=tuple(duals))
+
+        self.assert_rejected(monkeypatch, capsys, call, corrupt, message)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (0, "tie-break program unexpectedly infeasible"),
+            (2, "tie-break program unexpectedly infeasible"),
+        ],
+    )
+    def test_corrupted_first_flags_are_rejected(self, monkeypatch, capsys, call, message):
+        """Clearing the zero-reduced-cost flag of the first variable that
+        is nonzero at the primal's (call 0) or the dual's (call 2) first
+        optimum drops that column from the face, which then holds no
+        optimum and no feasible point."""
+
+        def corrupt(outcome):
+            flags = list(outcome.zero_reduced)
+            flags[next(j for j, v in enumerate(outcome.x) if v)] = False
+            return replace(outcome, zero_reduced=tuple(flags))
+
+        self.assert_rejected(monkeypatch, capsys, call, corrupt, message)
+
 
 class TestGenerateCertificate:
     """``generate_dataset`` certifies its optimum with the first solve's
     own duals. Each forgery below must end in a ``RuntimeError`` and, on
-    the command line, in exit 1 with one line on standard error. Zeroing
-    a nonzero dual of the first solve empties the optimal face; a shifted
-    face optimum is no contraction of the prior; the prior itself is one,
-    but not optimal, so the first solve's price values it above the
-    objective."""
+    the command line, in exit 1 with one line on standard error. A
+    nonzero dual on a row that the optimum leaves slack makes that row an
+    ``=`` row of the face, and clearing the zero-reduced-cost flag of a
+    column the optimum uses drops it from the face: either face holds no
+    feasible point. A shifted face optimum is no contraction of the
+    prior; the prior itself is one, but not optimal, so the first solve's
+    price values it above the objective."""
 
     @pytest.mark.parametrize(
         "forgery, message",
         [
-            ("zero a nonzero dual", "tie-break program unexpectedly infeasible"),
+            ("tighten a slack row", "tie-break program unexpectedly infeasible"),
+            ("unflag a support column", "tie-break program unexpectedly infeasible"),
             ("shift the face optimum", "optimum is not a contraction of the prior"),
             ("answer the prior", "price integrals disagree with the objective"),
         ],
@@ -382,10 +414,18 @@ class TestGenerateCertificate:
         def corrupted(program, **kwargs):
             outcome = real_solve(program, **kwargs)
             calls.append(program)
-            if forgery == "zero a nonzero dual" and len(calls) == 1:
+            if forgery == "tighten a slack row" and len(calls) == 1:
                 duals = list(outcome.duals)
-                duals[[i for i, v in enumerate(duals) if v][-1]] = F(0)
+                slack = next(
+                    i for i, con in enumerate(program.constraints)
+                    if sum(v * outcome.x[j] for j, v in con.terms) < con.rhs
+                )
+                duals[slack] = F(-1)
                 return replace(outcome, duals=tuple(duals))
+            if forgery == "unflag a support column" and len(calls) == 1:
+                flags = list(outcome.zero_reduced)
+                flags[next(j for j, v in enumerate(outcome.x) if v)] = False
+                return replace(outcome, zero_reduced=tuple(flags))
             if forgery == "shift the face optimum" and len(calls) == 2:
                 return replace(outcome, x=tuple(v + 1 for v in outcome.x))
             return outcome
@@ -837,6 +877,44 @@ def generation_cases():
     zero_weight = Prior(state_space=space, weights=(F(1, 4), F(0), F(1, 4), F(1, 4), F(1, 4)))
     yield zero_weight, pooled_act_case()[1], dip_cost(rng)
     yield bundled_generation_spec()[1]
+
+
+def reference_face(program, duals):
+    """The columns of the optimal face by the duals' complementary
+    slackness, in ``Fraction``s: every free column, and every nonnegative
+    one whose reduced cost ``c_j - sum_i y_i a_ij`` is 0."""
+    reduced = [F(0)] * program.num_vars
+    for j, v in program.objective:
+        reduced[j] += v
+    for yi, con in zip(duals, program.constraints):
+        for j, v in con.terms:
+            reduced[j] -= yi * v
+    return [j for j in range(program.num_vars) if not (program.nonnegative[j] and reduced[j])]
+
+
+class TestFaceFlags:
+    """Every tie-break keeps the columns that the kernel flags as of zero
+    reduced cost (``LPOutcome.zero_reduced``): the face that the first
+    solve's duals give."""
+
+    def test_flagged_columns_are_the_face_of_the_duals(self, monkeypatch):
+        real = forward._lexicographic
+        narrowed = []
+
+        def checked(program, tiebreak, basis=None):
+            x, first = real(program, tiebreak, basis)
+            flagged = [j for j, zero in enumerate(first.zero_reduced) if zero]
+            assert flagged == reference_face(program, first.duals)
+            narrowed.append(len(flagged) < program.num_vars)
+            return x, first
+
+        monkeypatch.setattr(forward, "_lexicographic", checked)
+        for prior, menu, cost, points in forward_cases():
+            solve_forward(ForwardProblem.build(prior, menu, cost, uniform_points=points))
+        for prior, menus, cost in generation_cases():
+            generate_dataset(prior, menus, cost)
+        assert len(narrowed) == 2 * 44 + sum(len(menus) for _, menus, _ in generation_cases())
+        assert sum(narrowed) > len(narrowed) // 2
 
 
 def golden_generation_specs():

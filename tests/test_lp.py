@@ -836,6 +836,29 @@ class TestDuals:
             seen.update(program.nonnegative)
         assert seen == {lp.MIN, lp.MAX, LE, GE, EQ, True, False}
 
+    def test_zero_reduced_flags_are_the_zero_reduced_costs(self):
+        """Flag j of an optimum is true exactly when ``c_j - sum_i y_i
+        a_ij`` is 0, always for a free variable; no other outcome carries
+        flags."""
+        rng = random.Random(227)
+        programs = [self.random_program(rng) for _ in range(150)]
+        programs += [TestAgainstHighs().random_program(rng) for _ in range(40)]
+        seen = set()
+        for program in programs:
+            out = solve(program)
+            if out.status != OPTIMAL:
+                assert out.zero_reduced is None
+                continue
+            cost = dict(program.objective)
+            reduced = [cost.get(j, F(0)) for j in range(program.num_vars)]
+            for yi, con in zip(out.duals, program.constraints):
+                for j, v in con.terms:
+                    reduced[j] -= yi * v
+            assert out.zero_reduced == tuple(r == 0 for r in reduced)
+            seen.add(program.sense)
+            seen.update(zip(program.nonnegative, out.zero_reduced))
+        assert seen == {lp.MIN, lp.MAX, (True, True), (True, False), (False, True)}
+
     def test_feasibility_and_infeasibility_carry_no_duals(self):
         feasible = LinearProgram(
             num_vars=1, nonnegative=(True,), constraints=(constraint({0: F(1)}, LE, F(1)),)

@@ -411,6 +411,26 @@ class TestIntegerEvaluation:
             )
             assert fn.minimum() == reference_minimum(fn)
 
+    def test_every_value_is_exactly_a_fraction(self):
+        """``values_at``, ``f(z)``, ``breakpoint_values`` and
+        ``minimum_of_sum`` return a ``Fraction``, never an ``int``, also
+        where the value is integral and the function's coefficients are
+        ``int``s."""
+        rng = random.Random(83)
+        integral = 0
+        for fn in self.functions(83, count=60):
+            points = probe_points(rng, fn)
+            values = [
+                *fn.values_at(points),
+                *(fn(z) for z in points),
+                *(v for _, v in fn.breakpoint_values()),
+                minimum_of_sum(((1, fn),)),
+                minimum_of_sum(((2, fn), (-3, fn))),
+            ]
+            assert all(type(v) is F for v in values)
+            integral += sum(v.denominator == 1 for v in values)
+        assert integral > 100
+
     def test_algebra_equals_the_reference(self):
         rng = random.Random(73)
         fns = self.functions(73, count=60)

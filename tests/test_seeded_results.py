@@ -1,4 +1,4 @@
-"""One digest over the exact results of the seeded cases.
+"""Two digests over the exact results of the seeded cases.
 
 The cases are the passing datasets of ``test_axioms.reference_cases()``
 (recovered cost, every price and every audit), every forward problem of
@@ -9,10 +9,17 @@ Each result is written out with the type of every scalar in it, so a
 change that keeps the values but returns an ``int`` for a ``Fraction``
 moves the digest too.
 
-The expected digest is in ``tests/golden/seeded_results.sha256``. A change
-that is meant to move no result must leave it as it is; run
+The second digest covers the verdicts: every ``check_nipmc`` verdict on
+``reference_cases()`` (its binding sets and its multipliers or its
+certificate) and every ``certify_concave`` verdict on the benchmark
+catalog's concavity entries among them (status, programs solved,
+assignment, multipliers and cost).
+
+The expected digests are in ``tests/golden/seeded_results.sha256`` and
+``tests/golden/seeded_verdicts.sha256``. A change that is meant to move
+no result must leave them as they are; run
 ``PYTHONPATH=src python tests/test_seeded_results.py`` to print the
-current digest and the number of results behind it.
+current digests and the number of results behind each.
 """
 
 import hashlib
@@ -24,6 +31,7 @@ from infocost import (
     DiscreteCDF,
     ForwardProblem,
     PiecewiseScalarFunction,
+    certify_concave,
     check_nipmc,
     generate_dataset,
     price_function,
@@ -35,10 +43,13 @@ from test_axioms import reference_cases
 from test_forward import forward_cases, generation_cases
 
 EXPECTED = Path(__file__).parent / "golden" / "seeded_results.sha256"
+EXPECTED_VERDICTS = Path(__file__).parent / "golden" / "seeded_verdicts.sha256"
 
 
 def _text(value) -> str:
     """``value`` written out with the type of every scalar in it."""
+    if value is None:
+        return "None"
     if type(value) in (Fraction, int, bool, str):
         return f"{type(value).__name__}:{value}"
     if isinstance(value, PiecewiseScalarFunction):
@@ -74,6 +85,19 @@ def seeded_results() -> list[str]:
     return results
 
 
+def seeded_verdicts() -> list[str]:
+    results = []
+    cases = reference_cases()
+    for name, ds in cases:
+        v = check_nipmc(ds)
+        verdict = (v.passed, v.system.binding_sets, v.multipliers, v.certificate)
+        results.append(f"check {name}: {_text(verdict)}")
+    for name, ds in cases:
+        if name.startswith("concavity/"):
+            results.append(f"concavity {name}: {_text(certify_concave(ds))}")
+    return results
+
+
 def digest(results: list[str]) -> str:
     return hashlib.sha256("\n".join(results).encode()).hexdigest()
 
@@ -84,6 +108,12 @@ def test_seeded_results_are_unchanged():
     assert digest(results) == EXPECTED.read_text().strip()
 
 
+def test_seeded_verdicts_are_unchanged():
+    results = seeded_verdicts()
+    assert len(results) == 68
+    assert digest(results) == EXPECTED_VERDICTS.read_text().strip()
+
+
 if __name__ == "__main__":
-    results = seeded_results()
-    print(f"{digest(results)}  ({len(results)} results)")
+    for results in (seeded_results(), seeded_verdicts()):
+        print(f"{digest(results)}  ({len(results)} results)")
