@@ -41,13 +41,14 @@ and per-variable sign constraints: the returned ``y`` satisfies
 
 Any such ``y`` proves infeasibility by aggregating the rows.
 
-An unbounded program carries the improving ray ``d`` where the simplex
-stopped, one entry per variable (a free variable's negative part
-subtracted): the first non-artificial column of negative reduced cost
-with no positive entry is 1, each basic column is minus that column's
-entry over its own in its row, the rest 0. ``d`` keeps every sign
-constraint, ``a_i . d`` is ``<= 0`` on ``<=`` rows, ``>= 0`` on ``>=``
-rows and 0 on ``=`` rows, and the objective strictly improves along it.
+An unbounded program carries the improving ray ``d`` at the column
+where Bland's rule stopped, one entry per variable (a free variable's
+negative part subtracted): that column, the lowest non-artificial one
+of negative reduced cost, which has no positive entry, is 1, each basic
+column is minus that column's entry over its own in its row, the rest
+0. ``d`` keeps every sign constraint, ``a_i . d`` is ``<= 0`` on ``<=``
+rows, ``>= 0`` on ``>=`` rows and 0 on ``=`` rows, and the objective
+strictly improves along it.
 So a ray of an unbounded ``dual(program)``, whatever the objective of
 ``program``, is a certificate for ``program``.
 
@@ -335,6 +336,33 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], pc: int) -> dict[int, 
     return {j: v // g for j, v in out.items()} if g > 1 else out
 
 
+def _bland(tab: _Tableau, banned: set[int]) -> tuple[int, int]:
+    """Bland's rule (Bland 1977): the next pivot ``(row, column)`` that
+    lowers ``tab``'s objective, or a stop (see ``_Tableau``). The column is
+    the lowest outside ``banned`` of negative reduced cost, the row that of
+    least ratio there, a tie going to the row of lowest basic column."""
+    ncols, rhs = tab.ncols, tab.rhs
+    pc = min(
+        (j for j, v in tab.obj.items() if v < 0 and j < ncols and j not in banned),
+        default=-1,
+    )
+    pr = -1
+    if pc < 0:
+        return pr, pc
+    best_rhs = best_piv = 0
+    for r, row in enumerate(tab.rows):
+        a = row.get(pc, 0)
+        if a <= 0:
+            continue
+        # ratio comparison b/a < best by cross multiplication;
+        # each row's scale cancels in its own ratio
+        b = row.get(rhs, 0)
+        left, right = b * best_piv, best_rhs * a
+        if pr < 0 or left < right or (left == right and tab.basis[r] < tab.basis[pr]):
+            pr, best_rhs, best_piv = r, b, a
+    return pr, pc
+
+
 class _Tableau:
     """Simplex tableau in integers, each row with its own scale.
 
@@ -351,6 +379,13 @@ class _Tableau:
     only in the rows with an entry in the pivot column and leaves every
     other row as it is. Each reported number is built once, as one
     ``Fraction`` of tableau integers.
+
+    ``run_simplex`` takes every pivot from ``_bland``, the one place the
+    pivot rule lives. A replacement takes the tableau and the banned
+    columns and returns ``(row, column)``: a pivot on a positive entry of
+    least ratio, ``(-1, -1)`` at an optimum, or ``(-1, column)`` for a
+    column of negative reduced cost with no positive entry, where the
+    improving ray is then read.
     """
 
     def __init__(self, lp: LinearProgram, pivot_limit: int):
@@ -441,44 +476,18 @@ class _Tableau:
             self.obj = _eliminate(self.obj, prow, pc)
         self.basis[pr] = pc
 
-    def run_simplex(self, banned: set[int]) -> str:
-        """Minimize the current objective; Bland's rule throughout."""
-        ncols, rhs = self.ncols, self.rhs
+    def run_simplex(self, banned: set[int]) -> int:
+        """Minimize the current objective, taking each pivot ``_bland``
+        picks; -1 at an optimum, else the column it is unbounded along."""
         while True:
-            pc = min(
-                (j for j, v in self.obj.items() if v < 0 and j < ncols and j not in banned),
-                default=-1,
-            )
-            if pc < 0:
-                return OPTIMAL
-            pr = -1
-            best_rhs = best_piv = 0
-            for r, row in enumerate(self.rows):
-                a = row.get(pc, 0)
-                if a <= 0:
-                    continue
-                b = row.get(rhs, 0)
-                if pr < 0:
-                    pr, best_rhs, best_piv = r, b, a
-                    continue
-                # ratio comparison b/a < best by cross multiplication;
-                # each row's scale cancels in its own ratio
-                left = b * best_piv
-                right = best_rhs * a
-                if left < right or (left == right and self.basis[r] < self.basis[pr]):
-                    pr, best_rhs, best_piv = r, b, a
+            pr, pc = _bland(self, banned)
             if pr < 0:
-                return UNBOUNDED
+                return pc
             self.pivot(pr, pc)
 
-    def improving_ray(self) -> tuple[Fraction, ...]:
-        """The improving ray of an unbounded objective in the caller's
-        variables (see the module docstring)."""
-        pc = min(
-            j for j, v in self.obj.items()
-            if v < 0 and j < self.ncols and j not in self.artificial
-            and all(row.get(j, 0) <= 0 for row in self.rows)
-        )
+    def improving_ray(self, pc: int) -> tuple[Fraction, ...]:
+        """The improving ray along ``pc``, the column ``run_simplex`` stopped
+        at unbounded, in the caller's variables (see the module docstring)."""
         d = {pc: Fraction(1)}
         for row, b in zip(self.rows, self.basis):
             if pc in row:
@@ -624,8 +633,7 @@ def solve(
             tab = _Tableau(lp, pivot_limit)
             tab.pivots = spent
         tab.set_objective(dict.fromkeys(tab.artificial, 1))
-        status = tab.run_simplex(banned=set())
-        if status == UNBOUNDED:  # phase-one objective is bounded below by zero
+        if tab.run_simplex(banned=set()) >= 0:  # phase one is bounded below by zero
             raise AssertionError("phase one cannot be unbounded")
         if tab.obj.get(tab.rhs, 0) < 0:  # artificial mass left above 0
             # the Farkas multipliers are minus the phase-one duals
@@ -648,9 +656,9 @@ def solve(
     tab.set_objective(costs)
     # from an optimal basis, the dual ratio test keeps it optimal
     tab.drive_out_artificials(priced=warm)
-    status = tab.run_simplex(banned=tab.artificial)
-    if status == UNBOUNDED:
-        return LPOutcome(status=UNBOUNDED, ray=tab.improving_ray())
+    stop = tab.run_simplex(banned=tab.artificial)
+    if stop >= 0:
+        return LPOutcome(status=UNBOUNDED, ray=tab.improving_ray(stop))
     return LPOutcome(
         status=OPTIMAL,
         x=tab.structural_solution(),

@@ -122,32 +122,26 @@ def test_every_case_has_a_digest():
     assert sorted(json.loads(DIGESTS.read_text())) == sorted(CASES)
 
 
-def _reversed_bland(self, banned: set[int]) -> str:
-    """``lp._Tableau.run_simplex`` with the columns in reverse order: the
-    entering column is the last one of negative reduced cost, and a tie in
-    the ratio test goes to the row whose basic column is last. Bland's
-    rule under any fixed column order cannot cycle."""
-    ncols, rhs = self.ncols, self.rhs
-    while True:
-        pc = max(
-            (j for j, v in self.obj.items() if v < 0 and j < ncols and j not in banned),
-            default=-1,
-        )
-        if pc < 0:
-            return lp.OPTIMAL
-        pr = -1
-        best_rhs = best_piv = 0
-        for r, row in enumerate(self.rows):
-            a = row.get(pc, 0)
-            if a <= 0:
-                continue
-            b = row.get(rhs, 0)
-            left, right = b * best_piv, best_rhs * a
-            if pr < 0 or left < right or (left == right and self.basis[r] > self.basis[pr]):
-                pr, best_rhs, best_piv = r, b, a
-        if pr < 0:
-            return lp.UNBOUNDED
-        self.pivot(pr, pc)
+def _reversed_bland(tab, banned: set[int]) -> tuple[int, int]:
+    """``lp._bland`` with the columns in reverse order: the entering column
+    is the last one of negative reduced cost, and a tie in the ratio test
+    goes to the row whose basic column is last. Bland's rule under any
+    fixed column order cannot cycle."""
+    pc = max(
+        (j for j, v in tab.obj.items() if v < 0 and j < tab.ncols and j not in banned),
+        default=-1,
+    )
+    pr = -1
+    best_rhs = best_piv = 0
+    for r, row in enumerate(tab.rows):
+        a = row.get(pc, 0)
+        if a <= 0:
+            continue
+        b = row.get(tab.rhs, 0)
+        left, right = b * best_piv, best_rhs * a
+        if pr < 0 or left < right or (left == right and tab.basis[r] > tab.basis[pr]):
+            pr, best_rhs, best_piv = r, b, a
+    return pr, pc
 
 
 def _interior_mass(multipliers) -> Fraction:
@@ -194,12 +188,16 @@ def test_reversed_bland_rule_moves_no_rule_free_output(monkeypatch):
     --refine 16`` and every ``concavity`` case keeps its exit code and its
     rule-free outputs, the least interior mass of every passing ``check``
     and ``recover`` among them; some reports do move, at the vertices the
-    rule picks."""
+    rule picks, which shows that the reversed rule reaches the kernel."""
     assert len(RULE_CASES) == 62
-    default = {case: _rule_free(CASES[case], *_run(CASES[case])[:2]) for case in RULE_CASES}
-    monkeypatch.setattr(lp._Tableau, "run_simplex", _reversed_bland)
+    default = {case: _run(CASES[case])[:2] for case in RULE_CASES}
+    monkeypatch.setattr(lp, "_bland", _reversed_bland)
+    moved = 0
     for case in RULE_CASES:
-        assert _rule_free(CASES[case], *_run(CASES[case])[:2]) == default[case], case
+        code, out = _run(CASES[case])[:2]
+        assert _rule_free(CASES[case], code, out) == _rule_free(CASES[case], *default[case]), case
+        moved += (code, out) != default[case]
+    assert moved > 0
 
 
 if __name__ == "__main__":

@@ -41,6 +41,7 @@ from infocost import (
     variance_cost,
     verify_rationalization,
 )
+from test_lp import watched
 
 ZERO_COST = PiecewiseScalarFunction.constant(F(0))
 
@@ -477,26 +478,28 @@ class TestWarmDual:
 
     def test_warm_and_cold_duals_give_one_solution(self, monkeypatch):
         problems = list(self.problems())
-        installs = []
-        install = lp._Tableau.install
-
-        def recorded(tab, basis):
-            installs.append(install(tab, basis))
-            return installs[-1]
-
-        monkeypatch.setattr(lp._Tableau, "install", recorded)
-        warm = [solve_forward(problem) for problem in problems]
-        assert installs == [True] * len(problems)
-
         real_solve = lp.solve
+        solves = []  # per solve: whether it was given a basis, the pivot rule's choices
+
+        def recorded(program, **kwargs):
+            solves.append((kwargs.get("basis") is not None, []))
+            return real_solve(program, **kwargs)
+
+        monkeypatch.setattr(lp, "solve", recorded)
+        warm = watched(
+            lambda: [solve_forward(problem) for problem in problems],
+            lambda tab, choice: solves[-1][1].append(choice),
+        )
+        # each dual's basis installs: phase two alone, stopped at once at the optimum
+        assert [made for given, made in solves if given] == [[(-1, -1)]] * len(problems)
 
         def cold(program, *, basis=None, **kwargs):
-            return real_solve(program, **kwargs)
+            return recorded(program, **kwargs)
 
         monkeypatch.setattr(lp, "solve", cold)
         for problem, solution in zip(problems, warm):
             assert solve_forward(problem) == solution
-        assert len(installs) == len(problems)
+        assert sum(given for given, _ in solves) == len(problems)
 
     def test_the_warm_duals_first_solve_returns_the_programs_optimum(self):
         """Started from the complementary basis, the dual's first solve

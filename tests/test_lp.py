@@ -139,35 +139,16 @@ def vertex_oracle(program: LinearProgram):
     status ignores unboundedness (callers use bounded programs).
     """
     n = program.num_vars
-    rows = dense_rows(program)
-    conditions = [(row, rhs) for row, _, rhs in rows]
-    floors = []
-    for j in range(n):
-        row = [F(0)] * n
-        row[j] = F(1)
-        floors.append((row, F(0)))
-    all_conditions = conditions + floors
-    best = None
-    feasible_found = False
-    for combo in itertools.combinations(range(len(all_conditions)), n):
-        mat = [all_conditions[k][0] for k in combo]
-        vec = [all_conditions[k][1] for k in combo]
-        x = gaussian_solve(mat, vec)
-        if x is None:
-            continue
-        if not satisfies(program, x):
-            continue
-        feasible_found = True
-        val = sum(v * x[j] for j, v in program.objective)
-        if best is None:
-            best = val
-        elif program.sense == lp.MAX:
-            best = max(best, val)
-        else:
-            best = min(best, val)
-    if not feasible_found:
+    floors = [([F(int(i == j)) for i in range(n)], F(0)) for j in range(n)]
+    conditions = [(row, rhs) for row, _, rhs in dense_rows(program)] + floors
+    values = []
+    for combo in itertools.combinations(conditions, n):
+        x = gaussian_solve([row for row, _ in combo], [rhs for _, rhs in combo])
+        if x is not None and satisfies(program, x):
+            values.append(sum(v * x[j] for j, v in program.objective))
+    if not values:
         return INFEASIBLE, None
-    return OPTIMAL, best
+    return OPTIMAL, (max if program.sense == lp.MAX else min)(values)
 
 
 def assert_optimal_with_duals(program: LinearProgram, out, value) -> None:
@@ -395,24 +376,11 @@ class TestRandomizedAgainstOracle:
         rng = random.Random(109)
         for _ in range(40):
             program = self.random_program(rng)
-            scaled_cons = []
-            for con in program.constraints:
-                if con.relation == LE:
-                    k = F(rng.randint(1, 5))
-                    scaled_cons.append(
-                        constraint(
-                            {j: k * v for j, v in con.terms}, LE, k * con.rhs
-                        )
-                    )
-                else:
-                    scaled_cons.append(con)
-            scaled = LinearProgram(
-                num_vars=program.num_vars,
-                nonnegative=program.nonnegative,
-                constraints=tuple(scaled_cons),
-                objective=program.objective,
-                sense=program.sense,
-            )
+            ks = [F(rng.randint(1, 5)) if con.relation == LE else 1 for con in program.constraints]
+            scaled = replace(program, constraints=tuple(
+                constraint({j: k * v for j, v in con.terms}, con.relation, k * con.rhs)
+                for k, con in zip(ks, program.constraints)
+            ))
             assert solve(program).status == solve(scaled).status
 
 
@@ -534,28 +502,40 @@ def textbook_eliminate(row, prow, pc):
     return sparse(textbook_step(dense(row, width), dense(prow, width), pc))
 
 
+def watched(run, see):
+    """``run()`` with ``see(tab, choice)`` called on each tableau that the
+    kernel's pivot rule, ``lp._bland``, is handed, as it is then, and the
+    choice the rule makes there."""
+    bland = lp._bland
+
+    def seam(tab, banned):
+        choice = bland(tab, banned)
+        see(tab, choice)
+        return choice
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_bland", seam)
+        return run()
+
+
 def traced(run, eliminate):
     """``run()`` with ``eliminate`` as the kernel's elimination step, the
-    pivots ``(row, column)`` it takes, one list per objective set, and the
-    rows and the objective row after each pivot."""
-    phases, states = [], []
-    set_objective, pivot = lp._Tableau.set_objective, lp._Tableau.pivot
+    pivots ``(row, column)`` the pivot rule picks, one list per simplex
+    run (each ends at the rule's stop), and the rows and the objective
+    row of each tableau the rule is handed."""
+    phases, states = [[]], []
 
-    def traced_set_objective(tab, costs):
-        phases.append([])
-        set_objective(tab, costs)
-
-    def traced_pivot(tab, pr, pc):
-        phases[-1].append((pr, pc))
-        pivot(tab, pr, pc)
+    def see(tab, choice):
         # an elimination returns a new row, so the dicts are not copied
         states.append((list(tab.rows), tab.obj))
+        if choice[0] < 0:
+            phases.append([])
+        else:
+            phases[-1].append(choice)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "_eliminate", eliminate)
-        mp.setattr(lp._Tableau, "set_objective", traced_set_objective)
-        mp.setattr(lp._Tableau, "pivot", traced_pivot)
-        return run(), phases, states
+        return watched(run, see), phases[:-1], states
 
 
 class TestEliminationPath:
@@ -637,15 +617,17 @@ class TestEliminationPath:
         )
         assert len(problem.grid) >= 60
         _, phases = self.assert_same_path(lambda: solve_forward(problem))
-        # four programs, two phases each but the dual's: it starts from the
+        # the simplex runs, one per stop of the pivot rule: two phases for
+        # each of the four programs but the dual, which starts from the
         # basis complementary to the program's optimal one and skips phase
         # one; its install pivots run through the same elimination
         assert len(phases) == 7
         assert sum(map(len, phases)) > 60
 
     def test_cached_row_forms_build_the_fresh_rows(self):
-        """A tableau built from rows whose integer forms an earlier solve
-        cached holds the integers of one built from fresh copies of them."""
+        """A program whose rows' integer forms an earlier solve cached
+        takes the pivots, the tableaus and the outcome of fresh copies of
+        its rows."""
         rng = random.Random(311)
         for _ in range(120):
             program = rng.choice([TestAgainstHighs(), TestDuals()]).random_program(rng)
@@ -653,9 +635,8 @@ class TestEliminationPath:
             fresh = replace(program, constraints=tuple(replace(con) for con in program.constraints))
             assert all("scaled" in vars(con) for con in program.constraints)
             assert not any("scaled" in vars(con) for con in fresh.constraints)
-            cached = lp._Tableau(program, lp.DEFAULT_PIVOT_LIMIT)
-            built = lp._Tableau(fresh, lp.DEFAULT_PIVOT_LIMIT)
-            assert (cached.rows, cached.row_scale) == (built.rows, built.row_scale)
+            cached = traced(lambda: solve(program), lp._eliminate)
+            assert cached == traced(lambda: solve(fresh), lp._eliminate)
 
 
 class TestRowFormat:
@@ -678,35 +659,22 @@ class TestRowFormat:
         assert not set(tab.basis) & set(obj)
 
     def test_row_format_holds_after_every_pivot(self):
-        pivot = lp._Tableau.pivot
-        checked = 0
+        checked = []
 
-        def checked_pivot(tab, pr, pc):
-            nonlocal checked
-            pivot(tab, pr, pc)
+        def see(tab, choice):
             self.assert_invariants(tab)
-            checked += 1
+            checked.append(choice)
 
         rng = random.Random(307)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lp._Tableau, "pivot", checked_pivot)
-            for _ in range(120):
-                solve(TestAgainstHighs().random_program(rng))
-        assert checked > 1000
+        watched(lambda: [solve(TestAgainstHighs().random_program(rng)) for _ in range(120)], see)
+        assert len(checked) > 1000
 
 
 def final_tableau(run):
-    """``run()`` and the last tableau it built, in its final state."""
-    built = []
-    init = lp._Tableau.__init__
-
-    def recorded(tab, *args):
-        init(tab, *args)
-        built.append(tab)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp._Tableau, "__init__", recorded)
-        return run(), built[-1]
+    """``run()`` and the last tableau the pivot rule was handed, in its
+    final state."""
+    seen = []
+    return watched(run, lambda tab, choice: seen.append(tab)), seen[-1]
 
 
 def reference_outcome(program, status, tab):
@@ -807,30 +775,8 @@ class TestDuals:
             if out.status != OPTIMAL:
                 assert out.duals is None
                 continue
-            y = out.duals
-            assert len(y) == len(program.constraints)
-            # MIN signs as documented; MAX flips them
-            flip = 1 if program.sense == lp.MIN else -1
-            for yi, con in zip(y, program.constraints):
-                if con.relation == LE:
-                    assert flip * yi <= 0
-                elif con.relation == GE:
-                    assert flip * yi >= 0
-            cost = dict(program.objective)
-            for j in range(program.num_vars):
-                reduced = cost.get(j, F(0)) - sum(
-                    yi * v
-                    for yi, con in zip(y, program.constraints)
-                    for k, v in con.terms
-                    if k == j
-                )
-                if program.nonnegative[j]:
-                    assert flip * reduced >= 0
-                else:
-                    assert reduced == 0
-            by = sum(yi * con.rhs for yi, con in zip(y, program.constraints))
-            cx = sum(v * out.x[j] for j, v in program.objective)
-            assert by == cx == out.objective_value
+            assert len(out.duals) == len(program.constraints)
+            assert_optimal_with_duals(program, out, sum(v * out.x[j] for j, v in program.objective))
             seen.add(program.sense)
             seen.update(con.relation for con in program.constraints)
             seen.update(program.nonnegative)
@@ -1136,19 +1082,17 @@ class TestDual:
 
 
 def simplex_runs(run):
-    """``run()`` and the pivots of each ``run_simplex`` call it made."""
-    runs = []
-    run_simplex = lp._Tableau.run_simplex
+    """``run()`` and the pivots of each simplex run it made: the pivot
+    rule's choices in the run, less the stop that ends it."""
+    runs = [0]
 
-    def counted(tab, banned):
-        before = tab.pivots
-        status = run_simplex(tab, banned)
-        runs.append(tab.pivots - before)
-        return status
+    def see(tab, choice):
+        if choice[0] < 0:
+            runs.append(0)
+        else:
+            runs[-1] += 1
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp._Tableau, "run_simplex", counted)
-        return run(), runs
+    return watched(run, see), runs[:-1]
 
 
 class TestStartingBasis:
